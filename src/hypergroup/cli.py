@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -73,20 +72,6 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_USAGE
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("HYPERGROUP_THREADS")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(f"HYPERGROUP_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError("threads must be >= 1")
-    return value
-
-
 def _read_json(path) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -138,7 +123,6 @@ def _train_config(config: dict, args) -> TrainConfig:
         section["strategy"] = STRATEGY_FLAGS[args.strategy]
     if args.seed is not None:
         section["seed"] = args.seed
-    section["threads"] = _threads_from(args)
     try:
         cfg = TrainConfig(**section)
     except TypeError as exc:
@@ -200,7 +184,6 @@ def cmd_train(args) -> int:
         "dataset_fingerprint": dataset_fingerprint(args.data),
         "variant": model_cfg.variant,
         "strategy": report.strategy,
-        "threads": train_cfg.threads,
         "config": {
             "model": model_cfg.to_dict(),
             "train": train_cfg.__dict__.copy(),
@@ -327,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default=None)
     p_train.add_argument("--strategy", choices=sorted(STRATEGY_FLAGS), default=None)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--threads", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint with full-item ranking")
@@ -340,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--exclude-train-positives", action="store_true")
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--out", default=None, help="also write the JSON report here")
-    p_eval.add_argument("--threads", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_rec = sub.add_parser("recommend", help="rank items for an ad-hoc group of members")
@@ -349,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--members", required=True, help="comma-separated raw member ids")
     p_rec.add_argument("--topn", type=int, default=10)
     p_rec.add_argument("--seed", type=int, default=None)
-    p_rec.add_argument("--threads", type=int, default=None)
     p_rec.set_defaults(func=cmd_recommend)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset directory")

@@ -1,130 +1,441 @@
-"""Social graph and group hypergraph construction, plus neighbor sampling.
+"""Social graph and group hypergraph as CSR arrays, plus the layer sampler.
+
+Both graphs use compressed sparse rows (CSR): row ``r`` of a flat array
+is the slice ``indptr[r]:indptr[r + 1]``, and every row is sorted by id.
 
 Groups act as hyperedges over the user set.  Two hyperedges are adjacent
-when they share at least one member; each adjacency entry carries the
-exact common-member set and its cardinality as the aggregation weight.
-Construction goes through a user -> groups inverted index, so cost is
-near-linear in total membership size for sparse overlap.
+when they share at least one member, and the adjacency weight is the
+number of shared members.  The hypergraph keeps three CSR structures: the
+group -> members incidence, the user -> groups inverted index, and the
+weighted hyperedge adjacency.  The shared-member sets themselves are not
+stored; :func:`common_members` computes them on demand, for the group
+pairs a forward pass actually sampled.
+
+Both encoders sample a fixed number of neighbors per node, in the style of
+GraphSAGE.  :func:`sample_neighbors` draws them for every node of one
+layer in one call:
+
+- a pool with at least ``size`` entries is sampled uniformly without
+  replacement;
+- a smaller, nonempty pool is sampled with replacement;
+- an empty pool yields no neighbor.  The social encoder then falls back
+  to the node itself; the hyperedge encoder sends a zero-weight message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
 from .data import InteractionDataset
 from .errors import ContractViolation
 
+# group pairs expanded at once while building the hyperedge adjacency;
+# bounds the build's temporary arrays when some users belong to many groups
+PAIR_BLOCK = 1 << 22
 
-@dataclass(frozen=True)
-class HyperedgeNeighbor:
-    """One incident hyperedge: its id, overlap weight, and shared members."""
 
-    group: int
-    weight: int
-    common_members: frozenset[int]
+def unique_ids(*arrays) -> np.ndarray:
+    """Sorted distinct values of the given id arrays together.
+
+    Same result as ``np.unique`` of their concatenation, by one sort and
+    a neighbour comparison: on int64 ids numpy's ``np.unique`` (without
+    ``return_counts``) takes a hashing path that is several times slower.
+    """
+    ids = np.sort(np.concatenate([np.ravel(a) for a in arrays]))
+    keep = np.empty(ids.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + n)`` over paired starts and lengths."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
+
+
+def _indptr(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """Row offsets of a CSR array whose entries belong to the sorted ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows))))
+
+
+def _pick(starts: np.ndarray, offsets: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """``values[starts[r] + offsets[r, k]]`` per slot; ``fill`` where an offset is -1."""
+    out = np.array(np.broadcast_to(fill, offsets.shape), dtype=np.int64)
+    hit = offsets >= 0
+    out[hit] = values[(starts[:, None] + offsets)[hit]]
+    return out
 
 
 @dataclass
 class SocialGraph:
-    """Symmetric user adjacency with sorted neighbor lists."""
+    """Symmetric user adjacency: row ``u`` of ``indices`` lists u's friends."""
 
-    adjacency: list[list[int]]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def num_users(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
-    def neighbors(self, u: int) -> list[int]:
-        return self.adjacency[u]
+    def neighbors(self, u: int) -> np.ndarray:
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def degrees(self, users: np.ndarray) -> np.ndarray:
+        return self.indptr[users + 1] - self.indptr[users]
+
+    def neighbor_ids(self, users: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Friends at the sampled ``offsets``; a user with none gets itself."""
+        return _pick(self.indptr[users], offsets, self.indices, users[:, None])
 
 
 @dataclass
 class Hypergraph:
-    """Group incidence plus weighted hyperedge adjacency.
+    """Groups as hyperedges over users, in CSR form.
 
-    ``vertex_degree[u]`` counts the hyperedges containing ``u``;
-    ``adjacency[g]`` lists incident hyperedges sorted by group id.
+    - ``member_indptr``/``member_ids``: each group's members.
+    - ``group_indptr``/``group_ids``: the inverted index, each user's groups.
+    - ``indptr``/``indices``/``weights``: the hyperedge adjacency.  Row
+      ``g`` lists the other groups that share a member with ``g`` and how
+      many members they share.
+    - ``incidence_keys``: ``g * num_users + u`` for every membership,
+      sorted, for vectorised membership tests.
     """
 
-    incidence: list[frozenset[int]]
-    vertex_degree: np.ndarray
-    adjacency: list[list[HyperedgeNeighbor]]
+    num_users: int
+    member_indptr: np.ndarray
+    member_ids: np.ndarray
+    group_indptr: np.ndarray
+    group_ids: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    incidence_keys: np.ndarray
 
     @property
     def num_groups(self) -> int:
-        return len(self.incidence)
+        return len(self.member_indptr) - 1
 
-    def neighbors(self, g: int) -> list[HyperedgeNeighbor]:
-        return self.adjacency[g]
+    def members(self, g: int) -> np.ndarray:
+        return self.member_ids[self.member_indptr[g]:self.member_indptr[g + 1]]
 
-    def dump_adjacency_tsv(self, path) -> None:
-        """Debug dump: one ``g<TAB>g'<TAB>weight`` line per adjacency entry."""
-        with open(Path(path), "w", encoding="utf-8") as fh:
-            for g, entries in enumerate(self.adjacency):
-                for e in entries:
-                    fh.write(f"{g}\t{e.group}\t{e.weight}\n")
+    def neighbors(self, g: int) -> np.ndarray:
+        return self.indices[self.indptr[g]:self.indptr[g + 1]]
+
+    def overlaps(self, g: int) -> np.ndarray:
+        """Shared-member counts, aligned with :meth:`neighbors`."""
+        return self.weights[self.indptr[g]:self.indptr[g + 1]]
+
+    def degrees(self, groups: np.ndarray) -> np.ndarray:
+        return self.indptr[groups + 1] - self.indptr[groups]
+
+    def neighbor_slots(self, groups: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Incident groups and overlap weights at the sampled ``offsets``.
+
+        An empty slot (offset -1) names the group itself with weight 0.
+        """
+        starts = self.indptr[groups]
+        return (_pick(starts, offsets, self.indices, groups[:, None]),
+                _pick(starts, offsets, self.weights, 0))
+
+    def members_of(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Members of each group as ``(users, rows)``: ``users[k]`` belongs
+        to ``groups[rows[k]]``, ascending within a row."""
+        sizes = self.member_indptr[groups + 1] - self.member_indptr[groups]
+        users = self.member_ids[_ranges(self.member_indptr[groups], sizes)]
+        return users, np.repeat(np.arange(len(groups)), sizes)
+
+    def contains(self, groups: np.ndarray, users: np.ndarray) -> np.ndarray:
+        """Whether ``users[k]`` is a member of ``groups[k]``."""
+        keys = groups * self.num_users + users
+        if not self.incidence_keys.size:
+            return np.zeros(keys.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(self.incidence_keys, keys), self.incidence_keys.size - 1)
+        return self.incidence_keys[pos] == keys
+
+    def overlap_counts(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Groups holding any of the distinct ``users``, and how many of them each holds."""
+        sizes = self.group_indptr[users + 1] - self.group_indptr[users]
+        groups = self.group_ids[_ranges(self.group_indptr[users], sizes)]
+        return np.unique(groups, return_counts=True)
+
+
+class TransientHypergraphView:
+    """A hypergraph with one extra hyperedge spliced in asymmetrically.
+
+    The transient edge, numbered ``base.num_groups``, sees the existing
+    groups that share members with it; existing groups keep their original
+    neighborhoods, so their representations match the pristine model.
+    The view reads the base arrays without copying them: the transient row
+    (its members, its incident groups and their overlap weights) comes
+    from the base's inverted index.
+    """
+
+    def __init__(self, base: Hypergraph, members):
+        self._base = base
+        self.transient_index = base.num_groups
+        self._members = unique_ids(np.asarray(members, dtype=np.int64))
+        self._pool, self._weights = base.overlap_counts(self._members)
+
+    @property
+    def has_known_neighbors(self) -> bool:
+        return bool(self._pool.size)
+
+    def neighbors(self, g: int) -> np.ndarray:
+        return self._pool if g == self.transient_index else self._base.neighbors(g)
+
+    def degrees(self, groups: np.ndarray) -> np.ndarray:
+        out = np.full(groups.size, self._pool.size, dtype=np.int64)
+        base = groups != self.transient_index
+        out[base] = self._base.degrees(groups[base])
+        return out
+
+    def neighbor_slots(self, groups: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ids = np.empty(offsets.shape, dtype=np.int64)
+        weights = np.empty(offsets.shape, dtype=np.int64)
+        base = groups != self.transient_index
+        ids[base], weights[base] = self._base.neighbor_slots(groups[base], offsets[base])
+        here, starts = offsets[~base], np.zeros((~base).sum(), dtype=np.int64)
+        ids[~base] = _pick(starts, here, self._pool, self.transient_index)
+        weights[~base] = _pick(starts, here, self._weights, 0)
+        return ids, weights
+
+    def members_of(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        base = np.flatnonzero(groups != self.transient_index)
+        here = np.flatnonzero(groups == self.transient_index)
+        users, rows = self._base.members_of(groups[base])
+        return (np.concatenate([users, np.tile(self._members, here.size)]),
+                np.concatenate([base[rows], np.repeat(here, self._members.size)]))
+
+    def contains(self, groups: np.ndarray, users: np.ndarray) -> np.ndarray:
+        out = np.isin(users, self._members)
+        base = groups != self.transient_index
+        out[base] = self._base.contains(groups[base], users[base])
+        return out
 
 
 def build_social_graph(ds: InteractionDataset) -> SocialGraph:
-    """Canonical symmetric adjacency from the dataset's social edges."""
-    adjacency: list[list[int]] = [[] for _ in range(ds.num_users)]
-    for a, b in ds.social_edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for lst in adjacency:
-        lst.sort()
-    return SocialGraph(adjacency=adjacency)
+    """Symmetric adjacency from the dataset's social edges."""
+    n, span = ds.num_users, max(ds.num_users, 1)
+    edges = np.fromiter(chain.from_iterable(ds.social_edges), dtype=np.int64,
+                        count=2 * len(ds.social_edges)).reshape(-1, 2)
+    keys = unique_ids(edges[:, 0] * span + edges[:, 1], edges[:, 1] * span + edges[:, 0])
+    return SocialGraph(indptr=_indptr(keys // span, n), indices=keys % span)
 
 
 def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
-    """Incidence, vertex degrees and weighted hyperedge adjacency.
+    """Incidence, inverted index and weighted hyperedge adjacency.
 
     Every group pair sharing at least one member gets a symmetric pair of
-    adjacency entries whose weight is the exact intersection size.
+    adjacency entries whose weight is the exact intersection size.  The
+    pairs come from each user's group list: a user in ``d`` groups adds
+    one to ``d * (d - 1) / 2`` pairs, so the build is quadratic in the
+    number of groups per user.
     """
-    incidence = [frozenset(members) for members in ds.memberships]
-    degree = np.zeros(ds.num_users, dtype=np.int64)
-    by_user: dict[int, list[int]] = {}
-    for g, members in enumerate(ds.memberships):
-        for u in members:
-            degree[u] += 1
-            by_user.setdefault(u, []).append(g)
-
-    common: dict[tuple[int, int], set[int]] = {}
-    for u, groups in by_user.items():
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                a, b = groups[i], groups[j]
-                key = (a, b) if a < b else (b, a)
-                common.setdefault(key, set()).add(u)
-
-    adjacency: list[list[HyperedgeNeighbor]] = [[] for _ in range(ds.num_groups)]
-    for (a, b), members in common.items():
-        shared = frozenset(members)
-        w = len(shared)
-        adjacency[a].append(HyperedgeNeighbor(group=b, weight=w, common_members=shared))
-        adjacency[b].append(HyperedgeNeighbor(group=a, weight=w, common_members=shared))
-    for lst in adjacency:
-        lst.sort(key=lambda e: e.group)
-    return Hypergraph(incidence=incidence, vertex_degree=degree, adjacency=adjacency)
+    num_groups, span = ds.num_groups, max(ds.num_users, 1)
+    sizes = [len(m) for m in ds.memberships]
+    owner = np.repeat(np.arange(num_groups), sizes)
+    flat = np.fromiter(chain.from_iterable(ds.memberships), dtype=np.int64, count=owner.size)
+    incidence_keys = unique_ids(owner * span + flat)  # sorted by (group, user); repeats dropped
+    owner, member_ids = incidence_keys // span, incidence_keys % span
+    by_user = np.argsort(member_ids, kind="stable")  # keeps groups ascending within a user
+    group_ids = owner[by_user]
+    group_indptr = _indptr(member_ids[by_user], ds.num_users)
+    member_indptr = _indptr(owner, num_groups)
+    keys, counts = _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
+    indptr, indices, weights = _symmetric_csr(keys // num_groups, keys % num_groups, counts, num_groups)
+    return Hypergraph(
+        num_users=ds.num_users,
+        member_indptr=member_indptr,
+        member_ids=member_ids,
+        group_indptr=group_indptr,
+        group_ids=group_ids,
+        indptr=indptr,
+        indices=indices,
+        weights=weights,
+        incidence_keys=incidence_keys,
+    )
 
 
-def sample_neighbors(pool, node_self: int, size: int, rng: np.random.Generator) -> list[int]:
-    """Draw exactly ``size`` entries from ``pool``.
+def _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr):
+    """Sorted ``a * G + b`` keys of every group pair ``a < b`` sharing a
+    member, with the number of members they share.
 
-    Without replacement when the pool is large enough, with replacement
-    when it is smaller but nonempty, and ``[node_self] * size`` when empty.
+    A membership ``(a, u)`` pairs ``a`` with every later group in u's
+    list.  The memberships are expanded in blocks of consecutive ``a``,
+    so each block's ``np.unique`` counts are final and the blocks
+    concatenate in key order.
+    """
+    num_groups = len(member_indptr) - 1
+    rank = np.empty_like(by_user)
+    rank[by_user] = np.arange(by_user.size)  # position of each membership in the inverted index
+    later = group_indptr[member_ids + 1] - 1 - rank
+    expanded = np.concatenate(([0], np.cumsum(later)))[member_indptr]  # pairs before each group
+    keys, counts = [], []
+    a0 = 0
+    while a0 < num_groups:
+        a1 = max(a0 + 1, int(np.searchsorted(expanded, expanded[a0] + PAIR_BLOCK, side="right")) - 1)
+        e0, e1 = member_indptr[a0], member_indptr[a1]
+        reps = later[e0:e1]
+        a = np.repeat(owner[e0:e1], reps)
+        b = group_ids[_ranges(rank[e0:e1] + 1, reps)]
+        block_keys, block_counts = np.unique(a * num_groups + b, return_counts=True)
+        keys.append(block_keys)
+        counts.append(block_counts)
+        a0 = a1
+    if not keys:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(keys), np.concatenate(counts)
+
+
+def _symmetric_csr(a, b, w, num_rows):
+    """CSR of both directions of the pairs ``a < b``, given sorted by ``(a, b)``.
+
+    Row ``r`` holds its entries below ``r`` (from pairs ``(x, r)``) and then
+    those above it (from pairs ``(r, x)``), so every row comes out sorted
+    without sorting both directions together.
+    """
+    n_above = np.bincount(a, minlength=num_rows)
+    n_below = np.bincount(b, minlength=num_rows)
+    indptr = np.concatenate(([0], np.cumsum(n_above + n_below)))
+    indices = np.empty(2 * a.size, dtype=np.int64)
+    weights = np.empty(2 * a.size, dtype=np.int64)
+    below = np.argsort(b, kind="stable")  # the pairs by (b, a)
+    dest = np.arange(a.size) + (np.cumsum(n_above) - n_above)[b[below]]
+    indices[dest], weights[dest] = a[below], w[below]
+    dest = np.arange(a.size) + np.cumsum(n_below)[a]
+    indices[dest], weights[dest] = b, w
+    return indptr, indices, weights
+
+
+def common_members(hyper, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Members shared by each group pair ``(a[k], b[k])``, as ``(users, pairs)``.
+
+    ``users[j]`` is shared by pair ``pairs[j]``; users ascend within a pair.
+    ``hyper`` is a :class:`Hypergraph` or anything with its ``members_of``
+    and ``contains``.
+    """
+    users, rows = hyper.members_of(a)
+    keep = hyper.contains(b[rows], users)
+    return users[keep], rows[keep]
+
+
+def sample_neighbors(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` neighbor slots for every node of one layer.
+
+    ``degrees[r]`` is the pool size of row ``r``.  Returns an int64
+    ``[len(degrees), size]`` array of offsets into each row's pool:
+    uniform without replacement when the pool holds at least ``size``
+    entries, uniform with replacement when it is smaller but nonempty,
+    and -1 when it is empty.
+
+    The draws are exactly those of one ``rng.choice(n, size,
+    replace=False)`` (or ``rng.integers(0, n, size)`` for a smaller pool)
+    per nonempty row, in row order, so a seed gives the same samples as
+    sampling node by node.  On numpy's default PCG64 generator the whole
+    layer is replayed from one block of the generator's 32-bit stream
+    (:func:`_replay_layer`); otherwise, and in the rare cases the replay
+    does not cover, the rows are drawn one call at a time.
     """
     if size < 1:
         raise ContractViolation(f"sample size must be >= 1, got {size}")
-    n = len(pool)
-    if n == 0:
-        return [node_self] * size
-    if n >= size:
-        picked = rng.choice(n, size=size, replace=False)
-    else:
-        picked = rng.integers(0, n, size=size)
-    return [pool[int(i)] for i in picked]
+    degrees = np.asarray(degrees, dtype=np.int64).reshape(-1)
+    out = _replay_layer(degrees, size, rng)
+    return out if out is not None else _sample_rows(degrees, size, rng)
+
+
+def _sample_rows(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_neighbors` by one numpy call per nonempty row."""
+    out = np.full((degrees.size, size), -1, dtype=np.int64)
+    for r, n in enumerate(degrees.tolist()):
+        if n >= size:
+            out[r] = rng.choice(n, size=size, replace=False)
+        elif n:
+            out[r] = rng.integers(0, n, size=size)
+    return out
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _next_uint32(bitgen: np.random.PCG64, count: int) -> np.ndarray:
+    """The next ``count`` values of the generator's 32-bit stream, consumed,
+    as uint64.
+
+    PCG64 serves 32-bit draws as the low, then the high half of each
+    64-bit output, keeping an unused high half in its state.
+    """
+    state = bitgen.state
+    buffered = bool(state["has_uint32"]) and count > 0
+    fresh = count - buffered
+    raw = bitgen.random_raw((fresh + 1) // 2).astype("<u8", copy=False)
+    halves = raw.view("<u4")  # low half first in little-endian order
+    values = np.empty(count, dtype=np.uint64)
+    values[:buffered] = state["uinteger"]
+    values[buffered:] = halves[:fresh]
+    if count:
+        state = bitgen.state
+        state["has_uint32"] = fresh % 2
+        if fresh:
+            state["uinteger"] = int(halves[-1])
+        bitgen.state = state
+    return values
+
+
+def _replay_layer(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray | None:
+    """:func:`sample_neighbors` for all rows at once, or None if not covered.
+
+    Replays numpy's algorithms on the generator's 32-bit stream.  A
+    bounded draw from ``[0, b]`` is Lemire's multiply-shift on one 32-bit
+    value (no value is consumed when ``b`` is 0).  ``choice`` without
+    replacement is Floyd's algorithm (round ``k`` draws from
+    ``[0, n - size + k]`` and takes ``n - size + k`` itself on a repeat)
+    followed by a Fisher-Yates shuffle of the picks (bounds ``size - 1``
+    down to 1); ``integers`` makes ``size`` draws from ``[0, n - 1]``.
+    Not covered, so left to :func:`_sample_rows`: another bit generator,
+    pools so large that ``choice`` switches algorithm, and a layer in
+    which Lemire's method would reject a value (odds below ``n / 2**32``
+    per draw), since a redraw shifts the rest of the stream.
+    """
+    bitgen = rng.bit_generator
+    if (type(bitgen) is not np.random.PCG64 or np.any(degrees >= 1 << 32)
+            or np.any((degrees > 10000) & (size > degrees // 50))):
+        return None
+    # the rows' draws lie back to back in the stream; draw k of row r is
+    # stream[first[r] + k], from a range of excl[k, r] values.  A slot with
+    # excl 1 draws nothing and reads 0, whatever stream value it indexes.
+    floyd = degrees >= size
+    whole = floyd & (degrees == size)  # Floyd's first range is [0, 0]
+    count = np.where(floyd, 2 * size - 1 - whole, np.where(degrees > 1, size, 0))
+    first = np.cumsum(count) - count - whole
+    k = np.arange(2 * size - 1)[:, None]
+    excl = np.empty((2 * size - 1, degrees.size), dtype=np.int64)
+    excl[:size] = np.where(floyd, degrees - size + 1 + k[:size], np.maximum(degrees, 1))
+    excl[size:] = np.where(floyd, 2 * size - k[size:], 1)
+    saved = bitgen.state
+    stream = np.append(_next_uint32(bitgen, int(count.sum())), np.uint64(0))
+    wide = excl.astype(np.uint64)
+    scaled = stream[np.minimum(first + k, stream.size - 1)] * wide
+    low = scaled & _LOW32
+    near = low < wide  # only these can fall below Lemire's threshold
+    if np.any(low[near] < (np.uint64(1 << 32) - wide[near]) % wide[near]):
+        bitgen.state = saved
+        return None
+    draws = (scaled >> np.uint64(32)).astype(np.int64)
+
+    picks = draws[:size]
+    for j in range(1, size):
+        seen = floyd & (picks[:j] == picks[j]).any(axis=0)
+        picks[j] = np.where(seen, degrees - size + j, picks[j])
+    at = np.arange(degrees.size)
+    for t in range(size - 1):
+        i = size - 1 - t
+        swap = np.where(floyd, draws[size + t], i)
+        held = picks[i].copy()
+        picks[i] = picks[swap, at]
+        picks[swap, at] = held
+    return np.where(degrees[:, None] > 0, picks.T, -1)

@@ -4,8 +4,14 @@ scoring towers.
 
 A :class:`ForwardPass` owns the neighbor samples of one forward
 evaluation: every (entity, layer) pair is sampled exactly once per pass,
-shared across all places the entity appears in that pass.  Training runs
-a fresh pass per mini-batch; evaluation runs one pass under a fixed seed.
+shared across all places the entity appears in that pass.  Each encoder
+layer draws the samples of all its nodes in one
+:func:`~hypergroup.graph.sample_neighbors` call, and the pass works on
+sorted id arrays: :func:`~hypergroup.graph.unique_ids` collects the nodes
+a layer needs and ``np.searchsorted`` maps ids to rows.  Common-member
+sets are computed only for the group pairs the pass sampled.  Training
+runs a fresh pass per mini-batch; evaluation runs one pass under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -18,7 +24,14 @@ import numpy as np
 
 from . import numeric as nm
 from .errors import CheckpointError, ConfigError, ContractViolation
-from .graph import Hypergraph, HyperedgeNeighbor, SocialGraph, sample_neighbors
+from .graph import (
+    Hypergraph,
+    SocialGraph,
+    TransientHypergraphView,
+    common_members,
+    sample_neighbors,
+    unique_ids,
+)
 from .numeric import Tape, Tensor
 
 VARIANTS = ("FULL", "NO_IPM", "NO_HRL", "NO_BOTH", "NO_USER_TASK")
@@ -313,34 +326,32 @@ class ForwardPass:
 
     # -- users ------------------------------------------------------------
 
-    def _ipm_forward(self, users: list[int]) -> Tensor:
+    def _ipm_forward(self, users: np.ndarray) -> Tensor:
         """Social-graph embeddings for sorted unique ``users`` (one row each)."""
-        cfg, params, tape = self.cfg, self.params, self.tape
-        if self.social is None:
+        cfg, params, tape, social = self.cfg, self.params, self.tape, self.social
+        if social is None:
             raise ConfigError("social graph required for the social encoder")
         K, S = cfg.k_ipm, cfg.s_ipm
-        needed: list[list[int]] = [[] for _ in range(K + 1)]
-        samples: list[list[int]] = [[] for _ in range(K + 1)]
-        needed[K] = list(users)
+        # needed[i]: sorted users whose layer-i output is used;
+        # samples[i]: their sampled friends, one row of S per user
+        needed: list[np.ndarray] = [users] * (K + 1)
+        samples: list[np.ndarray] = [users] * (K + 1)
         for i in range(K, 0, -1):
-            flat: list[int] = []
-            for u in needed[i]:
-                flat.extend(sample_neighbors(self.social.neighbors(u), u, S, self.rng))
-            samples[i] = flat
-            needed[i - 1] = sorted(set(needed[i]) | set(flat))
+            offsets = sample_neighbors(social.degrees(needed[i]), S, self.rng)
+            samples[i] = social.neighbor_ids(needed[i], offsets)
+            needed[i - 1] = unique_ids(needed[i], samples[i])
 
         h = nm.gather_rows(params.node_features, needed[0], tape)
-        pos = {u: j for j, u in enumerate(needed[0])}
         for i in range(1, K + 1):
-            own = nm.gather_rows(h, [pos[u] for u in needed[i]], tape)
-            nbrs = nm.gather_rows(h, [pos[v] for v in samples[i]], tape)
+            prev = needed[i - 1]
+            own = nm.gather_rows(h, np.searchsorted(prev, needed[i]), tape)
+            nbrs = nm.gather_rows(h, np.searchsorted(prev, samples[i].ravel()), tape)
             nbr_mean = nm.mean_rows_stride(nbrs, S, tape)
             pre = nm.linear(params.ipm_layers[i - 1], None, nm.concat(own, nbr_mean, tape), tape)
             h = nm.l2_normalize(nm.relu(pre, tape), tape)
-            pos = {u: j for j, u in enumerate(needed[i])}
         return h
 
-    def _member_rows(self, users: list[int]) -> Tensor:
+    def _member_rows(self, users: np.ndarray) -> Tensor:
         """Member embeddings for sorted unique ``users``."""
         latent = nm.gather_rows(self.params.user_latent, users, self.tape)
         if not uses_ipm(self.cfg.variant):
@@ -348,167 +359,125 @@ class ForwardPass:
         z = self._ipm_forward(users)
         return nm.add(z, latent, self.tape)
 
-    def _align(self, rows: Tensor, uniq: list[int], requested) -> Tensor:
-        requested = list(requested)
-        if requested == uniq:
+    def _align(self, rows: Tensor, uniq: np.ndarray, requested: np.ndarray) -> Tensor:
+        if np.array_equal(requested, uniq):
             return rows
-        index = {x: i for i, x in enumerate(uniq)}
-        return nm.gather_rows(rows, [index[x] for x in requested], self.tape)
+        return nm.gather_rows(rows, np.searchsorted(uniq, requested), self.tape)
 
     def ipm_vectors(self, users) -> Tensor:
         """Social-graph user embeddings, one row per requested user."""
         self._claim()
         if not uses_ipm(self.cfg.variant):
             raise ConfigError(f"variant {self.cfg.variant} has no social encoder")
-        uniq = sorted(set(users))
+        users = _ids(users)
+        uniq = unique_ids(users)
         return self._align(self._ipm_forward(uniq), uniq, users)
 
     def member_vectors(self, users) -> Tensor:
         """Shared user embeddings (social output plus latent rows)."""
         self._claim()
-        uniq = sorted(set(users))
+        users = _ids(users)
+        uniq = unique_ids(users)
         return self._align(self._member_rows(uniq), uniq, users)
 
     # -- groups -----------------------------------------------------------
 
-    def _group_init_rows(self, groups: list[int], member_rows: Tensor, upos: dict[int, int]) -> Tensor:
-        flat: list[int] = []
-        seg: list[int] = []
-        for j, g in enumerate(groups):
-            for u in sorted(self.hyper.incidence[g]):
-                flat.append(upos[u])
-                seg.append(j)
-        rows = nm.gather_rows(member_rows, flat, self.tape)
-        return nm.segment_mean(rows, seg, len(groups), self.tape)
+    def _group_init_rows(self, groups: np.ndarray, member_rows: Tensor, users: np.ndarray) -> Tensor:
+        """Mean member embedding per group; ``member_rows`` align with sorted ``users``."""
+        members, rows = self.hyper.members_of(groups)
+        gathered = nm.gather_rows(member_rows, np.searchsorted(users, members), self.tape)
+        return nm.segment_mean(gathered, rows, len(groups), self.tape)
+
+    def _member_average(self, groups: np.ndarray) -> Tensor:
+        users = unique_ids(self.hyper.members_of(groups)[0])
+        return self._group_init_rows(groups, self._member_rows(users), users)
 
     def group_init_vectors(self, groups) -> Tensor:
         """Mean member embedding per requested group."""
         self._claim()
-        uniq = sorted(set(groups))
-        users = sorted({u for g in uniq for u in self.hyper.incidence[g]})
-        member_rows = self._member_rows(users)
-        upos = {u: i for i, u in enumerate(users)}
-        x = self._group_init_rows(uniq, member_rows, upos)
-        return self._align(x, uniq, groups)
+        groups = _ids(groups)
+        uniq = unique_ids(groups)
+        return self._align(self._member_average(uniq), uniq, groups)
 
-    def _hrl_forward(self, groups: list[int]) -> tuple[Tensor, Tensor]:
+    def _hrl_forward(self, groups: np.ndarray) -> tuple[Tensor, Tensor]:
         """Hyperedge embeddings for sorted unique ``groups``.
 
         Returns ``(x, z)``: the aggregation-initialized representation and
         the final hyperedge-encoder output, row-aligned with ``groups``.
         """
-        cfg, params, tape = self.cfg, self.params, self.tape
+        cfg, params, tape, hyper = self.cfg, self.params, self.tape, self.hyper
         K, S = cfg.k_hrl, cfg.s_hrl
-        needed: list[list[int]] = [[] for _ in range(K + 1)]
-        sampled: list[list] = [[] for _ in range(K + 1)]
-        needed[K] = list(groups)
+        # needed[i]: sorted groups whose layer-i output is used; nbrs[i] and
+        # weights[i]: their sampled incident groups and overlap weights, one
+        # row of S per group (the group itself at weight 0 for an empty pool)
+        needed: list[np.ndarray] = [groups] * (K + 1)
+        nbrs: list[np.ndarray] = [groups] * (K + 1)
+        weights: list[np.ndarray] = [groups] * (K + 1)
         for i in range(K, 0, -1):
-            layer = []
-            nxt = set(needed[i])
-            for g in needed[i]:
-                pool = self.hyper.neighbors(g)
-                if not pool:
-                    layer.append(None)
-                    continue
-                entries = sample_neighbors(pool, g, S, self.rng)
-                layer.append(entries)
-                nxt.update(e.group for e in entries)
-            sampled[i] = layer
-            needed[i - 1] = sorted(nxt)
-
-        pairs: dict[tuple[int, int], frozenset[int]] = {}
-        for i in range(1, K + 1):
-            for g, entries in zip(needed[i], sampled[i]):
-                if entries is None:
-                    continue
-                for e in entries:
-                    key = (g, e.group) if g < e.group else (e.group, g)
-                    pairs.setdefault(key, e.common_members)
-        pair_keys = sorted(pairs)
-
+            offsets = sample_neighbors(hyper.degrees(needed[i]), S, self.rng)
+            nbrs[i], weights[i] = hyper.neighbor_slots(needed[i], offsets)
+            needed[i - 1] = unique_ids(needed[i], nbrs[i])
         base_groups = needed[0]
-        users = sorted(
-            {u for g in base_groups for u in self.hyper.incidence[g]}
-            | {u for key in pair_keys for u in pairs[key]}
-        )
+
+        # every sampled pair once, as a (low id, high id) key
+        span = int(base_groups[-1]) + 1
+        keys = {i: np.minimum(needed[i][:, None], nbrs[i]) * span + np.maximum(needed[i][:, None], nbrs[i])
+                for i in range(1, K + 1)}
+        pairs = unique_ids(*[keys[i][weights[i] > 0] for i in keys])
+        common, pair_rows = common_members(hyper, pairs // span, pairs % span)
+
+        users = unique_ids(hyper.members_of(base_groups)[0], common)
         member_rows = self._member_rows(users)
-        upos = {u: i for i, u in enumerate(users)}
-
-        x0 = self._group_init_rows(base_groups, member_rows, upos)
-
-        if pair_keys:
-            flat: list[int] = []
-            seg: list[int] = []
-            for j, key in enumerate(pair_keys):
-                for u in sorted(pairs[key]):
-                    flat.append(upos[u])
-                    seg.append(j)
-            l_rows = nm.segment_mean(nm.gather_rows(member_rows, flat, tape), seg, len(pair_keys), tape)
+        x0 = self._group_init_rows(base_groups, member_rows, users)
+        if pairs.size:
+            shared = nm.gather_rows(member_rows, np.searchsorted(users, common), tape)
+            l_rows = nm.segment_mean(shared, pair_rows, pairs.size, tape)
         else:
             l_rows = Tensor(np.zeros((1, cfg.d)))
-        lpos = {key: i for i, key in enumerate(pair_keys)}
 
         m = x0
-        gpos = {g: j for j, g in enumerate(base_groups)}
         for i in range(1, K + 1):
-            cur = needed[i]
-            m_idx: list[int] = []
-            l_idx: list[int] = []
-            weights: list[float] = []
-            for g, entries in zip(cur, sampled[i]):
-                if entries is None:
-                    m_idx.extend([0] * S)
-                    l_idx.extend([0] * S)
-                    weights.extend([0.0] * S)
-                    continue
-                block = []
-                for e in entries:
-                    m_idx.append(gpos[e.group])
-                    key = (g, e.group) if g < e.group else (e.group, g)
-                    l_idx.append(lpos[key])
-                    block.append(float(e.weight))
-                if cfg.normalize_overlap_weights:
-                    total = sum(block)
-                    block = [w / total for w in block]
-                weights.extend(block)
-            msg = nm.add(nm.gather_rows(m, m_idx, tape), nm.gather_rows(l_rows, l_idx, tape), tape)
-            msg = nm.mul_rows(msg, weights, tape)
+            prev, live = needed[i - 1], weights[i] > 0
+            w = weights[i].astype(np.float64)
+            if cfg.normalize_overlap_weights:
+                total = w.sum(axis=1, keepdims=True)
+                w = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+            l_idx = np.where(live, np.searchsorted(pairs, keys[i]), 0)
+            msg = nm.add(nm.gather_rows(m, np.searchsorted(prev, nbrs[i].ravel()), tape),
+                         nm.gather_rows(l_rows, l_idx.ravel(), tape), tape)
+            msg = nm.mul_rows(msg, w.ravel(), tape)
             agg = nm.sum_rows_stride(msg, S, tape)
-            own = nm.gather_rows(m, [gpos[g] for g in cur], tape)
+            own = nm.gather_rows(m, np.searchsorted(prev, needed[i]), tape)
             pre = nm.linear(params.hrl_layers[i - 1], None, nm.concat(own, agg, tape), tape)
             m = nm.l2_normalize(nm.relu(pre, tape), tape)
-            gpos = {g: j for j, g in enumerate(cur)}
-
-        if base_groups == list(groups):
-            x = x0
-        else:
-            base_pos = {g: j for j, g in enumerate(base_groups)}
-            x = nm.gather_rows(x0, [base_pos[g] for g in groups], tape)
-        return x, m
+        return self._align(x0, base_groups, groups), m
 
     def hrl_vectors(self, groups) -> tuple[Tensor, Tensor]:
         """Pair of (aggregation-initialized, hyperedge-encoder) group rows."""
         self._claim()
         if not uses_hrl(self.cfg.variant):
             raise ConfigError(f"variant {self.cfg.variant} has no hyperedge encoder")
-        uniq = sorted(set(groups))
+        groups = _ids(groups)
+        uniq = unique_ids(groups)
         x, z = self._hrl_forward(uniq)
         return self._align(x, uniq, groups), self._align(z, uniq, groups)
 
     def group_vectors(self, groups) -> Tensor:
         """Final group embeddings under the configured variant."""
         self._claim()
-        uniq = sorted(set(groups))
+        groups = _ids(groups)
+        uniq = unique_ids(groups)
         if not uses_hrl(self.cfg.variant):
-            users = sorted({u for g in uniq for u in self.hyper.incidence[g]})
-            member_rows = self._member_rows(users)
-            upos = {u: i for i, u in enumerate(users)}
-            emb = self._group_init_rows(uniq, member_rows, upos)
+            emb = self._member_average(uniq)
         else:
             x, z = self._hrl_forward(uniq)
             w = self.params.residual_w
             emb = nm.add(nm.scale(z, w, self.tape), nm.scale(x, 1.0 - w, self.tape), self.tape)
         return self._align(emb, uniq, groups)
+
+
+def _ids(ids) -> np.ndarray:
+    return np.asarray(ids, dtype=np.int64).reshape(-1)
 
 
 def mlp_forward(
@@ -548,7 +517,7 @@ def member_embedding(u: int, params: ModelParams, cfg: ModelConfig, social: Soci
 def group_init(g: int, params: ModelParams, cfg: ModelConfig, social: SocialGraph | None,
                hyper: Hypergraph, rng: np.random.Generator) -> np.ndarray:
     """Mean member embedding of one group."""
-    if len(hyper.incidence[g]) == 0:
+    if hyper.members(g).size == 0:
         raise ContractViolation(f"group {g} has no members")
     fp = ForwardPass(params, cfg, social, hyper, rng)
     return fp.group_init_vectors([g]).values[0].copy()
@@ -558,11 +527,11 @@ def common_member_repr(g: int, g2: int, params: ModelParams, cfg: ModelConfig,
                        social: SocialGraph | None, hyper: Hypergraph,
                        rng: np.random.Generator) -> np.ndarray:
     """Mean member embedding over the two groups' shared members."""
-    common = hyper.incidence[g] & hyper.incidence[g2]
-    if not common:
+    common, _ = common_members(hyper, _ids(g), _ids(g2))
+    if not common.size:
         raise ContractViolation(f"groups {g} and {g2} share no members")
     fp = ForwardPass(params, cfg, social, hyper, rng)
-    rows = fp.member_vectors(sorted(common)).values
+    rows = fp.member_vectors(common).values
     return rows.mean(axis=0)
 
 
@@ -606,44 +575,13 @@ def score_user(u: int, v: int, params: ModelParams, cfg: ModelConfig,
 # ad-hoc groups
 
 
-class TransientHypergraphView:
-    """A hypergraph with one extra hyperedge spliced in asymmetrically.
-
-    The transient edge sees existing groups that share members with it;
-    existing groups keep their original neighborhoods, so their
-    representations match the pristine model.
-    """
-
-    def __init__(self, base: Hypergraph, members):
-        member_set = frozenset(members)
-        self.transient_index = base.num_groups
-        self.incidence = list(base.incidence) + [member_set]
-        self._base = base
-        pool = []
-        for g, inc in enumerate(base.incidence):
-            common = inc & member_set
-            if common:
-                pool.append(HyperedgeNeighbor(group=g, weight=len(common),
-                                              common_members=frozenset(common)))
-        self._pool = pool
-
-    @property
-    def has_known_neighbors(self) -> bool:
-        return bool(self._pool)
-
-    def neighbors(self, g: int):
-        if g == self.transient_index:
-            return self._pool
-        return self._base.neighbors(g)
-
-
 def find_exact_group(hyper: Hypergraph, members) -> int | None:
     """Index of an existing group with exactly this member set, if any."""
-    member_set = frozenset(members)
-    for g, inc in enumerate(hyper.incidence):
-        if inc == member_set:
-            return g
-    return None
+    member_ids = unique_ids(_ids(members))
+    groups, shared = hyper.overlap_counts(member_ids)
+    sizes = hyper.member_indptr[groups + 1] - hyper.member_indptr[groups]
+    exact = groups[(shared == member_ids.size) & (sizes == member_ids.size)]
+    return int(exact[0]) if exact.size else None
 
 
 def transient_group_embedding(members, params: ModelParams, cfg: ModelConfig,

@@ -14,6 +14,8 @@ independent vectors; this is how mini-batches are expressed.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import Iterable, Sequence
 
@@ -581,8 +583,31 @@ def save_checkpoint(path, named_tensors: Iterable[tuple[str, Tensor]], meta: dic
             fh.write(np.ascontiguousarray(v, dtype=CHECKPOINT_DTYPE).tobytes())
 
 
+def _tensor_specs(header, path) -> list[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of every tensor a checkpoint header lists."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header in {path} is not a JSON object")
+    if header.get("dtype") != CHECKPOINT_DTYPE:
+        raise CheckpointError(f"unsupported checkpoint dtype {header.get('dtype')!r}")
+    specs = header.get("tensors")
+    if not isinstance(specs, list):
+        raise CheckpointError(f"checkpoint header in {path} has no tensor list")
+    out = []
+    for spec in specs:
+        name = spec.get("name") if isinstance(spec, dict) else None
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(type(s) is int and s >= 0 for s in shape)):
+            raise CheckpointError(f"malformed tensor entry in checkpoint header of {path}: {spec!r}")
+        out.append((name, tuple(shape)))
+    return out
+
+
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint blob back into ``(meta, {name: array})``."""
+    """Read a checkpoint blob back into ``(meta, {name: array})``.
+
+    Any malformed header or payload raises :class:`CheckpointError`.
+    """
     try:
         with open(path, "rb") as fh:
             raw_len = fh.read(8)
@@ -593,16 +618,15 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 header = json.loads(fh.read(hlen).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise CheckpointError(f"malformed checkpoint header in {path}: {exc}") from exc
-            if header.get("dtype") != CHECKPOINT_DTYPE:
-                raise CheckpointError(f"unsupported checkpoint dtype {header.get('dtype')!r}")
+            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
             tensors: dict[str, np.ndarray] = {}
-            for spec in header["tensors"]:
-                shape = tuple(int(s) for s in spec["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(count * 8)
-                if len(buf) != count * 8:
-                    raise CheckpointError(f"truncated payload for tensor {spec['name']!r}")
-                tensors[spec["name"]] = np.frombuffer(buf, dtype=CHECKPOINT_DTYPE).reshape(shape).copy()
+            for name, shape in _tensor_specs(header, path):
+                size = 8 * math.prod(shape)
+                if size > remaining:
+                    raise CheckpointError(f"truncated payload for tensor {name!r}")
+                remaining -= size
+                buf = fh.read(size)
+                tensors[name] = np.frombuffer(buf, dtype=CHECKPOINT_DTYPE).reshape(shape).copy()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     meta = {k: v for k, v in header.items() if k not in ("dtype", "tensors")}

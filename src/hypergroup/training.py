@@ -50,7 +50,6 @@ class TrainConfig:
     user_budget: int | None = None
     group_budget: int | None = None
     early_stop_patience: int | None = None
-    threads: int = 1
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
@@ -67,8 +66,6 @@ class TrainConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 @dataclass
@@ -350,16 +347,18 @@ class _BatchCycle:
     def __init__(self, runner: "_TaskRunner", budget: int | None):
         self.runner = runner
         self.budget = budget
-        self._queue: list = []
+        self._batches = iter(())
         self.pass_length = max(
             1,
             -(-(budget if budget is not None else len(runner.pairs)) // runner.cfg.batch_size),
         )
 
     def next_batch(self):
-        if not self._queue:
-            self._queue = list(self.runner.epoch_batches(self.budget))
-        return self._queue.pop(0)
+        batch = next(self._batches, None)
+        if batch is None:
+            self._batches = self.runner.epoch_batches(self.budget)
+            batch = next(self._batches)
+        return batch
 
 
 def effective_strategy(model_cfg: ModelConfig, cfg: TrainConfig) -> str:

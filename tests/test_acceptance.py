@@ -23,7 +23,7 @@ from hypergroup.data import (
     split_interactions,
 )
 from hypergroup.evaluation import evaluate, hit_ratio, ndcg
-from hypergroup.graph import build_hypergraph, build_social_graph, sample_neighbors
+from hypergroup.graph import build_hypergraph, build_social_graph, common_members, sample_neighbors
 from hypergroup.numeric import Tape
 from hypergroup.training import (
     TrainConfig,
@@ -36,6 +36,16 @@ from hypergroup.training import (
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
+
+
+def adjacency_row(hyper, g):
+    """``{neighbor: (weight, common-member set)}`` for group ``g``."""
+    nbrs = hyper.neighbors(g)
+    users, pair = common_members(hyper, np.full(nbrs.size, g), nbrs)
+    return {
+        int(b): (int(w), set(users[pair == k].tolist()))
+        for k, (b, w) in enumerate(zip(nbrs, hyper.overlaps(g)))
+    }
 
 
 def relu_np(x):
@@ -137,7 +147,7 @@ def test_criterion_2_hypergraph_oracle():
         hyper = build_hypergraph(ds)
         sets = [set(m) for m in memberships]
         for a in range(num_groups):
-            got = {e.group: (e.weight, set(e.common_members)) for e in hyper.adjacency[a]}
+            got = adjacency_row(hyper, a)
             want = {}
             for b in range(num_groups):
                 if a == b:
@@ -422,13 +432,11 @@ def test_criterion_8_invariants():
             memberships=memberships,
         )
         hyper = build_hypergraph(ds)
-        for g, entries in enumerate(hyper.adjacency):
-            for e in entries:
-                assert e.group != g
-                assert e.weight == len(e.common_members) >= 1
-                back = [x for x in hyper.adjacency[e.group] if x.group == g]
-                assert len(back) == 1 and back[0].weight == e.weight
-                assert back[0].common_members == e.common_members
+        for g in range(hyper.num_groups):
+            for b, (weight, common) in adjacency_row(hyper, g).items():
+                assert b != g
+                assert weight == len(common) >= 1
+                assert adjacency_row(hyper, b)[g] == (weight, common)
 
     # hit ratio monotone in the cutoff
     for _ in range(100):
@@ -466,10 +474,18 @@ def test_criterion_8_invariants():
             assert sorted(a + b + c) == sorted(getattr(ds, pairs_name))
             assert set(a).isdisjoint(b) and set(a).isdisjoint(c) and set(b).isdisjoint(c)
 
-    # sampled neighbor lists always have the requested length
+    # every node of a layer gets exactly the requested number of samples:
+    # distinct ones from a large enough pool, repeats only from a smaller one
     for _ in range(100):
-        pool = list(range(int(rng.integers(0, 9))))
+        degrees = rng.integers(0, 9, size=int(rng.integers(1, 6)))
         size = int(rng.integers(1, 7))
-        assert len(sample_neighbors(pool, 42, size, rng)) == size
+        out = sample_neighbors(degrees, size, rng)
+        assert out.shape == (degrees.size, size)
+        for n, row in zip(degrees.tolist(), out.tolist()):
+            if n == 0:
+                assert row == [-1] * size
+            else:
+                assert all(0 <= x < n for x in row)
+                assert n < size or len(set(row)) == size
 
     print("criterion 8: all property batteries passed")

@@ -252,29 +252,6 @@ class TestRecommendSingleUser:
         assert [l.split("\t")[0] for l in lines] == want
 
 
-class TestThreadsFlag:
-    def test_env_fallback_accepted(self, tmp_path, data_dir, monkeypatch):
-        monkeypatch.setenv("HYPERGROUP_THREADS", "2")
-        out = run_train(tmp_path, data_dir, "rt")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 2
-
-    def test_invalid_threads_usage_error(self, tmp_path, data_dir):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(RUN_CFG))
-        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
-                       "--out", str(tmp_path / "x"), "--threads", "0"])
-        assert rc == 1
-
-    def test_malformed_env_threads_usage_error(self, tmp_path, data_dir, monkeypatch):
-        monkeypatch.setenv("HYPERGROUP_THREADS", "many")
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(RUN_CFG))
-        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
-                       "--out", str(tmp_path / "x")])
-        assert rc == 1
-
-
 class TestNodeFeaturesFile:
     def test_precomputed_features_are_loaded_frozen(self, tmp_path, data_dir):
         import numpy as np

@@ -34,16 +34,31 @@ def brute_force_adjacency(memberships):
     return adj
 
 
+def rows(graph, n):
+    return [graph.neighbors(r).tolist() for r in range(n)]
+
+
+def adjacency_with_common_members(h, g):
+    """``{neighbor: (weight, common-member set)}`` for row ``g`` of ``h``."""
+    nbrs = h.neighbors(g)
+    users, pair = hg.common_members(h, np.full(nbrs.size, g), nbrs)
+    return {
+        int(b): (int(w), set(users[pair == k].tolist()))
+        for k, (b, w) in enumerate(zip(nbrs, h.overlaps(g)))
+    }
+
+
 class TestSocialGraph:
     def test_single_edge_symmetry(self):
         ds = make_ds(2, [[0]], social_edges={(0, 1)})
         g = hg.build_social_graph(ds)
-        assert g.adjacency == [[1], [0]]
+        assert rows(g, 2) == [[1], [0]]
 
     def test_no_edges(self):
         ds = make_ds(3, [[0]])
         g = hg.build_social_graph(ds)
-        assert g.adjacency == [[], [], []]
+        assert rows(g, 3) == [[], [], []]
+        assert g.num_users == 3
 
     def test_random_graph_matches_edge_set_oracle(self):
         rng = np.random.default_rng(0)
@@ -59,47 +74,45 @@ class TestSocialGraph:
         for a, b in edges:
             expected[a].append(b)
             expected[b].append(a)
-        assert g.adjacency == [sorted(lst) for lst in expected]
+        assert rows(g, n) == [sorted(lst) for lst in expected]
 
     def test_neighbor_lists_sorted(self):
         ds = make_ds(5, [[0]], social_edges={(0, 4), (0, 2), (0, 1)})
         g = hg.build_social_graph(ds)
-        assert g.adjacency[0] == [1, 2, 4]
+        assert g.neighbors(0).tolist() == [1, 2, 4]
 
 
 class TestHypergraph:
     def test_shared_single_member(self):
         ds = make_ds(8, [[3, 4, 5], [4, 6, 7]])
         h = hg.build_hypergraph(ds)
-        (entry,) = h.adjacency[0]
-        assert entry.group == 1
-        assert entry.weight == 1
-        assert entry.common_members == frozenset({4})
+        assert adjacency_with_common_members(h, 0) == {1: (1, {4})}
 
     def test_two_common_members(self):
         ds = make_ds(5, [[1, 2, 3], [1, 2, 4]])
         h = hg.build_hypergraph(ds)
-        (entry,) = h.adjacency[0]
-        assert entry.weight == 2
-        assert entry.common_members == frozenset({1, 2})
+        assert adjacency_with_common_members(h, 0) == {1: (2, {1, 2})}
 
-    def test_matches_brute_force_on_random_instances(self):
+    def test_matches_brute_force_on_random_instances(self, monkeypatch):
         rng = np.random.default_rng(1)
-        for _ in range(10):
+        for trial in range(10):
             num_users = int(rng.integers(10, 100))
             num_groups = int(rng.integers(2, 200))
             memberships = []
             for _ in range(num_groups):
                 size = int(rng.integers(1, min(8, num_users) + 1))
                 memberships.append(sorted(rng.choice(num_users, size=size, replace=False).tolist()))
+            # odd trials expand the group pairs in many small blocks
+            monkeypatch.setattr(hg, "PAIR_BLOCK", 7 if trial % 2 else 1 << 22)
             ds = make_ds(num_users, memberships)
             h = hg.build_hypergraph(ds)
             oracle = brute_force_adjacency(memberships)
             for g in range(num_groups):
-                got = {e.group: set(e.common_members) for e in h.adjacency[g]}
-                assert got == oracle[g]
-                for e in h.adjacency[g]:
-                    assert e.weight == len(e.common_members)
+                got = adjacency_with_common_members(h, g)
+                assert {b: common for b, (_, common) in got.items()} == oracle[g]
+                for weight, common in got.values():
+                    assert weight == len(common)
+                assert h.members(g).tolist() == memberships[g]
 
     def test_symmetry_and_no_self_adjacency(self):
         rng = np.random.default_rng(2)
@@ -111,28 +124,19 @@ class TestHypergraph:
                 for _ in range(num_groups)
             ]
             h = hg.build_hypergraph(make_ds(num_users, memberships))
-            for g, entries in enumerate(h.adjacency):
-                for e in entries:
-                    assert e.group != g
-                    assert e.weight >= 1
-                    assert e.common_members <= h.incidence[g]
-                    assert e.common_members <= h.incidence[e.group]
-                    back = [x for x in h.adjacency[e.group] if x.group == g]
-                    assert len(back) == 1
-                    assert back[0].weight == e.weight
-                    assert back[0].common_members == e.common_members
-
-    def test_adjacency_tsv_dump(self, tmp_path):
-        ds = make_ds(5, [[0, 1, 2], [2, 3], [3, 4]])
-        h = hg.build_hypergraph(ds)
-        path = tmp_path / "adj.tsv"
-        h.dump_adjacency_tsv(path)
-        rows = [line.split("\t") for line in path.read_text().strip().splitlines()]
-        assert ["0", "1", "1"] in rows
-        assert ["1", "0", "1"] in rows
-        assert ["1", "2", "1"] in rows
+            for g in range(num_groups):
+                nbrs = h.neighbors(g).tolist()
+                assert nbrs == sorted(set(nbrs))
+                for b, (weight, common) in adjacency_with_common_members(h, g).items():
+                    assert b != g
+                    assert weight >= 1
+                    assert common <= set(memberships[g])
+                    assert common <= set(memberships[b])
+                    back = adjacency_with_common_members(h, b)
+                    assert back[g] == (weight, common)
 
     def test_degree_sum_equals_membership_sum(self):
+        # the inverted index lists, for every user, exactly its groups
         rng = np.random.default_rng(3)
         for _ in range(100):
             num_users = int(rng.integers(4, 25))
@@ -141,40 +145,150 @@ class TestHypergraph:
                 for _ in range(int(rng.integers(1, 10)))
             ]
             h = hg.build_hypergraph(make_ds(num_users, memberships))
-            assert int(h.vertex_degree.sum()) == sum(len(m) for m in memberships)
+            degree = np.diff(h.group_indptr)
+            assert int(degree.sum()) == sum(len(m) for m in memberships)
+            for u in range(num_users):
+                row = h.group_ids[h.group_indptr[u]:h.group_indptr[u + 1]].tolist()
+                assert row == [g for g, m in enumerate(memberships) if u in m]
+
+    def test_contains_matches_member_sets(self):
+        rng = np.random.default_rng(4)
+        memberships = [sorted(rng.choice(30, size=4, replace=False).tolist()) for _ in range(20)]
+        h = hg.build_hypergraph(make_ds(30, memberships))
+        groups, users = np.meshgrid(np.arange(20), np.arange(30), indexing="ij")
+        got = h.contains(groups.ravel(), users.ravel()).reshape(20, 30)
+        want = np.array([[u in m for u in range(30)] for m in memberships])
+        np.testing.assert_array_equal(got, want)
+
+
+def uniformity_gap(sample, rows=20_000, pool=10, size=4, seed=0):
+    """Largest distance of an id's share of rows from ``size / pool``, and
+    whether any row repeated an id."""
+    picks = sample(np.full(rows, pool), size, np.random.default_rng(seed))
+    share = np.bincount(picks.ravel(), minlength=pool) / rows
+    repeats = any(len(set(r)) < size for r in picks.tolist())
+    return float(np.max(np.abs(share - size / pool))), repeats
+
+
+def biased_floyd(degrees, size, rng):
+    """Floyd's rounds, but a repeat re-draws only its own slot as
+    ``(t + 1) % n``: no repeats, yet high ids come up too rarely."""
+    n = np.asarray(degrees)
+    picks = np.full((n.size, size), -1)
+    for k in range(size):
+        t = rng.integers(0, n - size + k + 1)
+        while True:
+            seen = (picks[:, :k] == t[:, None]).any(axis=1)
+            if not seen.any():
+                break
+            t = np.where(seen, (t + 1) % n, t)
+        picks[:, k] = t
+    return picks
 
 
 class TestSampleNeighbors:
     def test_small_pool_samples_with_replacement(self):
         rng = np.random.default_rng(4)
-        out = hg.sample_neighbors([7, 9], node_self=3, size=4, rng=rng)
-        assert len(out) == 4
-        assert set(out) <= {7, 9}
+        out = hg.sample_neighbors([2], size=4, rng=rng)
+        assert out.shape == (1, 4)
+        assert set(out.ravel().tolist()) <= {0, 1}
+        social = hg.build_social_graph(make_ds(10, [[0]], social_edges={(3, 7), (3, 9)}))
+        users = np.array([3])
+        ids = social.neighbor_ids(users, hg.sample_neighbors(social.degrees(users), 4, rng))
+        assert set(ids.ravel().tolist()) <= {7, 9}
 
     def test_empty_pool_returns_self(self):
-        out = hg.sample_neighbors([], node_self=5, size=3, rng=np.random.default_rng(0))
-        assert out == [5, 5, 5]
+        out = hg.sample_neighbors([0], size=3, rng=np.random.default_rng(0))
+        assert out.tolist() == [[-1, -1, -1]]
+        social = hg.build_social_graph(make_ds(6, [[0]], social_edges={(1, 2)}))
+        assert social.neighbor_ids(np.array([5]), out).tolist() == [[5, 5, 5]]
+        h = hg.build_hypergraph(make_ds(4, [[0, 1], [2, 3]]))
+        ids, weights = h.neighbor_slots(np.array([1]), out)
+        assert ids.tolist() == [[1, 1, 1]] and weights.tolist() == [[0, 0, 0]]
 
     def test_seeded_replay(self):
-        pool = list(range(10))
-        a = hg.sample_neighbors(pool, 0, 4, np.random.default_rng(123))
-        b = hg.sample_neighbors(pool, 0, 4, np.random.default_rng(123))
-        assert a == b
+        degrees = [10, 3, 0, 7]
+        a = hg.sample_neighbors(degrees, 4, np.random.default_rng(123))
+        b = hg.sample_neighbors(degrees, 4, np.random.default_rng(123))
+        np.testing.assert_array_equal(a, b)
+
+    def test_draws_match_numpy_row_by_row(self):
+        # a layer draws what one rng.choice / rng.integers call per nonempty
+        # row would, and leaves the generator in the same state
+        def per_row(degrees, size, rng):
+            out = np.full((len(degrees), size), -1)
+            for r, n in enumerate(degrees):
+                if n >= size:
+                    out[r] = rng.choice(n, size=size, replace=False)
+                elif n:
+                    out[r] = rng.integers(0, n, size=size)
+            return out
+
+        def check(degrees, size, make_rng, buffered):
+            ref, got = make_rng(), make_rng()
+            if buffered:  # leave half of a 64-bit output in the generator
+                ref.integers(0, 5)
+                got.integers(0, 5)
+            want = per_row(list(degrees), size, ref)
+            np.testing.assert_array_equal(hg.sample_neighbors(degrees, size, got), want)
+            np.testing.assert_equal(got.bit_generator.state, ref.bit_generator.state)
+
+        pick = np.random.default_rng(8)
+        replayed = 0
+        for trial in range(400):
+            size = int(pick.integers(1, 7))
+            # pools below, at and above the sample size, around numpy's
+            # large-pool threshold, and large enough that Lemire's bounded
+            # draw rejects values (the layer is then drawn row by row)
+            edge = [0, 1, size - 1, size, size + 1, 10000, 10001, 3 << 30]
+            degrees = (pick.integers(0, 600, size=int(pick.integers(0, 30))) if trial % 3
+                       else pick.choice(edge, size=int(pick.integers(0, 12))))
+            check(degrees, size, lambda: np.random.default_rng(trial), trial % 2)
+            replayed += hg._replay_layer(degrees, size, np.random.default_rng(trial)) is not None
+        assert replayed >= 300
+        # numpy's choice switches algorithm for a pool above 10000 once the
+        # sample is larger than 1/50 of it
+        for n, size in ((10001, 200), (10001, 201), (20000, 401)):
+            check(np.array([n, 3, 0, n]), size, lambda: np.random.default_rng(n), False)
+        check(np.array([9, 2, 0, 5]), 4, lambda: np.random.Generator(np.random.MT19937(3)), False)
 
     def test_without_replacement_when_pool_large(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            out = hg.sample_neighbors(list(range(8)), 0, 5, rng)
-            assert len(out) == len(set(out)) == 5
+        out = hg.sample_neighbors(np.full(200, 8), 5, rng)
+        for row in out.tolist():
+            assert len(row) == len(set(row)) == 5
+            assert set(row) <= set(range(8))
+        # a pool of exactly the sample size is returned whole
+        assert all(sorted(r) == [0, 1, 2, 3] for r in hg.sample_neighbors(np.full(50, 4), 4, rng).tolist())
 
     def test_length_always_exact(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            pool = list(range(int(rng.integers(0, 12))))
+            degrees = rng.integers(0, 12, size=int(rng.integers(0, 9)))
             size = int(rng.integers(1, 9))
-            out = hg.sample_neighbors(pool, 99, size, rng)
-            assert len(out) == size
+            out = hg.sample_neighbors(degrees, size, rng)
+            assert out.shape == (degrees.size, size)
+            for n, row in zip(degrees, out.tolist()):
+                assert all(0 <= x < n for x in row) if n else row == [-1] * size
 
     def test_size_zero_rejected(self):
         with pytest.raises(ContractViolation):
-            hg.sample_neighbors([1], 0, 0, np.random.default_rng(0))
+            hg.sample_neighbors([1], 0, np.random.default_rng(0))
+
+    def test_layer_sampler_is_uniform_without_replacement(self):
+        gap, repeats = uniformity_gap(hg.sample_neighbors)
+        assert not repeats
+        assert gap <= 0.02, f"an id's share is {gap:.3f} away from 0.40"
+        # the check has the power to reject a biased way of avoiding repeats
+        biased_gap, biased_repeats = uniformity_gap(biased_floyd)
+        assert not biased_repeats and biased_gap > 0.02
+
+
+class TestUniqueIds:
+    def test_matches_np_unique_of_the_concatenation(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            parts = [rng.integers(0, 50, size=(int(rng.integers(0, 4)), int(rng.integers(0, 30))))
+                     for _ in range(int(rng.integers(1, 4)))]
+            want = np.unique(np.concatenate([p.ravel() for p in parts]))
+            np.testing.assert_array_equal(hg.unique_ids(*parts), want)

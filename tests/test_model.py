@@ -457,8 +457,12 @@ class TestTransientGroups:
         ds, hyper, cfg, params = self.make_world()
         view = hm.TransientHypergraphView(hyper, [1, 3])
         assert view.has_known_neighbors
-        assert [e.group for e in view.neighbors(view.transient_index)] == [0, 1]
-        assert view.neighbors(0) is hyper.neighbors(0)
+        assert view.neighbors(view.transient_index).tolist() == [0, 1]
+        for g in range(hyper.num_groups):
+            np.testing.assert_array_equal(view.neighbors(g), hyper.neighbors(g))
+        # the transient row's weights are its overlaps with each group
+        ids, weights = view.neighbor_slots(np.array([view.transient_index]), np.array([[0, 1]]))
+        assert ids.tolist() == [[0, 1]] and weights.tolist() == [[1, 1]]
 
 
 class TestForwardPassContract:

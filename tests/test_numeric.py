@@ -1,6 +1,8 @@
 """Unit and gradient-oracle tests for the numeric kernel."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -492,4 +494,33 @@ class TestCheckpointBlob:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(CheckpointError):
+            nm.load_checkpoint(path)
+
+
+def raw_checkpoint(header) -> bytes:
+    """A checkpoint blob with an arbitrary JSON header and an 8-byte payload."""
+    blob = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(blob)) + blob + np.ones(1).astype("<f8").tobytes()
+
+
+MALFORMED_HEADERS = {
+    "header_is_a_list": [{"dtype": "<f8"}],
+    "no_tensors_key": {"dtype": "<f8"},
+    "non_integer_shape": {"dtype": "<f8", "tensors": [{"name": "v", "shape": ["x"]}]},
+    "negative_shape": {"dtype": "<f8", "tensors": [{"name": "v", "shape": [-2]}]},
+}
+
+
+class TestMalformedCheckpointHeader:
+    @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_raises_checkpoint_error(self, tmp_path, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw_checkpoint(header))
+        with pytest.raises(CheckpointError):
+            nm.load_checkpoint(path)
+
+    def test_oversized_shape_is_truncation(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw_checkpoint({"dtype": "<f8", "tensors": [{"name": "v", "shape": [10**18]}]}))
+        with pytest.raises(CheckpointError, match="truncated"):
             nm.load_checkpoint(path)

@@ -287,6 +287,43 @@ class TestTrainingLoops:
         report = ht.train(ds, social, hyper, params, cfg, tcfg)
         assert all(e.loss_g is not None and e.loss_u is not None for e in report.epochs)
 
+    def test_joint_batch_order_and_checkpoint_match_front_popped_queue(self, tmp_path, monkeypatch):
+        # the batch cycle hands out batches lazily; a JOINT run must see the
+        # same batches, and so write the same checkpoint bytes, as with the
+        # earlier queue that materialised a pass and popped from its front
+        class QueueCycle(ht._BatchCycle):
+            def next_batch(self):
+                if not getattr(self, "_queue", None):
+                    self._queue = list(self.runner.epoch_batches(self.budget))
+                return self._queue.pop(0)
+
+        lazy_cycle, run_batch = ht._BatchCycle, ht._TaskRunner.run_batch
+
+        def joint_run(cycle, name):
+            seen = []
+
+            def recording(runner, batch):
+                seen.append((runner.task, list(batch)))
+                return run_batch(runner, batch)
+
+            monkeypatch.setattr(ht, "_BatchCycle", cycle)
+            monkeypatch.setattr(ht._TaskRunner, "run_batch", recording)
+            ds, social, hyper, cfg, params = synth_world(seed=12)
+            tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2,
+                                  strategy="JOINT", seed=6)
+            ht.train(ds, social, hyper, params, cfg, tcfg)
+            hm.save_params(tmp_path / name, params, cfg, seed=6)
+            group_pass = -(-len(ds.group_item) // tcfg.batch_size)
+            return seen, (tmp_path / name).read_bytes(), group_pass
+
+        queue_batches, queue_bytes, group_pass = joint_run(QueueCycle, "queue.bin")
+        lazy_batches, lazy_bytes, _ = joint_run(lazy_cycle, "lazy.bin")
+        # the group stream is the shorter one: it runs through several
+        # reshuffled passes, so the cycle refills more than once
+        assert sum(task == "group" for task, _ in queue_batches) > 2 * group_pass
+        assert lazy_batches == queue_batches
+        assert lazy_bytes == queue_bytes
+
     def test_report_writers(self, tmp_path):
         ds, social, hyper, cfg, params = synth_world(seed=11)
         tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2, seed=5)
