@@ -200,9 +200,8 @@ def cmd_train(args) -> int:
             "train_report": TRAIN_REPORT_NAME,
         },
     }
-    (out / MANIFEST_NAME).write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    with nm.atomic_write(out / MANIFEST_NAME, encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     final_g = report.final_loss("group")
     final_u = report.final_loss("user")
     print(f"trained {model_cfg.variant} via {report.strategy}: "
@@ -257,7 +256,8 @@ def cmd_eval(args) -> int:
     print(report.to_table())
     print(report.to_json())
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+        with nm.atomic_write(args.out, encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
     return EXIT_OK
 
 

@@ -9,6 +9,14 @@ forward pass builds the graph sequentially.
 
 Vector operations generally also accept a 2-D array whose rows are
 independent vectors; this is how mini-batches are expressed.
+
+Exact-order contract: a fast kernel may replace a plain numpy expression
+only if it performs the same float operations in the same order, so
+results match bit for bit and a config plus seed keeps reproducing the
+same checkpoints.  :func:`scatter_add`, which accumulates ``gather_rows``
+gradients and ``segment_mean`` sums, adds each target row's entries one
+at a time in index order, exactly as ``np.add.at`` does; a sort-then-sum
+or ``np.add.reduceat`` would reassociate the sums and is not allowed.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,10 +132,6 @@ def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], backward) 
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -194,21 +199,69 @@ def matvec(x: Tensor, w: Tensor, tape: Tape | None = None) -> Tensor:
     return _record(tape, out, (x, w), backward)
 
 
-def dot(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Inner product of two equal-length vectors."""
-    av, bv = a.values, b.values
-    if av.shape != bv.shape or av.ndim != 1:
-        raise DimensionError(f"dot: incompatible shapes {av.shape} and {bv.shape}")
-    out = Tensor(av @ bv)
+# ---------------------------------------------------------------------------
+# scatter-add
 
-    def backward():
-        g = out.grad
-        if a._rg:
-            a.grad += g * bv
-        if b._rg:
-            b.grad += g * av
+# Below this many entries ``np.add.at`` is faster than the sort that
+# ``scatter_add`` pays for, and an occurrence level with fewer rows costs
+# more as its own fancy-indexed add than inside the ``np.add.at`` tail.
+SCATTER_MIN_ROWS = 128
 
-    return _record(tape, out, (a, b), backward)
+
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    # numpy sorts keys of 16 bits or less stably by radix sort
+    return np.argsort(keys.astype(np.uint16) if bound <= 1 << 16 else keys, kind="stable")
+
+
+def scatter_add(target: np.ndarray, idx, vals) -> None:
+    """``target[idx[k]] += vals[k]`` for every k, bitwise equal to ``np.add.at``.
+
+    ``np.add.at`` adds the entries of one row one at a time in index
+    order, ``((t + v1) + v2) + ...``; float addition is not associative,
+    so a sort-then-sum (or ``np.add.reduceat``) gives other bits.  This
+    keeps the order: a stable sort numbers each entry's occurrence within
+    its row, and occurrence j of every row is added by one unique-index
+    ``target[rows] += vals`` after occurrence j - 1.  Occurrences past
+    the last level of at least ``SCATTER_MIN_ROWS`` rows (the tail of a
+    few heavy rows) go through one ``np.add.at``, which adds each row's
+    remaining entries in their index order too.
+    ``idx`` may have any shape; ``vals`` holds one row per index.
+    Negative indices wrap as in numpy; out-of-range ones raise IndexError.
+    """
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    n = idx.size
+    vals = np.asarray(vals).reshape((n,) + target.shape[1:])
+    size = target.shape[0]
+    if n >= SCATTER_MIN_ROWS:
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < -size or hi >= size:
+            bad = lo if lo < -size else hi
+            raise IndexError(f"index {bad} is out of bounds for axis 0 with size {size}")
+        if lo < 0:
+            idx = np.where(idx < 0, idx + size, idx)
+        # level j holds every row with more than j entries
+        level_sizes = np.cumsum(np.bincount(np.bincount(idx))[:0:-1])[::-1]
+        levels = level_sizes[level_sizes >= SCATTER_MIN_ROWS].tolist()
+    else:
+        levels = []
+    if not levels:
+        np.add.at(target, idx, vals)
+        return
+    order = _stable_argsort(idx, size)
+    rows = idx[order]
+    pos = np.arange(n)
+    run_start = np.zeros(n, dtype=np.int64)
+    run_start[1:] = np.where(rows[1:] != rows[:-1], pos[1:], 0)
+    occurrence = pos - np.maximum.accumulate(run_start)
+    by_level = _stable_argsort(occurrence, n)
+    src, dst = order[by_level], rows[by_level]
+    done = 0
+    for count in levels:
+        level = slice(done, done + count)
+        target[dst[level]] += vals[src[level]]
+        done += count
+    if done < n:
+        np.add.at(target, dst[done:], vals[src[done:]])
 
 
 # ---------------------------------------------------------------------------
@@ -233,47 +286,6 @@ def concat(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
             b.grad += gb
 
     return _record(tape, out, (a, b), backward)
-
-
-def mean_vectors(xs: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
-    """Element-wise mean of equally shaped tensors."""
-    if len(xs) == 0:
-        raise ContractViolation("mean_vectors requires at least one input")
-    shape = xs[0].values.shape
-    for x in xs:
-        if x.values.shape != shape:
-            raise DimensionError("mean_vectors inputs must share one shape")
-    out = Tensor(sum(x.values for x in xs) / len(xs))
-    inv = 1.0 / len(xs)
-
-    def backward():
-        g = out.grad * inv
-        for x in xs:
-            if x._rg:
-                x.grad += g
-
-    return _record(tape, out, tuple(xs), backward)
-
-
-def weighted_sum(pairs: Sequence[tuple[float, Tensor]], tape: Tape | None = None) -> Tensor:
-    """Sum of vectors scaled by plain-float weights."""
-    if len(pairs) == 0:
-        raise ContractViolation("weighted_sum requires at least one input")
-    shape = pairs[0][1].values.shape
-    acc = np.zeros(shape)
-    for wgt, x in pairs:
-        if x.values.shape != shape:
-            raise DimensionError("weighted_sum inputs must share one shape")
-        acc += float(wgt) * x.values
-    out = Tensor(acc)
-
-    def backward():
-        g = out.grad
-        for wgt, x in pairs:
-            if x._rg:
-                x.grad += float(wgt) * g
-
-    return _record(tape, out, tuple(x for _, x in pairs), backward)
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -314,19 +326,7 @@ def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            np.add.at(x.grad, idx, out.grad)
-
-    return _record(tape, out, (x,), backward)
-
-
-def take_row(x: Tensor, i: int, tape: Tape | None = None) -> Tensor:
-    """Extract row ``i`` of a 2-D tensor as a vector."""
-    i = int(i)
-    out = Tensor(x.values[i])
-
-    def backward():
-        if x._rg:
-            x.grad[i] += out.grad
+            scatter_add(x.grad, idx, out.grad)
 
     return _record(tape, out, (x,), backward)
 
@@ -371,7 +371,7 @@ def segment_mean(x: Tensor, segment_ids, num_segments: int, tape: Tape | None = 
     if np.any(counts == 0):
         raise ContractViolation("segment_mean: every segment needs at least one row")
     acc = np.zeros((num_segments, xv.shape[1]))
-    np.add.at(acc, seg, xv)
+    scatter_add(acc, seg, xv)
     out = Tensor(acc / counts[:, None])
 
     def backward():
@@ -563,7 +563,30 @@ def check_finite(x: Tensor, context: str = "") -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint blob
+# artifact files
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside ``path`` and move it onto ``path`` once
+    the block completes.
+
+    Readers see the old file or the complete new one, never a partial
+    write; if the block raises, the temporary file is removed and any old
+    file stays as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 CHECKPOINT_DTYPE = "<f8"
@@ -576,7 +599,7 @@ def save_checkpoint(path, named_tensors: Iterable[tuple[str, Tensor]], meta: dic
     header["dtype"] = CHECKPOINT_DTYPE
     header["tensors"] = [{"name": name, "shape": list(v.shape)} for name, v in items]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _, v in items:

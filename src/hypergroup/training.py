@@ -97,12 +97,12 @@ class TrainReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with nm.atomic_write(path, encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
             fh.write("\n")
 
     def write_loss_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with nm.atomic_write(path, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss_g", "loss_u", "seconds"])
             for e in self.epochs:
@@ -237,15 +237,25 @@ class SgdOptimizer:
         self.lr = lr
 
     def step(self, tensors) -> None:
-        for p in tensors:
-            g = _checked_grad(p)
-            if g is None:
-                continue
+        for p, g in _checked_grads(tensors):
             p.values -= self.lr * g
 
 
+# Elements per block of the Adam update: two scratch blocks of this size
+# stay in cache and replace the table-sized temporaries of a whole-array
+# update.
+ADAM_BLOCK = 1 << 14
+
+
 class AdamOptimizer:
-    """Bias-corrected adaptive moments; per-tensor step counts."""
+    """Bias-corrected adaptive moments; per-tensor step counts.
+
+    The update runs in place, block by block, through two scratch buffers
+    reused across tensors and steps.  It keeps the operation order of the
+    textbook formula ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
+    ``p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``, so it is bitwise equal
+    to the whole-array version.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -253,30 +263,58 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self._state: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self, tensors) -> None:
-        for p in tensors:
-            g = _checked_grad(p)
-            if g is None:
-                continue
-            m, v, t = self._state.get(id(p), (np.zeros_like(p.values), np.zeros_like(p.values), 0))
+        for p, g in _checked_grads(tensors):
+            state = self._state.get(id(p))
+            m, v, t = state if state is not None else (np.zeros(p.values.shape), np.zeros(p.values.shape), 0)
             t += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             self._state[id(p)] = (m, v, t)
+            bc1 = 1.0 - self.beta1 ** t
+            bc2 = 1.0 - self.beta2 ** t
+            if not (p.values.flags.c_contiguous and g.flags.c_contiguous):
+                # a flat view of these would be a copy: update them whole
+                self._update(p.values, g, m, v, bc1, bc2, np.empty(m.shape), np.empty(m.shape))
+                continue
+            flat = p.values.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            s1, s2 = self._scratch
+            for lo in range(0, m.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, m.size)
+                self._update(*(a[lo:hi] for a in flat), bc1, bc2, s1[:hi - lo], s2[:hi - lo])
+
+    def _update(self, p, g, m, v, bc1, bc2, s1, s2) -> None:
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= self.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        p -= s1
 
 
-def _checked_grad(p: Tensor) -> np.ndarray | None:
-    if not p.trainable:
-        return None
-    if p.grad is None:
-        return None
-    if not np.all(np.isfinite(p.grad)):
-        raise NumericError(f"non-finite gradient for parameter {p.name or 'unnamed'}")
-    return p.grad
+def _checked_grads(tensors) -> list[tuple[Tensor, np.ndarray]]:
+    """``(tensor, grad)`` of every trainable tensor holding a gradient.
+
+    Every gradient is checked before any tensor is updated, so a
+    non-finite one aborts the step with the parameters untouched.
+    """
+    out = []
+    for p in tensors:
+        if not p.trainable or p.grad is None:
+            continue
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"non-finite gradient for parameter {p.name or 'unnamed'}")
+        out.append((p, p.grad))
+    return out
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -389,10 +427,13 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(cfg)
 
-    user_runner = _TaskRunner("user", train_ds.user_item, train_ds.num_items, params,
-                              model_cfg, cfg, social, hyper, optimizer, rng)
-    group_runner = _TaskRunner("group", train_ds.group_item, train_ds.num_items, params,
-                               model_cfg, cfg, social, hyper, optimizer, rng)
+    def runner_for(task):
+        # built only for a stream the strategy steps: its positives table
+        # spans every train pair of the task (building one draws no randomness)
+        pairs = train_ds.group_item if task == "group" else train_ds.user_item
+        return _TaskRunner(task, pairs, train_ds.num_items, params, model_cfg, cfg,
+                           social, hyper, optimizer, rng)
+
     report = TrainReport(strategy=strategy)
 
     early_stop = _EarlyStop(cfg, model_cfg, params, social, hyper, val_ds)
@@ -414,6 +455,7 @@ def train(
     if strategy == "TWO_STAGE":
         epoch = 0
         if train_ds.user_item:
+            user_runner = runner_for("user")
             for _ in range(cfg.epochs):
                 run_stream_epoch(epoch, user_runner, cfg.user_budget)
                 epoch += 1
@@ -422,6 +464,7 @@ def train(
         else:
             log.warning("no user-item training data; skipping the first stage")
         if train_ds.group_item:
+            group_runner = runner_for("group")
             for _ in range(cfg.epochs):
                 run_stream_epoch(epoch, group_runner, cfg.group_budget)
                 epoch += 1
@@ -442,8 +485,11 @@ def train(
             log.warning("no group-item training data")
         if not use_user:
             log.warning("no user-item training data")
-        user_cycle = _BatchCycle(user_runner, cfg.user_budget) if use_user else None
-        group_cycle = _BatchCycle(group_runner, cfg.group_budget) if use_group else None
+        # a stream with a budget of 0 has no batch to cycle through
+        user_cycle = (_BatchCycle(runner_for("user"), cfg.user_budget)
+                      if use_user and cfg.user_budget != 0 else None)
+        group_cycle = (_BatchCycle(runner_for("group"), cfg.group_budget)
+                       if use_group and cfg.group_budget != 0 else None)
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             iters = (user_cycle.pass_length if user_cycle else 0) + \
@@ -451,9 +497,9 @@ def train(
             losses_u, losses_g = [], []
             for _ in range(max(1, iters)):
                 if user_cycle:
-                    losses_u.append(user_runner.run_batch(user_cycle.next_batch()))
+                    losses_u.append(user_cycle.runner.run_batch(user_cycle.next_batch()))
                 if group_cycle:
-                    losses_g.append(group_runner.run_batch(group_cycle.next_batch()))
+                    losses_g.append(group_cycle.runner.run_batch(group_cycle.next_batch()))
             report.epochs.append(
                 EpochStats(
                     epoch=epoch,
@@ -466,7 +512,7 @@ def train(
                 report.stopped_early = True
                 break
     elif strategy in ("GROUP_ONLY", "USER_ONLY"):
-        runner = group_runner if strategy == "GROUP_ONLY" else user_runner
+        runner = runner_for("group" if strategy == "GROUP_ONLY" else "user")
         budget = cfg.group_budget if strategy == "GROUP_ONLY" else cfg.user_budget
         if not runner.pairs:
             log.warning("no %s-item training data", runner.task)

@@ -62,7 +62,7 @@ def probe_loss(out, probe, tape):
     if out.values.ndim == 0:
         return out
     if out.values.ndim == 1:
-        return nm.dot(out, flat, tape)
+        return nm.matvec(out, flat, tape)
     stacked = nm.matvec(out, nm.Tensor(probe[0]), tape)
     return nm.mean_all(stacked, tape)
 
@@ -128,75 +128,6 @@ class TestConcat:
             return probe_loss(nm.concat(a, b, tape), probe, tape)
 
         check_gradients(build, [a, b])
-
-
-class TestMeanVectors:
-    def test_pair(self):
-        out = nm.mean_vectors([nm.Tensor([1.0, 0.0]), nm.Tensor([0.0, 1.0])])
-        np.testing.assert_array_equal(out.values, [0.5, 0.5])
-
-    def test_singleton_identity(self):
-        v = nm.Tensor([3.0, -1.0])
-        np.testing.assert_array_equal(nm.mean_vectors([v]).values, v.values)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolation):
-            nm.mean_vectors([])
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(3)
-        xs = [nm.Tensor(rng.uniform(-1, 1, 6)) for _ in range(5)]
-        got = nm.mean_vectors(xs).values
-        want = np.zeros(6)
-        for j in range(6):
-            acc = 0.0
-            for x in xs:
-                acc += x.values[j]
-            want[j] = acc / len(xs)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_gradient(self):
-        rng = np.random.default_rng(4)
-        xs = [nm.Tensor(rng.uniform(-1, 1, 4), trainable=True) for _ in range(3)]
-        probe = rng.uniform(-1, 1, 4)
-
-        def build(tape):
-            return probe_loss(nm.mean_vectors(xs, tape), probe, tape)
-
-        check_gradients(build, xs)
-
-
-class TestWeightedSum:
-    def test_basic(self):
-        out = nm.weighted_sum([(2.0, nm.Tensor([1.0, 0.0])), (1.0, nm.Tensor([0.0, 1.0]))])
-        np.testing.assert_array_equal(out.values, [2.0, 1.0])
-
-    def test_unit_weights_plain_sum(self):
-        rng = np.random.default_rng(5)
-        vs = [nm.Tensor(rng.uniform(-1, 1, 3)) for _ in range(4)]
-        out = nm.weighted_sum([(1.0, v) for v in vs])
-        np.testing.assert_allclose(out.values, sum(v.values for v in vs), atol=1e-12)
-
-    def test_matches_loop(self):
-        rng = np.random.default_rng(6)
-        pairs = [(float(rng.uniform(0.5, 3.0)), nm.Tensor(rng.uniform(-1, 1, 5))) for _ in range(4)]
-        got = nm.weighted_sum(pairs).values
-        want = np.zeros(5)
-        for w, v in pairs:
-            for j in range(5):
-                want[j] += w * v.values[j]
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_gradient(self):
-        rng = np.random.default_rng(9)
-        pairs = [(1.7, nm.Tensor(rng.uniform(-1, 1, 4), trainable=True)),
-                 (-0.4, nm.Tensor(rng.uniform(-1, 1, 4), trainable=True))]
-        probe = rng.uniform(-1, 1, 4)
-
-        def build(tape):
-            return probe_loss(nm.weighted_sum(pairs, tape), probe, tape)
-
-        check_gradients(build, [t for _, t in pairs])
 
 
 class TestL2Normalize:
@@ -396,14 +327,14 @@ class TestStructuralOps:
 
         check_gradients(build, [x])
 
-    def test_take_row_and_matvec(self):
+    def test_row_gather_and_matvec(self):
         rng = np.random.default_rng(22)
         m = nm.Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
         w = nm.Tensor(rng.uniform(-1, 1, 4), trainable=True)
 
         def build(tape):
-            row = nm.take_row(m, 1, tape)
-            return nm.dot(row, w, tape)
+            row = nm.gather_rows(m, 1, tape)
+            return nm.matvec(row, w, tape)
 
         check_gradients(build, [m, w])
 
@@ -524,3 +455,113 @@ class TestMalformedCheckpointHeader:
         path.write_bytes(raw_checkpoint({"dtype": "<f8", "tensors": [{"name": "v", "shape": [10**18]}]}))
         with pytest.raises(CheckpointError, match="truncated"):
             nm.load_checkpoint(path)
+
+
+def bits(a):
+    """Bit patterns of a float64 array: tells -0.0 from 0.0, and NaN payloads apart."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestScatterAdd:
+    """``scatter_add`` must give exactly the bits of ``np.add.at``."""
+
+    @staticmethod
+    def assert_matches_add_at(target, idx, vals):
+        want = target.copy()
+        np.add.at(want, np.asarray(idx).reshape(-1), vals.reshape((np.size(idx),) + target.shape[1:]))
+        got = target.copy()
+        nm.scatter_add(got, idx, vals)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @staticmethod
+    def spread_values(rng, shape):
+        # magnitudes from 1e-8 to 1e8, so any change of summation order shows
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    @pytest.mark.parametrize("d", [None, 1, 2, 64])
+    @pytest.mark.parametrize("rows,n", [(3, 5), (50, 127), (50, 128), (300, 5000), (5000, 5000), (9, 2000)])
+    def test_bitwise_equal_to_add_at(self, d, rows, n):
+        rng = np.random.default_rng(rows * 7919 + n + (d or 0))
+        tail = () if d is None else (d,)
+        target = self.spread_values(rng, (rows,) + tail)
+        idx = rng.integers(0, rows, n)
+        self.assert_matches_add_at(target, idx, self.spread_values(rng, (n,) + tail))
+
+    def test_empty_index(self):
+        target = np.arange(6.0).reshape(3, 2)
+        self.assert_matches_add_at(target, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(50)
+        for n in (40, 600):
+            target = np.where(rng.random((200, 2)) < 0.5, -0.0, 0.0)
+            idx = rng.integers(0, 200, n)
+            vals = np.where(rng.random((n, 2)) < 0.5, -0.0, 0.0)
+            self.assert_matches_add_at(target, idx, vals)
+
+    def test_row_repeated_more_than_a_thousand_times(self):
+        rng = np.random.default_rng(51)
+        idx = rng.permutation(np.concatenate([np.zeros(1500, dtype=np.int64), rng.integers(0, 2000, 3000)]))
+        target = self.spread_values(rng, (2000, 4))
+        self.assert_matches_add_at(target, idx, self.spread_values(rng, (idx.size, 4)))
+
+    def test_multidimensional_index(self):
+        rng = np.random.default_rng(52)
+        idx = rng.integers(0, 400, (300, 3))
+        self.assert_matches_add_at(np.zeros((400, 2)), idx, self.spread_values(rng, (300, 3, 2)))
+
+    @pytest.mark.parametrize("n", [20, 900])
+    def test_negative_indices_wrap(self, n):
+        rng = np.random.default_rng(53 + n)
+        idx = rng.integers(-700, 700, n)
+        self.assert_matches_add_at(self.spread_values(rng, (700, 3)), idx, self.spread_values(rng, (n, 3)))
+
+    @pytest.mark.parametrize("n", [20, 900])
+    @pytest.mark.parametrize("bad", [700, -701])
+    def test_out_of_range_raises_index_error(self, n, bad):
+        idx = np.zeros(n, dtype=np.int64)
+        idx[n // 2] = bad
+        with pytest.raises(IndexError):
+            nm.scatter_add(np.zeros((700, 3)), idx, np.ones((n, 3)))
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        nm.save_checkpoint(path, [("v", nm.Tensor(np.ones(3)))], {"seed": 1})
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with nm.atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("disk gone")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    def test_checkpoint_failing_after_its_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.bin"
+        tensors = [("a", nm.Tensor(np.ones(3))), ("b", nm.Tensor(np.zeros(2)))]
+        nm.save_checkpoint(path, tensors, {"seed": 1})
+        before = path.read_bytes()
+        real = np.ascontiguousarray
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("payload")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nm.np, "ascontiguousarray", fail_second)
+        with pytest.raises(MemoryError):
+            nm.save_checkpoint(path, tensors, {"seed": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    def test_new_file_replaces_old(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with nm.atomic_write(path, encoding="utf-8") as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

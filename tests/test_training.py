@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypergroup import model as hm
+from hypergroup import numeric as nm
 from hypergroup import training as ht
 from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
 from hypergroup.errors import ConfigError, NumericError, SamplingError
@@ -201,6 +202,65 @@ class TestOptimizers:
         ht.SgdOptimizer(1.0).step([p])
         np.testing.assert_array_equal(p.values, [1.0])
 
+    def test_blocked_adam_bitwise_equal_to_whole_array_formula(self):
+        rng = np.random.default_rng(30)
+        shapes = [(1,), (5, 3), (ht.ADAM_BLOCK + 1,), (300, 64), (2, ht.ADAM_BLOCK)]
+        # the second copy of the third tensor is laid out column-major, so a
+        # flat view of it would be a copy
+        blocked = [Tensor(rng.normal(size=s), name=f"p{i}", trainable=True) for i, s in enumerate(shapes)]
+        whole = [Tensor(t.values.copy(), trainable=True) for t in blocked]
+        blocked[3].values = np.asfortranarray(blocked[3].values)
+        new, old = ht.AdamOptimizer(1e-2), WholeArrayAdam(1e-2)
+        for _ in range(4):
+            for a, b in zip(blocked, whole):
+                g = rng.normal(size=a.shape) * 10.0 ** rng.uniform(-8, 2, a.shape)
+                a.grad, b.grad = g.copy(), g.copy()
+            new.step(blocked)
+            old.step(whole)
+            for a, b in zip(blocked, whole):
+                assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64)), a.name
+        assert not blocked[3].values.flags.c_contiguous
+
+    @pytest.mark.parametrize("make", [lambda: ht.AdamOptimizer(0.1), lambda: ht.SgdOptimizer(0.1)])
+    def test_nan_gradient_raises_before_any_tensor_changes(self, make):
+        opt = make()
+        a = Tensor([0.5, 0.25], name="a", trainable=True)
+        b = Tensor([1.0], name="b", trainable=True)
+        a.grad, b.grad = np.array([0.1, 0.2]), np.array([np.nan])
+        with pytest.raises(NumericError, match="parameter b"):
+            opt.step([a, b])
+        np.testing.assert_array_equal(a.values, [0.5, 0.25])
+        np.testing.assert_array_equal(b.values, [1.0])
+        # the aborted step left no moment state behind either
+        fresh = Tensor([0.5, 0.25], trainable=True)
+        fresh.grad = a.grad
+        b.grad = np.array([0.0])
+        opt.step([a, b])
+        make().step([fresh])
+        np.testing.assert_array_equal(a.values, fresh.values)
+
+
+class WholeArrayAdam:
+    """The Adam step as whole-array expressions: the reference for the blocked one."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._state = {}
+
+    def step(self, tensors):
+        for p in tensors:
+            if not p.trainable or p.grad is None:
+                continue
+            g = p.grad
+            m, v, t = self._state.get(id(p), (np.zeros_like(p.values), np.zeros_like(p.values), 0))
+            t += 1
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self._state[id(p)] = (m, v, t)
+
 
 def synth_world(seed=0, variant="FULL", num_groups=10):
     ds = generate_synthetic(
@@ -324,6 +384,73 @@ class TestTrainingLoops:
         assert lazy_batches == queue_batches
         assert lazy_bytes == queue_bytes
 
+    @pytest.mark.parametrize("budgets", [(32, 0), (0, 16), (0, 0)])
+    def test_joint_skips_a_stream_with_budget_zero(self, budgets):
+        ds, social, hyper, cfg, params = synth_world(seed=13)
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2, strategy="JOINT",
+                              user_budget=budgets[0], group_budget=budgets[1], seed=7)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg)
+        assert len(report.epochs) == 2
+        for e in report.epochs:
+            assert (e.loss_u is None) == (budgets[0] == 0)
+            assert (e.loss_g is None) == (budgets[1] == 0)
+
+    @pytest.mark.parametrize("strategy,tasks", [
+        ("GROUP_ONLY", ["group"]), ("USER_ONLY", ["user"]),
+        ("JOINT", ["user", "group"]), ("TWO_STAGE", ["user", "group"]),
+    ])
+    def test_builds_only_the_streams_its_strategy_steps(self, monkeypatch, strategy, tasks):
+        built = []
+        init = ht._TaskRunner.__init__
+
+        def recording(self, task, *args):
+            built.append(task)
+            init(self, task, *args)
+
+        monkeypatch.setattr(ht._TaskRunner, "__init__", recording)
+        ds, social, hyper, cfg, params = synth_world(seed=14)
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=1, strategy=strategy, seed=8)
+        ht.train(ds, social, hyper, params, cfg, tcfg)
+        assert built == tasks
+
+    def test_joint_params_match_the_add_at_and_whole_array_kernels(self, monkeypatch):
+        # large enough that batches take the sorted scatter path and some
+        # tables span more than one Adam block
+        def world():
+            ds = generate_synthetic(
+                SynthConfig(num_users=700, num_items=400, num_groups=300, avg_group_size=4.0,
+                            num_latent_topics=4, interactions_per_user=3.0,
+                            interactions_per_group=2.0, seed=3)
+            )
+            cfg = hm.ModelConfig(d=32, k_ipm=1, s_ipm=3, k_hrl=1, s_hrl=3, dropout=0.1)
+            params = hm.initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng(3))
+            return ds, build_social_graph(ds), build_hypergraph(ds), cfg, params
+
+        def add_at(target, idx, vals):
+            idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+            np.add.at(target, idx, np.asarray(vals).reshape((idx.size,) + target.shape[1:]))
+
+        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=256, epochs=2, strategy="JOINT", seed=9)
+        sizes = []
+        scatter_add = nm.scatter_add
+
+        def recording(target, idx, vals):
+            sizes.append(np.size(idx))
+            scatter_add(target, idx, vals)
+
+        monkeypatch.setattr(nm, "scatter_add", recording)
+        ds, social, hyper, cfg, fast = world()
+        ht.train(ds, social, hyper, fast, cfg, tcfg)
+        assert max(sizes) >= nm.SCATTER_MIN_ROWS
+        assert fast.user_latent.values.size > ht.ADAM_BLOCK
+
+        monkeypatch.setattr(nm, "scatter_add", add_at)
+        monkeypatch.setattr(ht, "AdamOptimizer", WholeArrayAdam)
+        ds, social, hyper, cfg, reference = world()
+        ht.train(ds, social, hyper, reference, cfg, tcfg)
+        for (name, a), (_, b) in zip(fast.named_tensors(), reference.named_tensors()):
+            assert a.values.tobytes() == b.values.tobytes(), name
+
     def test_report_writers(self, tmp_path):
         ds, social, hyper, cfg, params = synth_world(seed=11)
         tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2, seed=5)
@@ -333,6 +460,32 @@ class TestTrainingLoops:
         lines = (tmp_path / "loss.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,loss_g,loss_u,seconds"
         assert len(lines) == 1 + len(report.epochs)
+
+    def test_failed_report_write_keeps_old_files(self, tmp_path, monkeypatch):
+        report = ht.TrainReport(strategy="JOINT", epochs=[ht.EpochStats(0, 0.5, 0.25, 1.0)])
+        report.write_json(tmp_path / "report.json")
+        report.write_loss_csv(tmp_path / "loss.csv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"strategy": ')
+            raise OSError("disk full")
+
+        class PartialWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write("epoch,")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(ht.json, "dump", partial_dump)
+        monkeypatch.setattr(ht.csv, "writer", PartialWriter)
+        with pytest.raises(OSError):
+            report.write_json(tmp_path / "report.json")
+        with pytest.raises(OSError):
+            report.write_loss_csv(tmp_path / "loss.csv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
