@@ -164,12 +164,7 @@ def cmd_train(args) -> int:
     save_params(
         ckpt_path, params, model_cfg, seed,
         extra_meta={
-            "split": {
-                "train_ratio": split_spec.train_ratio,
-                "val_ratio": split_spec.val_ratio,
-                "test_ratio": split_spec.test_ratio,
-                "seed": split_spec.seed,
-            },
+            "split": split_spec.to_dict(),
             "strategy": report.strategy,
         },
     )
@@ -187,12 +182,7 @@ def cmd_train(args) -> int:
         "config": {
             "model": model_cfg.to_dict(),
             "train": train_cfg.__dict__.copy(),
-            "split": {
-                "train_ratio": split_spec.train_ratio,
-                "val_ratio": split_spec.val_ratio,
-                "test_ratio": split_spec.test_ratio,
-                "seed": split_spec.seed,
-            },
+            "split": split_spec.to_dict(),
         },
         "artifacts": {
             "checkpoint": CHECKPOINT_NAME,
@@ -223,12 +213,10 @@ def _restore_world(checkpoint, data_dir, split_name: str):
     if split_name == "all" or not split_meta:
         train_split = eval_split = ds
     else:
-        spec = SplitSpec(
-            train_ratio=float(split_meta["train_ratio"]),
-            val_ratio=float(split_meta["val_ratio"]),
-            test_ratio=float(split_meta["test_ratio"]),
-            seed=int(split_meta["seed"]),
-        )
+        try:
+            spec = SplitSpec.from_dict(split_meta)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {checkpoint} has no usable split block: {exc}") from exc
         parts = dict(zip(("train", "val", "test"), split_interactions(ds, spec)))
         train_split = parts["train"]
         eval_split = parts[split_name]
@@ -350,7 +338,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"hypergroup: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"hypergroup: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, DimensionError, ContractViolation, SamplingError) as exc:

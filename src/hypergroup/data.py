@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +110,19 @@ class SplitSpec:
         total = self.train_ratio + self.val_ratio + self.test_ratio
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {total}")
+
+    def to_dict(self) -> dict:
+        """The spec as recorded in checkpoints and manifests."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, blob: dict) -> "SplitSpec":
+        return cls(
+            train_ratio=float(blob["train_ratio"]),
+            val_ratio=float(blob["val_ratio"]),
+            test_ratio=float(blob["test_ratio"]),
+            seed=int(blob["seed"]),
+        )
 
 
 @dataclass(frozen=True)

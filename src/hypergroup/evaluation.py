@@ -16,8 +16,7 @@ import numpy as np
 from .data import InteractionDataset
 from .errors import ConfigError, ContractViolation
 from .graph import Hypergraph, SocialGraph
-from .model import ForwardPass, ModelConfig, ModelParams, mlp_forward
-from .numeric import Tensor
+from .model import ForwardPass, ItemScorer, ModelConfig, ModelParams
 
 GROUP_SIZE_BINS = (("l<3", lambda l: l < 3), ("3<=l<=7", lambda l: 3 <= l <= 7), ("l>7", lambda l: l > 7))
 ITEM_ACTIVITY_BINS = (("tau<=3", lambda t: t <= 3), ("tau>3", lambda t: t > 3))
@@ -31,38 +30,15 @@ def rank_items(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _ranks_from_order(order: np.ndarray) -> np.ndarray:
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.arange(1, len(order) + 1)
-    return ranks
-
-
-def hit_ratio(test_cases, cutoff: int) -> float:
-    """Fraction of cases whose ground truth appears in the top ``cutoff``."""
-    if cutoff < 1:
-        raise ContractViolation("cutoff must be >= 1")
-    if not test_cases:
-        raise ContractViolation("empty test set")
-    hits = 0
-    for _entity, truth, ranked in test_cases:
-        if truth in list(ranked[:cutoff]):
-            hits += 1
-    return hits / len(test_cases)
-
-
-def ndcg(test_cases, cutoff: int) -> float:
-    """Mean discounted gain of the single relevant item, 1 at rank one."""
-    if cutoff < 1:
-        raise ContractViolation("cutoff must be >= 1")
-    if not test_cases:
-        raise ContractViolation("empty test set")
-    total = 0.0
-    for _entity, truth, ranked in test_cases:
-        top = list(ranked[:cutoff])
-        if truth in top:
-            rank = top.index(truth) + 1
-            total += 1.0 / np.log2(rank + 1.0)
-    return total / len(test_cases)
+def count_ranks(scores: np.ndarray, items) -> np.ndarray:
+    """1-based ranks of ``items`` under descending score, ties by ascending
+    index: the positions a stable ``argsort(-scores)`` gives them, counted as
+    ``1 + #(s > s_v) + #(s[:v] == s_v)`` without sorting."""
+    return np.array(
+        [1 + np.count_nonzero(scores > scores[v]) + np.count_nonzero(scores[:v] == scores[v])
+         for v in items],
+        dtype=np.int64,
+    )
 
 
 @dataclass(frozen=True)
@@ -161,21 +137,24 @@ def evaluate(
         train_pairs = train_ds.group_item if target == "groups" else train_ds.user_item
         for e, v in train_pairs:
             excluded.setdefault(e, set()).add(v)
+    truths: dict[int, list[int]] = {}
+    for e, v in cases:
+        truths.setdefault(e, []).append(v)
 
-    rank_of: dict[int, np.ndarray] = {}
+    # one entity at a time: its scores are exactly those recommend computes
+    scorer = ItemScorer(tower, items)
+    rank_of: dict[tuple[int, int], int] = {}
     for row, entity in zip(rows, entities):
-        x = np.concatenate([np.tile(row, (n_items, 1)), items], axis=1)
-        scores = mlp_forward(tower, Tensor(x), model_cfg, rng, tape=None, training=False).values
+        scores = scorer.scores(row)
+        if not np.all(np.isfinite(scores)):
+            raise ContractViolation("scores must be finite")
         drop = excluded.get(entity)
         if drop:
-            scores = scores.copy()
             scores[sorted(drop)] = -np.inf
-            order = np.argsort(-scores, kind="stable")
-        else:
-            order = rank_items(scores)
-        rank_of[entity] = _ranks_from_order(order)
+        for v, rank in zip(truths[entity], count_ranks(scores, truths[entity]).tolist()):
+            rank_of[entity, v] = rank
 
-    ranks = np.array([rank_of[e][v] for e, v in cases], dtype=np.int64)
+    ranks = np.array([rank_of[c] for c in cases], dtype=np.int64)
     report = EvalReport(
         target=target,
         metrics=_metrics_from_ranks(ranks, cutoffs),
@@ -195,7 +174,7 @@ def evaluate(
         report.strata["item_activity"] = _stratify(ranks, activity, ITEM_ACTIVITY_BINS, cutoffs)
 
     if detail:
-        details = [(e, v, int(rank_of[e][v])) for e, v in cases]
+        details = [(e, v, rank_of[e, v]) for e, v in cases]
         return report, details
     return report
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numeric as nm
-from .errors import CheckpointError, ConfigError, ContractViolation
+from .errors import CheckpointError, ConfigError, ContractViolation, DimensionError
 from .graph import (
     Hypergraph,
     SocialGraph,
@@ -607,10 +607,51 @@ def transient_group_embedding(members, params: ModelParams, cfg: ModelConfig,
     return fp.group_vectors([view.transient_index]).values[0].copy()
 
 
+class ItemScorer:
+    """Inference scores of entity embeddings against every item, one tower.
+
+    The tower's first layer reads ``[entity ‖ item]``, so its weight splits
+    as ``W1 = [W_e | W_i]`` and its item half ``P = items @ W_i.T`` is
+    computed once, here.  An entity then costs ``c = W_e @ e + b1``,
+    ``h1 = max(P + c, 0)`` and the remaining layers; a tower without
+    hidden layers splits its output vector the same way.  Entities are
+    scored one at a time, so an entity's scores do not depend on which
+    other entities a caller scores (and no temporary is larger than one
+    entity's first-layer activations).  ``np.maximum`` keeps NaN, so a
+    non-finite parameter or item row shows up as a non-finite score.
+    Dropout is the identity at inference; the training path runs
+    :func:`mlp_forward` instead, on the tape.
+    """
+
+    def __init__(self, tower: MlpTower, items: np.ndarray):
+        d = items.shape[1]
+        first = tower.hidden[0][0].values if tower.hidden else tower.out.values
+        if first.shape[-1] != 2 * d:
+            raise DimensionError(f"tower input width {first.shape[-1]} != 2 x item width {d}")
+        self.d = d
+        self._entity_w = first[..., :d]
+        self._items = items @ first[..., d:].T
+        self._bias = tower.hidden[0][1].values if tower.hidden else 0.0
+        self._rest = [(w.values, b.values) for w, b in tower.hidden[1:]]
+        self._out = tower.out.values if tower.hidden else None
+
+    def scores(self, entity_emb: np.ndarray) -> np.ndarray:
+        """Scores of one entity embedding against every item."""
+        e = np.asarray(entity_emb, dtype=np.float64)
+        if e.shape != (self.d,):
+            raise DimensionError(f"entity embedding shape {e.shape} != ({self.d},)")
+        h = self._items + (self._entity_w @ e + self._bias)
+        if self._out is None:
+            return h
+        np.maximum(h, 0.0, out=h)
+        for w, b in self._rest:
+            h = h @ w.T
+            h += b
+            np.maximum(h, 0.0, out=h)
+        return h @ self._out
+
+
 def score_items_for_embedding(entity_emb: np.ndarray, params: ModelParams,
                               tower: MlpTower, cfg: ModelConfig) -> np.ndarray:
     """Inference scores of one entity embedding against every item."""
-    items = params.item_embeddings.values
-    x = np.concatenate([np.tile(entity_emb, (items.shape[0], 1)), items], axis=1)
-    unused_rng = np.random.default_rng(0)
-    return mlp_forward(tower, Tensor(x), cfg, unused_rng, tape=None, training=False).values
+    return ItemScorer(tower, params.item_embeddings.values).scores(entity_emb)

@@ -84,11 +84,14 @@ class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
     checkpoint_path: str | None = None
     stopped_early: bool = False
+    # with early stopping: the epoch whose parameters the run ends with
+    best_epoch: int | None = None
 
     def to_dict(self) -> dict:
         return {
             "strategy": self.strategy,
             "stopped_early": self.stopped_early,
+            "best_epoch": self.best_epoch,
             "checkpoint_path": self.checkpoint_path,
             "epochs": [
                 {"epoch": e.epoch, "loss_g": e.loss_g, "loss_u": e.loss_u, "seconds": e.seconds}
@@ -468,7 +471,7 @@ def train(
             for _ in range(cfg.epochs):
                 run_stream_epoch(epoch, group_runner, cfg.group_budget)
                 epoch += 1
-                if early_stop.should_stop():
+                if early_stop.should_stop(epoch - 1):
                     report.stopped_early = True
                     break
                 if cfg.group_budget is not None:
@@ -508,7 +511,7 @@ def train(
                     seconds=time.perf_counter() - start,
                 )
             )
-            if use_group and early_stop.should_stop():
+            if use_group and early_stop.should_stop(epoch):
                 report.stopped_early = True
                 break
     elif strategy in ("GROUP_ONLY", "USER_ONLY"):
@@ -520,16 +523,21 @@ def train(
             if not runner.pairs:
                 break
             run_stream_epoch(epoch, runner, budget)
-            if strategy == "GROUP_ONLY" and early_stop.should_stop():
+            if strategy == "GROUP_ONLY" and early_stop.should_stop(epoch):
                 report.stopped_early = True
                 break
     else:  # pragma: no cover - guarded by validate()
         raise ConfigError(f"unknown strategy {strategy!r}")
+    report.best_epoch = early_stop.restore_best()
     return report
 
 
 class _EarlyStop:
-    """Optional early stopping on validation ranking quality."""
+    """Optional early stopping on validation NDCG@10.
+
+    Keeps a copy of the trainable values of the best epoch so far, and
+    :meth:`restore_best` puts them back when training ends.
+    """
 
     def __init__(self, cfg, model_cfg, params, social, hyper, val_ds):
         self.enabled = (
@@ -545,9 +553,11 @@ class _EarlyStop:
         self.hyper = hyper
         self.val_ds = val_ds
         self.best = -np.inf
+        self.best_epoch: int | None = None
+        self._best_values: list[np.ndarray] = []
         self.stale = 0
 
-    def should_stop(self) -> bool:
+    def should_stop(self, epoch: int) -> bool:
         if not self.enabled:
             return False
         from .evaluation import evaluate  # local import to avoid a cycle
@@ -559,7 +569,15 @@ class _EarlyStop:
         score = report.metrics[10].ndcg
         if score > self.best + 1e-12:
             self.best = score
+            self.best_epoch = epoch
+            self._best_values = [t.values.copy() for _, t in self.params.trainable_tensors()]
             self.stale = 0
             return False
         self.stale += 1
         return self.stale >= self.patience
+
+    def restore_best(self) -> int | None:
+        """Write the best epoch's values back in place; that epoch, if any."""
+        for (_, t), values in zip(self.params.trainable_tensors(), self._best_values):
+            t.values[...] = values
+        return self.best_epoch

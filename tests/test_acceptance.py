@@ -22,7 +22,7 @@ from hypergroup.data import (
     generate_synthetic,
     split_interactions,
 )
-from hypergroup.evaluation import evaluate, hit_ratio, ndcg
+from hypergroup.evaluation import evaluate
 from hypergroup.graph import build_hypergraph, build_social_graph, common_members, sample_neighbors
 from hypergroup.numeric import Tape
 from hypergroup.training import (
@@ -33,6 +33,8 @@ from hypergroup.training import (
     train,
     user_batch_loss,
 )
+
+from metric_oracle import hit_ratio, ndcg
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5

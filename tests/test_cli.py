@@ -268,6 +268,55 @@ class TestNodeFeaturesFile:
         np.testing.assert_array_equal(params.node_features.values, feats)
 
 
+class TestWriteFailures:
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, data_dir, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(RUN_CFG))
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
+                       "--out", str(blocker / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("hypergroup: data error: ")
+
+    def test_unwritable_id_map_exits_2(self, tmp_path, data_dir, capsys):
+        # a directory in the id map's place: loading tries to write the map
+        (data_dir / "id_map.json").unlink()
+        (data_dir / "id_map.json").mkdir()
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(RUN_CFG))
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("hypergroup: data error: ")
+        assert not out.exists()
+
+
+class TestSplitRecord:
+    def test_checkpoint_and_manifest_record_the_split_spec(self, tmp_path, data_dir):
+        run_cfg = dict(RUN_CFG, split={"train_ratio": 0.7, "val_ratio": 0.2, "test_ratio": 0.1})
+        out = run_train(tmp_path, data_dir, "rs", run_cfg=run_cfg)
+        want = {"train_ratio": 0.7, "val_ratio": 0.2, "test_ratio": 0.1, "seed": 5}
+        _, _, meta = load_params(out / "checkpoint.bin")
+        assert meta["split"] == want
+        assert json.loads((out / "manifest.json").read_text())["config"]["split"] == want
+
+    def test_checkpoint_with_a_broken_split_block_exits_2(self, tmp_path, data_dir, capsys):
+        out = run_train(tmp_path, data_dir)
+        params, cfg, meta = load_params(out / "checkpoint.bin")
+        broken = tmp_path / "broken.bin"
+        hm.save_params(broken, params, cfg, meta["seed"], extra_meta={"split": {"train_ratio": 0.8}})
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(broken), "--data", str(data_dir), "--topn", "5"])
+        assert rc == 2
+        assert "split" in capsys.readouterr().err
+
+
 class TestUsageAndVersion:
     def test_no_command_exits_1(self):
         assert cli.main([]) == 1

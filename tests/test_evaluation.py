@@ -5,9 +5,11 @@ import pytest
 
 from hypergroup import evaluation as he
 from hypergroup import model as hm
-from hypergroup.data import InteractionDataset
+from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
 from hypergroup.errors import ConfigError, ContractViolation
-from hypergroup.graph import build_hypergraph
+from hypergroup.graph import build_hypergraph, build_social_graph
+
+import metric_oracle as oracle
 
 
 def relu_np(x):
@@ -51,6 +53,20 @@ class TestRankItems:
             he.rank_items([0.0, np.nan])
 
 
+class TestCountRanks:
+    def test_matches_stable_argsort_ranks(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            # ties, both signed zeros and excluded (-inf) items
+            scores = rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0, -np.inf], size=n)
+            order = np.argsort(-scores, kind="stable")
+            want = np.empty(n, dtype=np.int64)
+            want[order] = np.arange(1, n + 1)
+            items = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            np.testing.assert_array_equal(he.count_ranks(scores, items), want[items])
+
+
 class TestHitRatio:
     def cases_with_ranks(self, ranks, n_items=60):
         cases = []
@@ -62,12 +78,12 @@ class TestHitRatio:
 
     def test_half_hit(self):
         cases = self.cases_with_ranks([1, 3, 12, 50])
-        assert he.hit_ratio(cases, 5) == 0.5
+        assert oracle.hit_ratio(cases, 5) == 0.5
 
     def test_rank_one_always_hits(self):
         cases = self.cases_with_ranks([1, 1, 1])
         for n in (1, 2, 10):
-            assert he.hit_ratio(cases, n) == 1.0
+            assert oracle.hit_ratio(cases, n) == 1.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -79,7 +95,7 @@ class TestHitRatio:
             cases.append(("e", truth, ranked))
         for n in (1, 3, 5, 10):
             want = sum(1 for _, t, r in cases if t in r[:n]) / len(cases)
-            assert he.hit_ratio(cases, n) == want
+            assert oracle.hit_ratio(cases, n) == want
 
     def test_monotone_in_cutoff(self):
         rng = np.random.default_rng(2)
@@ -89,34 +105,34 @@ class TestHitRatio:
                 ("e", int(rng.integers(n_items)), rng.permutation(n_items).tolist())
                 for _ in range(int(rng.integers(1, 8)))
             ]
-            values = [he.hit_ratio(cases, n) for n in range(1, n_items + 1)]
+            values = [oracle.hit_ratio(cases, n) for n in range(1, n_items + 1)]
             assert all(a <= b for a, b in zip(values, values[1:]))
             assert values[-1] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            he.hit_ratio([], 5)
+            oracle.hit_ratio([], 5)
 
 
 class TestNdcg:
     def test_rank_one_scores_one(self):
         cases = [("e", 0, [0, 1, 2, 3])]
-        assert he.ndcg(cases, 4) == 1.0
+        assert oracle.ndcg(cases, 4) == 1.0
 
     def test_rank_three_scores_half(self):
         cases = [("e", 2, [0, 1, 2, 3])]
-        assert abs(he.ndcg(cases, 4) - 0.5) < 1e-15
+        assert abs(oracle.ndcg(cases, 4) - 0.5) < 1e-15
 
     def test_miss_scores_zero(self):
         cases = [("e", 3, [0, 1, 2, 3])]
-        assert he.ndcg(cases, 2) == 0.0
+        assert oracle.ndcg(cases, 2) == 0.0
 
     def test_gain_non_increasing_in_rank(self):
         n_items = 20
         gains = []
         for r in range(1, n_items + 1):
             ranked = list(range(n_items))
-            gains.append(he.ndcg([("e", ranked[r - 1], ranked)], n_items))
+            gains.append(oracle.ndcg([("e", ranked[r - 1], ranked)], n_items))
         assert all(a >= b for a, b in zip(gains, gains[1:]))
 
 
@@ -154,8 +170,8 @@ class TestEvaluate:
             ranked = sorted(range(ds.num_items), key=lambda i: (-scores[i], i))
             cases.append((g, v, ranked))
         for n in (3, 5):
-            assert report.metrics[n].hr == he.hit_ratio(cases, n)
-            assert abs(report.metrics[n].ndcg - he.ndcg(cases, n)) < 1e-12
+            assert report.metrics[n].hr == oracle.hit_ratio(cases, n)
+            assert abs(report.metrics[n].ndcg - oracle.ndcg(cases, n)) < 1e-12
 
     def test_deterministic_under_seed(self):
         ds, hyper, cfg, params = make_eval_world(seed=4)
@@ -182,6 +198,49 @@ class TestEvaluate:
         assert details_excl[0][2] == 1  # every other item was a training positive
         assert details_excl[0][2] <= details[0][2]
         assert excl.metrics[1].hr == 1.0
+
+    def test_entity_scores_equal_the_recommend_path_bit_for_bit(self, monkeypatch):
+        ds = generate_synthetic(SynthConfig(num_users=40, num_items=300, num_groups=20,
+                                            avg_group_size=3.0, num_latent_topics=3, seed=2))
+        social, hyper = build_social_graph(ds), build_hypergraph(ds)
+        cfg = hm.ModelConfig(d=16, k_ipm=1, s_ipm=2, k_hrl=1, s_hrl=2)
+        params = hm.initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng(8))
+        seen = []
+        scores = hm.ItemScorer.scores
+
+        def recording(self, emb):
+            out = scores(self, emb)
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(hm.ItemScorer, "scores", recording)
+        _, detail = he.evaluate(params, cfg, social, hyper, ds, cutoffs=(10,), eval_seed=4,
+                                detail=True)
+        groups = sorted({g for g, _ in ds.group_item})
+        fp = hm.ForwardPass(params, cfg, social, hyper, np.random.default_rng(4))
+        rows = fp.group_vectors(groups).values
+        assert len(seen) == len(groups)
+        alone = {}
+        for g, row, inside in zip(groups, rows, seen):
+            alone[g] = hm.score_items_for_embedding(row, params, params.group_mlp, cfg)
+            assert alone[g].tobytes() == inside.tobytes()
+        for g, v, rank in detail:
+            s = alone[g]
+            assert rank == 1 + np.sum(s > s[v]) + np.sum(s[:v] == s[v])
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_nan_tower_output_raises(self, exclude):
+        ds, hyper, cfg, params = make_eval_world(seed=7)
+        params.group_mlp.out.values[0] = np.nan
+        with pytest.raises(ContractViolation):
+            he.evaluate(params, cfg, None, hyper, ds, cutoffs=(5,), eval_seed=0,
+                        train_ds=ds, exclude_train_positives=exclude)
+
+    def test_nan_item_row_raises(self):
+        ds, hyper, cfg, params = make_eval_world(seed=8)
+        params.item_embeddings.values[5] = np.nan
+        with pytest.raises(ContractViolation):
+            he.evaluate(params, cfg, None, hyper, ds, cutoffs=(5,), eval_seed=0)
 
     def test_exclusion_requires_train_split(self):
         ds, hyper, cfg, params = make_eval_world()

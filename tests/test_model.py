@@ -6,7 +6,7 @@ import pytest
 from hypergroup import model as hm
 from hypergroup import numeric as nm
 from hypergroup.data import InteractionDataset
-from hypergroup.errors import CheckpointError, ConfigError, ContractViolation
+from hypergroup.errors import CheckpointError, ConfigError, ContractViolation, DimensionError
 from hypergroup.graph import build_hypergraph, build_social_graph
 
 
@@ -373,6 +373,43 @@ class TestScoring:
         expected = float(np.sum(relu_np(c[:2])))
         got = hm.score_user(2, 0, params, cfg, None, np.random.default_rng(0))
         assert abs(got - expected) < 1e-12
+
+
+class TestItemScorer:
+    @pytest.mark.parametrize("hidden", [None, (4,), ()])
+    def test_matches_mlp_forward_on_tiled_inputs(self, hidden):
+        cfg = hm.ModelConfig(d=16, mlp_hidden=hidden, dropout=0.3)
+        rng = np.random.default_rng(1)
+        params = hm.initialize_params(cfg, 5, 300, rng)
+        items = params.item_embeddings.values
+        for tower in (params.group_mlp, params.user_mlp):
+            scorer = hm.ItemScorer(tower, items)
+            for _ in range(8):
+                e = rng.normal(size=cfg.d)
+                x = nm.Tensor(np.concatenate([np.tile(e, (items.shape[0], 1)), items], axis=1))
+                want = hm.mlp_forward(tower, x, cfg, rng, tape=None, training=False).values
+                got = scorer.scores(e)
+                assert got.shape == want.shape
+                # the first layer's sums are reassociated: equal to rounding
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("hidden", [None, ()])
+    def test_nan_propagates(self, hidden):
+        cfg = hm.ModelConfig(d=4, mlp_hidden=hidden)
+        params = hm.initialize_params(cfg, 3, 6, np.random.default_rng(4))
+        params.item_embeddings.values[2, 1] = np.nan
+        scores = hm.ItemScorer(params.group_mlp, params.item_embeddings.values).scores(np.ones(4))
+        assert np.isnan(scores[2])
+        assert np.all(np.isfinite(np.delete(scores, 2)))
+
+    def test_wrong_entity_width_rejected(self):
+        cfg = hm.ModelConfig(d=4)
+        params = hm.initialize_params(cfg, 3, 6, np.random.default_rng(5))
+        scorer = hm.ItemScorer(params.group_mlp, params.item_embeddings.values)
+        with pytest.raises(DimensionError):
+            scorer.scores(np.ones(5))
+        with pytest.raises(DimensionError):
+            hm.ItemScorer(params.group_mlp, np.ones((6, 3)))
 
 
 class TestFullPipelineOracle:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hypergroup import evaluation as he
 from hypergroup import model as hm
 from hypergroup import numeric as nm
 from hypergroup import training as ht
@@ -450,6 +451,36 @@ class TestTrainingLoops:
         ht.train(ds, social, hyper, reference, cfg, tcfg)
         for (name, a), (_, b) in zip(fast.named_tensors(), reference.named_tensors()):
             assert a.values.tobytes() == b.values.tobytes(), name
+
+    @pytest.mark.parametrize("strategy", ["GROUP_ONLY", "JOINT"])
+    def test_early_stop_restores_the_best_epoch(self, monkeypatch, strategy):
+        scripted = iter([0.5, 0.7, 0.6, 0.4])
+
+        def fake_evaluate(*args, **kwargs):
+            pair = he.MetricPair(hr=0.0, ndcg=next(scripted))
+            return he.EvalReport(target="groups", metrics={10: pair}, num_test_cases=1)
+
+        monkeypatch.setattr(he, "evaluate", fake_evaluate)
+        ds, social, hyper, cfg, params = synth_world(seed=12)
+        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=10, strategy=strategy,
+                              seed=6, early_stop_patience=2)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=ds)
+        assert report.stopped_early and len(report.epochs) == 4
+        assert report.best_epoch == 1
+        assert report.to_dict()["best_epoch"] == 1
+
+        # the run without early stopping that ends after epoch 2
+        _, _, _, _, reference = synth_world(seed=12)
+        ht.train(ds, social, hyper, reference, cfg,
+                 ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=2, strategy=strategy, seed=6))
+        for (name, a), (_, b) in zip(params.named_tensors(), reference.named_tensors()):
+            assert a.values.tobytes() == b.values.tobytes(), name
+
+    def test_no_best_epoch_without_early_stopping(self):
+        ds, social, hyper, cfg, params = synth_world(seed=13)
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2, seed=5)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=ds)
+        assert report.best_epoch is None and not report.stopped_early
 
     def test_report_writers(self, tmp_path):
         ds, social, hyper, cfg, params = synth_world(seed=11)
