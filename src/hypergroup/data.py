@@ -9,6 +9,7 @@ and honored on subsequent loads so indices stay stable across round trips.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, IntegrityError, ParseError
+from .numeric import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -89,9 +91,6 @@ class InteractionDataset:
             raise IntegrityError("duplicate user-item pairs")
         if len(set(self.group_item)) != len(self.group_item):
             raise IntegrityError("duplicate group-item pairs")
-
-    def group_size(self, g: int) -> int:
-        return len(self.memberships[g])
 
 
 @dataclass(frozen=True)
@@ -180,16 +179,43 @@ def _read_pairs(path: Path) -> list[tuple[str, str]]:
                 if len(parts) != 2 or not parts[0] or not parts[1]:
                     raise ParseError(f"{path.name}:{lineno}: expected two tab-separated fields")
                 pairs.append((parts[0], parts[1]))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: not valid UTF-8: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return pairs
+
+
+def _read_id_map(path: Path) -> IdMaps:
+    try:
+        blob = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(blob, dict):
+            raise DataError(f"malformed {path}: the root is not a JSON object")
+        maps = {}
+        for kind in ("users", "items", "groups"):
+            if not isinstance(blob[kind], dict):
+                raise DataError(f"malformed {path}: {kind!r} is not a JSON object")
+            maps[kind] = {str(k): int(v) for k, v in blob[kind].items()}
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise DataError(f"malformed {path}: {exc}") from exc
+    for kind, m in maps.items():
+        if sorted(m.values()) != list(range(len(m))):
+            raise IntegrityError(f"{ID_MAP_FILE} {kind} indices are not dense")
+    return IdMaps(**maps)
+
+
+def _write_id_map(root: Path, maps: IdMaps) -> None:
+    blob = {"users": maps.users, "items": maps.items, "groups": maps.groups}
+    with atomic_write(root / ID_MAP_FILE, encoding="utf-8") as fh:
+        fh.write(json.dumps(blob, sort_keys=True, indent=1))
 
 
 def load_dataset(dir_path) -> InteractionDataset:
     """Load the four TSV files, remapping raw string IDs to dense indices.
 
     A missing ``id_map.json`` is derived in first-seen order and written
-    back next to the data files; an existing one is reused verbatim.
+    back next to the data files (a read-only directory only logs a
+    warning); an existing one is reused verbatim.
     Social edges are symmetrized, duplicates are dropped with a logged
     count, and memberships referring to unknown users raise.
     """
@@ -207,19 +233,7 @@ def load_dataset(dir_path) -> InteractionDataset:
 
     map_path = root / ID_MAP_FILE
     if map_path.is_file():
-        try:
-            blob = json.loads(map_path.read_text(encoding="utf-8"))
-            maps = IdMaps(
-                users={str(k): int(v) for k, v in blob["users"].items()},
-                items={str(k): int(v) for k, v in blob["items"].items()},
-                groups={str(k): int(v) for k, v in blob["groups"].items()},
-            )
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise DataError(f"malformed {map_path}: {exc}") from exc
-        for kind in ("users", "items", "groups"):
-            m = getattr(maps, kind)
-            if sorted(m.values()) != list(range(len(m))):
-                raise IntegrityError(f"{ID_MAP_FILE} {kind} indices are not dense")
+        maps = _read_id_map(map_path)
     else:
         users: dict[str, int] = {}
         items: dict[str, int] = {}
@@ -236,11 +250,12 @@ def load_dataset(dir_path) -> InteractionDataset:
             groups.setdefault(g, len(groups))
             items.setdefault(v, len(items))
         maps = IdMaps(users=users, items=items, groups=groups)
-        map_path.write_text(
-            json.dumps({"users": maps.users, "items": maps.items, "groups": maps.groups},
-                       sort_keys=True, indent=1),
-            encoding="utf-8",
-        )
+        try:
+            _write_id_map(root, maps)
+        except OSError as exc:
+            if not isinstance(exc, PermissionError) and exc.errno != errno.EROFS:
+                raise
+            log.warning("cannot write %s (%s); using the derived id map", map_path, exc)
 
     def u_idx(raw: str, where: str) -> int:
         try:
@@ -347,11 +362,7 @@ def save_dataset(ds: InteractionDataset, dir_path) -> None:
     write(USER_ITEM_FILE, ((u_raw[u], v_raw[v]) for u, v in ds.user_item))
     write(GROUP_MEMBERS_FILE, ((g_raw[g], u_raw[u]) for g, members in enumerate(ds.memberships) for u in members))
     write(GROUP_ITEM_FILE, ((g_raw[g], v_raw[v]) for g, v in ds.group_item))
-    (root / ID_MAP_FILE).write_text(
-        json.dumps({"users": maps.users, "items": maps.items, "groups": maps.groups},
-                   sort_keys=True, indent=1),
-        encoding="utf-8",
-    )
+    _write_id_map(root, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -392,13 +392,6 @@ class ForwardPass:
         users = unique_ids(self.hyper.members_of(groups)[0])
         return self._group_init_rows(groups, self._member_rows(users), users)
 
-    def group_init_vectors(self, groups) -> Tensor:
-        """Mean member embedding per requested group."""
-        self._claim()
-        groups = _ids(groups)
-        uniq = unique_ids(groups)
-        return self._align(self._member_average(uniq), uniq, groups)
-
     def _hrl_forward(self, groups: np.ndarray) -> tuple[Tensor, Tensor]:
         """Hyperedge embeddings for sorted unique ``groups``.
 
@@ -497,81 +490,6 @@ def mlp_forward(
 
 
 # ---------------------------------------------------------------------------
-# single-entity convenience API (inference mode, no tape)
-
-
-def ipm_embed(u: int, params: ModelParams, cfg: ModelConfig, social: SocialGraph,
-              rng: np.random.Generator) -> np.ndarray:
-    """Social-graph embedding of one user."""
-    fp = ForwardPass(params, cfg, social, None, rng)
-    return fp.ipm_vectors([u]).values[0].copy()
-
-
-def member_embedding(u: int, params: ModelParams, cfg: ModelConfig, social: SocialGraph | None,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Shared user embedding: social output plus latent row (variant-gated)."""
-    fp = ForwardPass(params, cfg, social, None, rng)
-    return fp.member_vectors([u]).values[0].copy()
-
-
-def group_init(g: int, params: ModelParams, cfg: ModelConfig, social: SocialGraph | None,
-               hyper: Hypergraph, rng: np.random.Generator) -> np.ndarray:
-    """Mean member embedding of one group."""
-    if hyper.members(g).size == 0:
-        raise ContractViolation(f"group {g} has no members")
-    fp = ForwardPass(params, cfg, social, hyper, rng)
-    return fp.group_init_vectors([g]).values[0].copy()
-
-
-def common_member_repr(g: int, g2: int, params: ModelParams, cfg: ModelConfig,
-                       social: SocialGraph | None, hyper: Hypergraph,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Mean member embedding over the two groups' shared members."""
-    common, _ = common_members(hyper, _ids(g), _ids(g2))
-    if not common.size:
-        raise ContractViolation(f"groups {g} and {g2} share no members")
-    fp = ForwardPass(params, cfg, social, hyper, rng)
-    rows = fp.member_vectors(common).values
-    return rows.mean(axis=0)
-
-
-def hrl_embed(g: int, params: ModelParams, cfg: ModelConfig, social: SocialGraph | None,
-              hyper: Hypergraph, rng: np.random.Generator) -> np.ndarray:
-    """Hyperedge-encoder embedding of one group."""
-    fp = ForwardPass(params, cfg, social, hyper, rng)
-    _, z = fp.hrl_vectors([g])
-    return z.values[0].copy()
-
-
-def group_embedding(g: int, params: ModelParams, cfg: ModelConfig, social: SocialGraph | None,
-                    hyper: Hypergraph, rng: np.random.Generator) -> np.ndarray:
-    """Final group embedding under the configured variant."""
-    fp = ForwardPass(params, cfg, social, hyper, rng)
-    return fp.group_vectors([g]).values[0].copy()
-
-
-def score_group(g: int, v: int, params: ModelParams, cfg: ModelConfig,
-                social: SocialGraph | None, hyper: Hypergraph,
-                rng: np.random.Generator) -> float:
-    """Preference score of group ``g`` for item ``v`` (inference mode)."""
-    fp = ForwardPass(params, cfg, social, hyper, rng)
-    emb = fp.group_vectors([g])
-    item = nm.gather_rows(params.item_embeddings, [v])
-    x = nm.concat(emb, item)
-    return float(mlp_forward(params.group_mlp, x, cfg, rng).values[0])
-
-
-def score_user(u: int, v: int, params: ModelParams, cfg: ModelConfig,
-               social: SocialGraph | None, rng: np.random.Generator) -> float:
-    """Preference score of user ``u`` for item ``v`` (inference mode)."""
-    fp = ForwardPass(params, cfg, social, None, rng)
-    emb = fp.member_vectors([u])
-    item = nm.gather_rows(params.item_embeddings, [v])
-    x = nm.concat(emb, item)
-    return float(mlp_forward(params.user_mlp, x, cfg, rng).values[0])
-
-
-# ---------------------------------------------------------------------------
 # ad-hoc groups
 
 
@@ -592,19 +510,22 @@ def transient_group_embedding(members, params: ModelParams, cfg: ModelConfig,
     A member set matching an existing group exactly reuses that group's
     standard pathway.  Otherwise the hyperedge encoder runs only when the
     set shares members with known groups; an unconnected set falls back to
-    the plain member average.
+    the plain member average.  Repeats and order in ``members`` do not
+    matter.
     """
-    if not members:
+    member_ids = unique_ids(_ids(members))
+    if not member_ids.size:
         raise ContractViolation("a transient group needs at least one member")
-    exact = find_exact_group(hyper, members)
+    if member_ids[0] < 0 or member_ids[-1] >= params.num_users:
+        raise ContractViolation(f"transient group members must lie in [0, {params.num_users})")
+    exact = find_exact_group(hyper, member_ids)
+    graph = hyper if exact is not None else TransientHypergraphView(hyper, member_ids)
+    fp = ForwardPass(params, cfg, social, graph, rng)
     if exact is not None:
-        return group_embedding(exact, params, cfg, social, hyper, rng)
-    view = TransientHypergraphView(hyper, members)
-    if not uses_hrl(cfg.variant) or not view.has_known_neighbors:
-        fp = ForwardPass(params, cfg, social, view, rng)
-        return fp.member_vectors(sorted(set(members))).values.mean(axis=0)
-    fp = ForwardPass(params, cfg, social, view, rng)
-    return fp.group_vectors([view.transient_index]).values[0].copy()
+        return fp.group_vectors([exact]).values[0]
+    if uses_hrl(cfg.variant) and graph.has_known_neighbors:
+        return fp.group_vectors([graph.transient_index]).values[0]
+    return fp.member_vectors(member_ids).values.mean(axis=0)
 
 
 class ItemScorer:

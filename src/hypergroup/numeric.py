@@ -7,8 +7,10 @@ backwards through that single step.  Replaying the closures in reverse
 order of recording is a valid reverse topological traversal because the
 forward pass builds the graph sequentially.
 
-Vector operations generally also accept a 2-D array whose rows are
-independent vectors; this is how mini-batches are expressed.
+Model math runs on rows: a 2-D array whose rows are independent
+vectors, one per entity of a mini-batch.  ``linear`` and
+``l2_normalize`` take rows only and raise :class:`DimensionError` on
+any other shape.
 
 Exact-order contract: a fast kernel may replace a plain numpy expression
 only if it performs the same float operations in the same order, so
@@ -34,7 +36,6 @@ from .errors import (
     CheckpointError,
     ContractViolation,
     DimensionError,
-    NumericError,
 )
 
 NORM_EPS = 1e-12
@@ -69,9 +70,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
-
-    def item(self) -> float:
-        return float(self.values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "tensor"
@@ -137,7 +135,7 @@ def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], backward) 
 
 
 def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Affine map ``W x + b`` for a vector x, applied row-wise for 2-D x.
+    """Affine map ``W x + b`` applied to each row x of a 2-D input.
 
     ``b`` may be None for a pure linear layer.
     """
@@ -145,16 +143,9 @@ def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None) -> 
     if wv.ndim != 2:
         raise DimensionError(f"weight must be 2-D, got shape {wv.shape}")
     out_dim, in_dim = wv.shape
-    if xv.ndim == 1:
-        if xv.shape[0] != in_dim:
-            raise DimensionError(f"linear: weight {wv.shape} does not accept input {xv.shape}")
-        yv = wv @ xv
-    elif xv.ndim == 2:
-        if xv.shape[1] != in_dim:
-            raise DimensionError(f"linear: weight {wv.shape} does not accept input {xv.shape}")
-        yv = xv @ wv.T
-    else:
-        raise DimensionError(f"linear input must be 1-D or 2-D, got shape {xv.shape}")
+    if xv.ndim != 2 or xv.shape[1] != in_dim:
+        raise DimensionError(f"linear: weight {wv.shape} does not accept input {xv.shape}")
+    yv = xv @ wv.T
     if b is not None:
         if b.values.shape != (out_dim,):
             raise DimensionError(f"bias shape {b.values.shape} does not match output dim {out_dim}")
@@ -164,20 +155,12 @@ def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None) -> 
 
     def backward():
         g = out.grad
-        if xv.ndim == 1:
-            if w._rg:
-                w.grad += np.outer(g, xv)
-            if b is not None and b._rg:
-                b.grad += g
-            if x._rg:
-                x.grad += wv.T @ g
-        else:
-            if w._rg:
-                w.grad += g.T @ xv
-            if b is not None and b._rg:
-                b.grad += g.sum(axis=0)
-            if x._rg:
-                x.grad += g @ wv
+        if w._rg:
+            w.grad += g.T @ xv
+        if b is not None and b._rg:
+            b.grad += g.sum(axis=0)
+        if x._rg:
+            x.grad += g @ wv
 
     return _record(tape, out, inputs, backward)
 
@@ -422,18 +405,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Element-wise logistic function, output strictly inside (0, 1)."""
-    yv = _sigmoid(np.atleast_1d(x.values)).reshape(x.values.shape)
-    out = Tensor(yv)
-
-    def backward():
-        if x._rg:
-            x.grad += out.grad * yv * (1.0 - yv)
-
-    return _record(tape, out, (x,), backward)
-
-
 def dropout(
     x: Tensor,
     ratio: float,
@@ -462,33 +433,12 @@ def dropout(
 
 
 def l2_normalize(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Scale to unit L2 norm; vectors with norm <= eps pass through unchanged.
-
-    For 2-D input each row is normalized independently.
+    """Scale each row of a 2-D input to unit L2 norm; rows with norm <= eps
+    pass through unchanged.
     """
     xv = x.values
-    if xv.ndim == 1:
-        n = float(np.linalg.norm(xv))
-        if n <= NORM_EPS:
-            out = Tensor(xv.copy())
-
-            def backward():
-                if x._rg:
-                    x.grad += out.grad
-
-        else:
-            yv = xv / n
-            out = Tensor(yv)
-
-            def backward():
-                if x._rg:
-                    g = out.grad
-                    x.grad += (g - yv * (yv @ g)) / n
-
-        return _record(tape, out, (x,), backward)
-
     if xv.ndim != 2:
-        raise DimensionError(f"l2_normalize expects 1-D or 2-D input, got {xv.shape}")
+        raise DimensionError(f"l2_normalize expects 2-D input, got {xv.shape}")
     norms = np.linalg.norm(xv, axis=1)
     live = norms > NORM_EPS
     safe = np.where(live, norms, 1.0)
@@ -554,14 +504,6 @@ def sum_squares(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _record(tape, out, (x,), backward)
 
 
-def check_finite(x: Tensor, context: str = "") -> Tensor:
-    """Raise :class:`NumericError` if the tensor holds NaN or Inf."""
-    if not np.all(np.isfinite(x.values)):
-        label = x.name or "tensor"
-        raise NumericError(f"non-finite values in {label}{' (' + context + ')' if context else ''}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # artifact files
 
@@ -615,15 +557,17 @@ def _tensor_specs(header, path) -> list[tuple[str, tuple[int, ...]]]:
     specs = header.get("tensors")
     if not isinstance(specs, list):
         raise CheckpointError(f"checkpoint header in {path} has no tensor list")
-    out = []
+    out = {}
     for spec in specs:
         name = spec.get("name") if isinstance(spec, dict) else None
         shape = spec.get("shape") if isinstance(spec, dict) else None
         if (not isinstance(name, str) or not isinstance(shape, list)
                 or not all(type(s) is int and s >= 0 for s in shape)):
             raise CheckpointError(f"malformed tensor entry in checkpoint header of {path}: {spec!r}")
-        out.append((name, tuple(shape)))
-    return out
+        if name in out:
+            raise CheckpointError(f"checkpoint header of {path} lists tensor {name!r} twice")
+        out[name] = tuple(shape)
+    return list(out.items())
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -637,11 +581,14 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             if len(raw_len) != 8:
                 raise CheckpointError(f"truncated checkpoint header in {path}")
             (hlen,) = struct.unpack("<Q", raw_len)
+            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+            if hlen > remaining:
+                raise CheckpointError(f"truncated checkpoint header in {path}")
+            remaining -= hlen
             try:
                 header = json.loads(fh.read(hlen).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CheckpointError(f"malformed checkpoint header in {path}: {exc}") from exc
-            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
             tensors: dict[str, np.ndarray] = {}
             for name, shape in _tensor_specs(header, path):
                 size = 8 * math.prod(shape)

@@ -1,11 +1,30 @@
-"""Shared pytest hooks: per-criterion pass/fail lines for the acceptance suite."""
+"""Shared pytest hooks: per-criterion pass/fail lines for the acceptance suite,
+and a temporary home for Hypothesis' caches."""
+
+import shutil
+import tempfile
 
 
 def pytest_configure(config):
+    # Hypothesis caches source constants at collection time, by default in
+    # ./.hypothesis; keep the working tree clean
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        pass
+    else:
+        config._hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+        set_hypothesis_home_dir(config._hypothesis_home)
     config.addinivalue_line(
         "markers", "acceptance(label): marks a test as one acceptance criterion"
     )
     config._acceptance_labels = {}
+
+
+def pytest_unconfigure(config):
+    home = getattr(config, "_hypothesis_home", None)
+    if home:
+        shutil.rmtree(home, ignore_errors=True)
 
 
 def pytest_collection_modifyitems(config, items):

@@ -412,8 +412,8 @@ def test_criterion_8_invariants():
         u = int(rng.integers(num_users))
         g = int(rng.integers(len(memberships)))
         for vec in (
-            hm.ipm_embed(u, params, cfg, social, rng),
-            hm.hrl_embed(g, params, cfg, social, hyper, rng),
+            hm.ForwardPass(params, cfg, social, None, rng).ipm_vectors([u]).values[0],
+            hm.ForwardPass(params, cfg, social, hyper, rng).hrl_vectors([g])[1].values[0],
         ):
             n = float(np.linalg.norm(vec))
             assert abs(n - 1.0) < 1e-9 or n < 1e-6

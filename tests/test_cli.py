@@ -189,7 +189,8 @@ class TestRecommend:
         params, model_cfg, _ = load_params(out / "checkpoint.bin")
         social = build_social_graph(ds)
         hyper = build_hypergraph(ds)
-        emb = hm.group_embedding(g, params, model_cfg, social, hyper, np.random.default_rng(13))
+        fp = hm.ForwardPass(params, model_cfg, social, hyper, np.random.default_rng(13))
+        emb = fp.group_vectors([g]).values[0]
         scores = score_items_for_embedding(emb, params, params.group_mlp, model_cfg)
         item_names = ds.id_maps.reverse("items")
         want_items = [item_names[int(v)] for v in rank_items(scores)[:5]]
@@ -245,7 +246,8 @@ class TestRecommendSingleUser:
         params, model_cfg, _ = load_params(out / "checkpoint.bin")
         social = build_social_graph(ds)
         u = ds.id_maps.users["loner"]
-        emb = hm.member_embedding(u, params, model_cfg, social, np.random.default_rng(3))
+        fp = hm.ForwardPass(params, model_cfg, social, None, np.random.default_rng(3))
+        emb = fp.member_vectors([u]).values[0]
         scores = score_items_for_embedding(emb, params, params.group_mlp, model_cfg)
         item_names = ds.id_maps.reverse("items")
         want = [item_names[int(v)] for v in rank_items(scores)[:2]]

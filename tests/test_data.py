@@ -1,5 +1,12 @@
 """Dataset loading, splitting and synthesis tests."""
 
+import builtins
+import errno
+import io
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +150,83 @@ class TestLoadDataset:
             ds = hd.load_dataset(tmp_path)
         assert ds.memberships == [[0]]
         assert "single member" in caplog.text
+
+    def test_invalid_utf8_is_parse_error_naming_the_file(self, tmp_path):
+        write_dataset_dir(tmp_path, social="a\tb\n", user_item="a\ti\n",
+                          group_members="g\ta\n", group_item="g\ti\n")
+        (tmp_path / "group_members.tsv").write_bytes(b"g\ta\ng\t\xff\xfe\n")
+        with pytest.raises(ParseError, match="group_members.tsv"):
+            hd.load_dataset(tmp_path)
+
+
+def write_small_dataset(root):
+    return write_dataset_dir(root, social="a\tb\n", user_item="a\ti\nb\tj\n",
+                             group_members="g\ta\ng\tb\n", group_item="g\ti\n")
+
+
+GOOD_MAPS = {"users": {"a": 0, "b": 1}, "items": {"i": 0, "j": 1}, "groups": {"g": 0}}
+
+
+class TestIdMapFile:
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps([GOOD_MAPS]), "root is not a JSON object"),
+        (json.dumps("maps"), "root is not a JSON object"),
+        (json.dumps(dict(GOOD_MAPS, users=[["a", 0], ["b", 1]])), "'users' is not a JSON object"),
+        (json.dumps(dict(GOOD_MAPS, items=3)), "'items' is not a JSON object"),
+        (json.dumps(dict(GOOD_MAPS, groups=None)), "'groups' is not a JSON object"),
+        (json.dumps(dict(GOOD_MAPS, users={"a": 0, "b": None})), "id_map.json"),
+        (json.dumps(dict(GOOD_MAPS, users={"a": 0, "b": float("inf")})), "id_map.json"),
+        ("[" * 100_000, "id_map.json"),
+    ], ids=["root_list", "root_string", "users_list", "items_number", "groups_null",
+            "null_index", "infinite_index", "deep_nesting"])
+    def test_malformed_map_is_data_error(self, tmp_path, text, message):
+        write_small_dataset(tmp_path)
+        (tmp_path / "id_map.json").write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            hd.load_dataset(tmp_path)
+
+    def test_derived_map_is_written_and_reused(self, tmp_path):
+        write_small_dataset(tmp_path)
+        first = hd.load_dataset(tmp_path)
+        assert json.loads((tmp_path / "id_map.json").read_text(encoding="utf-8")) == GOOD_MAPS
+        assert hd.load_dataset(tmp_path).id_maps == first.id_maps
+
+    @pytest.mark.parametrize("code", [errno.EACCES, errno.EROFS], ids=["EACCES", "EROFS"])
+    def test_read_only_directory_loads_with_one_warning(self, tmp_path, monkeypatch, caplog, code):
+        writable = tmp_path / "writable"
+        writable.mkdir()
+        want = hd.load_dataset(write_small_dataset(writable))
+        ro = tmp_path / "read_only"
+        ro.mkdir()
+        write_small_dataset(ro)
+        real_open = builtins.open
+
+        # root ignores directory permissions, so refuse writes at open()
+        def refuse_writes(file, mode="r", *args, **kwargs):
+            writes = set(mode) & set("wax+")
+            if writes and isinstance(file, (str, os.PathLike)) and Path(file).parent == ro:
+                raise OSError(code, os.strerror(code), os.fspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refuse_writes)
+        monkeypatch.setattr(io, "open", refuse_writes)
+        with caplog.at_level("WARNING"):
+            ds = hd.load_dataset(ro)
+        assert ds == want and ds.id_maps == want.id_maps
+        assert sorted(p.name for p in ro.iterdir()) == sorted(hd.DATA_FILES)
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "id_map.json" in warnings[0].getMessage()
+
+    def test_failed_write_leaves_no_partial_map(self, tmp_path, monkeypatch):
+        write_small_dataset(tmp_path)
+
+        def broken_disk(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "fsync", broken_disk)
+        with pytest.raises(OSError):
+            hd.load_dataset(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(hd.DATA_FILES)
 
 
 class TestSplit:

@@ -31,6 +31,22 @@ def norm_np(x):
     return x / n if n > 1e-12 else x
 
 
+def forward(params, cfg, social, hyper, seed):
+    """An inference pass; ``seed`` is an int or a generator to draw from."""
+    return hm.ForwardPass(params, cfg, social, hyper, np.random.default_rng(seed))
+
+
+# one entity's scores against every item, through the inference engine
+def group_scores(g, params, cfg, hyper):
+    emb = forward(params, cfg, None, hyper, 0).group_vectors([g]).values[0]
+    return hm.ItemScorer(params.group_mlp, params.item_embeddings.values).scores(emb)
+
+
+def user_scores(u, params, cfg):
+    emb = forward(params, cfg, None, None, 0).member_vectors([u]).values[0]
+    return hm.ItemScorer(params.user_mlp, params.item_embeddings.values).scores(emb)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         hm.ModelConfig().validate()
@@ -67,7 +83,7 @@ class TestIpmEmbed:
     def test_unit_norm(self):
         _, social, cfg, params = self.cycle_setup()
         for u in range(5):
-            z = hm.ipm_embed(u, params, cfg, social, np.random.default_rng(u))
+            z = forward(params, cfg, social, None, u).ipm_vectors([u]).values[0]
             assert abs(np.linalg.norm(z) - 1.0) < 1e-12
 
     def test_matches_straight_line_k1(self):
@@ -77,7 +93,7 @@ class TestIpmEmbed:
         for u in range(5):
             nbrs = [(u - 1) % 5, (u + 1) % 5]
             expected = norm_np(relu_np(w @ np.concatenate([feats[u], feats[nbrs].mean(axis=0)])))
-            got = hm.ipm_embed(u, params, cfg, social, np.random.default_rng(3))
+            got = forward(params, cfg, social, None, 3).ipm_vectors([u]).values[0]
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_matches_straight_line_k2(self):
@@ -91,7 +107,7 @@ class TestIpmEmbed:
         for u in range(5):
             nbrs = [(u - 1) % 5, (u + 1) % 5]
             expected = norm_np(relu_np(w2 @ np.concatenate([h1[u], h1[nbrs].mean(axis=0)])))
-            got = hm.ipm_embed(u, params, cfg, social, np.random.default_rng(4))
+            got = forward(params, cfg, social, None, 4).ipm_vectors([u]).values[0]
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_identical_neighbor_features_duplicate_concat(self):
@@ -105,7 +121,7 @@ class TestIpmEmbed:
         params.node_features.values[1] = f
         w = params.ipm_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([f, f])))
-        got = hm.ipm_embed(0, params, cfg, social, np.random.default_rng(0))
+        got = forward(params, cfg, social, None, 0).ipm_vectors([0]).values[0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_isolated_user_self_sampling(self):
@@ -116,7 +132,7 @@ class TestIpmEmbed:
         f = params.node_features.values[0]
         w = params.ipm_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([f, f])))
-        got = hm.ipm_embed(0, params, cfg, social, np.random.default_rng(0))
+        got = forward(params, cfg, social, None, 0).ipm_vectors([0]).values[0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -124,7 +140,7 @@ class TestMemberEmbedding:
     def test_no_ipm_returns_latent(self):
         cfg = hm.ModelConfig(d=4, variant="NO_IPM", dropout=0.0)
         params = hm.initialize_params(cfg, 3, 2, np.random.default_rng(0))
-        got = hm.member_embedding(1, params, cfg, None, np.random.default_rng(0))
+        got = forward(params, cfg, None, None, 0).member_vectors([1]).values[0]
         np.testing.assert_array_equal(got, params.user_latent.values[1])
 
     def test_full_is_sum_of_components(self):
@@ -132,8 +148,8 @@ class TestMemberEmbedding:
         social = build_social_graph(ds)
         cfg = hm.ModelConfig(d=4, k_ipm=1, s_ipm=2, dropout=0.0)
         params = hm.initialize_params(cfg, 4, 2, np.random.default_rng(5))
-        z = hm.ipm_embed(2, params, cfg, social, np.random.default_rng(9))
-        emb = hm.member_embedding(2, params, cfg, social, np.random.default_rng(9))
+        z = forward(params, cfg, social, None, 9).ipm_vectors([2]).values[0]
+        emb = forward(params, cfg, social, None, 9).member_vectors([2]).values[0]
         np.testing.assert_allclose(emb, z + params.user_latent.values[2], atol=1e-12)
 
 
@@ -149,17 +165,17 @@ class TestGroupInit:
         hyper, cfg, params = self.setup_no_both([[0, 1]])
         params.user_latent.values[0] = [1.0, 0.0]
         params.user_latent.values[1] = [0.0, 1.0]
-        got = hm.group_init(0, params, cfg, None, hyper, np.random.default_rng(0))
+        got = forward(params, cfg, None, hyper, 0).group_vectors([0]).values[0]
         np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-15)
 
     def test_single_member(self):
         hyper, cfg, params = self.setup_no_both([[3]])
-        got = hm.group_init(0, params, cfg, None, hyper, np.random.default_rng(0))
+        got = forward(params, cfg, None, hyper, 0).group_vectors([0]).values[0]
         np.testing.assert_array_equal(got, params.user_latent.values[3])
 
     def test_four_member_loop_oracle(self):
         hyper, cfg, params = self.setup_no_both([[0, 2, 4, 5]])
-        got = hm.group_init(0, params, cfg, None, hyper, np.random.default_rng(0))
+        got = forward(params, cfg, None, hyper, 0).group_vectors([0]).values[0]
         acc = np.zeros(2)
         for u in [0, 2, 4, 5]:
             acc += params.user_latent.values[u]
@@ -170,36 +186,9 @@ class TestGroupInit:
         ds_b = make_ds(6, 2, [[4, 0, 2]])
         cfg = hm.ModelConfig(d=3, variant="NO_BOTH", dropout=0.0)
         params = hm.initialize_params(cfg, 6, 2, np.random.default_rng(1))
-        a = hm.group_init(0, params, cfg, None, build_hypergraph(ds_a), np.random.default_rng(0))
-        b = hm.group_init(0, params, cfg, None, build_hypergraph(ds_b), np.random.default_rng(0))
+        a = forward(params, cfg, None, build_hypergraph(ds_a), 0).group_vectors([0]).values[0]
+        b = forward(params, cfg, None, build_hypergraph(ds_b), 0).group_vectors([0]).values[0]
         np.testing.assert_array_equal(a, b)
-
-
-class TestCommonMemberRepr:
-    def test_single_common_member(self):
-        ds = make_ds(6, 2, [[0, 1, 2], [2, 3, 4]])
-        hyper = build_hypergraph(ds)
-        cfg = hm.ModelConfig(d=3, variant="NO_IPM", dropout=0.0)
-        params = hm.initialize_params(cfg, 6, 2, np.random.default_rng(0))
-        got = hm.common_member_repr(0, 1, params, cfg, None, hyper, np.random.default_rng(0))
-        np.testing.assert_array_equal(got, params.user_latent.values[2])
-
-    def test_two_common_members_midpoint(self):
-        ds = make_ds(6, 2, [[0, 1, 2], [1, 2, 5]])
-        hyper = build_hypergraph(ds)
-        cfg = hm.ModelConfig(d=3, variant="NO_IPM", dropout=0.0)
-        params = hm.initialize_params(cfg, 6, 2, np.random.default_rng(0))
-        got = hm.common_member_repr(0, 1, params, cfg, None, hyper, np.random.default_rng(0))
-        mid = 0.5 * (params.user_latent.values[1] + params.user_latent.values[2])
-        np.testing.assert_allclose(got, mid, atol=1e-12)
-
-    def test_disjoint_groups_rejected(self):
-        ds = make_ds(6, 2, [[0, 1], [2, 3]])
-        hyper = build_hypergraph(ds)
-        cfg = hm.ModelConfig(d=3, variant="NO_IPM", dropout=0.0)
-        params = hm.initialize_params(cfg, 6, 2, np.random.default_rng(0))
-        with pytest.raises(ContractViolation):
-            hm.common_member_repr(0, 1, params, cfg, None, hyper, np.random.default_rng(0))
 
 
 def six_group_cycle():
@@ -223,7 +212,7 @@ class TestHrlEmbed:
         x = 0.5 * (lat[0] + lat[1])
         w = params.hrl_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([x, np.zeros(3)])))
-        got = hm.hrl_embed(0, params, cfg, None, hyper, np.random.default_rng(0))
+        got = forward(params, cfg, None, hyper, 0).hrl_vectors([0])[1].values[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_single_neighbor_weight_two(self):
@@ -238,7 +227,7 @@ class TestHrlEmbed:
         l01 = 0.5 * (lat[0] + lat[1])
         w = params.hrl_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([x0, 2.0 * (x1 + l01)])))
-        got = hm.hrl_embed(0, params, cfg, None, hyper, np.random.default_rng(0))
+        got = forward(params, cfg, None, hyper, 0).hrl_vectors([0])[1].values[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_six_group_cycle_matches_straight_line_k2(self):
@@ -265,9 +254,9 @@ class TestHrlEmbed:
             m_prev = m_new
 
         for g in range(6):
-            z = hm.hrl_embed(g, params, cfg, None, hyper, np.random.default_rng(g))
+            z = forward(params, cfg, None, hyper, g).hrl_vectors([g])[1].values[0]
             assert np.max(np.abs(z - m_prev[g])) < 1e-10
-            emb = hm.group_embedding(g, params, cfg, None, hyper, np.random.default_rng(g))
+            emb = forward(params, cfg, None, hyper, g).group_vectors([g]).values[0]
             expected = 0.5 * m_prev[g] + 0.5 * x[g]
             assert np.max(np.abs(emb - expected)) < 1e-10
 
@@ -277,7 +266,7 @@ class TestHrlEmbed:
         rng = np.random.default_rng(8)
         for trial in range(100):
             params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(trial))
-            z = hm.hrl_embed(trial % 6, params, cfg, None, hyper, rng)
+            z = forward(params, cfg, None, hyper, rng).hrl_vectors([trial % 6])[1].values[0]
             n = np.linalg.norm(z)
             assert abs(n - 1.0) < 1e-12 or n < 1e-6
 
@@ -293,10 +282,10 @@ class TestGroupEmbedding:
             cfg = hm.ModelConfig(d=4, variant="NO_IPM", k_hrl=1, s_hrl=2,
                                  residual_w=w, dropout=0.0)
             params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(seed))
-            z = hm.hrl_embed(0, params, cfg, None, hyper, np.random.default_rng(42))
-            fp = hm.ForwardPass(params, cfg, None, hyper, np.random.default_rng(42))
+            z = forward(params, cfg, None, hyper, 42).hrl_vectors([0])[1].values[0]
+            fp = forward(params, cfg, None, hyper, 42)
             x = fp.hrl_vectors([0])[0].values[0]
-            emb = hm.group_embedding(0, params, cfg, None, hyper, np.random.default_rng(42))
+            emb = forward(params, cfg, None, hyper, 42).group_vectors([0]).values[0]
             expected = z if w == 1.0 else x
             np.testing.assert_allclose(emb, expected, atol=1e-15)
 
@@ -305,9 +294,9 @@ class TestGroupEmbedding:
         cfg = hm.ModelConfig(d=4, variant="NO_IPM", k_hrl=1, s_hrl=2,
                              residual_w=0.5, dropout=0.0)
         params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(2))
-        fp = hm.ForwardPass(params, cfg, None, hyper, np.random.default_rng(7))
+        fp = forward(params, cfg, None, hyper, 7)
         x, z = (t.values[0] for t in fp.hrl_vectors([0]))
-        emb = hm.group_embedding(0, params, cfg, None, hyper, np.random.default_rng(7))
+        emb = forward(params, cfg, None, hyper, 7).group_vectors([0]).values[0]
         np.testing.assert_allclose(emb, 0.5 * z + 0.5 * x, atol=1e-15)
 
     def test_no_hrl_equals_group_init_bitwise(self):
@@ -316,8 +305,9 @@ class TestGroupEmbedding:
         social = build_social_graph(make_ds(12, 2, ds.memberships,
                                             social_edges={(0, 1), (1, 2), (0, 2)}))
         params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(3))
-        a = hm.group_embedding(2, params, cfg, social, hyper, np.random.default_rng(11))
-        b = hm.group_init(2, params, cfg, social, hyper, np.random.default_rng(11))
+        a = forward(params, cfg, social, hyper, 11).group_vectors([2]).values[0]
+        members = forward(params, cfg, social, None, 11).member_vectors(ds.memberships[2])
+        b = members.values.mean(axis=0)
         assert np.array_equal(a, b)
 
 
@@ -336,16 +326,14 @@ class TestScoring:
                 w.values[:] = 0.0
                 b.values[:] = 0.0
             tower.out.values[:] = 0.0
-        for v in range(4):
-            assert hm.score_group(0, v, params, cfg, None, hyper, np.random.default_rng(0)) == 0.0
-            assert hm.score_user(1, v, params, cfg, None, np.random.default_rng(0)) == 0.0
+        assert group_scores(0, params, cfg, hyper).tolist() == [0.0] * 4
+        assert user_scores(1, params, cfg).tolist() == [0.0] * 4
 
     def test_equal_item_embeddings_equal_scores(self):
         hyper, cfg, params = self.tiny_setup()
         params.item_embeddings.values[2] = params.item_embeddings.values[1]
-        s1 = hm.score_group(1, 1, params, cfg, None, hyper, np.random.default_rng(0))
-        s2 = hm.score_group(1, 2, params, cfg, None, hyper, np.random.default_rng(0))
-        assert s1 == s2
+        scores = group_scores(1, params, cfg, hyper)
+        assert scores[1] == scores[2]
 
     def test_hand_computed_forward(self):
         hyper, cfg, params = self.tiny_setup()
@@ -358,7 +346,7 @@ class TestScoring:
         c = np.array([1.0, -1.0, 0.5, 2.0])
         h = relu_np(w1.values @ c + b1.values)
         expected = float(np.array([2.0, -1.0]) @ h)
-        got = hm.score_group(0, 3, params, cfg, None, hyper, np.random.default_rng(0))
+        got = group_scores(0, params, cfg, hyper)[3]
         assert abs(got - expected) < 1e-12
 
     def test_user_tower_hand_computed(self):
@@ -371,7 +359,7 @@ class TestScoring:
         params.user_mlp.out.values[:] = np.array([1.0, 1.0])
         c = np.array([0.2, 0.4, -1.0, 1.0])
         expected = float(np.sum(relu_np(c[:2])))
-        got = hm.score_user(2, 0, params, cfg, None, np.random.default_rng(0))
+        got = user_scores(2, params, cfg)[0]
         assert abs(got - expected) < 1e-12
 
 
@@ -442,7 +430,7 @@ class TestFullPipelineOracle:
                 agg += 1.0 * (x[nb] + emb[shared])
             z_g = norm_np(relu_np(w_hrl @ np.concatenate([x[g], agg])))
             expected = 0.5 * z_g + 0.5 * x[g]
-            got = hm.group_embedding(g, params, cfg, social, hyper, np.random.default_rng(g))
+            got = forward(params, cfg, social, hyper, g).group_vectors([g]).values[0]
             assert np.max(np.abs(got - expected)) < 1e-10
 
 
@@ -452,12 +440,11 @@ class TestSharedEmbeddingContract:
         hyper = build_hypergraph(ds)
         cfg = hm.ModelConfig(d=2, variant="NO_BOTH", mlp_hidden=(2,), dropout=0.0)
         params = hm.initialize_params(cfg, 3, 4, np.random.default_rng(0))
-        rng = np.random.default_rng(0)
-        g_before = hm.score_group(0, 2, params, cfg, None, hyper, rng)
-        u_before = hm.score_user(0, 2, params, cfg, None, rng)
+        g_before = group_scores(0, params, cfg, hyper)[2]
+        u_before = user_scores(0, params, cfg)[2]
         params.item_embeddings.values[2] += 1.0
-        g_after = hm.score_group(0, 2, params, cfg, None, hyper, rng)
-        u_after = hm.score_user(0, 2, params, cfg, None, rng)
+        g_after = group_scores(0, params, cfg, hyper)[2]
+        u_after = user_scores(0, params, cfg)[2]
         assert g_after != g_before and u_after != u_before
 
 
@@ -471,7 +458,7 @@ class TestTransientGroups:
 
     def test_exact_member_match_reuses_group_pathway(self):
         ds, hyper, cfg, params = self.make_world()
-        direct = hm.group_embedding(0, params, cfg, None, hyper, np.random.default_rng(9))
+        direct = forward(params, cfg, None, hyper, 9).group_vectors([0]).values[0]
         transient = hm.transient_group_embedding([2, 0, 1], params, cfg, None, hyper,
                                                  np.random.default_rng(9))
         np.testing.assert_array_equal(direct, transient)
@@ -490,6 +477,12 @@ class TestTransientGroups:
         average = 0.5 * (params.user_latent.values[1] + params.user_latent.values[3])
         assert not np.allclose(emb, average)
 
+    @pytest.mark.parametrize("members", [[-1], [6], [1, 6], [-1, 2]])
+    def test_members_outside_the_user_range_rejected(self, members):
+        ds, hyper, cfg, params = self.make_world()
+        with pytest.raises(ContractViolation, match="members"):
+            hm.transient_group_embedding(members, params, cfg, None, hyper, np.random.default_rng(0))
+
     def test_existing_groups_see_pristine_neighborhoods(self):
         ds, hyper, cfg, params = self.make_world()
         view = hm.TransientHypergraphView(hyper, [1, 3])
@@ -507,7 +500,7 @@ class TestForwardPassContract:
         ds, hyper = six_group_cycle()
         cfg = hm.ModelConfig(d=2, variant="NO_IPM", k_hrl=1, s_hrl=2, dropout=0.0)
         params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(0))
-        fp = hm.ForwardPass(params, cfg, None, hyper, np.random.default_rng(0))
+        fp = forward(params, cfg, None, hyper, 0)
         fp.group_vectors([0])
         with pytest.raises(ContractViolation):
             fp.group_vectors([1])
@@ -519,8 +512,8 @@ class TestForwardPassContract:
         )
         cfg = hm.ModelConfig(d=4, k_ipm=1, s_ipm=2, k_hrl=2, s_hrl=2, dropout=0.0)
         params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(1))
-        a = hm.group_embedding(3, params, cfg, social, hyper, np.random.default_rng(77))
-        b = hm.group_embedding(3, params, cfg, social, hyper, np.random.default_rng(77))
+        a = forward(params, cfg, social, hyper, 77).group_vectors([3]).values[0]
+        b = forward(params, cfg, social, hyper, 77).group_vectors([3]).values[0]
         assert np.array_equal(a, b)
 
 

@@ -12,7 +12,6 @@ from hypergroup.errors import (
     CheckpointError,
     ContractViolation,
     DimensionError,
-    NumericError,
 )
 
 FD_H = 1e-5
@@ -69,27 +68,32 @@ def probe_loss(out, probe, tape):
 
 class TestLinear:
     def test_identity(self):
-        x = nm.Tensor([1.0, -2.0, 3.0])
+        x = nm.Tensor([[1.0, -2.0, 3.0]])
         w = nm.Tensor(np.eye(3))
         b = nm.Tensor(np.zeros(3))
         y = nm.linear(w, b, x)
         np.testing.assert_array_equal(y.values, x.values)
 
     def test_zero_map(self):
-        x = nm.Tensor([1.0, 2.0])
+        x = nm.Tensor([[1.0, 2.0]])
         y = nm.linear(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.zeros(2)), x)
-        np.testing.assert_array_equal(y.values, np.zeros(2))
+        np.testing.assert_array_equal(y.values, np.zeros((1, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            nm.linear(nm.Tensor(np.zeros((2, 3))), None, nm.Tensor(np.zeros(4)))
+            nm.linear(nm.Tensor(np.zeros((2, 3))), None, nm.Tensor(np.zeros((1, 4))))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+    def test_rows_only(self, shape):
+        with pytest.raises(DimensionError):
+            nm.linear(nm.Tensor(np.zeros((2, 3))), None, nm.Tensor(np.zeros(shape)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         w = nm.Tensor(rng.uniform(-1, 1, (8, 8)), trainable=True)
         b = nm.Tensor(rng.uniform(-1, 1, 8), trainable=True)
-        x = nm.Tensor(rng.uniform(-1, 1, 8), trainable=True)
-        probe = rng.uniform(-1, 1, 8)
+        x = nm.Tensor(rng.uniform(-1, 1, (1, 8)), trainable=True)
+        probe = rng.uniform(-1, 1, (1, 8))
 
         def build(tape):
             return probe_loss(nm.linear(w, b, x, tape), probe, tape)
@@ -132,12 +136,17 @@ class TestConcat:
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        out = nm.l2_normalize(nm.Tensor([3.0, 4.0]))
-        np.testing.assert_allclose(out.values, [0.6, 0.8], atol=1e-15)
+        out = nm.l2_normalize(nm.Tensor([[3.0, 4.0]]))
+        np.testing.assert_allclose(out.values, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_vector_passthrough(self):
-        out = nm.l2_normalize(nm.Tensor(np.zeros(4)))
-        np.testing.assert_array_equal(out.values, np.zeros(4))
+        out = nm.l2_normalize(nm.Tensor(np.zeros((1, 4))))
+        np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 4)])
+    def test_rows_only(self, shape):
+        with pytest.raises(DimensionError):
+            nm.l2_normalize(nm.Tensor(np.ones(shape)))
 
     def test_rowwise(self):
         m = nm.l2_normalize(nm.Tensor([[3.0, 4.0], [0.0, 0.0]]))
@@ -146,8 +155,8 @@ class TestL2Normalize:
 
     def test_gradient(self):
         rng = np.random.default_rng(12)
-        x = nm.Tensor(rng.uniform(-1, 1, 6), trainable=True)
-        probe = rng.uniform(-1, 1, 6)
+        x = nm.Tensor(rng.uniform(-1, 1, (1, 6)), trainable=True)
+        probe = rng.uniform(-1, 1, (1, 6))
 
         def build(tape):
             return probe_loss(nm.l2_normalize(x, tape), probe, tape)
@@ -181,7 +190,11 @@ class TestL2Normalize:
 
 class TestActivations:
     def test_sigmoid_midpoint(self):
-        assert float(nm.sigmoid(nm.Tensor(0.0)).values) == 0.5
+        # bpr_pair_loss's gradient is sigmoid(pos - neg) - 1 for the positive slot
+        pos, neg = nm.Tensor(0.0, trainable=True), nm.Tensor(0.0, trainable=True)
+        tape = nm.Tape()
+        tape.backward(nm.bpr_pair_loss(pos, neg, tape))
+        assert float(pos.grad) == -0.5 and float(neg.grad) == 0.5
 
     def test_relu_values(self):
         out = nm.relu(nm.Tensor([-1.0, 2.0]))
@@ -195,17 +208,18 @@ class TestActivations:
         def build_relu(tape):
             return probe_loss(nm.relu(x, tape), probe, tape)
 
-        def build_sig(tape):
-            return probe_loss(nm.sigmoid(x, tape), probe, tape)
-
         check_gradients(build_relu, [x])
-        check_gradients(build_sig, [x])
 
     def test_sigmoid_extreme_inputs_finite(self):
-        out = nm.sigmoid(nm.Tensor([-800.0, 800.0]))
-        assert np.all(np.isfinite(out.values))
-        assert 0.0 <= out.values[0] < 1e-12
-        assert 1.0 - 1e-12 < out.values[1] <= 1.0
+        # sigmoid(pos - neg) at -800 and 800, read from bpr_pair_loss's gradient
+        pos, neg = nm.Tensor([-800.0, 800.0], trainable=True), nm.Tensor([0.0, 0.0])
+        tape = nm.Tape()
+        loss = nm.bpr_pair_loss(pos, neg, tape)
+        tape.backward(nm.mean_all(loss, tape))
+        assert np.all(np.isfinite(loss.values)) and np.all(np.isfinite(pos.grad))
+        sig = 2.0 * pos.grad + 1.0
+        assert 0.0 <= sig[0] < 1e-12
+        assert 1.0 - 1e-12 < sig[1] <= 1.0
 
 
 class TestDropout:
@@ -387,16 +401,10 @@ class TestTapeContract:
             x = nm.Tensor(rng.uniform(-50, 50, 8))
             for out in (
                 nm.relu(x),
-                nm.sigmoid(x),
-                nm.l2_normalize(x),
+                nm.l2_normalize(nm.Tensor(x.values[None])),
                 nm.bpr_pair_loss(x, nm.Tensor(rng.uniform(-50, 50, 8))),
             ):
                 assert np.all(np.isfinite(out.values))
-
-    def test_check_finite_raises_with_name(self):
-        t = nm.Tensor([1.0, np.nan], name="weights")
-        with pytest.raises(NumericError, match="weights"):
-            nm.check_finite(t)
 
 
 class TestCheckpointBlob:
@@ -454,6 +462,29 @@ class TestMalformedCheckpointHeader:
         path = tmp_path / "bad.bin"
         path.write_bytes(raw_checkpoint({"dtype": "<f8", "tensors": [{"name": "v", "shape": [10**18]}]}))
         with pytest.raises(CheckpointError, match="truncated"):
+            nm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("hlen", [2**63, 2**64 - 1, None], ids=["2^63", "2^64-1", "file_plus_one"])
+    def test_header_length_beyond_the_file(self, tmp_path, hlen):
+        blob = json.dumps({"dtype": "<f8", "tensors": []}).encode("utf-8")
+        # None: one byte more than the file holds, so the whole header still parses
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<Q", len(blob) + 1 if hlen is None else hlen) + blob)
+        with pytest.raises(CheckpointError, match="truncated"):
+            nm.load_checkpoint(path)
+
+    def test_tensor_listed_twice(self, tmp_path):
+        header = {"dtype": "<f8", "tensors": [{"name": "v", "shape": [1]}, {"name": "v", "shape": [1]}]}
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw_checkpoint(header) + np.full(1, 2.0).astype("<f8").tobytes())
+        with pytest.raises(CheckpointError, match="twice"):
+            nm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [b"[" * 100_000, b"1" * 5000], ids=["deep_nesting", "huge_int"])
+    def test_header_json_beyond_parser_limits(self, tmp_path, blob):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(CheckpointError):
             nm.load_checkpoint(path)
 
 
