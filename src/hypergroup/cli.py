@@ -215,7 +215,7 @@ def _restore_world(checkpoint, data_dir, split_name: str):
     else:
         try:
             spec = SplitSpec.from_dict(split_meta)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(f"checkpoint {checkpoint} has no usable split block: {exc}") from exc
         parts = dict(zip(("train", "val", "test"), split_interactions(ds, spec)))
         train_split = parts["train"]

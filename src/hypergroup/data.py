@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, IntegrityError, ParseError
+from .errors import ConfigError, DataError, IntegrityError, ParseError, check_integers
 from .numeric import atomic_write
 
 log = logging.getLogger(__name__)
@@ -103,6 +103,7 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_integers(self, "seed")
         for name, r in (("train", self.train_ratio), ("val", self.val_ratio), ("test", self.test_ratio)):
             if not 0.0 < r < 1.0:
                 raise ConfigError(f"{name}_ratio must lie in (0, 1), got {r}")
@@ -116,12 +117,14 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "SplitSpec":
-        return cls(
+        spec = cls(
             train_ratio=float(blob["train_ratio"]),
             val_ratio=float(blob["val_ratio"]),
             test_ratio=float(blob["test_ratio"]),
-            seed=int(blob["seed"]),
+            seed=blob["seed"],
         )
+        spec.validate()
+        return spec
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_integers(self, "num_users", "num_items", "num_groups", "num_latent_topics", "seed")
         for name in ("num_users", "num_items", "num_groups", "num_latent_topics"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")

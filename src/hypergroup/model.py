@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numeric as nm
-from .errors import CheckpointError, ConfigError, ContractViolation, DimensionError
+from .errors import CheckpointError, ConfigError, ContractViolation, DimensionError, check_integers
 from .graph import (
     Hypergraph,
     SocialGraph,
@@ -69,6 +69,8 @@ class ModelConfig:
     normalize_overlap_weights: bool = False
 
     def validate(self) -> None:
+        check_integers(self, "d", "k_ipm", "k_hrl", "s_ipm", "s_hrl")
+        check_integers(self, "mlp_hidden", optional=True)
         if self.d < 1:
             raise ConfigError("embedding dimension must be >= 1")
         if self.variant not in VARIANTS:
@@ -99,7 +101,7 @@ class ModelConfig:
     def from_dict(cls, blob: dict) -> "ModelConfig":
         data = dict(blob)
         if data.get("mlp_hidden") is not None:
-            data["mlp_hidden"] = tuple(int(x) for x in data["mlp_hidden"])
+            data["mlp_hidden"] = tuple(data["mlp_hidden"])
         cfg = cls(**data)
         cfg.validate()
         return cfg

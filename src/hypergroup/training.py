@@ -17,14 +17,22 @@ import numpy as np
 
 from . import numeric as nm
 from .data import InteractionDataset
-from .errors import ConfigError, ContractViolation, NumericError, SamplingError
+from .errors import ConfigError, ContractViolation, NumericError, SamplingError, check_integers
 from .graph import Hypergraph, SocialGraph
 from .model import ForwardPass, ModelConfig, ModelParams, mlp_forward, uses_hrl, uses_ipm
 from .numeric import Tape, Tensor
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("TWO_STAGE", "JOINT", "GROUP_ONLY", "USER_ONLY")
+# The tasks each strategy steps, stage by stage.  An epoch of a stage steps
+# every task in it in turn.
+STAGES = {
+    "TWO_STAGE": (("user",), ("group",)),
+    "JOINT": (("user", "group"),),
+    "GROUP_ONLY": (("group",),),
+    "USER_ONLY": (("user",),),
+}
+STRATEGIES = tuple(STAGES)
 OPTIMIZERS = ("ADAM", "SGD")
 
 STRATEGY_FLAGS = {
@@ -52,6 +60,8 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def validate(self) -> None:
+        check_integers(self, "batch_size", "negatives", "epochs", "seed")
+        check_integers(self, "user_budget", "group_budget", "early_stop_patience", optional=True)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -62,6 +72,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.l2_reg < 0:
             raise ConfigError("l2_reg must be >= 0")
+        if any(b is not None and b < 0 for b in (self.user_budget, self.group_budget)):
+            raise ConfigError("user_budget and group_budget must be >= 0")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -327,28 +339,26 @@ def make_optimizer(cfg: TrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# training loops
+# training loop
 
 
-def _shuffled_batches(pairs, batch_size, rng):
-    order = rng.permutation(len(pairs))
-    for start in range(0, len(pairs), batch_size):
-        yield [pairs[int(i)] for i in order[start:start + batch_size]]
+class _Stream:
+    """The batches of one task (user-item or group-item) and their steps.
 
+    A pass is a shuffle of the task's train pairs or, with a budget,
+    ``budget`` pairs drawn with replacement.  Each pass is drawn when its
+    first batch is taken, and the next pass follows when one runs out.
+    The pass is plain state: a generator would hold the stream in a
+    reference cycle and keep its tables alive after ``train`` returns,
+    until the cyclic collector runs.
+    """
 
-def _budget_batches(pairs, budget, batch_size, rng):
-    draws = rng.integers(0, len(pairs), size=budget)
-    for start in range(0, budget, batch_size):
-        yield [pairs[int(i)] for i in draws[start:start + batch_size]]
-
-
-class _TaskRunner:
-    """Shared machinery for one task stream (user-item or group-item)."""
-
-    def __init__(self, task, pairs, n_items, params, model_cfg, cfg, social, hyper, optimizer, rng):
+    def __init__(self, task, pairs, budget, n_items, params, model_cfg, cfg, social, hyper, optimizer, rng):
         self.task = task
         self.pairs = list(pairs)
         self.positives = positives_by_entity(pairs)
+        self.budget = budget
+        self.pass_length = -(-(len(self.pairs) if budget is None else budget) // cfg.batch_size)
         self.n_items = n_items
         self.params = params
         self.model_cfg = model_cfg
@@ -357,9 +367,22 @@ class _TaskRunner:
         self.hyper = hyper
         self.optimizer = optimizer
         self.rng = rng
+        self._order = ()  # the current pass
+        self._start = 0  # where its next batch starts
 
-    def run_batch(self, batch_pairs) -> float:
-        triples = build_triples(batch_pairs, self.positives, self.n_items,
+    def _next_batch(self):
+        size = self.cfg.batch_size
+        if self._start >= len(self._order):
+            n = len(self.pairs)
+            self._order = (self.rng.permutation(n) if self.budget is None
+                           else self.rng.integers(0, n, size=self.budget))
+            self._start = 0
+        self._start += size
+        return [self.pairs[int(i)] for i in self._order[self._start - size:self._start]]
+
+    def step(self) -> float:
+        """One optimizer step on the next batch; the batch's loss."""
+        triples = build_triples(self._next_batch(), self.positives, self.n_items,
                                 self.cfg.negatives, self.rng)
         tape = Tape()
         if self.task == "group":
@@ -374,32 +397,6 @@ class _TaskRunner:
         for p in touched:
             p.zero_grad()
         return float(loss.values)
-
-    def epoch_batches(self, budget):
-        if budget is None:
-            yield from _shuffled_batches(self.pairs, self.cfg.batch_size, self.rng)
-        else:
-            yield from _budget_batches(self.pairs, budget, self.cfg.batch_size, self.rng)
-
-
-class _BatchCycle:
-    """Endless batch stream: reshuffles a fresh pass whenever one runs out."""
-
-    def __init__(self, runner: "_TaskRunner", budget: int | None):
-        self.runner = runner
-        self.budget = budget
-        self._batches = iter(())
-        self.pass_length = max(
-            1,
-            -(-(budget if budget is not None else len(runner.pairs)) // runner.cfg.batch_size),
-        )
-
-    def next_batch(self):
-        batch = next(self._batches, None)
-        if batch is None:
-            self._batches = self.runner.epoch_batches(self.budget)
-            batch = next(self._batches)
-        return batch
 
 
 def effective_strategy(model_cfg: ModelConfig, cfg: TrainConfig) -> str:
@@ -421,6 +418,14 @@ def train(
 ) -> TrainReport:
     """Run the configured optimization strategy and return per-epoch stats.
 
+    Each stage of the strategy (see ``STAGES``) runs ``cfg.epochs`` epochs,
+    but a TWO_STAGE stage with a budget runs one.  An epoch takes as many
+    turns as its streams' passes hold batches together, and each turn steps
+    every stream once, so the shorter stream of a JOINT epoch cycles
+    through fresh passes.  A stage without train pairs is skipped; a stream
+    with a budget of 0 is never stepped.  Early stopping follows every
+    epoch of a stage with group-item pairs.
+
     All randomness (shuffles, negatives, neighbor samples, dropout) flows
     from one generator seeded with ``cfg.seed``, so a fixed config plus
     seed reproduces the run bit-exactly.
@@ -429,105 +434,36 @@ def train(
     strategy = effective_strategy(model_cfg, cfg)
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(cfg)
-
-    def runner_for(task):
-        # built only for a stream the strategy steps: its positives table
-        # spans every train pair of the task (building one draws no randomness)
-        pairs = train_ds.group_item if task == "group" else train_ds.user_item
-        return _TaskRunner(task, pairs, train_ds.num_items, params, model_cfg, cfg,
-                           social, hyper, optimizer, rng)
-
     report = TrainReport(strategy=strategy)
-
     early_stop = _EarlyStop(cfg, model_cfg, params, social, hyper, val_ds)
-
-    def run_stream_epoch(epoch_index, runner, budget):
-        start = time.perf_counter()
-        losses = [runner.run_batch(b) for b in runner.epoch_batches(budget)]
-        seconds = time.perf_counter() - start
-        mean = float(np.mean(losses)) if losses else None
-        stats = EpochStats(
-            epoch=epoch_index,
-            loss_g=mean if runner.task == "group" else None,
-            loss_u=mean if runner.task == "user" else None,
-            seconds=seconds,
-        )
-        report.epochs.append(stats)
-        return stats
-
-    if strategy == "TWO_STAGE":
-        epoch = 0
-        if train_ds.user_item:
-            user_runner = runner_for("user")
-            for _ in range(cfg.epochs):
-                run_stream_epoch(epoch, user_runner, cfg.user_budget)
-                epoch += 1
-                if cfg.user_budget is not None:
-                    break
-        else:
-            log.warning("no user-item training data; skipping the first stage")
-        if train_ds.group_item:
-            group_runner = runner_for("group")
-            for _ in range(cfg.epochs):
-                run_stream_epoch(epoch, group_runner, cfg.group_budget)
-                epoch += 1
-                if early_stop.should_stop(epoch - 1):
-                    report.stopped_early = True
-                    break
-                if cfg.group_budget is not None:
-                    break
-        else:
-            log.warning("no group-item training data; skipping the second stage")
-    elif strategy == "JOINT":
-        # every iteration steps one user-item batch and one group-item
-        # batch, for as many iterations as both full passes hold batches;
-        # the shorter stream cycles through fresh reshuffled passes
-        use_user = bool(train_ds.user_item)
-        use_group = bool(train_ds.group_item)
-        if not use_group:
-            log.warning("no group-item training data")
-        if not use_user:
-            log.warning("no user-item training data")
-        # a stream with a budget of 0 has no batch to cycle through
-        user_cycle = (_BatchCycle(runner_for("user"), cfg.user_budget)
-                      if use_user and cfg.user_budget != 0 else None)
-        group_cycle = (_BatchCycle(runner_for("group"), cfg.group_budget)
-                       if use_group and cfg.group_budget != 0 else None)
-        for epoch in range(cfg.epochs):
+    budgets = {"user": cfg.user_budget, "group": cfg.group_budget}
+    for number, stage in enumerate(STAGES[strategy]):
+        if report.stopped_early:
+            break
+        streams = []
+        for task in stage:
+            pairs = train_ds.group_item if task == "group" else train_ds.user_item
+            if pairs:
+                streams.append(_Stream(task, pairs, budgets[task], train_ds.num_items, params,
+                                       model_cfg, cfg, social, hyper, optimizer, rng))
+            else:
+                log.warning("no %s-item training data", task)
+        if not streams:
+            log.warning("skipping the %s stage", ("first", "second")[number])
+            continue
+        stepped = [s for s in streams if s.pass_length]
+        once = strategy == "TWO_STAGE" and all(s.budget is not None for s in streams)
+        for _ in range(1 if once else cfg.epochs):
             start = time.perf_counter()
-            iters = (user_cycle.pass_length if user_cycle else 0) + \
-                    (group_cycle.pass_length if group_cycle else 0)
-            losses_u, losses_g = [], []
-            for _ in range(max(1, iters)):
-                if user_cycle:
-                    losses_u.append(user_cycle.runner.run_batch(user_cycle.next_batch()))
-                if group_cycle:
-                    losses_g.append(group_cycle.runner.run_batch(group_cycle.next_batch()))
-            report.epochs.append(
-                EpochStats(
-                    epoch=epoch,
-                    loss_g=float(np.mean(losses_g)) if losses_g else None,
-                    loss_u=float(np.mean(losses_u)) if losses_u else None,
-                    seconds=time.perf_counter() - start,
-                )
-            )
-            if use_group and early_stop.should_stop(epoch):
+            losses = {"user": [], "group": []}
+            for _ in range(max(1, sum(s.pass_length for s in streams))):
+                for s in stepped:
+                    losses[s.task].append(s.step())
+            loss_g, loss_u = (float(np.mean(losses[t])) if losses[t] else None for t in ("group", "user"))
+            report.epochs.append(EpochStats(len(report.epochs), loss_g, loss_u, time.perf_counter() - start))
+            if any(s.task == "group" for s in streams) and early_stop.should_stop(report.epochs[-1].epoch):
                 report.stopped_early = True
                 break
-    elif strategy in ("GROUP_ONLY", "USER_ONLY"):
-        runner = runner_for("group" if strategy == "GROUP_ONLY" else "user")
-        budget = cfg.group_budget if strategy == "GROUP_ONLY" else cfg.user_budget
-        if not runner.pairs:
-            log.warning("no %s-item training data", runner.task)
-        for epoch in range(cfg.epochs):
-            if not runner.pairs:
-                break
-            run_stream_epoch(epoch, runner, budget)
-            if strategy == "GROUP_ONLY" and early_stop.should_stop(epoch):
-                report.stopped_early = True
-                break
-    else:  # pragma: no cover - guarded by validate()
-        raise ConfigError(f"unknown strategy {strategy!r}")
     report.best_epoch = early_stop.restore_best()
     return report
 

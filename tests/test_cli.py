@@ -319,6 +319,53 @@ class TestSplitRecord:
         assert "split" in capsys.readouterr().err
 
 
+class TestIntegerConfigFields:
+    """A float or a bool where a config takes an integer, or a negative
+    budget, is a one-line error."""
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("model", "d", 8.0), ("model", "s_hrl", 2.0), ("model", "k_ipm", True),
+        ("model", "mlp_hidden", [2.5]), ("train", "batch_size", 16.0), ("train", "epochs", True),
+        ("train", "user_budget", 32.0), ("train", "user_budget", -1), ("split", "seed", 1.5),
+    ])
+    def test_run_config_exits_1(self, tmp_path, data_dir, capsys, section, name, value):
+        run_cfg = dict(RUN_CFG, split={})
+        run_cfg[section] = dict(run_cfg[section], **{name: value})
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(run_cfg))
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and name in err
+
+    @pytest.mark.parametrize("name,value", [("num_users", 30.0), ("seed", True)])
+    def test_synth_config_exits_1(self, tmp_path, capsys, name, value):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(dict(SYNTH_CFG, **{name: value})))
+        rc = cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and name in err
+
+    @pytest.mark.parametrize("block,name,value", [
+        ("config", "k_ipm", 1.0), ("config", "d", 8.0), ("config", "s_hrl", 2.5),
+        ("config", "mlp_hidden", [8.5, 4]), ("split", "seed", 1.5),
+    ])
+    def test_checkpoint_exits_2(self, tmp_path, data_dir, capsys, block, name, value):
+        out = run_train(tmp_path, data_dir)
+        params, cfg, meta = load_params(out / "checkpoint.bin")
+        broken = tmp_path / "broken.bin"
+        hm.save_params(broken, params, cfg, meta["seed"],
+                       extra_meta={block: dict(meta[block], **{name: value})})
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(broken), "--data", str(data_dir), "--topn", "5"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and name in err
+
+
 class TestUsageAndVersion:
     def test_no_command_exits_1(self):
         assert cli.main([]) == 1

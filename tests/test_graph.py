@@ -162,8 +162,9 @@ class TestHypergraph:
 
 
 def uniformity_gap(sample, rows=20_000, pool=10, size=4, seed=0):
-    """Largest distance of an id's share of rows from ``size / pool``, and
-    whether any row repeated an id."""
+    """Largest distance of an id's mean count per row from ``size / pool``
+    (its share of rows when no row repeats an id), and whether any row
+    repeated an id."""
     picks = sample(np.full(rows, pool), size, np.random.default_rng(seed))
     share = np.bincount(picks.ravel(), minlength=pool) / rows
     repeats = any(len(set(r)) < size for r in picks.tolist())
@@ -282,6 +283,11 @@ class TestSampleNeighbors:
         # the check has the power to reject a biased way of avoiding repeats
         biased_gap, biased_repeats = uniformity_gap(biased_floyd)
         assert not biased_repeats and biased_gap > 0.02
+        # a pool smaller than the sample is drawn from uniformly with
+        # replacement: each of 3 ids comes up 4/3 times per row on average
+        gap, repeats = uniformity_gap(hg.sample_neighbors, pool=3, size=4)
+        assert repeats
+        assert gap <= 0.03, f"an id's mean count is {gap:.3f} away from 1.33"
 
 
 class TestUniqueIds:

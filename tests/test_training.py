@@ -1,6 +1,8 @@
 """Negative sampling, loss, optimizer and training-loop tests."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -348,42 +350,75 @@ class TestTrainingLoops:
         report = ht.train(ds, social, hyper, params, cfg, tcfg)
         assert all(e.loss_g is not None and e.loss_u is not None for e in report.epochs)
 
-    def test_joint_batch_order_and_checkpoint_match_front_popped_queue(self, tmp_path, monkeypatch):
-        # the batch cycle hands out batches lazily; a JOINT run must see the
-        # same batches, and so write the same checkpoint bytes, as with the
-        # earlier queue that materialised a pass and popped from its front
-        class QueueCycle(ht._BatchCycle):
-            def next_batch(self):
-                if not getattr(self, "_queue", None):
-                    self._queue = list(self.runner.epoch_batches(self.budget))
-                return self._queue.pop(0)
+    @pytest.mark.parametrize("budgets", [None, (40, 24)], ids=["passes", "budgets"])
+    @pytest.mark.parametrize("strategy", ht.STRATEGIES)
+    def test_batches_match_front_popped_queue(self, tmp_path, monkeypatch, strategy, budgets):
+        # a stream draws each pass when its first batch is taken; a run must
+        # see the same batches, and so write the same checkpoint bytes, as
+        # with a queue that materialises a whole pass and pops from its front
+        stream = ht._Stream
 
-        lazy_cycle, run_batch = ht._BatchCycle, ht._TaskRunner.run_batch
+        def queue_batch(s, log):
+            if not getattr(s, "queue", None):
+                log.append("draw")
+                n, size = len(s.pairs), s.cfg.batch_size
+                order = s.rng.permutation(n) if s.budget is None else s.rng.integers(0, n, size=s.budget)
+                s.queue = [[s.pairs[int(i)] for i in order[lo:lo + size]]
+                           for lo in range(0, len(order), size)]
+            return s.queue.pop(0)
 
-        def joint_run(cycle, name):
-            seen = []
+        def run(next_batch, name):
+            log = []
 
-            def recording(runner, batch):
-                seen.append((runner.task, list(batch)))
-                return run_batch(runner, batch)
+            class Recorded(stream):
+                def _next_batch(self):
+                    batch = next_batch(self, log)
+                    log.append((self.task, batch))
+                    return batch
 
-            monkeypatch.setattr(ht, "_BatchCycle", cycle)
-            monkeypatch.setattr(ht._TaskRunner, "run_batch", recording)
+                def step(self):
+                    log.append("step")
+                    return super().step()
+
+            monkeypatch.setattr(ht, "_Stream", Recorded)
             ds, social, hyper, cfg, params = synth_world(seed=12)
-            tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2,
-                                  strategy="JOINT", seed=6)
+            user_budget, group_budget = budgets or (None, None)
+            tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2, strategy=strategy,
+                                  user_budget=user_budget, group_budget=group_budget, seed=6)
             ht.train(ds, social, hyper, params, cfg, tcfg)
             hm.save_params(tmp_path / name, params, cfg, seed=6)
-            group_pass = -(-len(ds.group_item) // tcfg.batch_size)
-            return seen, (tmp_path / name).read_bytes(), group_pass
+            sizes = (len(ds.user_item), len(ds.group_item)) if budgets is None else budgets
+            return log, (tmp_path / name).read_bytes(), [-(-n // 16) for n in sizes]
 
-        queue_batches, queue_bytes, group_pass = joint_run(QueueCycle, "queue.bin")
-        lazy_batches, lazy_bytes, _ = joint_run(lazy_cycle, "lazy.bin")
-        # the group stream is the shorter one: it runs through several
-        # reshuffled passes, so the cycle refills more than once
-        assert sum(task == "group" for task, _ in queue_batches) > 2 * group_pass
-        assert lazy_batches == queue_batches
+        queue_log, queue_bytes, (user_pass, group_pass) = run(queue_batch, "queue.bin")
+        lazy_log, lazy_bytes, _ = run(lambda s, log: stream._next_batch(s), "lazy.bin")
+        assert [e for e in queue_log if e != "draw"] == lazy_log
         assert lazy_bytes == queue_bytes
+        # the queue draws every pass inside the step that takes its first batch
+        assert all(queue_log[i - 1] == "step" for i, e in enumerate(queue_log) if e == "draw")
+        # the stage loop: a budgeted TWO_STAGE stage runs once, and a JOINT
+        # epoch steps both streams as many times as their passes hold
+        # batches together, so its shorter stream refills more than once
+        stage_epochs = 1 if budgets else 2
+        want = {
+            "TWO_STAGE": ["user"] * user_pass * stage_epochs + ["group"] * group_pass * stage_epochs,
+            "JOINT": ["user", "group"] * (user_pass + group_pass) * 2,
+            "GROUP_ONLY": ["group"] * group_pass * 2,
+            "USER_ONLY": ["user"] * user_pass * 2,
+        }[strategy]
+        assert [e[0] for e in lazy_log if e != "step"] == want
+        assert user_pass > group_pass
+
+    @pytest.mark.parametrize("strategy", ht.STRATEGIES)
+    def test_no_training_data_records_no_epochs(self, strategy):
+        ds, social, hyper, cfg, params = synth_world(seed=15)
+        ds.user_item, ds.group_item = [], []
+        before = [t.values.copy() for _, t in params.named_tensors()]
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=3, strategy=strategy, seed=9)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg)
+        assert report.epochs == [] and not report.stopped_early
+        for (name, t), values in zip(params.named_tensors(), before):
+            assert np.array_equal(t.values, values), name
 
     @pytest.mark.parametrize("budgets", [(32, 0), (0, 16), (0, 0)])
     def test_joint_skips_a_stream_with_budget_zero(self, budgets):
@@ -402,17 +437,37 @@ class TestTrainingLoops:
     ])
     def test_builds_only_the_streams_its_strategy_steps(self, monkeypatch, strategy, tasks):
         built = []
-        init = ht._TaskRunner.__init__
+        init = ht._Stream.__init__
 
         def recording(self, task, *args):
             built.append(task)
             init(self, task, *args)
 
-        monkeypatch.setattr(ht._TaskRunner, "__init__", recording)
+        monkeypatch.setattr(ht._Stream, "__init__", recording)
         ds, social, hyper, cfg, params = synth_world(seed=14)
         tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=1, strategy=strategy, seed=8)
         ht.train(ds, social, hyper, params, cfg, tcfg)
         assert built == tasks
+
+    def test_streams_are_freed_when_train_returns(self, monkeypatch):
+        # a stream holds its task's pairs and positives; in a reference
+        # cycle they would outlive the call until the cyclic collector runs
+        streams = []
+        init = ht._Stream.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            streams.append(weakref.ref(self))
+
+        monkeypatch.setattr(ht._Stream, "__init__", recording)
+        ds, social, hyper, cfg, params = synth_world(seed=16)
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=1, strategy="JOINT", seed=9)
+        gc.disable()
+        try:
+            ht.train(ds, social, hyper, params, cfg, tcfg)
+        finally:
+            gc.enable()
+        assert len(streams) == 2 and all(ref() is None for ref in streams)
 
     def test_joint_params_match_the_add_at_and_whole_array_kernels(self, monkeypatch):
         # large enough that batches take the sorted scatter path and some
@@ -523,3 +578,7 @@ class TestTrainingLoops:
             ht.TrainConfig(learning_rate=0.0).validate()
         with pytest.raises(ConfigError):
             ht.TrainConfig(strategy="nope").validate()
+        with pytest.raises(ConfigError):
+            ht.TrainConfig(batch_size=16.0).validate()
+        # numpy integers are integers
+        ht.TrainConfig(batch_size=np.int64(16), user_budget=np.int32(0)).validate()
