@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
     DimensionError,
     NumericError,
     SamplingError,
+    load_config,
 )
 from .evaluation import evaluate, rank_items
 from .graph import build_hypergraph, build_social_graph
@@ -61,15 +63,12 @@ TRAIN_REPORT_NAME = "train_report.json"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with status 1."""
+    """argparse parser whose usage errors print one line and exit with
+    status 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _read_json(path) -> dict:
@@ -97,47 +96,19 @@ def dataset_fingerprint(data_dir) -> str:
     return digest.hexdigest()
 
 
-def _split_spec(config: dict, seed: int) -> SplitSpec:
-    section = dict(config.get("split", {}))
-    section.setdefault("seed", seed)
-    try:
-        return SplitSpec(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad split section: {exc}") from exc
-
-
-def _model_config(config: dict, variant_flag: str | None) -> ModelConfig:
-    section = dict(config.get("model", {}))
-    if variant_flag is not None:
-        section["variant"] = VARIANT_FLAGS[variant_flag]
-    try:
-        cfg = ModelConfig.from_dict(section)
-    except TypeError as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
-    return cfg
-
-
-def _train_config(config: dict, args) -> TrainConfig:
-    section = dict(config.get("train", {}))
-    if args.strategy is not None:
-        section["strategy"] = STRATEGY_FLAGS[args.strategy]
-    if args.seed is not None:
-        section["seed"] = args.seed
-    try:
-        cfg = TrainConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
-    cfg.validate()
-    return cfg
+def _given(**flags) -> dict:
+    """The command-line overrides that were set."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def cmd_train(args) -> int:
     config = _read_json(args.config)
-    model_cfg = _model_config(config, args.variant)
-    train_cfg = _train_config(config, args)
+    model_cfg = load_config(ModelConfig, "model", config.get("model", {}),
+                            _given(variant=VARIANT_FLAGS.get(args.variant)))
+    train_cfg = load_config(TrainConfig, "train", config.get("train", {}),
+                            _given(strategy=STRATEGY_FLAGS.get(args.strategy), seed=args.seed))
     seed = train_cfg.seed
-    split_spec = _split_spec(config, seed)
-    split_spec.validate()
+    split_spec = load_config(SplitSpec, "split", {"seed": seed}, config.get("split", {}))
 
     ds = load_dataset(args.data)
     train_split, val_split, test_split = split_interactions(ds, split_spec)
@@ -164,7 +135,7 @@ def cmd_train(args) -> int:
     save_params(
         ckpt_path, params, model_cfg, seed,
         extra_meta={
-            "split": split_spec.to_dict(),
+            "split": asdict(split_spec),
             "strategy": report.strategy,
         },
     )
@@ -180,9 +151,9 @@ def cmd_train(args) -> int:
         "variant": model_cfg.variant,
         "strategy": report.strategy,
         "config": {
-            "model": model_cfg.to_dict(),
-            "train": train_cfg.__dict__.copy(),
-            "split": split_spec.to_dict(),
+            "model": asdict(model_cfg),
+            "train": asdict(train_cfg),
+            "split": asdict(split_spec),
         },
         "artifacts": {
             "checkpoint": CHECKPOINT_NAME,
@@ -214,8 +185,8 @@ def _restore_world(checkpoint, data_dir, split_name: str):
         train_split = eval_split = ds
     else:
         try:
-            spec = SplitSpec.from_dict(split_meta)
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            spec = load_config(SplitSpec, "split", split_meta, complete=True)
+        except ConfigError as exc:
             raise CheckpointError(f"checkpoint {checkpoint} has no usable split block: {exc}") from exc
         parts = dict(zip(("train", "val", "test"), split_interactions(ds, spec)))
         train_split = parts["train"]
@@ -226,15 +197,12 @@ def _restore_world(checkpoint, data_dir, split_name: str):
 
 
 def cmd_eval(args) -> int:
-    cutoffs = tuple(int(tok) for tok in args.topn.split(",") if tok)
-    if not cutoffs:
-        raise ConfigError("--topn needs at least one cutoff")
     params, model_cfg, meta, ds, train_split, eval_split, social, hyper = _restore_world(
         args.checkpoint, args.data, args.split
     )
     report = evaluate(
         params, model_cfg, social, hyper, eval_split,
-        cutoffs=cutoffs,
+        cutoffs=args.topn,
         eval_seed=args.seed if args.seed is not None else int(meta.get("seed", 0)),
         target=args.target,
         train_ds=train_split,
@@ -275,15 +243,25 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    blob = _read_json(args.config)
-    try:
-        cfg = SynthConfig(**blob)
-    except TypeError as exc:
-        raise ConfigError(f"bad synthetic config: {exc}") from exc
-    ds = generate_synthetic(cfg)
+    ds = generate_synthetic(load_config(SynthConfig, "synthetic config", _read_json(args.config)))
     save_dataset(ds, args.out)
     print(f"wrote {ds.num_users} users / {ds.num_items} items / {ds.num_groups} groups to {args.out}")
     return EXIT_OK
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _counts(text: str) -> tuple[int, ...]:
+    """argparse type of a comma-separated list of counts, at least one."""
+    counts = tuple(_count(tok) for tok in text.split(",") if tok)
+    if not counts:
+        raise argparse.ArgumentTypeError("expected at least one positive integer")
+    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint with full-item ranking")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--topn", default="5,10", help="comma-separated cutoffs")
+    p_eval.add_argument("--topn", type=_counts, default="5,10", help="comma-separated cutoffs")
     p_eval.add_argument("--target", choices=("groups", "users"), default="groups")
     p_eval.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     p_eval.add_argument("--strata", action="store_true")
@@ -316,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--checkpoint", required=True)
     p_rec.add_argument("--data", required=True)
     p_rec.add_argument("--members", required=True, help="comma-separated raw member ids")
-    p_rec.add_argument("--topn", type=int, default=10)
+    p_rec.add_argument("--topn", type=_count, default=10)
     p_rec.add_argument("--seed", type=int, default=None)
     p_rec.set_defaults(func=cmd_recommend)
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import errno
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, IntegrityError, ParseError, check_integers
+from .errors import ConfigError, DataError, IntegrityError, ParseError, check_fields
 from .numeric import atomic_write
 
 log = logging.getLogger(__name__)
@@ -103,28 +103,13 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        check_integers(self, "seed")
+        check_fields(self)
         for name, r in (("train", self.train_ratio), ("val", self.val_ratio), ("test", self.test_ratio)):
             if not 0.0 < r < 1.0:
                 raise ConfigError(f"{name}_ratio must lie in (0, 1), got {r}")
         total = self.train_ratio + self.val_ratio + self.test_ratio
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {total}")
-
-    def to_dict(self) -> dict:
-        """The spec as recorded in checkpoints and manifests."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "SplitSpec":
-        spec = cls(
-            train_ratio=float(blob["train_ratio"]),
-            val_ratio=float(blob["val_ratio"]),
-            test_ratio=float(blob["test_ratio"]),
-            seed=blob["seed"],
-        )
-        spec.validate()
-        return spec
 
 
 @dataclass(frozen=True)
@@ -151,7 +136,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        check_integers(self, "num_users", "num_items", "num_groups", "num_latent_topics", "seed")
+        check_fields(self)
         for name in ("num_users", "num_items", "num_groups", "num_latent_topics"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")

@@ -1,11 +1,15 @@
-"""Exception types shared across the package, and the integer check
-every config runs.
+"""Exception types shared across the package, and the field check and
+loader every config record runs through.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, numeric failures exit 3.
 """
 
+import dataclasses
+import math
 import numbers
+import types
+import typing
 
 
 class HyperGroupError(Exception):
@@ -48,14 +52,63 @@ class CheckpointError(HyperGroupError):
     """Checkpoint file is malformed or inconsistent with the model config."""
 
 
-def check_integers(owner, *names: str, optional: bool = False) -> None:
-    """Raise :class:`ConfigError` unless each named field of ``owner`` holds
-    an integer or a sequence of integers (Python or numpy ones; a bool or a
-    float is none, even 2.0).  With ``optional``, None passes too."""
-    for name in names:
-        value = getattr(owner, name)
-        if value is None and optional:
-            continue
-        for v in value if isinstance(value, (tuple, list)) else (value,):
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigError(f"{name} takes integers, got {v!r}")
+def _accepts(kind, value) -> bool:
+    """Whether ``value`` belongs to the annotated field type ``kind``."""
+    if typing.get_origin(kind) is types.UnionType:
+        return any(_accepts(k, value) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, tuple) and all(_accepts(item, v) for v in value)
+    if kind is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return False
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer beyond float range
+            return False
+    if kind is type(None):
+        return value is None
+    return isinstance(value, kind)
+
+
+def check_fields(cfg) -> None:
+    """Raise :class:`ConfigError` unless every field of the config dataclass
+    ``cfg`` holds a value of its annotated type.
+
+    ``int`` takes integers (a bool or a float is none, even 2.0); ``float``
+    takes finite numbers but no bool; ``str`` and ``bool`` take only their
+    own type; ``X | None`` also takes None; ``tuple[int, ...]`` takes a
+    tuple of integers.
+    """
+    hints = typing.get_type_hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _accepts(hints[f.name], value):
+            raise ConfigError(f"{f.name} takes {f.type}, got {value!r}")
+
+
+def load_config(cls, where: str, *layers, complete: bool = False):
+    """The validated ``cls`` built from JSON objects, later layers winning.
+
+    A JSON list becomes a tuple (the form of ``tuple[int, ...]`` fields).
+    With ``complete``, as for a block a checkpoint holds, every field must
+    be given.  A layer that is no JSON object and an unknown or missing
+    key are :class:`ConfigError`s naming ``where``; a bad value is one
+    naming its field (see :func:`check_fields`).
+    """
+    blob = {}
+    for layer in layers:
+        if not isinstance(layer, dict):
+            raise ConfigError(f"{where} takes a JSON object, got {layer!r}")
+        blob.update(layer)
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in blob]
+    if complete and missing:
+        raise ConfigError(f"{where} lacks {', '.join(missing)}")
+    try:
+        cfg = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()})
+    except TypeError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
+    cfg.validate()
+    return cfg

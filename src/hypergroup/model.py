@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numeric as nm
-from .errors import CheckpointError, ConfigError, ContractViolation, DimensionError, check_integers
+from .errors import CheckpointError, ConfigError, ContractViolation, DimensionError, check_fields, load_config
 from .graph import (
     Hypergraph,
     SocialGraph,
@@ -66,11 +66,9 @@ class ModelConfig:
     dropout: float = 0.1
     residual_w: float = 0.5
     variant: str = "FULL"
-    normalize_overlap_weights: bool = False
 
     def validate(self) -> None:
-        check_integers(self, "d", "k_ipm", "k_hrl", "s_ipm", "s_hrl")
-        check_integers(self, "mlp_hidden", optional=True)
+        check_fields(self)
         if self.d < 1:
             raise ConfigError("embedding dimension must be >= 1")
         if self.variant not in VARIANTS:
@@ -92,23 +90,9 @@ class ModelConfig:
             return tuple(self.mlp_hidden)
         return (self.d, max(1, self.d // 2))
 
-    def to_dict(self) -> dict:
-        blob = asdict(self)
-        blob["mlp_hidden"] = list(self.mlp_hidden) if self.mlp_hidden is not None else None
-        return blob
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "ModelConfig":
-        data = dict(blob)
-        if data.get("mlp_hidden") is not None:
-            data["mlp_hidden"] = tuple(data["mlp_hidden"])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
-
 
 def config_hash(cfg: ModelConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -122,34 +106,36 @@ class MlpTower:
 
 @dataclass
 class ModelParams:
-    """All model tensors.  ``node_features`` is frozen; everything else trains."""
+    """All model tensors by name, in checkpoint order (:func:`param_layout`).
+
+    ``node_features`` is frozen; everything else trains.  The attributes
+    set on construction name the same tensors by role.
+    """
 
     num_users: int
     num_items: int
-    node_features: Tensor | None
-    user_latent: Tensor
-    item_embeddings: Tensor
-    ipm_layers: list[Tensor]
-    hrl_layers: list[Tensor]
-    group_mlp: MlpTower
-    user_mlp: MlpTower
+    tensors: dict[str, Tensor]
     residual_w: float
+
+    def __post_init__(self):
+        t = self.tensors
+        self.node_features = t.get("node_features")
+        self.user_latent = t["user_latent"]
+        self.item_embeddings = t["item_embeddings"]
+        self.ipm_layers = self._layers("ipm_w")
+        self.hrl_layers = self._layers("hrl_w")
+        self.group_mlp, self.user_mlp = (
+            MlpTower(hidden=list(zip(self._layers(f"{p}_w"), self._layers(f"{p}_b"))), out=t[f"{p}_out"])
+            for p in ("group_mlp", "user_mlp")
+        )
+
+    def _layers(self, prefix: str) -> list[Tensor]:
+        """The tensors whose names start with ``prefix``, in order."""
+        return [t for name, t in self.tensors.items() if name.startswith(prefix)]
 
     def named_tensors(self):
         """All tensors in canonical checkpoint order."""
-        if self.node_features is not None:
-            yield "node_features", self.node_features
-        yield "user_latent", self.user_latent
-        yield "item_embeddings", self.item_embeddings
-        for i, w in enumerate(self.ipm_layers, start=1):
-            yield f"ipm_w{i}", w
-        for i, w in enumerate(self.hrl_layers, start=1):
-            yield f"hrl_w{i}", w
-        for prefix, tower in (("group_mlp", self.group_mlp), ("user_mlp", self.user_mlp)):
-            for i, (w, b) in enumerate(tower.hidden, start=1):
-                yield f"{prefix}_w{i}", w
-                yield f"{prefix}_b{i}", b
-            yield f"{prefix}_out", tower.out
+        return self.tensors.items()
 
     def trainable_tensors(self):
         for name, t in self.named_tensors():
@@ -157,24 +143,38 @@ class ModelParams:
                 yield name, t
 
 
+def param_layout(cfg: ModelConfig, num_users: int, num_items: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Every tensor's ``(name, shape)`` under ``cfg``, in checkpoint order.
+
+    The social encoder (``node_features``, ``ipm_w*``) exists only for
+    variants that use it, as does the hyperedge encoder (``hrl_w*``).
+    Each scoring tower holds ``{prefix}_w{i}``/``{prefix}_b{i}`` per hidden
+    layer and the projection ``{prefix}_out``.
+    """
+    d = cfg.d
+    layout = [("node_features", (num_users, d))] if uses_ipm(cfg.variant) else []
+    layout += [("user_latent", (num_users, d)), ("item_embeddings", (num_items, d))]
+    if uses_ipm(cfg.variant):
+        layout += [(f"ipm_w{i}", (d, 2 * d)) for i in range(1, cfg.k_ipm + 1)]
+    if uses_hrl(cfg.variant):
+        layout += [(f"hrl_w{i}", (d, 2 * d)) for i in range(1, cfg.k_hrl + 1)]
+    widths = (2 * d,) + cfg.hidden_widths()
+    for prefix in ("group_mlp", "user_mlp"):
+        for i, (w_in, w_out) in enumerate(zip(widths, widths[1:]), start=1):
+            layout += [(f"{prefix}_w{i}", (w_out, w_in)), (f"{prefix}_b{i}", (w_out,))]
+        layout.append((f"{prefix}_out", (widths[-1],)))
+    return layout
+
+
+def _params(cfg: ModelConfig, num_users: int, num_items: int, values: dict[str, np.ndarray]) -> ModelParams:
+    tensors = {name: Tensor(v, name=name, trainable=name != "node_features") for name, v in values.items()}
+    return ModelParams(num_users, num_items, tensors, cfg.residual_w)
+
+
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     fan_out, fan_in = (shape[0], shape[1]) if len(shape) == 2 else (1, shape[0])
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def _build_tower(cfg: ModelConfig, rng: np.random.Generator) -> MlpTower:
-    widths = (2 * cfg.d,) + cfg.hidden_widths()
-    hidden = []
-    for w_in, w_out in zip(widths, widths[1:]):
-        hidden.append(
-            (
-                Tensor(_glorot(rng, (w_out, w_in)), trainable=True),
-                Tensor(np.zeros(w_out), trainable=True),
-            )
-        )
-    out = Tensor(_glorot(rng, (widths[-1],)), trainable=True)
-    return MlpTower(hidden=hidden, out=out)
 
 
 def initialize_params(
@@ -186,49 +186,27 @@ def initialize_params(
 ) -> ModelParams:
     """Glorot-initialized parameters for the configured variant.
 
+    Tensors are drawn in checkpoint order; tower biases start at zero.
     ``node_features`` may supply precomputed frozen input features;
-    otherwise they are drawn once here and frozen.
+    otherwise they are drawn here and frozen.
     """
     cfg.validate()
-    d = cfg.d
-    feats = None
-    if uses_ipm(cfg.variant):
-        if node_features is not None:
-            if node_features.shape != (num_users, d):
-                raise ConfigError(
-                    f"node features shape {node_features.shape} != ({num_users}, {d})"
-                )
-            feats = Tensor(np.array(node_features, dtype=np.float64))
+    values = {}
+    for name, shape in param_layout(cfg, num_users, num_items):
+        if name == "node_features" and node_features is not None:
+            if node_features.shape != shape:
+                raise ConfigError(f"node features shape {node_features.shape} != {shape}")
+            values[name] = np.array(node_features, dtype=np.float64)
+        elif "_mlp_b" in name:
+            values[name] = np.zeros(shape)
         else:
-            feats = Tensor(_glorot(rng, (num_users, d)))
-    params = ModelParams(
-        num_users=num_users,
-        num_items=num_items,
-        node_features=feats,
-        user_latent=Tensor(_glorot(rng, (num_users, d)), trainable=True),
-        item_embeddings=Tensor(_glorot(rng, (num_items, d)), trainable=True),
-        ipm_layers=[
-            Tensor(_glorot(rng, (d, 2 * d)), trainable=True) for _ in range(cfg.k_ipm)
-        ]
-        if uses_ipm(cfg.variant)
-        else [],
-        hrl_layers=[
-            Tensor(_glorot(rng, (d, 2 * d)), trainable=True) for _ in range(cfg.k_hrl)
-        ]
-        if uses_hrl(cfg.variant)
-        else [],
-        group_mlp=_build_tower(cfg, rng),
-        user_mlp=_build_tower(cfg, rng),
-        residual_w=cfg.residual_w,
-    )
-    for name, t in params.named_tensors():
-        t.name = name
-    return params
+            values[name] = _glorot(rng, shape)
+    return _params(cfg, num_users, num_items, values)
 
 
 def save_params(path, params: ModelParams, cfg: ModelConfig, seed: int, extra_meta: dict | None = None) -> None:
     meta = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "config_sha256": config_hash(cfg),
         "seed": int(seed),
         "num_users": params.num_users,
@@ -243,52 +221,21 @@ def load_params(path) -> tuple[ModelParams, ModelConfig, dict]:
     """Rebuild params and config from a checkpoint blob."""
     meta, tensors = nm.load_checkpoint(path)
     try:
-        cfg = ModelConfig.from_dict(meta["config"])
+        cfg = load_config(ModelConfig, "config", meta["config"], complete=True)
         num_users = int(meta["num_users"])
         num_items = int(meta["num_items"])
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint {path} has no usable config block: {exc}") from exc
-
-    def take(name: str, shape: tuple[int, ...], trainable: bool = True) -> Tensor:
+    values = {}
+    for name, shape in param_layout(cfg, num_users, num_items):
         if name not in tensors:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
-        arr = tensors.pop(name)
-        if arr.shape != shape:
-            raise CheckpointError(
-                f"tensor {name!r} has shape {arr.shape}, config implies {shape}"
-            )
-        return Tensor(arr, name=name, trainable=trainable)
-
-    d = cfg.d
-    widths = (2 * d,) + cfg.hidden_widths()
-
-    def take_tower(prefix: str) -> MlpTower:
-        hidden = []
-        for i, (w_in, w_out) in enumerate(zip(widths, widths[1:]), start=1):
-            hidden.append((take(f"{prefix}_w{i}", (w_out, w_in)), take(f"{prefix}_b{i}", (w_out,))))
-        return MlpTower(hidden=hidden, out=take(f"{prefix}_out", (widths[-1],)))
-
-    params = ModelParams(
-        num_users=num_users,
-        num_items=num_items,
-        node_features=take("node_features", (num_users, d), trainable=False)
-        if uses_ipm(cfg.variant)
-        else None,
-        user_latent=take("user_latent", (num_users, d)),
-        item_embeddings=take("item_embeddings", (num_items, d)),
-        ipm_layers=[take(f"ipm_w{i}", (d, 2 * d)) for i in range(1, cfg.k_ipm + 1)]
-        if uses_ipm(cfg.variant)
-        else [],
-        hrl_layers=[take(f"hrl_w{i}", (d, 2 * d)) for i in range(1, cfg.k_hrl + 1)]
-        if uses_hrl(cfg.variant)
-        else [],
-        group_mlp=take_tower("group_mlp"),
-        user_mlp=take_tower("user_mlp"),
-        residual_w=cfg.residual_w,
-    )
+        values[name] = tensors.pop(name)
+        if values[name].shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {values[name].shape}, config implies {shape}")
     if tensors:
         raise CheckpointError(f"checkpoint holds unexpected tensors: {sorted(tensors)}")
-    return params, cfg, meta
+    return _params(cfg, num_users, num_items, values), cfg, meta
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +381,6 @@ class ForwardPass:
         for i in range(1, K + 1):
             prev, live = needed[i - 1], weights[i] > 0
             w = weights[i].astype(np.float64)
-            if cfg.normalize_overlap_weights:
-                total = w.sum(axis=1, keepdims=True)
-                w = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
             l_idx = np.where(live, np.searchsorted(pairs, keys[i]), 0)
             msg = nm.add(nm.gather_rows(m, np.searchsorted(prev, nbrs[i].ravel()), tape),
                          nm.gather_rows(l_rows, l_idx.ravel(), tape), tape)

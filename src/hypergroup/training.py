@@ -17,9 +17,9 @@ import numpy as np
 
 from . import numeric as nm
 from .data import InteractionDataset
-from .errors import ConfigError, ContractViolation, NumericError, SamplingError, check_integers
+from .errors import ConfigError, ContractViolation, NumericError, SamplingError, check_fields
 from .graph import Hypergraph, SocialGraph
-from .model import ForwardPass, ModelConfig, ModelParams, mlp_forward, uses_hrl, uses_ipm
+from .model import ForwardPass, ModelConfig, ModelParams, mlp_forward
 from .numeric import Tape, Tensor
 
 log = logging.getLogger(__name__)
@@ -60,8 +60,7 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def validate(self) -> None:
-        check_integers(self, "batch_size", "negatives", "epochs", "seed")
-        check_integers(self, "user_budget", "group_budget", "early_stop_patience", optional=True)
+        check_fields(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -179,18 +178,11 @@ def build_triples(batch_pairs, positives, n_items, n_x, rng):
 
 
 def regularized_parameters(params: ModelParams, cfg: ModelConfig, task: str):
-    """Trainable tensors a batch of the given task touches, in fixed order."""
-    out = [("user_latent", params.user_latent), ("item_embeddings", params.item_embeddings)]
-    if uses_ipm(cfg.variant):
-        out += [(f"ipm_w{i}", w) for i, w in enumerate(params.ipm_layers, start=1)]
-    if task == "group" and uses_hrl(cfg.variant):
-        out += [(f"hrl_w{i}", w) for i, w in enumerate(params.hrl_layers, start=1)]
-    tower = params.group_mlp if task == "group" else params.user_mlp
-    prefix = "group_mlp" if task == "group" else "user_mlp"
-    for i, (w, b) in enumerate(tower.hidden, start=1):
-        out += [(f"{prefix}_w{i}", w), (f"{prefix}_b{i}", b)]
-    out.append((f"{prefix}_out", tower.out))
-    return out
+    """Trainable tensors a batch of the given task touches, in checkpoint
+    order: all but the other task's tower and, for the user task, the
+    hyperedge encoder."""
+    skip = ("user_mlp",) if task == "group" else ("group_mlp", "hrl_w")
+    return [(name, t) for name, t in params.trainable_tensors() if not name.startswith(skip)]
 
 
 def _batch_loss(

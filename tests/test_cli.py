@@ -320,13 +320,19 @@ class TestSplitRecord:
 
 
 class TestIntegerConfigFields:
-    """A float or a bool where a config takes an integer, or a negative
-    budget, is a one-line error."""
+    """A value of the wrong type for any config field (a float or a bool
+    where an integer goes; a string, a bool or a non-finite number where a
+    float goes), an unknown field, a section that is no JSON object or a
+    negative budget is a one-line error.  The class keeps its first name,
+    from when it covered integer fields only."""
 
     @pytest.mark.parametrize("section,name,value", [
         ("model", "d", 8.0), ("model", "s_hrl", 2.0), ("model", "k_ipm", True),
         ("model", "mlp_hidden", [2.5]), ("train", "batch_size", 16.0), ("train", "epochs", True),
         ("train", "user_budget", 32.0), ("train", "user_budget", -1), ("split", "seed", 1.5),
+        ("train", "learning_rate", "0.1"), ("train", "learning_rate", True),
+        ("train", "learning_rate", float("nan")), ("train", "l2_reg", float("inf")),
+        ("split", "train_ratio", "0.8"), ("model", "normalize_overlap_weights", True),
     ])
     def test_run_config_exits_1(self, tmp_path, data_dir, capsys, section, name, value):
         run_cfg = dict(RUN_CFG, split={})
@@ -340,7 +346,18 @@ class TestIntegerConfigFields:
         assert rc == 1
         assert len(err.splitlines()) == 1 and name in err
 
-    @pytest.mark.parametrize("name,value", [("num_users", 30.0), ("seed", True)])
+    @pytest.mark.parametrize("section", ["model", "train", "split"])
+    def test_non_object_section_exits_1(self, tmp_path, data_dir, capsys, section):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(RUN_CFG, **{section: [1, 2]})))
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and section in err
+
+    @pytest.mark.parametrize("name,value", [("num_users", 30.0), ("seed", True), ("avg_group_size", "3")])
     def test_synth_config_exits_1(self, tmp_path, capsys, name, value):
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(dict(SYNTH_CFG, **{name: value})))
@@ -352,6 +369,7 @@ class TestIntegerConfigFields:
     @pytest.mark.parametrize("block,name,value", [
         ("config", "k_ipm", 1.0), ("config", "d", 8.0), ("config", "s_hrl", 2.5),
         ("config", "mlp_hidden", [8.5, 4]), ("split", "seed", 1.5),
+        ("config", "residual_w", True), ("config", "normalize_overlap_weights", False),
     ])
     def test_checkpoint_exits_2(self, tmp_path, data_dir, capsys, block, name, value):
         out = run_train(tmp_path, data_dir)
@@ -364,6 +382,22 @@ class TestIntegerConfigFields:
         err = capsys.readouterr().err
         assert rc == 2
         assert len(err.splitlines()) == 1 and name in err
+
+
+class TestCountFlags:
+    """``--topn`` takes positive integers (eval: a comma-separated list)."""
+
+    @pytest.mark.parametrize("command,value", [
+        ("eval", "5,x"), ("eval", "0"), ("eval", ","), ("recommend", "-1"), ("recommend", "0"),
+        ("recommend", "x"),
+    ])
+    def test_bad_count_exits_1(self, tmp_path, capsys, command, value):
+        extra = ["--members", "a"] if command == "recommend" else []
+        rc = cli.main([command, "--checkpoint", str(tmp_path / "c.bin"), "--data", str(tmp_path),
+                       *extra, "--topn", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "--topn" in err
 
 
 class TestUsageAndVersion:

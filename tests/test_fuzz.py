@@ -5,6 +5,7 @@ example database, so the suite stays deterministic; ``conftest.py``
 moves Hypothesis' other caches to a temporary directory.
 """
 
+import dataclasses
 import json
 import struct
 import tempfile
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from hypergroup import data as hd
 from hypergroup import model as hm
-from hypergroup.errors import CheckpointError, DataError
+from hypergroup import training as ht
+from hypergroup.errors import CheckpointError, ConfigError, DataError, load_config
 from hypergroup.graph import build_hypergraph, build_social_graph
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -64,6 +66,41 @@ def test_tsv_loader_loads_or_raises_data_error(files, id_map):
         except DataError:
             return
         ds.validate()
+
+
+# ---------------------------------------------------------------------------
+# config loader
+
+# the fields a config needs besides the ones drawn (SynthConfig has no
+# default table size)
+CONFIG_BASES = {
+    hm.ModelConfig: {},
+    ht.TrainConfig: {},
+    hd.SplitSpec: {},
+    hd.SynthConfig: {"num_users": 20, "num_items": 10, "num_groups": 5},
+}
+# 10**400 is an integer no float can hold
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, 10**400]) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_BASES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(FUZZ, max_examples=200)
+def test_config_loader_loads_or_raises_config_error(cls, data):
+    names = [f.name for f in dataclasses.fields(cls)] + ["no_such_field"]
+    drawn = data.draw(st.dictionaries(st.sampled_from(names), config_values, max_size=3))
+    # now and then a section that is no JSON object
+    blob = data.draw(st.one_of(st.just(dict(CONFIG_BASES[cls], **drawn)), config_values))
+    blob = json.loads(json.dumps(blob))  # the values a JSON file can hold
+    try:
+        load_config(cls, "fuzz", blob)
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Forward-model tests: straight-line oracles and variant contracts."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from hypergroup import model as hm
 from hypergroup import numeric as nm
 from hypergroup.data import InteractionDataset
-from hypergroup.errors import CheckpointError, ConfigError, ContractViolation, DimensionError
+from hypergroup.errors import CheckpointError, ConfigError, ContractViolation, DimensionError, load_config
 from hypergroup.graph import build_hypergraph, build_social_graph
 
 
@@ -66,7 +69,8 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = hm.ModelConfig(d=8, mlp_hidden=(6, 3), variant="NO_IPM")
-        assert hm.ModelConfig.from_dict(cfg.to_dict()) == cfg
+        blob = json.loads(json.dumps(asdict(cfg)))
+        assert load_config(hm.ModelConfig, "config", blob, complete=True) == cfg
 
 
 class TestIpmEmbed:
@@ -518,17 +522,27 @@ class TestForwardPassContract:
 
 
 class TestCheckpoint:
-    def test_save_load_round_trip(self, tmp_path):
-        cfg = hm.ModelConfig(d=4, k_ipm=1, s_ipm=2, k_hrl=2, s_hrl=2)
-        params = hm.initialize_params(cfg, 6, 5, np.random.default_rng(0))
+    @pytest.mark.parametrize("given_features", [False, True])
+    @pytest.mark.parametrize("hidden", [None, (), (5, 3, 2)])
+    @pytest.mark.parametrize("variant", hm.VARIANTS)
+    def test_save_load_round_trip(self, tmp_path, variant, hidden, given_features):
+        cfg = hm.ModelConfig(d=4, k_ipm=1, s_ipm=2, k_hrl=2, s_hrl=2, mlp_hidden=hidden, variant=variant)
+        feats = np.random.default_rng(1).normal(size=(6, 4)) if given_features else None
+        params = hm.initialize_params(cfg, 6, 5, np.random.default_rng(0), node_features=feats)
         path = tmp_path / "model.ckpt"
         hm.save_params(path, params, cfg, seed=9)
         loaded, cfg2, meta = hm.load_params(path)
         assert cfg2 == cfg
         assert meta["seed"] == 9
-        for (n1, t1), (n2, t2) in zip(params.named_tensors(), loaded.named_tensors()):
-            assert n1 == n2
-            np.testing.assert_array_equal(t1.values, t2.values)
+        layout = hm.param_layout(cfg, 6, 5)
+        for tensors in (params.named_tensors(), loaded.named_tensors()):
+            assert [(n, t.shape) for n, t in tensors] == layout
+        for (n, t1), (_, t2) in zip(params.named_tensors(), loaded.named_tensors()):
+            assert t1.values.tobytes() == t2.values.tobytes()
+            assert t1.trainable == t2.trainable == (n != "node_features")
+            assert t1.name == t2.name == n
+        if given_features and hm.uses_ipm(variant):
+            assert loaded.node_features.values.tobytes() == feats.tobytes()
 
     def test_variant_omits_disabled_tensors(self, tmp_path):
         cfg = hm.ModelConfig(d=4, variant="NO_HRL")
@@ -545,7 +559,7 @@ class TestCheckpoint:
         params = hm.initialize_params(cfg, 4, 3, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
         bad_meta = {
-            "config": hm.ModelConfig(d=8).to_dict(),
+            "config": asdict(hm.ModelConfig(d=8)),
             "config_sha256": "x",
             "seed": 0,
             "num_users": 4,

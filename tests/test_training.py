@@ -112,13 +112,21 @@ class TestBatchLosses:
         ]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_touched_parameters_match_declared_set(self):
-        ds, social, hyper, cfg, params = toy_world(dropout=0.0)
+    @pytest.mark.parametrize("task", ["group", "user"])
+    @pytest.mark.parametrize("variant", hm.VARIANTS)
+    def test_touched_parameters_match_declared_set(self, variant, task):
+        # without l2 only the forward pass touches parameters, so the
+        # declared set cannot hold one the batch does not use
+        ds, social, hyper, cfg, params = toy_world(dropout=0.0, variant=variant)
         tape = Tape()
-        ht.group_batch_loss([(2, 1, 3)], params, cfg, social, hyper, 1e-5,
-                            np.random.default_rng(0), tape)
+        if task == "group":
+            ht.group_batch_loss([(2, 1, 3)], params, cfg, social, hyper, 0.0,
+                                np.random.default_rng(0), tape)
+        else:
+            ht.user_batch_loss([(1, 1, 4)], params, cfg, social, 0.0,
+                               np.random.default_rng(0), tape)
         touched = {id(t) for t in tape.touched_parameters()}
-        declared = {id(t) for _, t in ht.regularized_parameters(params, cfg, "group")}
+        declared = {id(t) for _, t in ht.regularized_parameters(params, cfg, task)}
         assert touched == declared
 
     def test_user_loss_touches_no_group_tower(self):
