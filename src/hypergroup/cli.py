@@ -196,6 +196,16 @@ def _restore_world(checkpoint, data_dir, split_name: str):
     return params, model_cfg, meta, ds, train_split, eval_split, social, hyper
 
 
+def _run_seed(flag, meta: dict) -> int:
+    """The ``--seed`` flag if given, else the seed the checkpoint records."""
+    if flag is not None:
+        return flag
+    seed = meta.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise CheckpointError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def cmd_eval(args) -> int:
     params, model_cfg, meta, ds, train_split, eval_split, social, hyper = _restore_world(
         args.checkpoint, args.data, args.split
@@ -203,7 +213,7 @@ def cmd_eval(args) -> int:
     report = evaluate(
         params, model_cfg, social, hyper, eval_split,
         cutoffs=args.topn,
-        eval_seed=args.seed if args.seed is not None else int(meta.get("seed", 0)),
+        eval_seed=_run_seed(args.seed, meta),
         target=args.target,
         train_ds=train_split,
         exclude_train_positives=args.exclude_train_positives,
@@ -232,7 +242,7 @@ def cmd_recommend(args) -> int:
             raise DataError(f"unknown member id {raw!r}")
         members.append(ds.id_maps.users[raw])
 
-    rng = np.random.default_rng(args.seed if args.seed is not None else int(meta.get("seed", 0)))
+    rng = np.random.default_rng(_run_seed(args.seed, meta))
     emb = transient_group_embedding(members, params, model_cfg, social, hyper, rng)
     scores = score_items_for_embedding(emb, params, params.group_mlp, model_cfg)
     order = rank_items(scores)[: args.topn]
@@ -256,6 +266,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """argparse type of a seed flag: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _counts(text: str) -> tuple[int, ...]:
     """argparse type of a comma-separated list of counts, at least one."""
     counts = tuple(_count(tok) for tok in text.split(",") if tok)
@@ -275,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default=None)
     p_train.add_argument("--strategy", choices=sorted(STRATEGY_FLAGS), default=None)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint with full-item ranking")
@@ -286,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     p_eval.add_argument("--strata", action="store_true")
     p_eval.add_argument("--exclude-train-positives", action="store_true")
-    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--seed", type=_seed, default=None)
     p_eval.add_argument("--out", default=None, help="also write the JSON report here")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -295,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--data", required=True)
     p_rec.add_argument("--members", required=True, help="comma-separated raw member ids")
     p_rec.add_argument("--topn", type=_count, default=10)
-    p_rec.add_argument("--seed", type=int, default=None)
+    p_rec.add_argument("--seed", type=_seed, default=None)
     p_rec.set_defaults(func=cmd_recommend)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset directory")

@@ -110,6 +110,8 @@ class SplitSpec:
         total = self.train_ratio + self.val_ratio + self.test_ratio
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {total}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ class SynthConfig:
             raise ConfigError("organizer_influence must lie in [0, 1]")
         if self.num_latent_topics > min(self.num_users, self.num_items):
             raise ConfigError("more topics than users or items")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +312,9 @@ def load_dataset(dir_path) -> InteractionDataset:
     for gi, members in enumerate(memberships):
         if not members:
             raise IntegrityError(f"group index {gi} has no members")
-        if len(members) == 1:
-            log.warning("group index %d has a single member", gi)
+    singles = sum(len(members) == 1 for members in memberships)
+    if singles:
+        log.warning("%d group(s) have a single member", singles)
 
     ds = InteractionDataset(
         num_users=len(maps.users),

@@ -336,96 +336,30 @@ def sample_neighbors(degrees: np.ndarray, size: int, rng: np.random.Generator) -
     The draws are exactly those of one ``rng.choice(n, size,
     replace=False)`` (or ``rng.integers(0, n, size)`` for a smaller pool)
     per nonempty row, in row order, so a seed gives the same samples as
-    sampling node by node.  On numpy's default PCG64 generator the whole
-    layer is replayed from one block of the generator's 32-bit stream
-    (:func:`_replay_layer`); otherwise, and in the rare cases the replay
-    does not cover, the rows are drawn one call at a time.
+    sampling node by node, on any bit generator.  ``choice`` without
+    replacement is Floyd's algorithm (round ``k`` draws from ``[0, n -
+    size + k]`` and takes ``n - size + k`` itself on a repeat) followed by
+    a Fisher-Yates shuffle of the picks (from ``[0, size - 1]`` down to
+    ``[0, 1]``).  Every one of these is numpy's bounded-integer draw, so
+    the whole layer comes from one ``rng.integers`` call over an array of
+    exclusive bounds in the same order; a bound of 1 (the range ``[0,
+    0]``) consumes nothing and stands for a draw numpy does not make.
+    Only pools so large that ``choice`` switches to a tail shuffle are
+    drawn one row at a time.
     """
     if size < 1:
         raise ContractViolation(f"sample size must be >= 1, got {size}")
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1)
-    out = _replay_layer(degrees, size, rng)
-    return out if out is not None else _sample_rows(degrees, size, rng)
-
-
-def _sample_rows(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`sample_neighbors` by one numpy call per nonempty row."""
-    out = np.full((degrees.size, size), -1, dtype=np.int64)
-    for r, n in enumerate(degrees.tolist()):
-        if n >= size:
-            out[r] = rng.choice(n, size=size, replace=False)
-        elif n:
-            out[r] = rng.integers(0, n, size=size)
-    return out
-
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _next_uint32(bitgen: np.random.PCG64, count: int) -> np.ndarray:
-    """The next ``count`` values of the generator's 32-bit stream, consumed,
-    as uint64.
-
-    PCG64 serves 32-bit draws as the low, then the high half of each
-    64-bit output, keeping an unused high half in its state.
-    """
-    state = bitgen.state
-    buffered = bool(state["has_uint32"]) and count > 0
-    fresh = count - buffered
-    raw = bitgen.random_raw((fresh + 1) // 2).astype("<u8", copy=False)
-    halves = raw.view("<u4")  # low half first in little-endian order
-    values = np.empty(count, dtype=np.uint64)
-    values[:buffered] = state["uinteger"]
-    values[buffered:] = halves[:fresh]
-    if count:
-        state = bitgen.state
-        state["has_uint32"] = fresh % 2
-        if fresh:
-            state["uinteger"] = int(halves[-1])
-        bitgen.state = state
-    return values
-
-
-def _replay_layer(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray | None:
-    """:func:`sample_neighbors` for all rows at once, or None if not covered.
-
-    Replays numpy's algorithms on the generator's 32-bit stream.  A
-    bounded draw from ``[0, b]`` is Lemire's multiply-shift on one 32-bit
-    value (no value is consumed when ``b`` is 0).  ``choice`` without
-    replacement is Floyd's algorithm (round ``k`` draws from
-    ``[0, n - size + k]`` and takes ``n - size + k`` itself on a repeat)
-    followed by a Fisher-Yates shuffle of the picks (bounds ``size - 1``
-    down to 1); ``integers`` makes ``size`` draws from ``[0, n - 1]``.
-    Not covered, so left to :func:`_sample_rows`: another bit generator,
-    pools so large that ``choice`` switches algorithm, and a layer in
-    which Lemire's method would reject a value (odds below ``n / 2**32``
-    per draw), since a redraw shifts the rest of the stream.
-    """
-    bitgen = rng.bit_generator
-    if (type(bitgen) is not np.random.PCG64 or np.any(degrees >= 1 << 32)
-            or np.any((degrees > 10000) & (size > degrees // 50))):
-        return None
-    # the rows' draws lie back to back in the stream; draw k of row r is
-    # stream[first[r] + k], from a range of excl[k, r] values.  A slot with
-    # excl 1 draws nothing and reads 0, whatever stream value it indexes.
+    if np.any((degrees > 10000) & (size > degrees // 50)):
+        return _sample_rows(degrees, size, rng)
     floyd = degrees >= size
-    whole = floyd & (degrees == size)  # Floyd's first range is [0, 0]
-    count = np.where(floyd, 2 * size - 1 - whole, np.where(degrees > 1, size, 0))
-    first = np.cumsum(count) - count - whole
     k = np.arange(2 * size - 1)[:, None]
-    excl = np.empty((2 * size - 1, degrees.size), dtype=np.int64)
-    excl[:size] = np.where(floyd, degrees - size + 1 + k[:size], np.maximum(degrees, 1))
-    excl[size:] = np.where(floyd, 2 * size - k[size:], 1)
-    saved = bitgen.state
-    stream = np.append(_next_uint32(bitgen, int(count.sum())), np.uint64(0))
-    wide = excl.astype(np.uint64)
-    scaled = stream[np.minimum(first + k, stream.size - 1)] * wide
-    low = scaled & _LOW32
-    near = low < wide  # only these can fall below Lemire's threshold
-    if np.any(low[near] < (np.uint64(1 << 32) - wide[near]) % wide[near]):
-        bitgen.state = saved
-        return None
-    draws = (scaled >> np.uint64(32)).astype(np.int64)
+    bounds = np.empty((2 * size - 1, degrees.size), dtype=np.int64)
+    bounds[:size] = np.where(floyd, degrees - size + 1 + k[:size], np.maximum(degrees, 1))
+    bounds[size:] = np.where(floyd, 2 * size - k[size:], 1)
+    # column r holds row r's bounds in numpy's order; integers draws the
+    # transposed [rows, 2 * size - 1] array in C order, one row after another
+    draws = np.ascontiguousarray(rng.integers(0, bounds.T).T)
 
     picks = draws[:size]
     for j in range(1, size):
@@ -439,3 +373,14 @@ def _replay_layer(degrees: np.ndarray, size: int, rng: np.random.Generator) -> n
         picks[i] = picks[swap, at]
         picks[swap, at] = held
     return np.where(degrees[:, None] > 0, picks.T, -1)
+
+
+def _sample_rows(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_neighbors` by one numpy call per nonempty row."""
+    out = np.full((degrees.size, size), -1, dtype=np.int64)
+    for r, n in enumerate(degrees.tolist()):
+        if n >= size:
+            out[r] = rng.choice(n, size=size, replace=False)
+        elif n:
+            out[r] = rng.integers(0, n, size=size)
+    return out

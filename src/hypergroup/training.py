@@ -71,6 +71,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.l2_reg < 0:
             raise ConfigError("l2_reg must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(b is not None and b < 0 for b in (self.user_budget, self.group_budget)):
             raise ConfigError("user_budget and group_budget must be >= 0")
         if self.strategy not in STRATEGIES:

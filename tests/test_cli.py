@@ -333,6 +333,7 @@ class TestIntegerConfigFields:
         ("train", "learning_rate", "0.1"), ("train", "learning_rate", True),
         ("train", "learning_rate", float("nan")), ("train", "l2_reg", float("inf")),
         ("split", "train_ratio", "0.8"), ("model", "normalize_overlap_weights", True),
+        ("train", "seed", -1), ("split", "seed", -1),
     ])
     def test_run_config_exits_1(self, tmp_path, data_dir, capsys, section, name, value):
         run_cfg = dict(RUN_CFG, split={})
@@ -357,7 +358,8 @@ class TestIntegerConfigFields:
         assert rc == 1
         assert len(err.splitlines()) == 1 and section in err
 
-    @pytest.mark.parametrize("name,value", [("num_users", 30.0), ("seed", True), ("avg_group_size", "3")])
+    @pytest.mark.parametrize("name,value", [("num_users", 30.0), ("seed", True), ("avg_group_size", "3"),
+                                            ("seed", -3)])
     def test_synth_config_exits_1(self, tmp_path, capsys, name, value):
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(dict(SYNTH_CFG, **{name: value})))
@@ -398,6 +400,37 @@ class TestCountFlags:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and "--topn" in err
+
+
+class TestSeeds:
+    """A seed is a non-negative integer, from a flag or from a checkpoint."""
+
+    @pytest.mark.parametrize("command,value", [
+        ("train", "-1"), ("eval", "-1"), ("recommend", "-2"), ("eval", "1.5"), ("recommend", "x"),
+    ])
+    def test_bad_seed_flag_exits_1(self, tmp_path, capsys, command, value):
+        extra = {"train": ["--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "run")],
+                 "eval": ["--checkpoint", str(tmp_path / "c.bin")],
+                 "recommend": ["--checkpoint", str(tmp_path / "c.bin"), "--members", "a"]}[command]
+        rc = cli.main([command, "--data", str(tmp_path), *extra, "--seed", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "--seed" in err
+
+    @pytest.mark.parametrize("command", ["eval", "recommend"])
+    @pytest.mark.parametrize("value", [-1, 1.5, "3", True])
+    def test_bad_checkpoint_seed_exits_2(self, tmp_path, data_dir, capsys, command, value):
+        out = run_train(tmp_path, data_dir)
+        params, cfg, meta = load_params(out / "checkpoint.bin")
+        broken = tmp_path / "broken.bin"
+        hm.save_params(broken, params, cfg, 0, extra_meta={"split": meta["split"], "seed": value})
+        member = load_dataset(data_dir).id_maps.reverse("users")[0]
+        extra = ["--members", member] if command == "recommend" else []
+        capsys.readouterr()
+        rc = cli.main([command, "--checkpoint", str(broken), "--data", str(data_dir), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and "seed" in err
 
 
 class TestUsageAndVersion:

@@ -139,17 +139,19 @@ class TestLoadDataset:
             hd.load_dataset(tmp_path)
 
     def test_single_member_group_warns(self, tmp_path, caplog):
+        # one warning with the count, however many groups have one member
         write_dataset_dir(
             tmp_path,
             social="a\tb\n",
             user_item="a\ti\n",
-            group_members="g\ta\n",
+            group_members="g\ta\nh\tb\nk\ta\nk\tb\n",
             group_item="g\ti\n",
         )
         with caplog.at_level("WARNING"):
             ds = hd.load_dataset(tmp_path)
-        assert ds.memberships == [[0]]
-        assert "single member" in caplog.text
+        assert ds.memberships == [[0], [1], [0, 1]]
+        singles = [r for r in caplog.records if "single member" in r.getMessage()]
+        assert len(singles) == 1 and "2 group(s)" in singles[0].getMessage()
 
     def test_invalid_utf8_is_parse_error_naming_the_file(self, tmp_path):
         write_dataset_dir(tmp_path, social="a\tb\n", user_item="a\ti\n",

@@ -213,9 +213,11 @@ class TestSampleNeighbors:
         b = hg.sample_neighbors(degrees, 4, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
-    def test_draws_match_numpy_row_by_row(self):
+    def test_draws_match_numpy_row_by_row(self, monkeypatch):
         # a layer draws what one rng.choice / rng.integers call per nonempty
-        # row would, and leaves the generator in the same state
+        # row would, and leaves the generator in the same state, on any bit
+        # generator.  Every layer is one rng.integers call, except one with a
+        # pool so large that choice tail-shuffles, which is drawn row by row.
         def per_row(degrees, size, rng):
             out = np.full((len(degrees), size), -1)
             for r, n in enumerate(degrees):
@@ -225,33 +227,40 @@ class TestSampleNeighbors:
                     out[r] = rng.integers(0, n, size=size)
             return out
 
+        by_rows = []
+        sample_rows = hg._sample_rows
+        monkeypatch.setattr(hg, "_sample_rows", lambda *args: by_rows.append(args) or sample_rows(*args))
+
         def check(degrees, size, make_rng, buffered):
             ref, got = make_rng(), make_rng()
             if buffered:  # leave half of a 64-bit output in the generator
                 ref.integers(0, 5)
                 got.integers(0, 5)
             want = per_row(list(degrees), size, ref)
+            by_rows.clear()
             np.testing.assert_array_equal(hg.sample_neighbors(degrees, size, got), want)
             np.testing.assert_equal(got.bit_generator.state, ref.bit_generator.state)
+            degrees = np.asarray(degrees, dtype=np.int64)
+            assert bool(by_rows) == bool(np.any((degrees > 10000) & (size > degrees // 50)))
 
         pick = np.random.default_rng(8)
-        replayed = 0
+        generators = (np.random.PCG64, np.random.MT19937, np.random.Philox)
         for trial in range(400):
             size = int(pick.integers(1, 7))
             # pools below, at and above the sample size, around numpy's
-            # large-pool threshold, and large enough that Lemire's bounded
-            # draw rejects values (the layer is then drawn row by row)
-            edge = [0, 1, size - 1, size, size + 1, 10000, 10001, 3 << 30]
+            # large-pool threshold, large enough that Lemire's bounded draw
+            # rejects values, and beyond 32 bits
+            edge = [0, 1, size - 1, size, size + 1, 10000, 10001, 3 << 30, (1 << 32) + 5]
             degrees = (pick.integers(0, 600, size=int(pick.integers(0, 30))) if trial % 3
                        else pick.choice(edge, size=int(pick.integers(0, 12))))
-            check(degrees, size, lambda: np.random.default_rng(trial), trial % 2)
-            replayed += hg._replay_layer(degrees, size, np.random.default_rng(trial)) is not None
-        assert replayed >= 300
+            bitgen = generators[trial % len(generators)]
+            check(degrees, size, lambda: np.random.Generator(bitgen(trial)), trial % 2)
         # numpy's choice switches algorithm for a pool above 10000 once the
         # sample is larger than 1/50 of it
         for n, size in ((10001, 200), (10001, 201), (20000, 401)):
             check(np.array([n, 3, 0, n]), size, lambda: np.random.default_rng(n), False)
-        check(np.array([9, 2, 0, 5]), 4, lambda: np.random.Generator(np.random.MT19937(3)), False)
+        for bitgen in generators[1:]:
+            check(np.array([9, 2, 0, 5]), 4, lambda: np.random.Generator(bitgen(3)), False)
 
     def test_without_replacement_when_pool_large(self):
         rng = np.random.default_rng(5)
