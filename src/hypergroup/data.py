@@ -13,6 +13,7 @@ import errno
 import json
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -203,14 +204,38 @@ def _write_id_map(root: Path, maps: IdMaps) -> None:
         fh.write(json.dumps(blob, sort_keys=True, indent=1))
 
 
+def _first_seen(*columns) -> dict[str, int]:
+    """Dense indices for raw ids in the order they first appear."""
+    return {raw: i for i, raw in enumerate(dict.fromkeys(chain(*columns)))}
+
+
+def _lookup(ids: dict[str, int], raws, file: str, kind: str) -> list[int]:
+    """Dense indices of ``raws``; the first raw id missing from ``ids`` raises."""
+    try:
+        return [ids[raw] for raw in raws]
+    except KeyError as exc:
+        raise IntegrityError(f"{file}: unknown {kind} id {exc.args[0]!r}") from None
+
+
+def _dedupe(pairs: list[tuple[int, int]], label: str) -> list[tuple[int, int]]:
+    """``pairs`` without repeats, in first-seen order; logs how many went."""
+    out = list(dict.fromkeys(pairs))
+    if len(out) != len(pairs):
+        log.warning("dropped %d duplicate %s pair(s)", len(pairs) - len(out), label)
+    return out
+
+
 def load_dataset(dir_path) -> InteractionDataset:
     """Load the four TSV files, remapping raw string IDs to dense indices.
 
     A missing ``id_map.json`` is derived in first-seen order and written
     back next to the data files (a read-only directory only logs a
-    warning); an existing one is reused verbatim.
-    Social edges are symmetrized, duplicates are dropped with a logged
-    count, and memberships referring to unknown users raise.
+    warning); an existing one is reused verbatim.  Users are numbered as
+    they appear in ``social.tsv``, then ``user_item.tsv``; items in
+    ``user_item.tsv``, then ``group_item.tsv``; groups in
+    ``group_members.tsv``, then ``group_item.tsv``.
+    Social edges are symmetrized, self-loops and duplicates are dropped
+    with a logged count, and memberships referring to unknown users raise.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -218,31 +243,17 @@ def load_dataset(dir_path) -> InteractionDataset:
     for name in DATA_FILES:
         if not (root / name).is_file():
             raise DataError(f"missing data file: {root / name}")
-
-    social_raw = _read_pairs(root / SOCIAL_FILE)
-    user_item_raw = _read_pairs(root / USER_ITEM_FILE)
-    members_raw = _read_pairs(root / GROUP_MEMBERS_FILE)
-    group_item_raw = _read_pairs(root / GROUP_ITEM_FILE)
+    social_raw, user_item_raw, members_raw, group_item_raw = (_read_pairs(root / n) for n in DATA_FILES)
 
     map_path = root / ID_MAP_FILE
     if map_path.is_file():
         maps = _read_id_map(map_path)
     else:
-        users: dict[str, int] = {}
-        items: dict[str, int] = {}
-        groups: dict[str, int] = {}
-        for a, b in social_raw:
-            users.setdefault(a, len(users))
-            users.setdefault(b, len(users))
-        for u, v in user_item_raw:
-            users.setdefault(u, len(users))
-            items.setdefault(v, len(items))
-        for g, _u in members_raw:
-            groups.setdefault(g, len(groups))
-        for g, v in group_item_raw:
-            groups.setdefault(g, len(groups))
-            items.setdefault(v, len(items))
-        maps = IdMaps(users=users, items=items, groups=groups)
+        maps = IdMaps(
+            users=_first_seen(chain.from_iterable(social_raw), (u for u, _ in user_item_raw)),
+            items=_first_seen((v for _, v in user_item_raw), (v for _, v in group_item_raw)),
+            groups=_first_seen((g for g, _ in members_raw), (g for g, _ in group_item_raw)),
+        )
         try:
             _write_id_map(root, maps)
         except OSError as exc:
@@ -250,71 +261,30 @@ def load_dataset(dir_path) -> InteractionDataset:
                 raise
             log.warning("cannot write %s (%s); using the derived id map", map_path, exc)
 
-    def u_idx(raw: str, where: str) -> int:
-        try:
-            return maps.users[raw]
-        except KeyError:
-            raise IntegrityError(f"{where}: unknown user id {raw!r}") from None
+    ends = _lookup(maps.users, chain.from_iterable(social_raw), SOCIAL_FILE, "user")
+    edges = list(zip(ends[::2], ends[1::2]))
+    social = {(a, b) if a < b else (b, a) for a, b in edges if a != b}
+    loops = sum(a == b for a, b in edges)
+    if loops:
+        log.warning("dropped %d social self-loop(s)", loops)
 
-    def v_idx(raw: str, where: str) -> int:
-        try:
-            return maps.items[raw]
-        except KeyError:
-            raise IntegrityError(f"{where}: unknown item id {raw!r}") from None
-
-    social = set()
-    dropped_loops = 0
-    for a, b in social_raw:
-        ia, ib = u_idx(a, SOCIAL_FILE), u_idx(b, SOCIAL_FILE)
-        if ia == ib:
-            dropped_loops += 1
-            continue
-        social.add((min(ia, ib), max(ia, ib)))
-    if dropped_loops:
-        log.warning("dropped %d social self-loop(s)", dropped_loops)
-
-    def dedupe(pairs: list[tuple[int, int]], label: str) -> list[tuple[int, int]]:
-        seen = set()
-        out = []
-        for p in pairs:
-            if p in seen:
-                continue
-            seen.add(p)
-            out.append(p)
-        if len(out) != len(pairs):
-            log.warning("dropped %d duplicate %s pair(s)", len(pairs) - len(out), label)
-        return out
-
-    user_item = dedupe(
-        [(u_idx(u, USER_ITEM_FILE), v_idx(v, USER_ITEM_FILE)) for u, v in user_item_raw],
-        "user-item",
-    )
-    group_item_idx = []
-    for g, v in group_item_raw:
-        if g not in maps.groups:
-            raise IntegrityError(f"{GROUP_ITEM_FILE}: unknown group id {g!r}")
-        group_item_idx.append((maps.groups[g], v_idx(v, GROUP_ITEM_FILE)))
-    group_item = dedupe(group_item_idx, "group-item")
+    ui_users = _lookup(maps.users, (u for u, _ in user_item_raw), USER_ITEM_FILE, "user")
+    ui_items = _lookup(maps.items, (v for _, v in user_item_raw), USER_ITEM_FILE, "item")
+    user_item = _dedupe(list(zip(ui_users, ui_items)), "user-item")
+    gi_groups = _lookup(maps.groups, (g for g, _ in group_item_raw), GROUP_ITEM_FILE, "group")
+    gi_items = _lookup(maps.items, (v for _, v in group_item_raw), GROUP_ITEM_FILE, "item")
+    group_item = _dedupe(list(zip(gi_groups, gi_items)), "group-item")
 
     memberships: list[list[int]] = [[] for _ in range(len(maps.groups))]
-    for g, u in members_raw:
-        if g not in maps.groups:
-            raise IntegrityError(f"{GROUP_MEMBERS_FILE}: unknown group id {g!r}")
-        if u not in maps.users:
-            raise IntegrityError(
-                f"{GROUP_MEMBERS_FILE}: member {u!r} of group {g!r} appears in no user file"
-            )
-        gi, ui = maps.groups[g], maps.users[u]
+    member_groups = _lookup(maps.groups, (g for g, _ in members_raw), GROUP_MEMBERS_FILE, "group")
+    for (g, u), gi in zip(members_raw, member_groups):
+        ui = maps.users.get(u)
+        if ui is None:
+            raise IntegrityError(f"{GROUP_MEMBERS_FILE}: member {u!r} of group {g!r} appears in no user file")
         if ui in memberships[gi]:
             log.warning("group %r lists member %r more than once; ignoring repeat", g, u)
             continue
         memberships[gi].append(ui)
-    for gi, members in enumerate(memberships):
-        if not members:
-            raise IntegrityError(f"group index {gi} has no members")
-    singles = sum(len(members) == 1 for members in memberships)
-    if singles:
-        log.warning("%d group(s) have a single member", singles)
 
     ds = InteractionDataset(
         num_users=len(maps.users),
@@ -327,11 +297,14 @@ def load_dataset(dir_path) -> InteractionDataset:
         id_maps=maps,
     )
     ds.validate()
+    singles = sum(len(members) == 1 for members in memberships)
+    if singles:
+        log.warning("%d group(s) have a single member", singles)
     return ds
 
 
 def save_dataset(ds: InteractionDataset, dir_path) -> None:
-    """Write the four TSV files plus the ID-map sidecar.
+    """Write the four TSV files plus the ID-map sidecar, each replaced whole.
 
     Raw string IDs from ``ds.id_maps`` are used when available so a saved
     dataset reloads to an identical in-memory structure.
@@ -348,9 +321,8 @@ def save_dataset(ds: InteractionDataset, dir_path) -> None:
     g_raw = maps.reverse("groups")
 
     def write(name: str, rows) -> None:
-        with open(root / name, "w", encoding="utf-8") as fh:
-            for a, b in rows:
-                fh.write(f"{a}\t{b}\n")
+        with atomic_write(root / name, encoding="utf-8") as fh:
+            fh.writelines(f"{a}\t{b}\n" for a, b in rows)
 
     write(SOCIAL_FILE, ((u_raw[a], u_raw[b]) for a, b in sorted(ds.social_edges)))
     write(USER_ITEM_FILE, ((u_raw[u], v_raw[v]) for u, v in ds.user_item))
@@ -364,50 +336,39 @@ def save_dataset(ds: InteractionDataset, dir_path) -> None:
 
 
 def _partition(pairs: list[tuple[int, int]], spec: SplitSpec, rng: np.random.Generator):
+    """``(train, val, test)`` lists of ``pairs``, in their original order."""
     n = len(pairs)
     n_val = int(n * spec.val_ratio + 1e-9)
     n_test = int(n * spec.test_ratio + 1e-9)
     order = rng.permutation(n)
-    val_idx = set(order[:n_val].tolist())
-    test_idx = set(order[n_val:n_val + n_test].tolist())
-    train, val, test = [], [], []
-    for i, p in enumerate(pairs):
-        if i in val_idx:
-            val.append(p)
-        elif i in test_idx:
-            test.append(p)
-        else:
-            train.append(p)
-    return train, val, test
+    label = np.zeros(n, dtype=np.int8)
+    label[order[:n_val]] = 1
+    label[order[n_val:n_val + n_test]] = 2
+    parts = ([], [], [])
+    for p, k in zip(pairs, label.tolist()):
+        parts[k].append(p)
+    return parts
 
 
 def split_interactions(ds: InteractionDataset, spec: SplitSpec):
     """Partition user-item and group-item interactions by the split ratios.
 
-    Remainders after flooring go to train.  Social edges and memberships
-    are replicated into every split; the partition is deterministic for a
-    fixed seed.
+    Remainders after flooring go to train; the partition is deterministic
+    for a fixed seed.  Every split shares the source's social edges,
+    memberships and id maps (the same objects, not copies), so callers
+    treat them as read-only.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    ui_train, ui_val, ui_test = _partition(ds.user_item, spec, rng)
-    gi_train, gi_val, gi_test = _partition(ds.group_item, spec, rng)
+    ui_parts = _partition(ds.user_item, spec, rng)
+    gi_parts = _partition(ds.group_item, spec, rng)
 
     if len(ds.group_item) >= 10:
-        for name, part in (("train", gi_train), ("val", gi_val), ("test", gi_test)):
+        for name, part in zip(("train", "val", "test"), gi_parts):
             if not part:
                 log.warning("%s split received no group-item interactions", name)
 
-    def mk(ui, gi):
-        return replace(
-            ds,
-            user_item=list(ui),
-            group_item=list(gi),
-            social_edges=set(ds.social_edges),
-            memberships=[list(m) for m in ds.memberships],
-        )
-
-    return mk(ui_train, gi_train), mk(ui_val, gi_val), mk(ui_test, gi_test)
+    return tuple(replace(ds, user_item=ui, group_item=gi) for ui, gi in zip(ui_parts, gi_parts))
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,13 @@ class TransientHypergraphView:
     def has_known_neighbors(self) -> bool:
         return bool(self._pool.size)
 
-    def neighbors(self, g: int) -> np.ndarray:
-        return self._pool if g == self.transient_index else self._base.neighbors(g)
+    @property
+    def exact_group(self) -> int | None:
+        """The lowest-id existing group with exactly these members, if any."""
+        size = self._members.size
+        sizes = self._base.member_indptr[self._pool + 1] - self._base.member_indptr[self._pool]
+        exact = self._pool[(self._weights == size) & (sizes == size)]
+        return int(exact[0]) if exact.size else None
 
     def degrees(self, groups: np.ndarray) -> np.ndarray:
         out = np.full(groups.size, self._pool.size, dtype=np.int64)

@@ -115,7 +115,6 @@ class ModelParams:
     num_users: int
     num_items: int
     tensors: dict[str, Tensor]
-    residual_w: float
 
     def __post_init__(self):
         t = self.tensors
@@ -168,7 +167,7 @@ def param_layout(cfg: ModelConfig, num_users: int, num_items: int) -> list[tuple
 
 def _params(cfg: ModelConfig, num_users: int, num_items: int, values: dict[str, np.ndarray]) -> ModelParams:
     tensors = {name: Tensor(v, name=name, trainable=name != "node_features") for name, v in values.items()}
-    return ModelParams(num_users, num_items, tensors, cfg.residual_w)
+    return ModelParams(num_users, num_items, tensors)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -410,7 +409,7 @@ class ForwardPass:
             emb = self._member_average(uniq)
         else:
             x, z = self._hrl_forward(uniq)
-            w = self.params.residual_w
+            w = self.cfg.residual_w
             emb = nm.add(nm.scale(z, w, self.tape), nm.scale(x, 1.0 - w, self.tape), self.tape)
         return self._align(emb, uniq, groups)
 
@@ -439,15 +438,6 @@ def mlp_forward(
 # ad-hoc groups
 
 
-def find_exact_group(hyper: Hypergraph, members) -> int | None:
-    """Index of an existing group with exactly this member set, if any."""
-    member_ids = unique_ids(_ids(members))
-    groups, shared = hyper.overlap_counts(member_ids)
-    sizes = hyper.member_indptr[groups + 1] - hyper.member_indptr[groups]
-    exact = groups[(shared == member_ids.size) & (sizes == member_ids.size)]
-    return int(exact[0]) if exact.size else None
-
-
 def transient_group_embedding(members, params: ModelParams, cfg: ModelConfig,
                               social: SocialGraph | None, hyper: Hypergraph,
                               rng: np.random.Generator) -> np.ndarray:
@@ -464,13 +454,13 @@ def transient_group_embedding(members, params: ModelParams, cfg: ModelConfig,
         raise ContractViolation("a transient group needs at least one member")
     if member_ids[0] < 0 or member_ids[-1] >= params.num_users:
         raise ContractViolation(f"transient group members must lie in [0, {params.num_users})")
-    exact = find_exact_group(hyper, member_ids)
-    graph = hyper if exact is not None else TransientHypergraphView(hyper, member_ids)
-    fp = ForwardPass(params, cfg, social, graph, rng)
+    view = TransientHypergraphView(hyper, member_ids)
+    exact = view.exact_group
+    fp = ForwardPass(params, cfg, social, hyper if exact is not None else view, rng)
     if exact is not None:
         return fp.group_vectors([exact]).values[0]
-    if uses_hrl(cfg.variant) and graph.has_known_neighbors:
-        return fp.group_vectors([graph.transient_index]).values[0]
+    if uses_hrl(cfg.variant) and view.has_known_neighbors:
+        return fp.group_vectors([view.transient_index]).values[0]
     return fp.member_vectors(member_ids).values.mean(axis=0)
 
 

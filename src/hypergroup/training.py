@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evaluation
 from . import numeric as nm
 from .data import InteractionDataset
 from .errors import ConfigError, ContractViolation, NumericError, SamplingError, check_fields
@@ -197,11 +198,10 @@ def _batch_loss(
     l2_reg: float,
     rng: np.random.Generator,
     tape: Tape | None = None,
-    training: bool = True,
 ) -> Tensor:
     if not triples:
         raise ContractViolation("batch must hold at least one triple")
-    fp = ForwardPass(params, cfg, social, hyper, rng, tape, training)
+    fp = ForwardPass(params, cfg, social, hyper, rng, tape, training=True)
     if task == "group":
         entity_rows = fp.group_vectors([g for g, _, _ in triples])
         tower = params.group_mlp
@@ -210,8 +210,8 @@ def _batch_loss(
         tower = params.user_mlp
     pos_rows = nm.gather_rows(params.item_embeddings, [p for _, p, _ in triples], tape)
     neg_rows = nm.gather_rows(params.item_embeddings, [n for _, _, n in triples], tape)
-    s_pos = mlp_forward(tower, nm.concat(entity_rows, pos_rows, tape), cfg, rng, tape, training)
-    s_neg = mlp_forward(tower, nm.concat(entity_rows, neg_rows, tape), cfg, rng, tape, training)
+    s_pos = mlp_forward(tower, nm.concat(entity_rows, pos_rows, tape), cfg, rng, tape, training=True)
+    s_neg = mlp_forward(tower, nm.concat(entity_rows, neg_rows, tape), cfg, rng, tape, training=True)
     loss = nm.mean_all(nm.bpr_pair_loss(s_pos, s_neg, tape), tape)
     if l2_reg > 0.0:
         reg = None
@@ -222,17 +222,15 @@ def _batch_loss(
     return loss
 
 
-def group_batch_loss(triples, params, cfg, social, hyper, l2_reg, rng,
-                     tape=None, training=True) -> Tensor:
+def group_batch_loss(triples, params, cfg, social, hyper, l2_reg, rng, tape=None) -> Tensor:
     """Mean pairwise ranking loss over (group, pos, neg) triples plus
     L2 regularization of the parameters the batch touches."""
-    return _batch_loss("group", triples, params, cfg, social, hyper, l2_reg, rng, tape, training)
+    return _batch_loss("group", triples, params, cfg, social, hyper, l2_reg, rng, tape)
 
 
-def user_batch_loss(triples, params, cfg, social, l2_reg, rng,
-                    tape=None, training=True) -> Tensor:
+def user_batch_loss(triples, params, cfg, social, l2_reg, rng, tape=None) -> Tensor:
     """Same objective through the user tower over (user, pos, neg) triples."""
-    return _batch_loss("user", triples, params, cfg, social, None, l2_reg, rng, tape, training)
+    return _batch_loss("user", triples, params, cfg, social, None, l2_reg, rng, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +488,7 @@ class _EarlyStop:
     def should_stop(self, epoch: int) -> bool:
         if not self.enabled:
             return False
-        from .evaluation import evaluate  # local import to avoid a cycle
-
-        report = evaluate(
+        report = evaluation.evaluate(
             self.params, self.model_cfg, self.social, self.hyper, self.val_ds,
             cutoffs=(10,), eval_seed=self.cfg.seed, target="groups",
         )

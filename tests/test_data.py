@@ -153,6 +153,40 @@ class TestLoadDataset:
         singles = [r for r in caplog.records if "single member" in r.getMessage()]
         assert len(singles) == 1 and "2 group(s)" in singles[0].getMessage()
 
+    def test_derived_ids_follow_first_seen_order_across_files(self, tmp_path, caplog):
+        # users: social.tsv, then user_item.tsv; items: user_item.tsv, then
+        # group_item.tsv; groups: group_members.tsv, then group_item.tsv
+        write_dataset_dir(
+            tmp_path,
+            social="b\ta\na\ta\n",
+            user_item="c\tx\nb\ty\nc\tx\n",
+            group_members="h\tc\nh\ta\nh\tc\ng\tb\n",
+            group_item="g\tz\nh\tx\n",
+        )
+        with caplog.at_level("WARNING"):
+            ds = hd.load_dataset(tmp_path)
+        assert ds.id_maps == hd.IdMaps(users={"b": 0, "a": 1, "c": 2},
+                                       items={"x": 0, "y": 1, "z": 2},
+                                       groups={"h": 0, "g": 1})
+        assert ds.social_edges == {(0, 1)}
+        assert ds.user_item == [(2, 0), (0, 1)]
+        assert ds.group_item == [(1, 2), (0, 0)]
+        assert ds.memberships == [[2, 1], [0]]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 social self-loop(s)",
+            "dropped 1 duplicate user-item pair(s)",
+            "group 'h' lists member 'c' more than once; ignoring repeat",
+            "1 group(s) have a single member",
+        ]
+        # a group seen only in group_item.tsv comes after every member-file
+        # group, and has no members
+        ghost = tmp_path / "ghost"
+        ghost.mkdir()
+        write_dataset_dir(ghost, social="a\tb\n", user_item="a\ti\n",
+                          group_members="h\ta\ng\tb\n", group_item="k\ti\nh\ti\n")
+        with pytest.raises(IntegrityError, match="2 has no members"):
+            hd.load_dataset(ghost)
+
     def test_invalid_utf8_is_parse_error_naming_the_file(self, tmp_path):
         write_dataset_dir(tmp_path, social="a\tb\n", user_item="a\ti\n",
                           group_members="g\ta\n", group_item="g\ti\n")
@@ -230,6 +264,20 @@ class TestIdMapFile:
             hd.load_dataset(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(hd.DATA_FILES)
 
+    def test_failed_save_leaves_the_previous_files(self, tmp_path, monkeypatch):
+        first = hd.generate_synthetic(hd.SynthConfig(num_users=12, num_items=9, num_groups=4, seed=1))
+        second = hd.generate_synthetic(hd.SynthConfig(num_users=12, num_items=9, num_groups=4, seed=2))
+        hd.save_dataset(first, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def broken_disk(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "fsync", broken_disk)
+        with pytest.raises(OSError):
+            hd.save_dataset(second, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestSplit:
     def make_ds(self, n_group_pairs=100, n_user_pairs=40):
@@ -285,6 +333,10 @@ class TestSplit:
         for part in (train, val, test):
             assert part.memberships == ds.memberships
             assert part.social_edges == ds.social_edges
+            # shared, not copied: a split treats the structure as read-only
+            assert part.memberships is ds.memberships
+            assert part.social_edges is ds.social_edges
+            assert part.id_maps is ds.id_maps
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(ConfigError):

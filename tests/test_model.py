@@ -490,13 +490,26 @@ class TestTransientGroups:
     def test_existing_groups_see_pristine_neighborhoods(self):
         ds, hyper, cfg, params = self.make_world()
         view = hm.TransientHypergraphView(hyper, [1, 3])
-        assert view.has_known_neighbors
-        assert view.neighbors(view.transient_index).tolist() == [0, 1]
-        for g in range(hyper.num_groups):
-            np.testing.assert_array_equal(view.neighbors(g), hyper.neighbors(g))
+        assert view.has_known_neighbors and view.exact_group is None
+        groups = np.arange(hyper.num_groups)
+        degrees = hyper.degrees(groups)
+        np.testing.assert_array_equal(view.degrees(groups), degrees)
+        assert view.degrees(np.array([view.transient_index])).tolist() == [2]
+        # every slot of an existing group, and its empty slots, read the base
+        offsets = np.arange(degrees.max() + 1)[None, :].repeat(groups.size, axis=0)
+        offsets[offsets >= degrees[:, None]] = -1
+        for got, want in zip(view.neighbor_slots(groups, offsets), hyper.neighbor_slots(groups, offsets)):
+            np.testing.assert_array_equal(got, want)
         # the transient row's weights are its overlaps with each group
         ids, weights = view.neighbor_slots(np.array([view.transient_index]), np.array([[0, 1]]))
         assert ids.tolist() == [[0, 1]] and weights.tolist() == [[1, 1]]
+
+    def test_exact_group_is_the_lowest_id_with_the_same_members(self):
+        hyper = build_hypergraph(make_ds(5, 2, [[2, 3], [0, 1, 2], [3, 2]]))
+        assert hm.TransientHypergraphView(hyper, [3, 2, 3]).exact_group == 0
+        assert hm.TransientHypergraphView(hyper, [0, 1, 2]).exact_group == 1
+        for members in ([2], [0, 1], [0, 1, 2, 3], [4]):
+            assert hm.TransientHypergraphView(hyper, members).exact_group is None
 
 
 class TestForwardPassContract:
