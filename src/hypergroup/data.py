@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, IntegrityError, ParseError, check_fields
-from .numeric import atomic_write
+from .numeric import atomic_write, atomic_writes
 
 log = logging.getLogger(__name__)
 
@@ -198,10 +198,9 @@ def _read_id_map(path: Path) -> IdMaps:
     return IdMaps(**maps)
 
 
-def _write_id_map(root: Path, maps: IdMaps) -> None:
+def _id_map_text(maps: IdMaps) -> str:
     blob = {"users": maps.users, "items": maps.items, "groups": maps.groups}
-    with atomic_write(root / ID_MAP_FILE, encoding="utf-8") as fh:
-        fh.write(json.dumps(blob, sort_keys=True, indent=1))
+    return json.dumps(blob, sort_keys=True, indent=1)
 
 
 def _first_seen(*columns) -> dict[str, int]:
@@ -255,7 +254,8 @@ def load_dataset(dir_path) -> InteractionDataset:
             groups=_first_seen((g for g, _ in members_raw), (g for g, _ in group_item_raw)),
         )
         try:
-            _write_id_map(root, maps)
+            with atomic_write(map_path, encoding="utf-8") as fh:
+                fh.write(_id_map_text(maps))
         except OSError as exc:
             if not isinstance(exc, PermissionError) and exc.errno != errno.EROFS:
                 raise
@@ -304,7 +304,8 @@ def load_dataset(dir_path) -> InteractionDataset:
 
 
 def save_dataset(ds: InteractionDataset, dir_path) -> None:
-    """Write the four TSV files plus the ID-map sidecar, each replaced whole.
+    """Write the four TSV files plus the ID-map sidecar, replaced as a set:
+    a save that fails leaves every previous file as it was.
 
     Raw string IDs from ``ds.id_maps`` are used when available so a saved
     dataset reloads to an identical in-memory structure.
@@ -320,15 +321,16 @@ def save_dataset(ds: InteractionDataset, dir_path) -> None:
     v_raw = maps.reverse("items")
     g_raw = maps.reverse("groups")
 
-    def write(name: str, rows) -> None:
-        with atomic_write(root / name, encoding="utf-8") as fh:
+    tables = {
+        SOCIAL_FILE: ((u_raw[a], u_raw[b]) for a, b in sorted(ds.social_edges)),
+        USER_ITEM_FILE: ((u_raw[u], v_raw[v]) for u, v in ds.user_item),
+        GROUP_MEMBERS_FILE: ((g_raw[g], u_raw[u]) for g, members in enumerate(ds.memberships) for u in members),
+        GROUP_ITEM_FILE: ((g_raw[g], v_raw[v]) for g, v in ds.group_item),
+    }
+    with atomic_writes([root / name for name in (*tables, ID_MAP_FILE)], encoding="utf-8") as handles:
+        for fh, rows in zip(handles, tables.values()):
             fh.writelines(f"{a}\t{b}\n" for a, b in rows)
-
-    write(SOCIAL_FILE, ((u_raw[a], u_raw[b]) for a, b in sorted(ds.social_edges)))
-    write(USER_ITEM_FILE, ((u_raw[u], v_raw[v]) for u, v in ds.user_item))
-    write(GROUP_MEMBERS_FILE, ((g_raw[g], u_raw[u]) for g, members in enumerate(ds.memberships) for u in members))
-    write(GROUP_ITEM_FILE, ((g_raw[g], v_raw[v]) for g, v in ds.group_item))
-    _write_id_map(root, maps)
+        handles[-1].write(_id_map_text(maps))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ shared across all places the entity appears in that pass.  Each encoder
 layer draws the samples of all its nodes in one
 :func:`~hypergroup.graph.sample_neighbors` call, and the pass works on
 sorted id arrays: :func:`~hypergroup.graph.unique_ids` collects the nodes
-a layer needs and ``np.searchsorted`` maps ids to rows.  Common-member
-sets are computed only for the group pairs the pass sampled.  Training
-runs a fresh pass per mini-batch; evaluation runs one pass under a fixed
-seed.
+a layer needs and ``np.searchsorted`` maps ids to rows (the social
+encoder's first layer reads the frozen node features by user id itself).
+Common-member sets are computed only for the group pairs the pass
+sampled.  Training runs a fresh pass per mini-batch; evaluation runs one
+pass under a fixed seed.
 """
 
 from __future__ import annotations
@@ -287,13 +288,19 @@ class ForwardPass:
         for i in range(K, 0, -1):
             offsets = sample_neighbors(social.degrees(needed[i]), S, self.rng)
             samples[i] = social.neighbor_ids(needed[i], offsets)
-            needed[i - 1] = unique_ids(needed[i], samples[i])
+            if i > 1:
+                needed[i - 1] = unique_ids(needed[i], samples[i])
 
-        h = nm.gather_rows(params.node_features, needed[0], tape)
+        # layer 1 reads the frozen features by user id; the rows of a
+        # later layer's input align with needed[i - 1]
+        h = params.node_features
         for i in range(1, K + 1):
-            prev = needed[i - 1]
-            own = nm.gather_rows(h, np.searchsorted(prev, needed[i]), tape)
-            nbrs = nm.gather_rows(h, np.searchsorted(prev, samples[i].ravel()), tape)
+            own_ids, nbr_ids = needed[i], samples[i].ravel()
+            if i > 1:
+                own_ids = np.searchsorted(needed[i - 1], own_ids)
+                nbr_ids = np.searchsorted(needed[i - 1], nbr_ids)
+            own = nm.gather_rows(h, own_ids, tape)
+            nbrs = nm.gather_rows(h, nbr_ids, tape)
             nbr_mean = nm.mean_rows_stride(nbrs, S, tape)
             pre = nm.linear(params.ipm_layers[i - 1], None, nm.concat(own, nbr_mean, tape), tape)
             h = nm.l2_normalize(nm.relu(pre, tape), tape)

@@ -19,6 +19,15 @@ same checkpoints.  :func:`scatter_add`, which accumulates ``gather_rows``
 gradients and ``segment_mean`` sums, adds each target row's entries one
 at a time in index order, exactly as ``np.add.at`` does; a sort-then-sum
 or ``np.add.reduceat`` would reassociate the sums and is not allowed.
+Strictly ascending indices take one fancy-indexed add, non-decreasing
+ones skip the sort, and the rest pay one stable argsort.
+
+Gradient buffers exist on demand.  A trainable leaf gets a zero buffer
+when a recorded operation reads it, so the optimizer steps every touched
+parameter, zero gradient included.  Any other tensor gets one from its
+first gradient contribution, ``0.0 + g`` in a new array: the bits of
+adding ``g`` into zeros.  A backward step whose output received no
+gradient is skipped.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,12 +94,13 @@ class Tape:
     """
 
     def __init__(self):
-        self._steps: list = []
+        self._steps: list[tuple[Tensor, object]] = []
         self._touched: dict[int, Tensor] = {}
         self._consumed = False
 
-    def record(self, step) -> None:
-        self._steps.append(step)
+    def record(self, out: Tensor, step) -> None:
+        """Queue ``step``, which propagates ``out``'s gradient to its inputs."""
+        self._steps.append((out, step))
 
     def touch(self, tensor: Tensor) -> None:
         if tensor.trainable:
@@ -107,10 +117,10 @@ class Tape:
         self._consumed = True
         if loss.values.ndim != 0:
             raise ContractViolation("backward() expects a scalar loss")
-        loss.ensure_grad()
         loss.grad = np.ones_like(loss.values)
-        for step in reversed(self._steps):
-            step()
+        for out, step in reversed(self._steps):
+            if out.grad is not None:  # else no gradient reached ``out``
+                step()
 
 
 def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
@@ -122,12 +132,23 @@ def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], backward) 
     if not any(t._rg for t in inputs):
         return out
     out._rg = True
-    out.ensure_grad()
     for t in inputs:
-        if t._rg:
+        if t.trainable:
             t.ensure_grad()
-    tape.record(backward)
+    tape.record(out, backward)
     return out
+
+
+def _accumulate(t: Tensor, g) -> None:
+    """``t.grad += g``; the first contribution to a gradient-less tensor is
+    written as ``0.0 + g`` into a new array of ``t``'s shape, the same bits
+    as adding ``g`` into zeros (``-0.0`` becomes ``+0.0``, a broadcast
+    ``g`` fills the shape).
+    """
+    if t.grad is None:
+        t.grad = np.add(0.0, g, out=np.empty_like(t.values))
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +177,11 @@ def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None) -> 
     def backward():
         g = out.grad
         if w._rg:
-            w.grad += g.T @ xv
+            _accumulate(w, g.T @ xv)
         if b is not None and b._rg:
-            b.grad += g.sum(axis=0)
+            _accumulate(b, g.sum(axis=0))
         if x._rg:
-            x.grad += g @ wv
+            _accumulate(x, g @ wv)
 
     return _record(tape, out, inputs, backward)
 
@@ -175,9 +196,9 @@ def matvec(x: Tensor, w: Tensor, tape: Tape | None = None) -> Tensor:
     def backward():
         g = out.grad
         if x._rg:
-            x.grad += np.multiply.outer(g, wv) if xv.ndim == 2 else g * wv
+            _accumulate(x, np.multiply.outer(g, wv) if xv.ndim == 2 else g * wv)
         if w._rg:
-            w.grad += g @ xv if xv.ndim == 2 else g * xv
+            _accumulate(w, g @ xv if xv.ndim == 2 else g * xv)
 
     return _record(tape, out, (x, w), backward)
 
@@ -202,12 +223,17 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     ``np.add.at`` adds the entries of one row one at a time in index
     order, ``((t + v1) + v2) + ...``; float addition is not associative,
     so a sort-then-sum (or ``np.add.reduceat``) gives other bits.  This
-    keeps the order: a stable sort numbers each entry's occurrence within
-    its row, and occurrence j of every row is added by one unique-index
-    ``target[rows] += vals`` after occurrence j - 1.  Occurrences past
-    the last level of at least ``SCATTER_MIN_ROWS`` rows (the tail of a
-    few heavy rows) go through one ``np.add.at``, which adds each row's
-    remaining entries in their index order too.
+    keeps the order.  Strictly ascending indices add once per row, by one
+    ``target[idx] += vals``.  Otherwise the entries are grouped into one
+    run per row, in index order within a run: non-decreasing indices
+    already are, other indices take one stable argsort.  With the runs
+    ordered longest first, level j (occurrence j of every row with more
+    than j entries) is a prefix of the runs, and it is added by one
+    ``buf[:count] += vals`` after level j - 1, into a compact buffer that
+    is gathered from ``target`` once and written back once.  Occurrences
+    past the last level of at least ``SCATTER_MIN_ROWS`` rows (the tail
+    of a few heavy rows) go through one ``np.add.at``, which adds each
+    row's remaining entries in their index order too.
     ``idx`` may have any shape; ``vals`` holds one row per index.
     Negative indices wrap as in numpy; out-of-range ones raise IndexError.
     """
@@ -215,36 +241,54 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     n = idx.size
     vals = np.asarray(vals).reshape((n,) + target.shape[1:])
     size = target.shape[0]
-    if n >= SCATTER_MIN_ROWS:
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < -size or hi >= size:
-            bad = lo if lo < -size else hi
-            raise IndexError(f"index {bad} is out of bounds for axis 0 with size {size}")
-        if lo < 0:
-            idx = np.where(idx < 0, idx + size, idx)
-        # level j holds every row with more than j entries
-        level_sizes = np.cumsum(np.bincount(np.bincount(idx))[:0:-1])[::-1]
-        levels = level_sizes[level_sizes >= SCATTER_MIN_ROWS].tolist()
+    if n < SCATTER_MIN_ROWS:
+        np.add.at(target, idx, vals)
+        return
+    lo, hi = int(idx.min()), int(idx.max())
+    if lo < -size or hi >= size:
+        bad = lo if lo < -size else hi
+        raise IndexError(f"index {bad} is out of bounds for axis 0 with size {size}")
+    if lo < 0:
+        idx = np.where(idx < 0, idx + size, idx)
+    step = np.diff(idx)
+    lowest = step.min()
+    if lowest > 0:
+        target[idx] += vals
+        return
+    # each run: its row, its entry count and where it starts in sorted order
+    if lowest == 0:
+        starts = np.flatnonzero(np.concatenate(([1], step)))
+        lens = np.diff(starts, append=n)
+        run_rows = idx[starts]
     else:
-        levels = []
+        counts = np.bincount(idx)
+        run_rows = np.flatnonzero(counts)
+        lens = counts[run_rows]
+        starts = np.cumsum(lens) - lens
+    # level j holds every row with more than j entries
+    level_sizes = np.cumsum(np.bincount(lens)[:0:-1])[::-1]
+    levels = level_sizes[level_sizes >= SCATTER_MIN_ROWS].tolist()
     if not levels:
         np.add.at(target, idx, vals)
         return
-    order = _stable_argsort(idx, size)
-    rows = idx[order]
-    pos = np.arange(n)
-    run_start = np.zeros(n, dtype=np.int64)
-    run_start[1:] = np.where(rows[1:] != rows[:-1], pos[1:], 0)
-    occurrence = pos - np.maximum.accumulate(run_start)
-    by_level = _stable_argsort(occurrence, n)
-    src, dst = order[by_level], rows[by_level]
+    order = None if lowest == 0 else _stable_argsort(idx, size)
+    longest = int(lens.max())
+    by_len = _stable_argsort(longest - lens, longest)
+    first, dst = starts[by_len], run_rows[by_len]
+    # level by level, occurrence j of runs 0 .. level_sizes[j] - 1: the
+    # entry's run (its row of the buffer) and its position in sorted order
+    ends = np.cumsum(level_sizes)
+    run = np.arange(n) - np.repeat(ends - level_sizes, level_sizes)
+    at = first[run] + np.repeat(np.arange(level_sizes.size), level_sizes)
+    src = at if order is None else order[at]
+    buf = target[dst]
     done = 0
     for count in levels:
-        level = slice(done, done + count)
-        target[dst[level]] += vals[src[level]]
+        buf[:count] += vals[src[done:done + count]]
         done += count
     if done < n:
-        np.add.at(target, dst[done:], vals[src[done:]])
+        np.add.at(buf, run[done:], vals[src[done:]])
+    target[dst] = buf
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +308,9 @@ def concat(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         g = out.grad
         ga, gb = (g[..., :split], g[..., split:])
         if a._rg:
-            a.grad += ga
+            _accumulate(a, ga)
         if b._rg:
-            b.grad += gb
+            _accumulate(b, gb)
 
     return _record(tape, out, (a, b), backward)
 
@@ -280,9 +324,9 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     def backward():
         g = out.grad
         if a._rg:
-            a.grad += g
+            _accumulate(a, g)
         if b._rg:
-            b.grad += g
+            _accumulate(b, g)
 
     return _record(tape, out, (a, b), backward)
 
@@ -294,7 +338,7 @@ def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            x.grad += c * out.grad
+            _accumulate(x, c * out.grad)
 
     return _record(tape, out, (x,), backward)
 
@@ -309,7 +353,7 @@ def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            scatter_add(x.grad, idx, out.grad)
+            scatter_add(x.ensure_grad(), idx, out.grad)
 
     return _record(tape, out, (x,), backward)
 
@@ -324,7 +368,7 @@ def mean_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor
 
     def backward():
         if x._rg:
-            x.grad += np.repeat(out.grad, stride, axis=0) / stride
+            _accumulate(x, np.repeat(out.grad, stride, axis=0) / stride)
 
     return _record(tape, out, (x,), backward)
 
@@ -339,7 +383,7 @@ def sum_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            x.grad += np.repeat(out.grad, stride, axis=0)
+            _accumulate(x, np.repeat(out.grad, stride, axis=0))
 
     return _record(tape, out, (x,), backward)
 
@@ -359,7 +403,7 @@ def segment_mean(x: Tensor, segment_ids, num_segments: int, tape: Tape | None = 
 
     def backward():
         if x._rg:
-            x.grad += out.grad[seg] / counts[seg, None]
+            _accumulate(x, (out.grad / counts[:, None])[seg])
 
     return _record(tape, out, (x,), backward)
 
@@ -374,7 +418,7 @@ def mul_rows(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            x.grad += out.grad * w[:, None]
+            _accumulate(x, out.grad * w[:, None])
 
     return _record(tape, out, (x,), backward)
 
@@ -390,7 +434,7 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            x.grad += out.grad * mask
+            _accumulate(x, out.grad * mask)
 
     return _record(tape, out, (x,), backward)
 
@@ -427,7 +471,7 @@ def dropout(
 
     def backward():
         if x._rg:
-            x.grad += np.where(keep, out.grad * factor, 0.0)
+            _accumulate(x, np.where(keep, out.grad * factor, 0.0))
 
     return _record(tape, out, (x,), backward)
 
@@ -450,7 +494,7 @@ def l2_normalize(x: Tensor, tape: Tape | None = None) -> Tensor:
             g = out.grad
             inner = np.sum(yv * g, axis=1, keepdims=True)
             gx = np.where(live[:, None], (g - yv * inner) / safe[:, None], g)
-            x.grad += gx
+            _accumulate(x, gx)
 
     return _record(tape, out, (x,), backward)
 
@@ -474,9 +518,9 @@ def bpr_pair_loss(score_pos: Tensor, score_neg: Tensor, tape: Tape | None = None
     def backward():
         g = out.grad
         if score_pos._rg:
-            score_pos.grad += g * (s - 1.0)
+            _accumulate(score_pos, g * (s - 1.0))
         if score_neg._rg:
-            score_neg.grad += g * (1.0 - s)
+            _accumulate(score_neg, g * (1.0 - s))
 
     return _record(tape, out, (score_pos, score_neg), backward)
 
@@ -488,7 +532,7 @@ def mean_all(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            x.grad += out.grad * inv
+            _accumulate(x, out.grad * inv)
 
     return _record(tape, out, (x,), backward)
 
@@ -499,7 +543,7 @@ def sum_squares(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     def backward():
         if x._rg:
-            x.grad += 2.0 * out.grad * x.values
+            _accumulate(x, 2.0 * out.grad * x.values)
 
     return _record(tape, out, (x,), backward)
 
@@ -509,26 +553,39 @@ def sum_squares(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w", **open_kwargs):
-    """Open a temporary file beside ``path`` and move it onto ``path`` once
-    the block completes.
+def atomic_writes(paths, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside each of ``paths``, yield their handles,
+    and move every temporary onto its path once the block completes.
 
-    Readers see the old file or the complete new one, never a partial
-    write; if the block raises, the temporary file is removed and any old
-    file stays as it was.
+    Every temporary is written, flushed and fsynced before the first one
+    moves, so a failure in the block or in any flush leaves all the old
+    files as they were: readers see the old set or the complete new one.
+    If anything raises, the temporary files are removed.
     """
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    paths = [os.fspath(p) for p in paths]
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(tmp, mode, **open_kwargs)) for tmp in tmps]
+            yield handles
+            for fh in handles:
+                fh.flush()
+                os.fsync(fh.fileno())
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """:func:`atomic_writes` for one file: readers see the old file or the
+    complete new one, never a partial write."""
+    with atomic_writes([path], mode, **open_kwargs) as (fh,):
+        yield fh
 
 
 CHECKPOINT_DTYPE = "<f8"

@@ -1,5 +1,6 @@
 """Command-line interface tests: flows, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -120,6 +121,39 @@ class TestTrain:
         rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
                        "--data", str(data_dir), "--topn", "5"])
         assert rc == 0
+
+
+class TestGoldenDigest:
+    """A fixed run's checkpoint bytes are pinned across kernel changes.
+
+    The exact-order contract of ``numeric`` lets a faster kernel replace a
+    slower one only when every float operation stays the same, so the
+    checkpoint of a fixed config and seed must not move.  This run is big
+    enough that ``scatter_add`` takes its level paths for strictly
+    ascending, non-decreasing and unsorted indices, and it goes through
+    JOINT training with Adam, dropout, l2 and two layers of each encoder.
+
+    The digest belongs to the numpy and OpenBLAS build it was recorded
+    with (numpy 2.4.6, scipy-openblas 0.3.31 on x86-64 Haswell kernels):
+    another BLAS may round a matrix product differently and then gives
+    another, equally valid, digest.
+    """
+
+    SYNTH = {"num_users": 400, "num_items": 60, "num_groups": 300, "avg_group_size": 4.0,
+             "num_latent_topics": 4, "overlap_strength": 0.6, "interactions_per_user": 5.0,
+             "interactions_per_group": 2.0, "seed": 11}
+    RUN = {"model": {"d": 8, "k_ipm": 2, "s_ipm": 3, "k_hrl": 2, "s_hrl": 3, "dropout": 0.2},
+           "train": {"learning_rate": 0.01, "batch_size": 128, "epochs": 2, "l2_reg": 0.001,
+                     "strategy": "JOINT", "optimizer": "ADAM", "seed": 7}}
+    DIGEST = "c3f08a909805ebefd9f8073fd024ea46e0ae1f5809afad6388ffcfc73c576470"
+
+    def test_checkpoint_digest_is_pinned(self, tmp_path):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(self.SYNTH))
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+        out = run_train(tmp_path, data, run_cfg=self.RUN)
+        assert hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest() == self.DIGEST
 
 
 class TestEval:

@@ -278,6 +278,28 @@ class TestIdMapFile:
             hd.save_dataset(second, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_save_failing_midway_replaces_no_file(self, tmp_path, monkeypatch):
+        # the five files move as a set: two flushed files must not replace
+        # their old versions when the third one fails
+        first = hd.generate_synthetic(hd.SynthConfig(num_users=12, num_items=9, num_groups=4, seed=1))
+        second = hd.generate_synthetic(hd.SynthConfig(num_users=12, num_items=9, num_groups=4, seed=2))
+        hd.save_dataset(first, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_fsync = os.fsync
+        calls = []
+
+        def third_fails(fd):
+            calls.append(fd)
+            if len(calls) == 3:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", third_fails)
+        with pytest.raises(OSError):
+            hd.save_dataset(second, tmp_path)
+        assert len(calls) == 3
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestSplit:
     def make_ds(self, n_group_pairs=100, n_user_pairs=40):

@@ -1,4 +1,5 @@
-"""Property-based fuzzing of the loaders and of ad-hoc group embeddings.
+"""Property-based fuzzing of the loaders, of ad-hoc group embeddings and of
+``scatter_add``.
 
 Every run draws the same examples (``derandomize=True``) and keeps no
 example database, so the suite stays deterministic; ``conftest.py``
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from hypergroup import data as hd
 from hypergroup import model as hm
+from hypergroup import numeric as nm
 from hypergroup import training as ht
 from hypergroup.errors import CheckpointError, ConfigError, DataError, load_config
 from hypergroup.graph import build_hypergraph, build_social_graph
@@ -204,3 +206,33 @@ def test_transient_embedding_ignores_member_order_and_repeats(variant, members, 
     assert got.shape == (cfg.d,)
     assert np.all(np.isfinite(got))
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# scatter-add
+
+# magnitudes far apart, so any change of summation order shows, and signed
+# zeros, so a lost normalisation of -0.0 shows
+SCATTER_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 1e-8, -3e8, 2.5e16, 7e-300])
+
+
+@given(rows=st.integers(1, 400), n=st.integers(0, 2500), d=st.sampled_from([1, 3]),
+       layout=st.sampled_from(["strict", "sorted", "unsorted", "wrapped"]),
+       heavy=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+@settings(FUZZ, max_examples=200)
+def test_scatter_add_is_bitwise_add_at(rows, n, d, layout, heavy, seed):
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, rows, n)
+    idx[:int(heavy * n)] = rng.integers(0, rows)  # one row may hold most entries
+    if layout == "strict":
+        idx = np.unique(idx)
+    elif layout == "sorted":
+        idx = np.sort(idx)
+    elif layout == "wrapped":
+        idx = np.sort(np.where(rng.random(n) < 0.5, idx - rows, idx))
+    target = rng.choice(SCATTER_VALUES, (rows, d)) * rng.uniform(0.5, 2.0, (rows, d))
+    vals = rng.choice(SCATTER_VALUES, (idx.size, d)) * rng.uniform(0.5, 2.0, (idx.size, d))
+    want = target.copy()
+    np.add.at(want, idx, vals)
+    nm.scatter_add(target, idx, vals)
+    assert target.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -395,6 +395,38 @@ class TestTapeContract:
         assert frozen.grad is None
         assert p.grad is not None
 
+    def test_unreached_intermediates_keep_no_gradient(self):
+        x = nm.Tensor([[1.0, -2.0], [0.5, 3.0]], trainable=True)
+        tape = nm.Tape()
+        a = nm.scale(x, 2.0, tape)
+        b = nm.relu(a, tape)
+        c = nm.scale(b, 3.0, tape)  # feeds nothing: its step and b's are skipped
+        tape.backward(nm.mean_all(a, tape))
+        assert c.grad is None and b.grad is None
+        np.testing.assert_array_equal(a.grad, np.full((2, 2), 0.25))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("first", ["mean_all", "scale"])
+    def test_first_contribution_from_a_broadcast_or_scale(self, first):
+        # relu's output gets its first gradient from mean_all's broadcast
+        # scalar, or from scale, and allocates its buffer from that
+        rng = np.random.default_rng(31)
+        x = nm.Tensor(rng.choice([-1.0, 1.0], (3, 4)) * rng.uniform(0.2, 1.0, (3, 4)), trainable=True)
+
+        def build(tape):
+            h = nm.relu(x, tape)
+            return nm.mean_all(h if first == "mean_all" else nm.scale(h, -1.5, tape), tape)
+
+        check_gradients(build, [x])
+
+    def test_first_contribution_normalises_negative_zero(self):
+        x = nm.Tensor([[-1.0, 2.0]], trainable=True)
+        tape = nm.Tape()
+        h = nm.scale(x, 1.0, tape)
+        tape.backward(nm.mean_all(nm.mul_rows(h, [-0.0], tape), tape))
+        # -0.0 * 0.5 reaches h; added into zeros it reads +0.0
+        assert bits(h.grad).tolist() == bits(np.zeros((1, 2))).tolist()
+
     def test_no_nan_inf_from_finite_inputs(self):
         rng = np.random.default_rng(30)
         for _ in range(100):
@@ -546,6 +578,40 @@ class TestScatterAdd:
         rng = np.random.default_rng(53 + n)
         idx = rng.integers(-700, 700, n)
         self.assert_matches_add_at(self.spread_values(rng, (700, 3)), idx, self.spread_values(rng, (n, 3)))
+
+    # index layouts that take each path of scatter_add: strictly ascending
+    # (one add), non-decreasing (no sort; segment ids with runs of 1-14),
+    # a row with most entries (the np.add.at tail), sorted or not, and a
+    # sorted index whose negative entries wrap to the end
+    LAYOUTS = {
+        "strictly_ascending": lambda rng: np.sort(rng.choice(2000, 700, replace=False)),
+        "runs_of_1_to_14": lambda rng: np.repeat(np.arange(600), rng.integers(1, 15, 600)),
+        "one_heavy_row_sorted": lambda rng: np.sort(np.concatenate(
+            [np.arange(300), np.full(4000, 17), rng.integers(0, 40, 600)])),
+        "one_heavy_row_unsorted": lambda rng: rng.permutation(np.concatenate(
+            [np.arange(300), np.full(4000, 17), rng.integers(0, 40, 600)])),
+        "sorted_with_negatives": lambda rng: np.sort(rng.integers(-300, 300, 3000)),
+    }
+
+    @pytest.mark.parametrize("d", [None, 3])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_index_layouts(self, layout, d):
+        rng = np.random.default_rng(54)
+        idx = self.LAYOUTS[layout](rng)
+        tail = () if d is None else (d,)
+        self.assert_matches_add_at(self.spread_values(rng, (2000,) + tail), idx,
+                                   self.spread_values(rng, (idx.size,) + tail))
+
+    @pytest.mark.parametrize("layout", ["strict", "sorted", "unsorted"])
+    def test_signed_zeros_on_every_path(self, layout):
+        rng = np.random.default_rng(58)
+        idx = {"strict": np.arange(0, 900, 3),
+               "sorted": np.repeat(np.arange(300), 3),
+               "unsorted": rng.integers(0, 300, 900)}[layout]
+        target = np.where(rng.random((900, 2)) < 0.5, -0.0, 0.0)
+        vals = np.where(rng.random((idx.size, 2)) < 0.5, -0.0, 0.0)
+        vals[rng.random(idx.size) < 0.1] = 1.0
+        self.assert_matches_add_at(target, idx, vals)
 
     @pytest.mark.parametrize("n", [20, 900])
     @pytest.mark.parametrize("bad", [700, -701])

@@ -189,6 +189,24 @@ class TestOptimizers:
             opt.step([p])
             assert np.array_equal(p.values, before)
 
+    def test_touched_trainable_with_zero_gradient_is_stepped(self):
+        p = Tensor([[1.0, -2.0]], name="p", trainable=True)
+        opt = ht.AdamOptimizer(0.1)
+        for weight in (1.0, 0.0):
+            tape = Tape()
+            tape.backward(nm.mean_all(nm.mul_rows(p, [weight], tape), tape))
+            touched = tape.touched_parameters()
+            assert touched == [p]
+            # a touched trainable keeps its buffer, zero gradient included
+            assert p.grad is not None and p.grad.any() == bool(weight)
+            before = p.values.copy()
+            opt.step(touched)
+            p.zero_grad()
+        # the zero-gradient step advanced p's step count and moved it by
+        # the first step's momentum
+        assert opt._state[id(p)][2] == 2
+        assert not np.array_equal(p.values, before)
+
     def test_adam_single_step_hand_computed(self):
         p = Tensor([0.5], name="p", trainable=True)
         p.grad = np.array([0.2])
