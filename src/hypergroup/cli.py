@@ -77,7 +77,7 @@ def _read_json(path) -> dict:
         raise DataError(f"config file not found: {p}")
     try:
         blob = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise DataError(f"malformed JSON in {p}: {exc}") from exc
     if not isinstance(blob, dict):
         raise DataError(f"config root must be a JSON object: {p}")
@@ -103,6 +103,12 @@ def _given(**flags) -> dict:
 
 def cmd_train(args) -> int:
     config = _read_json(args.config)
+    unknown = sorted(set(config) - {"model", "train", "split", "node_features_file"})
+    if unknown:
+        raise ConfigError(f"unknown run config key {unknown[0]!r}")
+    feature_file = config.get("node_features_file")
+    if feature_file is not None and not isinstance(feature_file, str):
+        raise ConfigError(f"node_features_file takes a path string, got {feature_file!r}")
     model_cfg = load_config(ModelConfig, "model", config.get("model", {}),
                             _given(variant=VARIANT_FLAGS.get(args.variant)))
     train_cfg = load_config(TrainConfig, "train", config.get("train", {}),
@@ -116,7 +122,6 @@ def cmd_train(args) -> int:
     hyper = build_hypergraph(train_split)
 
     node_features = None
-    feature_file = config.get("node_features_file")
     if feature_file:
         _, tensors = nm.load_checkpoint(feature_file)
         if "node_features" not in tensors:

@@ -187,10 +187,13 @@ def _read_id_map(path: Path) -> IdMaps:
             raise DataError(f"malformed {path}: the root is not a JSON object")
         maps = {}
         for kind in ("users", "items", "groups"):
-            if not isinstance(blob[kind], dict):
+            maps[kind] = m = blob[kind]
+            if not isinstance(m, dict):
                 raise DataError(f"malformed {path}: {kind!r} is not a JSON object")
-            maps[kind] = {str(k): int(v) for k, v in blob[kind].items()}
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            bad = [v for v in m.values() if type(v) is not int]
+            if bad:
+                raise DataError(f"malformed {path}: {kind} index {bad[0]!r} is not an integer")
+    except (KeyError, ValueError, RecursionError) as exc:
         raise DataError(f"malformed {path}: {exc}") from exc
     for kind, m in maps.items():
         if sorted(m.values()) != list(range(len(m))):

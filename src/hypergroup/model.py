@@ -222,10 +222,12 @@ def load_params(path) -> tuple[ModelParams, ModelConfig, dict]:
     meta, tensors = nm.load_checkpoint(path)
     try:
         cfg = load_config(ModelConfig, "config", meta["config"], complete=True)
-        num_users = int(meta["num_users"])
-        num_items = int(meta["num_items"])
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        num_users, num_items = meta["num_users"], meta["num_items"]
+    except (KeyError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint {path} has no usable config block: {exc}") from exc
+    for key, n in (("num_users", num_users), ("num_items", num_items)):
+        if type(n) is not int or n < 0:
+            raise CheckpointError(f"checkpoint {key} must be a non-negative integer, got {n!r}")
     values = {}
     for name, shape in param_layout(cfg, num_users, num_items):
         if name not in tensors:
@@ -431,13 +433,12 @@ def mlp_forward(
     cfg: ModelConfig,
     rng: np.random.Generator,
     tape: Tape | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Run one scoring tower: hidden relu layers with dropout, then project."""
     h = x
     for w, b in tower.hidden:
         h = nm.relu(nm.linear(w, b, h, tape), tape)
-        h = nm.dropout(h, cfg.dropout, rng, training, tape)
+        h = nm.dropout(h, cfg.dropout, rng, tape)
     return nm.matvec(h, tower.out, tape)
 
 

@@ -1,11 +1,14 @@
 """Dense float64 numeric kernel with per-pass reverse-mode gradients.
 
-All model math is expressed through the operations in this module.  Each
-operation computes its result eagerly on numpy arrays and, when a
-:class:`Tape` is supplied, records a closure that propagates gradients
-backwards through that single step.  Replaying the closures in reverse
-order of recording is a valid reverse topological traversal because the
-forward pass builds the graph sequentially.
+All model math is expressed through the operations in this module.  An
+operation is a forward value, computed eagerly on numpy arrays, plus one
+gradient rule per input: rule k maps the output's gradient to input k's
+share.  With a :class:`Tape`, the operation records one backward step
+that adds the shares, in input order, into the inputs that need
+gradients (:func:`gather_rows` instead scatter-adds into its input's
+buffer).  Replaying the steps in reverse order of recording is a valid
+reverse topological traversal because the forward pass builds the graph
+sequentially.
 
 Model math runs on rows: a 2-D array whose rows are independent
 vectors, one per entity of a mini-batch.  ``linear`` and
@@ -151,6 +154,20 @@ def _accumulate(t: Tensor, g) -> None:
         t.grad += g
 
 
+def _op(tape: Tape | None, values, inputs: Sequence[Tensor], rules) -> Tensor:
+    """The output of an operation: forward ``values``, and a backward step
+    that adds ``rules[k](out.grad)`` into each input k needing a gradient."""
+    out = Tensor(values)
+
+    def backward():
+        g = out.grad
+        for t, rule in zip(inputs, rules):
+            if t._rg:
+                _accumulate(t, rule(g))
+
+    return _record(tape, out, inputs, backward)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -167,23 +184,12 @@ def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None) -> 
     if xv.ndim != 2 or xv.shape[1] != in_dim:
         raise DimensionError(f"linear: weight {wv.shape} does not accept input {xv.shape}")
     yv = xv @ wv.T
-    if b is not None:
-        if b.values.shape != (out_dim,):
-            raise DimensionError(f"bias shape {b.values.shape} does not match output dim {out_dim}")
-        yv = yv + b.values
-    out = Tensor(yv)
-    inputs = (w, b, x) if b is not None else (w, x)
-
-    def backward():
-        g = out.grad
-        if w._rg:
-            _accumulate(w, g.T @ xv)
-        if b is not None and b._rg:
-            _accumulate(b, g.sum(axis=0))
-        if x._rg:
-            _accumulate(x, g @ wv)
-
-    return _record(tape, out, inputs, backward)
+    w_rule, x_rule = (lambda g: g.T @ xv), (lambda g: g @ wv)
+    if b is None:
+        return _op(tape, yv, (w, x), (w_rule, x_rule))
+    if b.values.shape != (out_dim,):
+        raise DimensionError(f"bias shape {b.values.shape} does not match output dim {out_dim}")
+    return _op(tape, yv + b.values, (w, b, x), (w_rule, lambda g: g.sum(axis=0), x_rule))
 
 
 def matvec(x: Tensor, w: Tensor, tape: Tape | None = None) -> Tensor:
@@ -191,16 +197,11 @@ def matvec(x: Tensor, w: Tensor, tape: Tape | None = None) -> Tensor:
     xv, wv = x.values, w.values
     if xv.shape[-1] != wv.shape[0]:
         raise DimensionError(f"matvec: {xv.shape} incompatible with {wv.shape}")
-    out = Tensor(xv @ wv)
-
-    def backward():
-        g = out.grad
-        if x._rg:
-            _accumulate(x, np.multiply.outer(g, wv) if xv.ndim == 2 else g * wv)
-        if w._rg:
-            _accumulate(w, g @ xv if xv.ndim == 2 else g * xv)
-
-    return _record(tape, out, (x, w), backward)
+    if xv.ndim == 2:
+        rules = (lambda g: np.multiply.outer(g, wv)), (lambda g: g @ xv)
+    else:
+        rules = (lambda g: g * wv), (lambda g: g * xv)
+    return _op(tape, xv @ wv, (x, w), rules)
 
 
 # ---------------------------------------------------------------------------
@@ -301,46 +302,22 @@ def concat(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if av.ndim != bv.ndim or (av.ndim == 2 and av.shape[0] != bv.shape[0]):
         raise DimensionError(f"concat: incompatible shapes {av.shape} and {bv.shape}")
     axis = av.ndim - 1
-    out = Tensor(np.concatenate([av, bv], axis=axis))
     split = av.shape[axis]
-
-    def backward():
-        g = out.grad
-        ga, gb = (g[..., :split], g[..., split:])
-        if a._rg:
-            _accumulate(a, ga)
-        if b._rg:
-            _accumulate(b, gb)
-
-    return _record(tape, out, (a, b), backward)
+    return _op(tape, np.concatenate([av, bv], axis=axis), (a, b),
+               ((lambda g: g[..., :split]), (lambda g: g[..., split:])))
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Element-wise sum of two equally shaped tensors."""
     if a.values.shape != b.values.shape:
         raise DimensionError(f"add: incompatible shapes {a.values.shape} and {b.values.shape}")
-    out = Tensor(a.values + b.values)
-
-    def backward():
-        g = out.grad
-        if a._rg:
-            _accumulate(a, g)
-        if b._rg:
-            _accumulate(b, g)
-
-    return _record(tape, out, (a, b), backward)
+    return _op(tape, a.values + b.values, (a, b), (lambda g: g,) * 2)
 
 
 def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     """Multiply by a plain-float constant."""
     c = float(c)
-    out = Tensor(c * x.values)
-
-    def backward():
-        if x._rg:
-            _accumulate(x, c * out.grad)
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, c * x.values, (x,), (lambda g: c * g,))
 
 
 def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
@@ -352,8 +329,7 @@ def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
     out = Tensor(x.values[idx])
 
     def backward():
-        if x._rg:
-            scatter_add(x.ensure_grad(), idx, out.grad)
+        scatter_add(x.ensure_grad(), idx, out.grad)
 
     return _record(tape, out, (x,), backward)
 
@@ -364,13 +340,8 @@ def mean_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor
     if xv.ndim != 2 or xv.shape[0] % stride != 0:
         raise DimensionError(f"mean_rows_stride: shape {xv.shape} not divisible by {stride}")
     groups = xv.shape[0] // stride
-    out = Tensor(xv.reshape(groups, stride, xv.shape[1]).mean(axis=1))
-
-    def backward():
-        if x._rg:
-            _accumulate(x, np.repeat(out.grad, stride, axis=0) / stride)
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, xv.reshape(groups, stride, xv.shape[1]).mean(axis=1), (x,),
+               (lambda g: np.repeat(g, stride, axis=0) / stride,))
 
 
 def sum_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
@@ -379,13 +350,8 @@ def sum_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
     if xv.ndim != 2 or xv.shape[0] % stride != 0:
         raise DimensionError(f"sum_rows_stride: shape {xv.shape} not divisible by {stride}")
     groups = xv.shape[0] // stride
-    out = Tensor(xv.reshape(groups, stride, xv.shape[1]).sum(axis=1))
-
-    def backward():
-        if x._rg:
-            _accumulate(x, np.repeat(out.grad, stride, axis=0))
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, xv.reshape(groups, stride, xv.shape[1]).sum(axis=1), (x,),
+               (lambda g: np.repeat(g, stride, axis=0),))
 
 
 def segment_mean(x: Tensor, segment_ids, num_segments: int, tape: Tape | None = None) -> Tensor:
@@ -399,13 +365,7 @@ def segment_mean(x: Tensor, segment_ids, num_segments: int, tape: Tape | None = 
         raise ContractViolation("segment_mean: every segment needs at least one row")
     acc = np.zeros((num_segments, xv.shape[1]))
     scatter_add(acc, seg, xv)
-    out = Tensor(acc / counts[:, None])
-
-    def backward():
-        if x._rg:
-            _accumulate(x, (out.grad / counts[:, None])[seg])
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, acc / counts[:, None], (x,), (lambda g: (g / counts[:, None])[seg],))
 
 
 def mul_rows(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
@@ -414,13 +374,7 @@ def mul_rows(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
     xv = x.values
     if xv.ndim != 2 or w.shape != (xv.shape[0],):
         raise DimensionError("mul_rows: need one weight per row")
-    out = Tensor(xv * w[:, None])
-
-    def backward():
-        if x._rg:
-            _accumulate(x, out.grad * w[:, None])
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, xv * w[:, None], (x,), (lambda g: g * w[:, None],))
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +384,7 @@ def mul_rows(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Element-wise max(0, x)."""
     mask = x.values > 0
-    out = Tensor(np.where(mask, x.values, 0.0))
-
-    def backward():
-        if x._rg:
-            _accumulate(x, out.grad * mask)
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, np.where(mask, x.values, 0.0), (x,), (lambda g: g * mask,))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -449,31 +397,21 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def dropout(
-    x: Tensor,
-    ratio: float,
-    rng: np.random.Generator,
-    training: bool,
-    tape: Tape | None = None,
-) -> Tensor:
+def dropout(x: Tensor, ratio: float, rng: np.random.Generator, tape: Tape | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``ratio``, scale survivors.
 
-    Identity at inference time and for ratio 0; the expected value of the
-    output equals the input either way.
+    Identity for ratio 0; the expected value of the output equals the
+    input.  Inference scores through ``model.ItemScorer``, which has no
+    dropout.
     """
     if not 0.0 <= ratio < 1.0:
         raise ContractViolation(f"dropout ratio must be in [0, 1), got {ratio}")
-    if not training or ratio == 0.0:
+    if ratio == 0.0:
         return x
     keep = rng.random(x.values.shape) >= ratio
     factor = 1.0 / (1.0 - ratio)
-    out = Tensor(np.where(keep, x.values * factor, 0.0))
-
-    def backward():
-        if x._rg:
-            _accumulate(x, np.where(keep, out.grad * factor, 0.0))
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, np.where(keep, x.values * factor, 0.0), (x,),
+               (lambda g: np.where(keep, g * factor, 0.0),))
 
 
 def l2_normalize(x: Tensor, tape: Tape | None = None) -> Tensor:
@@ -487,16 +425,12 @@ def l2_normalize(x: Tensor, tape: Tape | None = None) -> Tensor:
     live = norms > NORM_EPS
     safe = np.where(live, norms, 1.0)
     yv = np.where(live[:, None], xv / safe[:, None], xv)
-    out = Tensor(yv)
 
-    def backward():
-        if x._rg:
-            g = out.grad
-            inner = np.sum(yv * g, axis=1, keepdims=True)
-            gx = np.where(live[:, None], (g - yv * inner) / safe[:, None], g)
-            _accumulate(x, gx)
+    def rule(g):
+        inner = np.sum(yv * g, axis=1, keepdims=True)
+        return np.where(live[:, None], (g - yv * inner) / safe[:, None], g)
 
-    return _record(tape, out, (x,), backward)
+    return _op(tape, yv, (x,), (rule,))
 
 
 # ---------------------------------------------------------------------------
@@ -512,40 +446,20 @@ def bpr_pair_loss(score_pos: Tensor, score_neg: Tensor, tape: Tape | None = None
     if pv.shape != nv.shape:
         raise DimensionError(f"bpr_pair_loss: incompatible shapes {pv.shape} and {nv.shape}")
     delta = pv - nv
-    out = Tensor(np.logaddexp(0.0, -delta))
     s = _sigmoid(np.atleast_1d(delta)).reshape(delta.shape)
-
-    def backward():
-        g = out.grad
-        if score_pos._rg:
-            _accumulate(score_pos, g * (s - 1.0))
-        if score_neg._rg:
-            _accumulate(score_neg, g * (1.0 - s))
-
-    return _record(tape, out, (score_pos, score_neg), backward)
+    return _op(tape, np.logaddexp(0.0, -delta), (score_pos, score_neg),
+               ((lambda g: g * (s - 1.0)), (lambda g: g * (1.0 - s))))
 
 
 def mean_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Mean over all elements, producing a scalar."""
-    out = Tensor(x.values.mean())
     inv = 1.0 / x.values.size
-
-    def backward():
-        if x._rg:
-            _accumulate(x, out.grad * inv)
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, x.values.mean(), (x,), (lambda g: g * inv,))
 
 
 def sum_squares(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum of squared entries, producing a scalar."""
-    out = Tensor(np.sum(x.values * x.values))
-
-    def backward():
-        if x._rg:
-            _accumulate(x, 2.0 * out.grad * x.values)
-
-    return _record(tape, out, (x,), backward)
+    return _op(tape, np.sum(x.values * x.values), (x,), (lambda g: 2.0 * g * x.values,))
 
 
 # ---------------------------------------------------------------------------

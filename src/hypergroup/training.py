@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -102,16 +102,7 @@ class TrainReport:
     best_epoch: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "stopped_early": self.stopped_early,
-            "best_epoch": self.best_epoch,
-            "checkpoint_path": self.checkpoint_path,
-            "epochs": [
-                {"epoch": e.epoch, "loss_g": e.loss_g, "loss_u": e.loss_u, "seconds": e.seconds}
-                for e in self.epochs
-            ],
-        }
+        return asdict(self)
 
     def write_json(self, path) -> None:
         with nm.atomic_write(path, encoding="utf-8") as fh:
@@ -210,8 +201,8 @@ def _batch_loss(
         tower = params.user_mlp
     pos_rows = nm.gather_rows(params.item_embeddings, [p for _, p, _ in triples], tape)
     neg_rows = nm.gather_rows(params.item_embeddings, [n for _, _, n in triples], tape)
-    s_pos = mlp_forward(tower, nm.concat(entity_rows, pos_rows, tape), cfg, rng, tape, training=True)
-    s_neg = mlp_forward(tower, nm.concat(entity_rows, neg_rows, tape), cfg, rng, tape, training=True)
+    s_pos = mlp_forward(tower, nm.concat(entity_rows, pos_rows, tape), cfg, rng, tape)
+    s_neg = mlp_forward(tower, nm.concat(entity_rows, neg_rows, tape), cfg, rng, tape)
     loss = nm.mean_all(nm.bpr_pair_loss(s_pos, s_neg, tape), tape)
     if l2_reg > 0.0:
         reg = None

@@ -420,6 +420,35 @@ class TestIntegerConfigFields:
         assert len(err.splitlines()) == 1 and name in err
 
 
+class TestConfigFiles:
+    """A run or synth config file that is not the documented JSON object
+    is a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("blob", [b'{"seed": "\xff"}', b"[" * 100_000], ids=["not_utf8", "deep_nesting"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, command, blob):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(blob)
+        extra = ["--data", str(tmp_path)] if command == "train" else []
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("hypergroup: data error: ")
+
+    @pytest.mark.parametrize("key,value", [
+        ("modle", {"d": 8}), ("node_features_file", [1]), ("node_features_file", {"path": "f.bin"}),
+    ])
+    def test_bad_top_level_key_exits_1(self, tmp_path, data_dir, capsys, key, value):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(RUN_CFG, **{key: value})))
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and key in err
+
+
 class TestCountFlags:
     """``--topn`` takes positive integers (eval: a comma-separated list)."""
 

@@ -213,8 +213,12 @@ class TestIdMapFile:
         (json.dumps(dict(GOOD_MAPS, users={"a": 0, "b": None})), "id_map.json"),
         (json.dumps(dict(GOOD_MAPS, users={"a": 0, "b": float("inf")})), "id_map.json"),
         ("[" * 100_000, "id_map.json"),
+        (json.dumps(dict(GOOD_MAPS, users={"a": 0.9, "b": 1})), "users index 0.9 is not an integer"),
+        (json.dumps(dict(GOOD_MAPS, items={"i": 0, "j": "1"})), "items index '1' is not an integer"),
+        (json.dumps(dict(GOOD_MAPS, groups={"g": 0.0})), "groups index 0.0 is not an integer"),
     ], ids=["root_list", "root_string", "users_list", "items_number", "groups_null",
-            "null_index", "infinite_index", "deep_nesting"])
+            "null_index", "infinite_index", "deep_nesting", "fractional_index", "string_index",
+            "float_index"])
     def test_malformed_map_is_data_error(self, tmp_path, text, message):
         write_small_dataset(tmp_path)
         (tmp_path / "id_map.json").write_text(text, encoding="utf-8")

@@ -1,7 +1,7 @@
 """Forward-model tests: straight-line oracles and variant contracts."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -379,7 +379,7 @@ class TestItemScorer:
             for _ in range(8):
                 e = rng.normal(size=cfg.d)
                 x = nm.Tensor(np.concatenate([np.tile(e, (items.shape[0], 1)), items], axis=1))
-                want = hm.mlp_forward(tower, x, cfg, rng, tape=None, training=False).values
+                want = hm.mlp_forward(tower, x, replace(cfg, dropout=0.0), rng).values
                 got = scorer.scores(e)
                 assert got.shape == want.shape
                 # the first layer's sums are reassociated: equal to rounding
@@ -566,6 +566,18 @@ class TestCheckpoint:
         params_sh = hm.initialize_params(cfg_sh, 4, 3, np.random.default_rng(0))
         names_sh = [n for n, _ in params_sh.named_tensors()]
         assert not any(n.startswith(("hrl_", "ipm_", "node_features")) for n in names_sh)
+
+    @pytest.mark.parametrize("key", ["num_users", "num_items"])
+    @pytest.mark.parametrize("value", [1.7, "1", 1.0, True, -1], ids=["fraction", "string", "float", "bool", "negative"])
+    def test_counts_must_be_non_negative_json_integers(self, tmp_path, key, value):
+        cfg = hm.ModelConfig(d=4)
+        params = hm.initialize_params(cfg, 1, 1, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        hm.save_params(path, params, cfg, seed=0)
+        meta, _ = nm.load_checkpoint(path)
+        nm.save_checkpoint(path, list(params.named_tensors()), dict(meta, **{key: value}))
+        with pytest.raises(CheckpointError, match=key):
+            hm.load_params(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg = hm.ModelConfig(d=4)

@@ -225,12 +225,7 @@ class TestActivations:
 class TestDropout:
     def test_ratio_zero_identity(self):
         x = nm.Tensor([1.0, 2.0])
-        out = nm.dropout(x, 0.0, np.random.default_rng(0), training=True)
-        assert out is x
-
-    def test_inference_identity(self):
-        x = nm.Tensor([1.0, 2.0])
-        out = nm.dropout(x, 0.9, np.random.default_rng(0), training=False)
+        out = nm.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
 
     def test_expected_value_preserved(self):
@@ -239,13 +234,13 @@ class TestDropout:
         acc = np.zeros(3)
         n = 100_000
         for _ in range(n):
-            acc += nm.dropout(x, 0.3, rng, training=True).values
+            acc += nm.dropout(x, 0.3, rng).values
         mean = acc / n
         assert np.all(np.abs(mean - x.values) <= 0.01 * np.abs(x.values))
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ContractViolation):
-            nm.dropout(nm.Tensor([1.0]), 1.0, np.random.default_rng(0), training=True)
+            nm.dropout(nm.Tensor([1.0]), 1.0, np.random.default_rng(0))
 
     def test_gradient_with_frozen_mask(self):
         x = nm.Tensor(np.random.default_rng(16).uniform(-1, 1, 6), trainable=True)
@@ -253,7 +248,7 @@ class TestDropout:
 
         def build(tape):
             rng = np.random.default_rng(99)
-            return probe_loss(nm.dropout(x, 0.4, rng, training=True, tape=tape), probe, tape)
+            return probe_loss(nm.dropout(x, 0.4, rng, tape=tape), probe, tape)
 
         check_gradients(build, [x])
 
@@ -358,6 +353,51 @@ class TestStructuralOps:
             return nm.mean_all(nm.matvec(x, w, tape), tape)
 
         check_gradients(build2, [x, w])
+
+
+# every taped op, its input shapes and a call on those inputs; inputs are
+# drawn away from relu's kink and the zero rows of l2_normalize
+GRAD_OPS = {
+    "linear": ([(4, 6), (4,), (3, 6)], lambda t, tape: nm.linear(t[0], t[1], t[2], tape)),
+    "linear_no_bias": ([(4, 6), (3, 6)], lambda t, tape: nm.linear(t[0], None, t[1], tape)),
+    "matvec_2d": ([(5, 4), (4,)], lambda t, tape: nm.matvec(t[0], t[1], tape)),
+    "matvec_1d": ([(4,), (4,)], lambda t, tape: nm.matvec(t[0], t[1], tape)),
+    "concat": ([(3, 2), (3, 4)], lambda t, tape: nm.concat(t[0], t[1], tape)),
+    "add": ([(3, 4), (3, 4)], lambda t, tape: nm.add(t[0], t[1], tape)),
+    "scale": ([(3, 4)], lambda t, tape: nm.scale(t[0], -1.5, tape)),
+    "gather_rows": ([(4, 3)], lambda t, tape: nm.gather_rows(t[0], [1, 1, 2, 0], tape)),
+    "mean_rows_stride": ([(6, 3)], lambda t, tape: nm.mean_rows_stride(t[0], 2, tape)),
+    "sum_rows_stride": ([(6, 3)], lambda t, tape: nm.sum_rows_stride(t[0], 3, tape)),
+    "segment_mean": ([(6, 3)], lambda t, tape: nm.segment_mean(t[0], [0, 0, 1, 1, 1, 2], 3, tape)),
+    "mul_rows": ([(4, 3)], lambda t, tape: nm.mul_rows(t[0], [0.5, 2.0, -1.0, 1.5], tape)),
+    "relu": ([(3, 4)], lambda t, tape: nm.relu(t[0], tape)),
+    "dropout": ([(3, 4)], lambda t, tape: nm.dropout(t[0], 0.4, np.random.default_rng(99), tape)),
+    "l2_normalize": ([(3, 4)], lambda t, tape: nm.l2_normalize(t[0], tape)),
+    "bpr_pair_loss": ([(5,), (5,)], lambda t, tape: nm.bpr_pair_loss(t[0], t[1], tape)),
+    "mean_all": ([(3, 4)], lambda t, tape: nm.mean_all(t[0], tape)),
+    "sum_squares": ([(3, 4)], lambda t, tape: nm.sum_squares(t[0], tape)),
+}
+
+
+@pytest.mark.parametrize("op,frozen", [
+    (op, frozen) for op, (shapes, _) in GRAD_OPS.items() for frozen in [None, *range(len(shapes))]
+])
+def test_gradient_rules_with_each_input_frozen(op, frozen):
+    """Every input but ``frozen`` (None: every input) is trainable: each
+    trainable input matches finite differences, the frozen one gets no
+    gradient."""
+    shapes, apply = GRAD_OPS[op]
+    rng = np.random.default_rng(60)
+    inputs = [nm.Tensor(rng.choice([-1.0, 1.0], s) * rng.uniform(0.2, 1.0, s), trainable=k != frozen)
+              for k, s in enumerate(shapes)]
+    probe = rng.uniform(-1, 1, apply(inputs, None).shape)
+
+    def build(tape):
+        return probe_loss(apply(inputs, tape), probe, tape)
+
+    check_gradients(build, [t for t in inputs if t.trainable])
+    if frozen is not None:
+        assert inputs[frozen].grad is None
 
 
 class TestTapeContract:
