@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
     if unknown:
         raise ConfigError(f"unknown run config key {unknown[0]!r}")
     feature_file = config.get("node_features_file")
-    if feature_file is not None and not isinstance(feature_file, str):
+    if feature_file is not None and (not isinstance(feature_file, str) or not feature_file):
         raise ConfigError(f"node_features_file takes a path string, got {feature_file!r}")
     model_cfg = load_config(ModelConfig, "model", config.get("model", {}),
                             _given(variant=VARIANT_FLAGS.get(args.variant)))
@@ -122,7 +122,7 @@ def cmd_train(args) -> int:
     hyper = build_hypergraph(train_split)
 
     node_features = None
-    if feature_file:
+    if feature_file is not None:
         _, tensors = nm.load_checkpoint(feature_file)
         if "node_features" not in tensors:
             raise CheckpointError(f"{feature_file} holds no 'node_features' tensor")
@@ -215,6 +215,8 @@ def cmd_eval(args) -> int:
     params, model_cfg, meta, ds, train_split, eval_split, social, hyper = _restore_world(
         args.checkpoint, args.data, args.split
     )
+    if not (eval_split.group_item if args.target == "groups" else eval_split.user_item):
+        raise DataError(f"the {args.split} split holds no {args.target[:-1]}-item interactions")
     report = evaluate(
         params, model_cfg, social, hyper, eval_split,
         cutoffs=args.topn,

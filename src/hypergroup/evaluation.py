@@ -108,6 +108,8 @@ def evaluate(
 
     Embeddings are computed once per entity under ``eval_seed``; the
     report is a pure function of (params, test split, cutoffs, seed).
+    Excluding training positives raises ``ConfigError`` when a test case
+    is one of them: it would rank last.
     """
     if target not in ("groups", "users"):
         raise ConfigError(f"target must be 'groups' or 'users', got {target!r}")
@@ -150,6 +152,10 @@ def evaluate(
             raise ContractViolation("scores must be finite")
         drop = excluded.get(entity)
         if drop:
+            clash = drop.intersection(truths[entity])
+            if clash:
+                raise ConfigError(f"{target[:-1]} {entity} has item {min(clash)} both as a test case and "
+                                  "as an excluded training positive")
             scores[sorted(drop)] = -np.inf
         for v, rank in zip(truths[entity], count_ranks(scores, truths[entity]).tolist()):
             rank_of[entity, v] = rank

@@ -4,12 +4,12 @@ Both graphs use compressed sparse rows (CSR): row ``r`` of a flat array
 is the slice ``indptr[r]:indptr[r + 1]``, and every row is sorted by id.
 
 Groups act as hyperedges over the user set.  Two hyperedges are adjacent
-when they share at least one member, and the adjacency weight is the
-number of shared members.  The hypergraph keeps three CSR structures: the
-group -> members incidence, the user -> groups inverted index, and the
-weighted hyperedge adjacency.  The shared-member sets themselves are not
-stored; :func:`common_members` computes them on demand, for the group
-pairs a forward pass actually sampled.
+when they share at least one member.  The hypergraph keeps three CSR
+structures: the group -> members incidence, the user -> groups inverted
+index, and the hyperedge adjacency, which holds neighbor ids only.
+Neither the shared-member sets nor their sizes (the overlap weights) are
+stored; :func:`common_members` computes the sets on demand, for the group
+pairs a forward pass actually sampled, and a weight is the size of its set.
 
 Both encoders sample a fixed number of neighbors per node, in the style of
 GraphSAGE.  :func:`sample_neighbors` draws them for every node of one
@@ -18,8 +18,11 @@ layer in one call:
 - a pool with at least ``size`` entries is sampled uniformly without
   replacement;
 - a smaller, nonempty pool is sampled with replacement;
-- an empty pool yields no neighbor.  The social encoder then falls back
-  to the node itself; the hyperedge encoder sends a zero-weight message.
+- an empty pool yields no neighbor (offset -1).
+
+Both graphs answer ``neighbor_ids(nodes, offsets)`` for a sampled layer,
+where an empty slot names the node itself; the social encoder uses that
+self-neighbor, the hyperedge encoder sends a zero-weight message from it.
 """
 
 from __future__ import annotations
@@ -71,8 +74,22 @@ def _pick(starts: np.ndarray, offsets: np.ndarray, values: np.ndarray, fill) -> 
     return out
 
 
+class _Adjacency:
+    """Row access to an ``indptr``/``indices`` adjacency."""
+
+    def neighbors(self, node: int) -> np.ndarray:
+        return self.indices[self.indptr[node]:self.indptr[node + 1]]
+
+    def degrees(self, nodes: np.ndarray) -> np.ndarray:
+        return self.indptr[nodes + 1] - self.indptr[nodes]
+
+    def neighbor_ids(self, nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Neighbors at the sampled ``offsets``; an empty slot (-1) names the node itself."""
+        return _pick(self.indptr[nodes], offsets, self.indices, nodes[:, None])
+
+
 @dataclass
-class SocialGraph:
+class SocialGraph(_Adjacency):
     """Symmetric user adjacency: row ``u`` of ``indices`` lists u's friends."""
 
     indptr: np.ndarray
@@ -82,26 +99,15 @@ class SocialGraph:
     def num_users(self) -> int:
         return len(self.indptr) - 1
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def degrees(self, users: np.ndarray) -> np.ndarray:
-        return self.indptr[users + 1] - self.indptr[users]
-
-    def neighbor_ids(self, users: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Friends at the sampled ``offsets``; a user with none gets itself."""
-        return _pick(self.indptr[users], offsets, self.indices, users[:, None])
-
 
 @dataclass
-class Hypergraph:
+class Hypergraph(_Adjacency):
     """Groups as hyperedges over users, in CSR form.
 
     - ``member_indptr``/``member_ids``: each group's members.
     - ``group_indptr``/``group_ids``: the inverted index, each user's groups.
-    - ``indptr``/``indices``/``weights``: the hyperedge adjacency.  Row
-      ``g`` lists the other groups that share a member with ``g`` and how
-      many members they share.
+    - ``indptr``/``indices``: the hyperedge adjacency.  Row ``g`` lists
+      the other groups that share a member with ``g``.
     - ``incidence_keys``: ``g * num_users + u`` for every membership,
       sorted, for vectorised membership tests.
     """
@@ -113,7 +119,6 @@ class Hypergraph:
     group_ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    weights: np.ndarray
     incidence_keys: np.ndarray
 
     @property
@@ -123,24 +128,11 @@ class Hypergraph:
     def members(self, g: int) -> np.ndarray:
         return self.member_ids[self.member_indptr[g]:self.member_indptr[g + 1]]
 
-    def neighbors(self, g: int) -> np.ndarray:
-        return self.indices[self.indptr[g]:self.indptr[g + 1]]
-
     def overlaps(self, g: int) -> np.ndarray:
         """Shared-member counts, aligned with :meth:`neighbors`."""
-        return self.weights[self.indptr[g]:self.indptr[g + 1]]
-
-    def degrees(self, groups: np.ndarray) -> np.ndarray:
-        return self.indptr[groups + 1] - self.indptr[groups]
-
-    def neighbor_slots(self, groups: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Incident groups and overlap weights at the sampled ``offsets``.
-
-        An empty slot (offset -1) names the group itself with weight 0.
-        """
-        starts = self.indptr[groups]
-        return (_pick(starts, offsets, self.indices, groups[:, None]),
-                _pick(starts, offsets, self.weights, 0))
+        nbrs = self.neighbors(g)
+        _, pairs = common_members(self, np.full(nbrs.size, g), nbrs)
+        return np.bincount(pairs, minlength=nbrs.size)
 
     def members_of(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Members of each group as ``(users, rows)``: ``users[k]`` belongs
@@ -171,15 +163,15 @@ class TransientHypergraphView:
     groups that share members with it; existing groups keep their original
     neighborhoods, so their representations match the pristine model.
     The view reads the base arrays without copying them: the transient row
-    (its members, its incident groups and their overlap weights) comes
-    from the base's inverted index.
+    (its members and its incident groups, with how many members each
+    shares) comes from the base's inverted index.
     """
 
     def __init__(self, base: Hypergraph, members):
         self._base = base
         self.transient_index = base.num_groups
         self._members = unique_ids(np.asarray(members, dtype=np.int64))
-        self._pool, self._weights = base.overlap_counts(self._members)
+        self._pool, self._shared = base.overlap_counts(self._members)
 
     @property
     def has_known_neighbors(self) -> bool:
@@ -190,7 +182,7 @@ class TransientHypergraphView:
         """The lowest-id existing group with exactly these members, if any."""
         size = self._members.size
         sizes = self._base.member_indptr[self._pool + 1] - self._base.member_indptr[self._pool]
-        exact = self._pool[(self._weights == size) & (sizes == size)]
+        exact = self._pool[(self._shared == size) & (sizes == size)]
         return int(exact[0]) if exact.size else None
 
     def degrees(self, groups: np.ndarray) -> np.ndarray:
@@ -199,15 +191,13 @@ class TransientHypergraphView:
         out[base] = self._base.degrees(groups[base])
         return out
 
-    def neighbor_slots(self, groups: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def neighbor_ids(self, groups: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         ids = np.empty(offsets.shape, dtype=np.int64)
-        weights = np.empty(offsets.shape, dtype=np.int64)
         base = groups != self.transient_index
-        ids[base], weights[base] = self._base.neighbor_slots(groups[base], offsets[base])
-        here, starts = offsets[~base], np.zeros((~base).sum(), dtype=np.int64)
-        ids[~base] = _pick(starts, here, self._pool, self.transient_index)
-        weights[~base] = _pick(starts, here, self._weights, 0)
-        return ids, weights
+        ids[base] = self._base.neighbor_ids(groups[base], offsets[base])
+        ids[~base] = _pick(np.zeros((~base).sum(), dtype=np.int64), offsets[~base],
+                           self._pool, self.transient_index)
+        return ids
 
     def members_of(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         base = np.flatnonzero(groups != self.transient_index)
@@ -233,13 +223,12 @@ def build_social_graph(ds: InteractionDataset) -> SocialGraph:
 
 
 def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
-    """Incidence, inverted index and weighted hyperedge adjacency.
+    """Incidence, inverted index and hyperedge adjacency.
 
     Every group pair sharing at least one member gets a symmetric pair of
-    adjacency entries whose weight is the exact intersection size.  The
-    pairs come from each user's group list: a user in ``d`` groups adds
-    one to ``d * (d - 1) / 2`` pairs, so the build is quadratic in the
-    number of groups per user.
+    adjacency entries.  The pairs come from each user's group list: a user
+    in ``d`` groups names ``d * (d - 1) / 2`` pairs, so the build is
+    quadratic in the number of groups per user.
     """
     num_groups, span = ds.num_groups, max(ds.num_users, 1)
     sizes = [len(m) for m in ds.memberships]
@@ -251,8 +240,8 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     group_ids = owner[by_user]
     group_indptr = _indptr(member_ids[by_user], ds.num_users)
     member_indptr = _indptr(owner, num_groups)
-    keys, counts = _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
-    indptr, indices, weights = _symmetric_csr(keys // num_groups, keys % num_groups, counts, num_groups)
+    keys = _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
+    indptr, indices = _symmetric_csr(keys // num_groups, keys % num_groups, num_groups)
     return Hypergraph(
         num_users=ds.num_users,
         member_indptr=member_indptr,
@@ -261,26 +250,25 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
         group_ids=group_ids,
         indptr=indptr,
         indices=indices,
-        weights=weights,
         incidence_keys=incidence_keys,
     )
 
 
 def _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr):
-    """Sorted ``a * G + b`` keys of every group pair ``a < b`` sharing a
-    member, with the number of members they share.
+    """Sorted distinct ``a * G + b`` keys of every group pair ``a < b``
+    sharing a member.
 
     A membership ``(a, u)`` pairs ``a`` with every later group in u's
     list.  The memberships are expanded in blocks of consecutive ``a``,
-    so each block's ``np.unique`` counts are final and the blocks
-    concatenate in key order.
+    so no key repeats across blocks and the blocks concatenate in key
+    order.
     """
     num_groups = len(member_indptr) - 1
     rank = np.empty_like(by_user)
     rank[by_user] = np.arange(by_user.size)  # position of each membership in the inverted index
     later = group_indptr[member_ids + 1] - 1 - rank
     expanded = np.concatenate(([0], np.cumsum(later)))[member_indptr]  # pairs before each group
-    keys, counts = [], []
+    keys = [np.zeros(0, dtype=np.int64)]
     a0 = 0
     while a0 < num_groups:
         a1 = max(a0 + 1, int(np.searchsorted(expanded, expanded[a0] + PAIR_BLOCK, side="right")) - 1)
@@ -288,16 +276,12 @@ def _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_ind
         reps = later[e0:e1]
         a = np.repeat(owner[e0:e1], reps)
         b = group_ids[_ranges(rank[e0:e1] + 1, reps)]
-        block_keys, block_counts = np.unique(a * num_groups + b, return_counts=True)
-        keys.append(block_keys)
-        counts.append(block_counts)
+        keys.append(unique_ids(a * num_groups + b))
         a0 = a1
-    if not keys:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(keys), np.concatenate(counts)
+    return np.concatenate(keys)
 
 
-def _symmetric_csr(a, b, w, num_rows):
+def _symmetric_csr(a, b, num_rows):
     """CSR of both directions of the pairs ``a < b``, given sorted by ``(a, b)``.
 
     Row ``r`` holds its entries below ``r`` (from pairs ``(x, r)``) and then
@@ -308,13 +292,10 @@ def _symmetric_csr(a, b, w, num_rows):
     n_below = np.bincount(b, minlength=num_rows)
     indptr = np.concatenate(([0], np.cumsum(n_above + n_below)))
     indices = np.empty(2 * a.size, dtype=np.int64)
-    weights = np.empty(2 * a.size, dtype=np.int64)
     below = np.argsort(b, kind="stable")  # the pairs by (b, a)
-    dest = np.arange(a.size) + (np.cumsum(n_above) - n_above)[b[below]]
-    indices[dest], weights[dest] = a[below], w[below]
-    dest = np.arange(a.size) + np.cumsum(n_below)[a]
-    indices[dest], weights[dest] = b, w
-    return indptr, indices, weights
+    indices[np.arange(a.size) + (np.cumsum(n_above) - n_above)[b[below]]] = a[below]
+    indices[np.arange(a.size) + np.cumsum(n_below)[a]] = b
+    return indptr, indices
 
 
 def common_members(hyper, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

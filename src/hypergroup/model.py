@@ -4,15 +4,15 @@ scoring towers.
 
 A :class:`ForwardPass` owns the neighbor samples of one forward
 evaluation: every (entity, layer) pair is sampled exactly once per pass,
-shared across all places the entity appears in that pass.  Each encoder
-layer draws the samples of all its nodes in one
-:func:`~hypergroup.graph.sample_neighbors` call, and the pass works on
-sorted id arrays: :func:`~hypergroup.graph.unique_ids` collects the nodes
-a layer needs and ``np.searchsorted`` maps ids to rows (the social
-encoder's first layer reads the frozen node features by user id itself).
-Common-member sets are computed only for the group pairs the pass
-sampled.  Training runs a fresh pass per mini-batch; evaluation runs one
-pass under a fixed seed.
+shared across all places the entity appears in that pass.  Both encoders
+draw their sample tree the same way, each layer's samples for all its
+nodes in one :func:`~hypergroup.graph.sample_neighbors` call, and the
+pass works on sorted id arrays: :func:`~hypergroup.graph.unique_ids`
+collects the nodes a layer needs and ``np.searchsorted`` maps ids to rows
+(the social encoder's first layer reads the frozen node features by user
+id itself).  Common-member sets, and with them the overlap weights, are
+computed only for the group pairs the pass sampled.  Training runs a
+fresh pass per mini-batch; evaluation runs one pass under a fixed seed.
 """
 
 from __future__ import annotations
@@ -275,6 +275,27 @@ class ForwardPass:
             raise ContractViolation("a ForwardPass instance serves a single request")
         self._used = True
 
+    # -- both encoders ------------------------------------------------------
+
+    def _sample_tree(self, graph, nodes: np.ndarray, K: int, S: int):
+        """Sample the K layers below sorted unique ``nodes``, layer K first.
+
+        ``needed[i]``: sorted nodes whose layer-i output is used; ``nbrs[i]``:
+        their sampled neighbors, S per row (the node itself in an empty
+        slot); ``live[i]``: the slots that hold a real neighbor.
+        """
+        needed, nbrs, live = [nodes] * (K + 1), [nodes] * (K + 1), [nodes] * (K + 1)
+        for i in range(K, 0, -1):
+            offsets = sample_neighbors(graph.degrees(needed[i]), S, self.rng)
+            nbrs[i], live[i] = graph.neighbor_ids(needed[i], offsets), offsets >= 0
+            needed[i - 1] = unique_ids(needed[i], nbrs[i])
+        return needed, nbrs, live
+
+    def _encode(self, w: Tensor, own: Tensor, agg: Tensor) -> Tensor:
+        """One encoder layer: ``l2_normalize(relu(w [own ‖ agg]))``."""
+        pre = nm.linear(w, None, nm.concat(own, agg, self.tape), self.tape)
+        return nm.l2_normalize(nm.relu(pre, self.tape), self.tape)
+
     # -- users ------------------------------------------------------------
 
     def _ipm_forward(self, users: np.ndarray) -> Tensor:
@@ -283,29 +304,19 @@ class ForwardPass:
         if social is None:
             raise ConfigError("social graph required for the social encoder")
         K, S = cfg.k_ipm, cfg.s_ipm
-        # needed[i]: sorted users whose layer-i output is used;
-        # samples[i]: their sampled friends, one row of S per user
-        needed: list[np.ndarray] = [users] * (K + 1)
-        samples: list[np.ndarray] = [users] * (K + 1)
-        for i in range(K, 0, -1):
-            offsets = sample_neighbors(social.degrees(needed[i]), S, self.rng)
-            samples[i] = social.neighbor_ids(needed[i], offsets)
-            if i > 1:
-                needed[i - 1] = unique_ids(needed[i], samples[i])
+        needed, nbrs, _ = self._sample_tree(social, users, K, S)
 
         # layer 1 reads the frozen features by user id; the rows of a
         # later layer's input align with needed[i - 1]
         h = params.node_features
         for i in range(1, K + 1):
-            own_ids, nbr_ids = needed[i], samples[i].ravel()
+            own_ids, nbr_ids = needed[i], nbrs[i].ravel()
             if i > 1:
                 own_ids = np.searchsorted(needed[i - 1], own_ids)
                 nbr_ids = np.searchsorted(needed[i - 1], nbr_ids)
             own = nm.gather_rows(h, own_ids, tape)
-            nbrs = nm.gather_rows(h, nbr_ids, tape)
-            nbr_mean = nm.mean_rows_stride(nbrs, S, tape)
-            pre = nm.linear(params.ipm_layers[i - 1], None, nm.concat(own, nbr_mean, tape), tape)
-            h = nm.l2_normalize(nm.relu(pre, tape), tape)
+            nbr_mean = nm.mean_rows_stride(nm.gather_rows(h, nbr_ids, tape), S, tape)
+            h = self._encode(params.ipm_layers[i - 1], own, nbr_mean)
         return h
 
     def _member_rows(self, users: np.ndarray) -> Tensor:
@@ -357,24 +368,17 @@ class ForwardPass:
         """
         cfg, params, tape, hyper = self.cfg, self.params, self.tape, self.hyper
         K, S = cfg.k_hrl, cfg.s_hrl
-        # needed[i]: sorted groups whose layer-i output is used; nbrs[i] and
-        # weights[i]: their sampled incident groups and overlap weights, one
-        # row of S per group (the group itself at weight 0 for an empty pool)
-        needed: list[np.ndarray] = [groups] * (K + 1)
-        nbrs: list[np.ndarray] = [groups] * (K + 1)
-        weights: list[np.ndarray] = [groups] * (K + 1)
-        for i in range(K, 0, -1):
-            offsets = sample_neighbors(hyper.degrees(needed[i]), S, self.rng)
-            nbrs[i], weights[i] = hyper.neighbor_slots(needed[i], offsets)
-            needed[i - 1] = unique_ids(needed[i], nbrs[i])
+        needed, nbrs, live = self._sample_tree(hyper, groups, K, S)
         base_groups = needed[0]
 
-        # every sampled pair once, as a (low id, high id) key
+        # every live sampled pair once, as a (low id, high id) key; a
+        # pair's overlap weight is the number of members it shares
         span = int(base_groups[-1]) + 1
         keys = {i: np.minimum(needed[i][:, None], nbrs[i]) * span + np.maximum(needed[i][:, None], nbrs[i])
                 for i in range(1, K + 1)}
-        pairs = unique_ids(*[keys[i][weights[i] > 0] for i in keys])
+        pairs = unique_ids(*[keys[i][live[i]] for i in keys])
         common, pair_rows = common_members(hyper, pairs // span, pairs % span)
+        overlap = np.bincount(pair_rows, minlength=pairs.size)
 
         users = unique_ids(hyper.members_of(base_groups)[0], common)
         member_rows = self._member_rows(users)
@@ -387,16 +391,17 @@ class ForwardPass:
 
         m = x0
         for i in range(1, K + 1):
-            prev, live = needed[i - 1], weights[i] > 0
-            w = weights[i].astype(np.float64)
-            l_idx = np.where(live, np.searchsorted(pairs, keys[i]), 0)
+            prev = needed[i - 1]
+            # an empty slot reads pair row 0 and weighs 0
+            l_idx = np.where(live[i], np.searchsorted(pairs, keys[i]), 0)
+            w = np.zeros(l_idx.shape)
+            w[live[i]] = overlap[l_idx[live[i]]]
             msg = nm.add(nm.gather_rows(m, np.searchsorted(prev, nbrs[i].ravel()), tape),
                          nm.gather_rows(l_rows, l_idx.ravel(), tape), tape)
             msg = nm.mul_rows(msg, w.ravel(), tape)
             agg = nm.sum_rows_stride(msg, S, tape)
             own = nm.gather_rows(m, np.searchsorted(prev, needed[i]), tape)
-            pre = nm.linear(params.hrl_layers[i - 1], None, nm.concat(own, agg, tape), tape)
-            m = nm.l2_normalize(nm.relu(pre, tape), tape)
+            m = self._encode(params.hrl_layers[i - 1], own, agg)
         return self._align(x0, base_groups, groups), m
 
     def hrl_vectors(self, groups) -> tuple[Tensor, Tensor]:

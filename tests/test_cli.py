@@ -8,7 +8,7 @@ import pytest
 
 from hypergroup import cli
 from hypergroup import model as hm
-from hypergroup.data import load_dataset
+from hypergroup.data import SplitSpec, load_dataset, split_interactions
 from hypergroup.evaluation import rank_items
 from hypergroup.graph import build_hypergraph, build_social_graph
 from hypergroup.model import load_params, score_items_for_embedding
@@ -156,6 +156,69 @@ class TestGoldenDigest:
         assert hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest() == self.DIGEST
 
 
+class TestGoldenOutputs:
+    """The serving and reporting paths of the golden-digest run are pinned too.
+
+    ``recommend`` stdout is pinned for an exact group, for a member set that
+    overlaps known groups without matching one (the transient hyperedge),
+    and for users who are in no group (the member average); one ``eval
+    --out`` report is pinned as well.  Same numpy/BLAS caveat as
+    :class:`TestGoldenDigest`.
+    """
+
+    RECOMMEND = {
+        "exact": "55470e9782dad5e72e1dafd3d08383680d50c2212d0b2c3342a39582db81c99b",
+        "overlap": "7de628ba0def1a86b138aee06dde8030ed1845958cc87956cad701ccdd9955af",
+        "groupless": "bbf04e354904f928ee5cad6196e0bd119b6d5553822f37f51d82156df0025d04",
+    }
+    EVAL = "97010bf10b8bc361c1a1037bdbd4cebb8c59cfc2746c832294a4a2589e2d0618"
+
+    @pytest.fixture(scope="class")
+    def golden(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("golden")
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(TestGoldenDigest.SYNTH))
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+        out = run_train(tmp_path, data, run_cfg=TestGoldenDigest.RUN)
+        return data, out / "checkpoint.bin"
+
+    @staticmethod
+    def member_sets(ds):
+        """Exact, overlapping and groupless member sets, checked to take their paths."""
+        hyper = build_hypergraph(ds)
+        grouped = sorted(set().union(*map(set, ds.memberships)))
+        sets = {
+            "exact": list(ds.memberships[0]),
+            "overlap": [ds.memberships[0][0], ds.memberships[1][0], ds.memberships[2][0]],
+            "groupless": sorted(set(range(ds.num_users)) - set(grouped))[:2],
+        }
+        kinds = {name: hm.TransientHypergraphView(hyper, members) for name, members in sets.items()}
+        assert kinds["exact"].exact_group == 0
+        assert kinds["overlap"].exact_group is None and kinds["overlap"].has_known_neighbors
+        assert len(sets["groupless"]) == 2 and not kinds["groupless"].has_known_neighbors
+        return sets
+
+    @pytest.mark.parametrize("kind", ["exact", "overlap", "groupless"])
+    def test_recommend_digest_is_pinned(self, golden, capsys, kind):
+        data, ckpt = golden
+        ds = load_dataset(data)
+        names = ds.id_maps.reverse("users")
+        members = ",".join(names[u] for u in self.member_sets(ds)[kind])
+        capsys.readouterr()
+        assert cli.main(["recommend", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--members", members, "--topn", "20", "--seed", "13"]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.RECOMMEND[kind]
+
+    def test_eval_report_digest_is_pinned(self, golden, tmp_path):
+        data, ckpt = golden
+        report = tmp_path / "report.json"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--topn", "1,5,10", "--strata", "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.EVAL
+
+
 class TestEval:
     def test_json_report_with_requested_cutoffs(self, tmp_path, data_dir, capsys):
         out = run_train(tmp_path, data_dir)
@@ -193,6 +256,35 @@ class TestEval:
         blob = json.loads(stdout[stdout.index("{"):])
         assert "group_size" in blob["strata"]
         assert "item_activity" in blob["strata"]
+
+    @pytest.mark.parametrize("split,target", [("train", "users"), ("all", "groups")])
+    def test_test_cases_among_excluded_positives_exit_1(self, tmp_path, data_dir, capsys, split, target):
+        # the split shares its pairs with train: excluding them would report zeros
+        out = run_train(tmp_path, data_dir)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data_dir),
+                       "--split", split, "--target", target, "--exclude-train-positives"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "excluded training positive" in err
+
+    def test_split_without_cases_exits_2(self, tmp_path, capsys):
+        # 5 group-item pairs over 4 groups: the val split gets none of them
+        src = tmp_path / "data"
+        src.mkdir()
+        (src / "social.tsv").write_text("a\tb\nc\td\n")
+        (src / "user_item.tsv").write_text("".join(f"{u}\ti{k}\n" for u in "abcd" for k in (4, 5)))
+        (src / "group_members.tsv").write_text("g0\ta\ng0\tb\ng1\tb\ng1\tc\ng2\tc\ng2\td\ng3\ta\ng3\td\n")
+        (src / "group_item.tsv").write_text("g0\ti0\ng1\ti1\ng2\ti2\ng3\ti3\ng0\ti1\n")
+        out = run_train(tmp_path, src, run_cfg={"model": {"d": 4}, "train": {"epochs": 1, "seed": 1}})
+        _, val, _ = split_interactions(load_dataset(src), SplitSpec(seed=1))
+        assert not val.group_item
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(src),
+                       "--split", "val"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("hypergroup: data error: ") and "val" in err
 
     def test_checkpoint_dataset_mismatch_exits_2(self, tmp_path, data_dir):
         out = run_train(tmp_path, data_dir)
@@ -437,6 +529,7 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("key,value", [
         ("modle", {"d": 8}), ("node_features_file", [1]), ("node_features_file", {"path": "f.bin"}),
+        ("node_features_file", ""),
     ])
     def test_bad_top_level_key_exits_1(self, tmp_path, data_dir, capsys, key, value):
         cfg_path = tmp_path / "run.json"

@@ -242,6 +242,14 @@ class TestEvaluate:
         with pytest.raises(ContractViolation):
             he.evaluate(params, cfg, None, hyper, ds, cutoffs=(5,), eval_seed=0)
 
+    @pytest.mark.parametrize("target", ["groups", "users"])
+    def test_test_case_among_excluded_positives_rejected(self, target):
+        # excluding it would rank the truth last and report zeros
+        ds, hyper, cfg, params = make_eval_world(seed=2)
+        with pytest.raises(ConfigError, match="excluded training positive"):
+            he.evaluate(params, cfg, None, hyper, ds, cutoffs=(5,), eval_seed=0, target=target,
+                        train_ds=ds, exclude_train_positives=True)
+
     def test_exclusion_requires_train_split(self):
         ds, hyper, cfg, params = make_eval_world()
         with pytest.raises(ConfigError):

@@ -204,8 +204,7 @@ class TestSampleNeighbors:
         social = hg.build_social_graph(make_ds(6, [[0]], social_edges={(1, 2)}))
         assert social.neighbor_ids(np.array([5]), out).tolist() == [[5, 5, 5]]
         h = hg.build_hypergraph(make_ds(4, [[0, 1], [2, 3]]))
-        ids, weights = h.neighbor_slots(np.array([1]), out)
-        assert ids.tolist() == [[1, 1, 1]] and weights.tolist() == [[0, 0, 0]]
+        assert h.neighbor_ids(np.array([1]), out).tolist() == [[1, 1, 1]]
 
     def test_seeded_replay(self):
         degrees = [10, 3, 0, 7]

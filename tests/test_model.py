@@ -10,7 +10,7 @@ from hypergroup import model as hm
 from hypergroup import numeric as nm
 from hypergroup.data import InteractionDataset
 from hypergroup.errors import CheckpointError, ConfigError, ContractViolation, DimensionError, load_config
-from hypergroup.graph import build_hypergraph, build_social_graph
+from hypergroup.graph import build_hypergraph, build_social_graph, common_members
 
 
 def make_ds(num_users, num_items, memberships, social_edges=()):
@@ -498,11 +498,12 @@ class TestTransientGroups:
         # every slot of an existing group, and its empty slots, read the base
         offsets = np.arange(degrees.max() + 1)[None, :].repeat(groups.size, axis=0)
         offsets[offsets >= degrees[:, None]] = -1
-        for got, want in zip(view.neighbor_slots(groups, offsets), hyper.neighbor_slots(groups, offsets)):
-            np.testing.assert_array_equal(got, want)
-        # the transient row's weights are its overlaps with each group
-        ids, weights = view.neighbor_slots(np.array([view.transient_index]), np.array([[0, 1]]))
-        assert ids.tolist() == [[0, 1]] and weights.tolist() == [[1, 1]]
+        np.testing.assert_array_equal(view.neighbor_ids(groups, offsets), hyper.neighbor_ids(groups, offsets))
+        # the transient row lists the groups it overlaps, one shared member each
+        ids = view.neighbor_ids(np.array([view.transient_index]), np.array([[0, 1]]))
+        assert ids.tolist() == [[0, 1]]
+        _, pairs = common_members(view, ids[0], np.full(2, view.transient_index))
+        assert np.bincount(pairs, minlength=2).tolist() == [1, 1]
 
     def test_exact_group_is_the_lowest_id_with_the_same_members(self):
         hyper = build_hypergraph(make_ds(5, 2, [[2, 3], [0, 1, 2], [3, 2]]))
