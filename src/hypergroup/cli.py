@@ -35,7 +35,6 @@ from .errors import (
     DataError,
     DimensionError,
     NumericError,
-    SamplingError,
     load_config,
 )
 from .evaluation import evaluate, rank_items
@@ -343,7 +342,7 @@ def main(argv=None) -> int:
     except (DataError, CheckpointError, OSError) as exc:
         print(f"hypergroup: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, DimensionError, ContractViolation, SamplingError) as exc:
+    except (NumericError, DimensionError, ContractViolation) as exc:
         print(f"hypergroup: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

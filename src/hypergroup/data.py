@@ -280,13 +280,15 @@ def load_dataset(dir_path) -> InteractionDataset:
 
     memberships: list[list[int]] = [[] for _ in range(len(maps.groups))]
     member_groups = _lookup(maps.groups, (g for g, _ in members_raw), GROUP_MEMBERS_FILE, "group")
+    seen: set[tuple[int, int]] = set()
     for (g, u), gi in zip(members_raw, member_groups):
         ui = maps.users.get(u)
         if ui is None:
             raise IntegrityError(f"{GROUP_MEMBERS_FILE}: member {u!r} of group {g!r} appears in no user file")
-        if ui in memberships[gi]:
+        if (gi, ui) in seen:
             log.warning("group %r lists member %r more than once; ignoring repeat", g, u)
             continue
+        seen.add((gi, ui))
         memberships[gi].append(ui)
 
     ds = InteractionDataset(

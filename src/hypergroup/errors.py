@@ -28,6 +28,10 @@ class IntegrityError(DataError):
     """Dataset content violates a referential or structural constraint."""
 
 
+class SamplingError(DataError):
+    """Negative sampling is impossible for the given positive set."""
+
+
 class ConfigError(HyperGroupError):
     """Invalid configuration value or combination."""
 
@@ -38,10 +42,6 @@ class DimensionError(HyperGroupError):
 
 class ContractViolation(HyperGroupError):
     """A documented precondition was violated by the caller."""
-
-
-class SamplingError(HyperGroupError):
-    """Negative sampling is impossible for the given positive set."""
 
 
 class NumericError(HyperGroupError):

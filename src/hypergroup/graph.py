@@ -241,7 +241,9 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     group_indptr = _indptr(member_ids[by_user], ds.num_users)
     member_indptr = _indptr(owner, num_groups)
     keys = _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
-    indptr, indices = _symmetric_csr(keys // num_groups, keys % num_groups, num_groups)
+    a, b = np.divmod(keys, num_groups)
+    del keys  # not held through the CSR assembly, the build's peak
+    indptr, indices = _symmetric_csr(a, b, num_groups)
     return Hypergraph(
         num_users=ds.num_users,
         member_indptr=member_indptr,

@@ -31,10 +31,22 @@ parameter, zero gradient included.  Any other tensor gets one from its
 first gradient contribution, ``0.0 + g`` in a new array: the bits of
 adding ``g`` into zeros.  A backward step whose output received no
 gradient is skipped.
+
+Heap policy.  Every batch builds and frees tens of MB of gathered rows,
+gradient and scatter buffers.  Under glibc's adaptive defaults the free
+top of the heap goes back to the OS after a batch, and the next batch
+page-faults every page in again.  So on glibc, importing this module
+fixes the mmap threshold at 32 MiB (glibc's 64-bit ceiling; fixing it
+also ends the adaptive threshold) and the trim threshold at 256 MiB:
+freed arrays of up to 32 MiB stay in the heap and are reused, and larger
+ones are still mapped and unmapped per call.  The cost is up to 256 MiB
+of freed heap kept by the process.  Where an array lives cannot change
+a float, so results are the same bits either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -51,6 +63,28 @@ from .errors import (
 )
 
 NORM_EPS = 1e-12
+
+# mallopt(3) parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_warm() -> None:
+    """Apply the module's heap policy on glibc; elsewhere do nothing."""
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or a libc without the name
+        return
+    if not version or not version.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_heap_warm()
 
 
 class Tensor:

@@ -342,6 +342,11 @@ class _Stream:
         self.positives = positives_by_entity(pairs)
         self.budget = budget
         self.pass_length = -(-(len(self.pairs) if budget is None else budget) // cfg.batch_size)
+        if self.pass_length:
+            full = [e for e, items in self.positives.items() if len(items) >= n_items]
+            if full:
+                raise SamplingError(f"{task} {min(full)}'s training positives cover all {n_items} "
+                                    "items; no negatives exist")
         self.n_items = n_items
         self.params = params
         self.model_cfg = model_cfg

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,25 @@ class TestTrain:
     def test_missing_required_flag_exits_1(self, capsys):
         assert cli.main(["train", "--data", "somewhere"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_all_positive_entity_exits_2_before_training(self, tmp_path, capsys):
+        # every user holds all 4 items, so no user-item pair has a negative
+        src = tmp_path / "data"
+        src.mkdir()
+        (src / "social.tsv").write_text("a\tb\nc\td\n")
+        (src / "user_item.tsv").write_text("".join(f"{u}\ti{k}\n" for u in "abcd" for k in range(4)))
+        (src / "group_members.tsv").write_text("g0\ta\ng0\tb\ng1\tc\ng1\td\n")
+        (src / "group_item.tsv").write_text("g0\ti0\ng1\ti1\n")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"model": {"d": 4}, "train": {"epochs": 1, "seed": 1}}))
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--data", str(src), "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(r"hypergroup: data error: user \d+'s training positives cover all 4 items; "
+                            r"no negatives exist\n", err)
+        assert not (out / "checkpoint.bin").exists()
 
     def test_strategy_flag_applies(self, tmp_path, data_dir):
         out = run_train(tmp_path, data_dir, "rj", extra=["--strategy", "joint"])

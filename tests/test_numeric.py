@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,3 +707,67 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert path.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# 3 warm-up rounds of 64 freed 1 MiB arrays, then the minor page faults of
+# 5 more rounds, per round
+FAULTS_PER_ROUND = """
+import resource
+import numpy as np
+import hypergroup
+
+def one_round():
+    arrays = [np.ones(1 << 17) for _ in range(64)]
+    del arrays
+
+for _ in range(3):
+    one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    one_round()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not on_glibc(), reason="the heap policy applies on glibc only")
+    def test_freed_arrays_come_back_without_page_faults(self):
+        # glibc's adaptive defaults trim the 64 MiB each round frees, so every
+        # round faults about 16k pages back in
+        path = (str(Path(nm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", FAULTS_PER_ROUND], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert float(out.stdout) < 100
+
+    def test_other_platforms_leave_ctypes_alone(self, monkeypatch):
+        def no_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        def no_ctypes(*args, **kwargs):
+            raise AssertionError("ctypes touched")
+
+        monkeypatch.setattr(nm.os, "confstr", no_name)
+        monkeypatch.setattr(nm.ctypes, "CDLL", no_ctypes)
+        nm._keep_heap_warm()
+
+    def test_glibc_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class Mallopt:  # takes the argtypes and restype the real one gets
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        libc = types.SimpleNamespace(mallopt=Mallopt())
+        monkeypatch.setattr(nm.os, "confstr", lambda name: "glibc 2.35")
+        monkeypatch.setattr(nm.ctypes, "CDLL", lambda name: libc)
+        nm._keep_heap_warm()
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]

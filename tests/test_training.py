@@ -457,6 +457,18 @@ class TestTrainingLoops:
             assert (e.loss_u is None) == (budgets[0] == 0)
             assert (e.loss_g is None) == (budgets[1] == 0)
 
+    def test_all_positive_entity_refused_before_the_first_step(self, monkeypatch):
+        ds, social, hyper, cfg, params = toy_world()
+        ds.group_item = ds.group_item + [(2, v) for v in range(ds.num_items)]
+        # a stream that is never stepped needs no negatives
+        ht.train(ds, social, hyper, params, cfg,
+                 ht.TrainConfig(epochs=1, strategy="JOINT", group_budget=0, seed=1))
+        stepped = []
+        monkeypatch.setattr(ht._Stream, "step", lambda self: stepped.append(self.task))
+        with pytest.raises(SamplingError, match="group 2's training positives cover all 6 items"):
+            ht.train(ds, social, hyper, params, cfg, ht.TrainConfig(epochs=1, strategy="JOINT", seed=1))
+        assert stepped == []
+
     @pytest.mark.parametrize("strategy,tasks", [
         ("GROUP_ONLY", ["group"]), ("USER_ONLY", ["user"]),
         ("JOINT", ["user", "group"]), ("TWO_STAGE", ["user", "group"]),
