@@ -185,8 +185,10 @@ def _restore_world(checkpoint, data_dir, split_name: str):
             f"dataset has {ds.num_users} / {ds.num_items}"
         )
     split_meta = meta.get("split")
-    if split_name == "all" or not split_meta:
+    if split_name == "all":
         train_split = eval_split = ds
+    elif not split_meta:
+        raise CheckpointError(f"checkpoint {checkpoint} records no split; only --split all applies")
     else:
         try:
             spec = load_config(SplitSpec, "split", split_meta, complete=True)

@@ -4,12 +4,15 @@ Both graphs use compressed sparse rows (CSR): row ``r`` of a flat array
 is the slice ``indptr[r]:indptr[r + 1]``, and every row is sorted by id.
 
 Groups act as hyperedges over the user set.  Two hyperedges are adjacent
-when they share at least one member.  The hypergraph keeps three CSR
-structures: the group -> members incidence, the user -> groups inverted
-index, and the hyperedge adjacency, which holds neighbor ids only.
-Neither the shared-member sets nor their sizes (the overlap weights) are
-stored; :func:`common_members` computes the sets on demand, for the group
-pairs a forward pass actually sampled, and a weight is the size of its set.
+when they share at least one member.  The hypergraph is three CSR
+structures and nothing more: the group -> members incidence, the user ->
+groups inverted index, and the hyperedge adjacency, which holds neighbor
+ids only.  Neither the shared-member sets nor their sizes (the overlap
+weights) are stored; :func:`common_members` computes the sets on demand
+from the two member lists of each group pair a forward pass actually
+sampled, and a weight is the size of its set.  The hyperedge encoder asks
+a group graph three things, ``degrees``, ``neighbor_ids`` and
+``members_of``, which :class:`TransientHypergraphView` answers too.
 
 Both encoders sample a fixed number of neighbors per node, in the style of
 GraphSAGE.  :func:`sample_neighbors` draws them for every node of one
@@ -102,24 +105,20 @@ class SocialGraph(_Adjacency):
 
 @dataclass
 class Hypergraph(_Adjacency):
-    """Groups as hyperedges over users, in CSR form.
+    """Groups as hyperedges over users, as three CSR structures.
 
     - ``member_indptr``/``member_ids``: each group's members.
     - ``group_indptr``/``group_ids``: the inverted index, each user's groups.
     - ``indptr``/``indices``: the hyperedge adjacency.  Row ``g`` lists
       the other groups that share a member with ``g``.
-    - ``incidence_keys``: ``g * num_users + u`` for every membership,
-      sorted, for vectorised membership tests.
     """
 
-    num_users: int
     member_indptr: np.ndarray
     member_ids: np.ndarray
     group_indptr: np.ndarray
     group_ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    incidence_keys: np.ndarray
 
     @property
     def num_groups(self) -> int:
@@ -140,14 +139,6 @@ class Hypergraph(_Adjacency):
         sizes = self.member_indptr[groups + 1] - self.member_indptr[groups]
         users = self.member_ids[_ranges(self.member_indptr[groups], sizes)]
         return users, np.repeat(np.arange(len(groups)), sizes)
-
-    def contains(self, groups: np.ndarray, users: np.ndarray) -> np.ndarray:
-        """Whether ``users[k]`` is a member of ``groups[k]``."""
-        keys = groups * self.num_users + users
-        if not self.incidence_keys.size:
-            return np.zeros(keys.shape, dtype=bool)
-        pos = np.minimum(np.searchsorted(self.incidence_keys, keys), self.incidence_keys.size - 1)
-        return self.incidence_keys[pos] == keys
 
     def overlap_counts(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Groups holding any of the distinct ``users``, and how many of them each holds."""
@@ -206,12 +197,6 @@ class TransientHypergraphView:
         return (np.concatenate([users, np.tile(self._members, here.size)]),
                 np.concatenate([base[rows], np.repeat(here, self._members.size)]))
 
-    def contains(self, groups: np.ndarray, users: np.ndarray) -> np.ndarray:
-        out = np.isin(users, self._members)
-        base = groups != self.transient_index
-        out[base] = self._base.contains(groups[base], users[base])
-        return out
-
 
 def build_social_graph(ds: InteractionDataset) -> SocialGraph:
     """Symmetric adjacency from the dataset's social edges."""
@@ -234,8 +219,8 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     sizes = [len(m) for m in ds.memberships]
     owner = np.repeat(np.arange(num_groups), sizes)
     flat = np.fromiter(chain.from_iterable(ds.memberships), dtype=np.int64, count=owner.size)
-    incidence_keys = unique_ids(owner * span + flat)  # sorted by (group, user); repeats dropped
-    owner, member_ids = incidence_keys // span, incidence_keys % span
+    # sorted by (group, user); repeats dropped
+    owner, member_ids = np.divmod(unique_ids(owner * span + flat), span)
     by_user = np.argsort(member_ids, kind="stable")  # keeps groups ascending within a user
     group_ids = owner[by_user]
     group_indptr = _indptr(member_ids[by_user], ds.num_users)
@@ -245,14 +230,12 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     del keys  # not held through the CSR assembly, the build's peak
     indptr, indices = _symmetric_csr(a, b, num_groups)
     return Hypergraph(
-        num_users=ds.num_users,
         member_indptr=member_indptr,
         member_ids=member_ids,
         group_indptr=group_indptr,
         group_ids=group_ids,
         indptr=indptr,
         indices=indices,
-        incidence_keys=incidence_keys,
     )
 
 
@@ -304,11 +287,18 @@ def common_members(hyper, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.
     """Members shared by each group pair ``(a[k], b[k])``, as ``(users, pairs)``.
 
     ``users[j]`` is shared by pair ``pairs[j]``; users ascend within a pair.
-    ``hyper`` is a :class:`Hypergraph` or anything with its ``members_of``
-    and ``contains``.
+    ``hyper`` is a :class:`Hypergraph` or anything with its ``members_of``.
+    Both member lists are keyed ``pair * span + user``; ``b``'s keys are
+    sorted (a view may list a pair's members out of order) and each member
+    of ``a`` whose key they hold is kept.
     """
     users, rows = hyper.members_of(a)
-    keep = hyper.contains(b[rows], users)
+    b_users, b_rows = hyper.members_of(b)
+    span = int(max(users.max(initial=-1), b_users.max(initial=-1))) + 1
+    keys, b_keys = rows * span + users, np.sort(b_rows * span + b_users)
+    pos = np.searchsorted(b_keys, keys)
+    keep = pos < b_keys.size
+    keep[keep] = b_keys[pos[keep]] == keys[keep]
     return users[keep], rows[keep]
 
 

@@ -350,15 +350,14 @@ class ForwardPass:
 
     # -- groups -----------------------------------------------------------
 
-    def _group_init_rows(self, groups: np.ndarray, member_rows: Tensor, users: np.ndarray) -> Tensor:
-        """Mean member embedding per group; ``member_rows`` align with sorted ``users``."""
+    def _member_average(self, groups: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Mean member embedding per group, with the member rows it averaged
+        and their sorted user ids."""
         members, rows = self.hyper.members_of(groups)
+        users = unique_ids(members)
+        member_rows = self._member_rows(users)
         gathered = nm.gather_rows(member_rows, np.searchsorted(users, members), self.tape)
-        return nm.segment_mean(gathered, rows, len(groups), self.tape)
-
-    def _member_average(self, groups: np.ndarray) -> Tensor:
-        users = unique_ids(self.hyper.members_of(groups)[0])
-        return self._group_init_rows(groups, self._member_rows(users), users)
+        return nm.segment_mean(gathered, rows, len(groups), self.tape), member_rows, users
 
     def _hrl_forward(self, groups: np.ndarray) -> tuple[Tensor, Tensor]:
         """Hyperedge embeddings for sorted unique ``groups``.
@@ -380,9 +379,8 @@ class ForwardPass:
         common, pair_rows = common_members(hyper, pairs // span, pairs % span)
         overlap = np.bincount(pair_rows, minlength=pairs.size)
 
-        users = unique_ids(hyper.members_of(base_groups)[0], common)
-        member_rows = self._member_rows(users)
-        x0 = self._group_init_rows(base_groups, member_rows, users)
+        # both ends of every pair lie in base_groups, so their members cover common
+        x0, member_rows, users = self._member_average(base_groups)
         if pairs.size:
             shared = nm.gather_rows(member_rows, np.searchsorted(users, common), tape)
             l_rows = nm.segment_mean(shared, pair_rows, pairs.size, tape)
@@ -420,7 +418,7 @@ class ForwardPass:
         groups = _ids(groups)
         uniq = unique_ids(groups)
         if not uses_hrl(self.cfg.variant):
-            emb = self._member_average(uniq)
+            emb = self._member_average(uniq)[0]
         else:
             x, z = self._hrl_forward(uniq)
             w = self.cfg.residual_w

@@ -336,16 +336,20 @@ class _Stream:
     until the cyclic collector runs.
     """
 
-    def __init__(self, task, pairs, budget, n_items, params, model_cfg, cfg, social, hyper, optimizer, rng):
+    def __init__(self, task, pairs, budget, train_ds, params, model_cfg, cfg, social, hyper, optimizer, rng):
         self.task = task
         self.pairs = list(pairs)
         self.positives = positives_by_entity(pairs)
         self.budget = budget
         self.pass_length = -(-(len(self.pairs) if budget is None else budget) // cfg.batch_size)
+        n_items = train_ds.num_items
         if self.pass_length:
             full = [e for e, items in self.positives.items() if len(items) >= n_items]
             if full:
-                raise SamplingError(f"{task} {min(full)}'s training positives cover all {n_items} "
+                name = min(full)
+                if train_ds.id_maps is not None:
+                    name = repr(train_ds.id_maps.reverse(f"{task}s")[name])
+                raise SamplingError(f"{task} {name}'s training positives cover all {n_items} "
                                     "items; no negatives exist")
         self.n_items = n_items
         self.params = params
@@ -432,7 +436,7 @@ def train(
         for task in stage:
             pairs = train_ds.group_item if task == "group" else train_ds.user_item
             if pairs:
-                streams.append(_Stream(task, pairs, budgets[task], train_ds.num_items, params,
+                streams.append(_Stream(task, pairs, budgets[task], train_ds, params,
                                        model_cfg, cfg, social, hyper, optimizer, rng))
             else:
                 log.warning("no %s-item training data", task)

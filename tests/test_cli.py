@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import re
 
 import numpy as np
 import pytest
@@ -126,8 +125,8 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 2
         assert len(err.splitlines()) == 1
-        assert re.fullmatch(r"hypergroup: data error: user \d+'s training positives cover all 4 items; "
-                            r"no negatives exist\n", err)
+        assert err == ("hypergroup: data error: user 'b''s training positives cover all 4 items; "
+                       "no negatives exist\n")
         assert not (out / "checkpoint.bin").exists()
 
     def test_strategy_flag_applies(self, tmp_path, data_dir):
@@ -463,6 +462,21 @@ class TestSplitRecord:
         rc = cli.main(["eval", "--checkpoint", str(broken), "--data", str(data_dir), "--topn", "5"])
         assert rc == 2
         assert "split" in capsys.readouterr().err
+
+    def test_checkpoint_without_a_split_block_takes_only_split_all(self, tmp_path, data_dir, capsys):
+        # with no recorded split, a named split cannot be re-derived; scoring
+        # every interaction under its name would pass off train pairs as test
+        out = run_train(tmp_path, data_dir)
+        params, cfg, meta = load_params(out / "checkpoint.bin")
+        bare = tmp_path / "bare.bin"
+        hm.save_params(bare, params, cfg, meta["seed"])
+        for split in ("train", "val", "test"):
+            capsys.readouterr()
+            rc = cli.main(["eval", "--checkpoint", str(bare), "--data", str(data_dir), "--split", split])
+            assert rc == 2
+            assert capsys.readouterr().err == (f"hypergroup: data error: checkpoint {bare} records no split; "
+                                               "only --split all applies\n")
+        assert cli.main(["eval", "--checkpoint", str(bare), "--data", str(data_dir), "--split", "all"]) == 0
 
 
 class TestIntegerConfigFields:

@@ -1,8 +1,17 @@
 """The README's code stays runnable against the package."""
 
+import dataclasses
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
+import hypergroup
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = sorted(m.name for m in pkgutil.iter_modules(hypergroup.__path__))
+# a backticked `[hypergroup.]<module>.<name>[.<attr>]`, optionally called with arguments
+REFERENCE = re.compile(rf"(?:hypergroup\.)?({'|'.join(MODULES)})\.(\w+)(?:\.(\w+))?(?:\(.*\))?", re.DOTALL)
 
 
 def test_library_entry_points_import():
@@ -12,3 +21,24 @@ def test_library_entry_points_import():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "import" in block
     exec(compile(block, f"{README.name} (Library entry points)", "exec"), {})
+
+
+def resolves(obj, name: str) -> bool:
+    """Whether ``obj`` has ``name``, a dataclass field without a default included."""
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    return hasattr(obj, name) or name in fields
+
+
+def test_code_references_resolve():
+    # every `module.name` the prose names exists, so a removed name cannot
+    # stay in the docs
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", prose)
+    refs = [m.groups() for m in map(REFERENCE.fullmatch, spans) if m]
+    assert refs
+    missing = []
+    for module, name, attr in refs:
+        obj = importlib.import_module(f"hypergroup.{module}")
+        if not resolves(obj, name) or (attr and not resolves(getattr(obj, name), attr)):
+            missing.append(".".join(filter(None, (module, name, attr))))
+    assert not missing, f"README names what the package lacks: {missing}"

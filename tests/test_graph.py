@@ -151,14 +151,38 @@ class TestHypergraph:
                 row = h.group_ids[h.group_indptr[u]:h.group_indptr[u + 1]].tolist()
                 assert row == [g for g, m in enumerate(memberships) if u in m]
 
-    def test_contains_matches_member_sets(self):
+    def test_common_members_match_set_intersections(self):
+        # every pair of a built hypergraph, disjoint pairs and (g, g) included;
+        # then a view, whose members_of lists base rows before transient rows,
+        # with the transient id anywhere in either array
         rng = np.random.default_rng(4)
-        memberships = [sorted(rng.choice(30, size=4, replace=False).tolist()) for _ in range(20)]
-        h = hg.build_hypergraph(make_ds(30, memberships))
-        groups, users = np.meshgrid(np.arange(20), np.arange(30), indexing="ij")
-        got = h.contains(groups.ravel(), users.ravel()).reshape(20, 30)
-        want = np.array([[u in m for u in range(30)] for m in memberships])
-        np.testing.assert_array_equal(got, want)
+        for _ in range(40):
+            num_users = int(rng.integers(2, 30))
+            memberships = [
+                sorted(rng.choice(num_users, size=int(rng.integers(1, min(6, num_users) + 1)),
+                                  replace=False).tolist())
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            h = hg.build_hypergraph(make_ds(num_users, memberships))
+            a, b = np.meshgrid(np.arange(h.num_groups), np.arange(h.num_groups), indexing="ij")
+            assert_common_members(h, memberships, a.ravel(), b.ravel())
+            members = sorted(rng.choice(num_users, size=int(rng.integers(1, num_users + 1)),
+                                        replace=False).tolist())
+            view = hg.TransientHypergraphView(h, members)
+            t = view.transient_index
+            a = np.concatenate([rng.integers(0, t + 1, size=40), [t, 0, t, t]])
+            b = np.concatenate([rng.integers(0, t + 1, size=40), [0, t, t, t - 1]])
+            assert_common_members(view, memberships + [members], a, b)
+        empty = np.zeros(0, dtype=np.int64)
+        users, pairs = hg.common_members(h, empty, empty)
+        assert users.size == pairs.size == 0
+
+
+def assert_common_members(graph, memberships, a, b):
+    """``common_members`` lists each pair's set intersection, ascending."""
+    users, pairs = hg.common_members(graph, a, b)
+    for k, (g, h) in enumerate(zip(a.tolist(), b.tolist())):
+        assert users[pairs == k].tolist() == sorted(set(memberships[g]) & set(memberships[h]))
 
 
 def uniformity_gap(sample, rows=20_000, pool=10, size=4, seed=0):
