@@ -16,18 +16,33 @@ import numpy as np
 from .data import InteractionDataset
 from .errors import ConfigError, ContractViolation
 from .graph import Hypergraph, SocialGraph
-from .model import ForwardPass, ItemScorer, ModelConfig, ModelParams
+from .model import ForwardPass, ModelConfig, ModelParams
 
 GROUP_SIZE_BINS = (("l<3", lambda l: l < 3), ("3<=l<=7", lambda l: 3 <= l <= 7), ("l>7", lambda l: l > 7))
 ITEM_ACTIVITY_BINS = (("tau<=3", lambda t: t <= 3), ("tau>3", lambda t: t > 3))
 
 
 def rank_items(scores: np.ndarray) -> np.ndarray:
-    """Item indices sorted by descending score, ties by ascending index."""
+    """Item indices sorted by descending score, ties by ascending index.
+
+    numpy's default (SIMD, unstable) sort orders the scores; each run of
+    equal scores (``-0.0`` equals ``0.0``) is then put into ascending index
+    order by one sort of ``run * n + index``.  The result is the one
+    (score desc, index asc) order, the same as a stable sort's, whichever
+    algorithm numpy picks.
+    """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ContractViolation(f"scores must be one-dimensional, got shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ContractViolation("scores must be finite")
-    return np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
+        return order
+    base = np.cumsum(np.concatenate(([False], ~tied))) * scores.size
+    return np.sort(base + order) - base
 
 
 def count_ranks(scores: np.ndarray, items) -> np.ndarray:
@@ -144,7 +159,7 @@ def evaluate(
         truths.setdefault(e, []).append(v)
 
     # one entity at a time: its scores are exactly those recommend computes
-    scorer = ItemScorer(tower, items)
+    scorer = tower.scorer(items)
     rank_of: dict[tuple[int, int], int] = {}
     for row, entity in zip(rows, entities):
         scores = scorer.scores(row)

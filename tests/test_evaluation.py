@@ -48,9 +48,49 @@ class TestRankItems:
             want = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
             assert got == want
 
+    @staticmethod
+    def assert_stable_order(scores):
+        scores = np.asarray(scores, dtype=np.float64)
+        got = he.rank_items(scores)
+        want = np.argsort(-scores, kind="stable")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("scores", [
+        [],
+        [0.5],
+        [-0.0],
+        [0.0, -0.0, 0.0, -0.0, 1.0, -0.0],
+        [-0.0, 0.0, -1.0, 0.0, -0.0, -1.0],
+        [0.5] * 1000,
+        [0.5] * 300 + [1.0] * 300 + [0.5] * 300 + [-2.0] * 300,
+        list(np.arange(2000.0)),
+        list(np.arange(2000.0)[::-1]),
+    ])
+    def test_matches_stable_argsort(self, scores):
+        self.assert_stable_order(scores)
+
+    def test_matches_stable_argsort_on_a_random_battery(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(0, 3000))
+            if trial % 3 == 0:
+                scores = rng.normal(size=n)
+            elif trial % 3 == 1:
+                scores = rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0], size=n)
+            else:  # long tie runs among distinct values
+                scores = np.repeat(rng.normal(size=max(1, n // 50)), 50)[:n]
+                rng.shuffle(scores)
+            self.assert_stable_order(scores)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ContractViolation):
             he.rank_items([0.0, np.nan])
+
+    @pytest.mark.parametrize("scores", [np.zeros((2, 3)), np.zeros((1, 4)), 0.5])
+    def test_not_one_dimensional_rejected(self, scores):
+        with pytest.raises(ContractViolation, match="one-dimensional"):
+            he.rank_items(scores)
 
 
 class TestCountRanks:
@@ -65,6 +105,16 @@ class TestCountRanks:
             want[order] = np.arange(1, n + 1)
             items = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             np.testing.assert_array_equal(he.count_ranks(scores, items), want[items])
+
+    def test_gives_each_item_its_position_in_rank_items(self):
+        # eval counts ranks and recommend sorts: both must place every item alike
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(1, 400))
+            scores = rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0], size=n)
+            position = np.empty(n, dtype=np.int64)
+            position[he.rank_items(scores)] = np.arange(1, n + 1)
+            np.testing.assert_array_equal(he.count_ranks(scores, np.arange(n)), position)
 
 
 class TestHitRatio:

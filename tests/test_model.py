@@ -6,9 +6,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from hypergroup import evaluation as he
 from hypergroup import model as hm
 from hypergroup import numeric as nm
-from hypergroup.data import InteractionDataset
+from hypergroup import training as ht
+from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
 from hypergroup.errors import CheckpointError, ConfigError, ContractViolation, DimensionError, load_config
 from hypergroup.graph import build_hypergraph, build_social_graph, common_members
 
@@ -402,6 +404,118 @@ class TestItemScorer:
             scorer.scores(np.ones(5))
         with pytest.raises(DimensionError):
             hm.ItemScorer(params.group_mlp, np.ones((6, 3)))
+
+
+def held_world(seed=3):
+    ds = generate_synthetic(SynthConfig(num_users=20, num_items=15, num_groups=10, avg_group_size=3.0,
+                                        num_latent_topics=2, interactions_per_user=4.0,
+                                        interactions_per_group=2.0, seed=seed))
+    cfg = hm.ModelConfig(d=8, k_ipm=1, s_ipm=2, k_hrl=1, s_hrl=2, dropout=0.0)
+    params = hm.initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng(seed))
+    return ds, build_social_graph(ds), build_hypergraph(ds), cfg, params
+
+
+class TestHeldScorer:
+    """A tower's held scorer serves only while the arrays it read hold."""
+
+    EMB = np.linspace(-1.0, 1.0, 8)
+
+    def scores_match_fresh(self, params, cfg, tower=None):
+        """The held path's scores, checked bit-equal to a new ItemScorer's."""
+        tower = tower or params.group_mlp
+        got = hm.score_items_for_embedding(self.EMB, params, tower, cfg)
+        want = hm.ItemScorer(tower, params.item_embeddings.values).scores(self.EMB)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    # d=8 with hidden widths (8, 4): w1 is [W_e | W_i], columns 0-7 and 8-15
+    @pytest.mark.parametrize("name, index", [
+        ("item_embeddings", (3, 1)),
+        ("group_mlp_w1", (0, 9)),
+        ("group_mlp_w1", (0, 1)),
+        ("group_mlp_b1", (0,)),
+        ("group_mlp_w2", (1,)),
+        ("group_mlp_b2", (1,)),
+        ("group_mlp_out", (1,)),
+    ])
+    def test_in_place_edit_shows(self, name, index):
+        _, _, _, cfg, params = held_world()
+        before = self.scores_match_fresh(params, cfg)
+        params.tensors[name].values[index] += 0.5
+        assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("name", ["item_embeddings", "group_mlp_w1", "group_mlp_b1", "group_mlp_w2",
+                                      "group_mlp_out"])
+    def test_rebound_values_rebuild(self, name):
+        _, _, _, cfg, params = held_world()
+        before = self.scores_match_fresh(params, cfg)
+        held = params.group_mlp._scorer
+        tensor = params.tensors[name]
+        tensor.values = tensor.values * 1.5 + 0.25
+        assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
+        assert params.group_mlp._scorer is not held
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, index", [("item_embeddings", (2, 1)), ("group_mlp_w1", (1, 9))])
+    def test_injected_non_finite_shows(self, name, index, value):
+        _, _, _, cfg, params = held_world()
+        self.scores_match_fresh(params, cfg)
+        params.tensors[name].values[index] = value
+        with np.errstate(invalid="ignore"):
+            assert not np.all(np.isfinite(self.scores_match_fresh(params, cfg)))
+
+    def test_bits_decide_signed_zero_and_nan_payload(self):
+        _, _, _, cfg, params = held_world()
+        tower, items = params.group_mlp, params.item_embeddings.values
+        other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        for before, after in ((0.0, -0.0), (np.nan, other_nan)):
+            items[4, 0] = before
+            self.scores_match_fresh(params, cfg)
+            assert tower._scorer.holds(tower, items)  # the same bits, NaN included
+            items[4, 0] = after
+            assert not tower._scorer.holds(tower, items)
+            self.scores_match_fresh(params, cfg)
+
+    def test_train_and_restore_best_show(self):
+        ds, social, hyper, cfg, params = held_world()
+        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1, strategy="GROUP_ONLY", seed=1)
+        stop = ht._EarlyStop(replace(tcfg, early_stop_patience=1), cfg, params, social, hyper, ds)
+        assert not stop.should_stop(0)  # keeps these values; its evaluate holds a scorer
+        assert params.group_mlp._scorer is not None
+        before = self.scores_match_fresh(params, cfg)
+        ht.train(ds, social, hyper, params, cfg, tcfg)
+        assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
+        stop.restore_best()
+        assert self.scores_match_fresh(params, cfg).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("hidden", [None, ()])
+    def test_scores_are_a_new_array_each_call(self, hidden):
+        cfg = hm.ModelConfig(d=8, mlp_hidden=hidden)
+        params = hm.initialize_params(cfg, 3, 15, np.random.default_rng(6))
+        scorer = params.group_mlp.scorer(params.item_embeddings.values)
+        first = scorer.scores(self.EMB)
+        want = first.copy()
+        first[[0, 4]] = -np.inf  # as evaluate excludes training positives
+        second = params.group_mlp.scorer(params.item_embeddings.values).scores(self.EMB)
+        assert not np.shares_memory(first, second)
+        assert second.tobytes() == want.tobytes()
+
+    def test_unchanged_params_build_p_once(self, monkeypatch):
+        ds, social, hyper, cfg, params = held_world()
+        built = []
+        init = hm.ItemScorer.__init__
+
+        def counting(self, tower, items):
+            built.append(tower)
+            init(self, tower, items)
+
+        monkeypatch.setattr(hm.ItemScorer, "__init__", counting)
+        he.evaluate(params, cfg, social, hyper, ds, cutoffs=(5,))
+        for _ in range(3):
+            hm.score_items_for_embedding(self.EMB, params, params.group_mlp, cfg)
+        hm.score_items_for_embedding(self.EMB, params, params.user_mlp, cfg)
+        he.evaluate(params, cfg, social, hyper, ds, cutoffs=(5,), target="users")
+        assert [id(t) for t in built] == [id(params.group_mlp), id(params.user_mlp)]
 
 
 class TestFullPipelineOracle:
