@@ -147,8 +147,6 @@ def evaluate(
         rows = fp.member_vectors(entities).values
         tower = params.user_mlp
 
-    items = params.item_embeddings.values
-    n_items = items.shape[0]
     excluded: dict[int, set[int]] = {}
     if exclude_train_positives:
         train_pairs = train_ds.group_item if target == "groups" else train_ds.user_item
@@ -159,10 +157,9 @@ def evaluate(
         truths.setdefault(e, []).append(v)
 
     # one entity at a time: its scores are exactly those recommend computes
-    scorer = tower.scorer(items)
     rank_of: dict[tuple[int, int], int] = {}
     for row, entity in zip(rows, entities):
-        scores = scorer.scores(row)
+        scores = tower.item_scores(row, params.item_embeddings)
         if not np.all(np.isfinite(scores)):
             raise ContractViolation("scores must be finite")
         drop = excluded.get(entity)
@@ -188,7 +185,7 @@ def evaluate(
             sizes = np.array([len(test_ds.memberships[g]) for g, _ in cases])
             report.strata["group_size"] = _stratify(ranks, sizes, GROUP_SIZE_BINS, cutoffs)
         activity_source = train_ds if train_ds is not None else test_ds
-        counts = np.zeros(n_items, dtype=np.int64)
+        counts = np.zeros(params.num_items, dtype=np.int64)
         for _, v in activity_source.group_item:
             counts[v] += 1
         activity = np.array([counts[v] for _, v in cases])

@@ -124,9 +124,6 @@ class Hypergraph(_Adjacency):
     def num_groups(self) -> int:
         return len(self.member_indptr) - 1
 
-    def members(self, g: int) -> np.ndarray:
-        return self.member_ids[self.member_indptr[g]:self.member_indptr[g + 1]]
-
     def overlaps(self, g: int) -> np.ndarray:
         """Shared-member counts, aligned with :meth:`neighbors`."""
         nbrs = self.neighbors(g)

@@ -101,25 +101,58 @@ def config_hash(cfg: ModelConfig) -> str:
 class MlpTower:
     """Hidden (weight, bias) layers plus a final projection vector.
 
-    The tower also holds the last :class:`ItemScorer` that :meth:`scorer`
-    built for it.
+    The tower also keeps the item projection ``P`` of :meth:`item_scores`
+    with the tensors, arrays and versions it was computed from.
     """
 
     hidden: list[tuple[Tensor, Tensor]]
     out: Tensor
-    _scorer: ItemScorer | None = field(default=None, init=False, repr=False, compare=False)
+    _held: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """Every value array of the tower, in layer order."""
-        return tuple(t.values for layer in self.hidden for t in layer) + (self.out.values,)
+    def item_scores(self, entity_emb: np.ndarray, items: Tensor) -> np.ndarray:
+        """Inference scores of one entity embedding against every item, in a
+        new array.
 
-    def scorer(self, items: np.ndarray) -> ItemScorer:
-        """The tower's inference scorer against ``items``: the held one while
-        :meth:`ItemScorer.holds`, otherwise a new one, which is then held."""
-        if self._scorer is None or not self._scorer.holds(self, items):
-            self._scorer = None  # the old scorer's arrays are freed before the new ones are made
-            self._scorer = ItemScorer(self, items)
-        return self._scorer
+        The first layer reads ``[entity ‖ item]``, so its weight splits as
+        ``W1 = [W_e | W_i]`` and the item half ``P = items @ W_i.T`` is kept
+        across calls.  An entity then costs ``c = W_e @ e + b1``,
+        ``h1 = max(P + c, 0)`` and the remaining layers; a tower without
+        hidden layers splits its output vector the same way.  Entities are
+        scored one at a time, so an entity's scores do not depend on which
+        other entities a caller scores (and no temporary is larger than one
+        entity's first-layer activations).  ``np.maximum`` keeps NaN, so a
+        non-finite parameter or item row shows up as a non-finite score.
+        Dropout is the identity at inference; the training path runs
+        :func:`mlp_forward` instead, on the tape.
+
+        ``P`` is reused while the item table and ``W1`` are the same tensors
+        holding the same arrays at the same versions as when ``P`` was
+        computed.  Computing ``P`` marks both arrays read-only, so they
+        change only through :meth:`Tensor.writing`, which bumps the version;
+        every other tower array is read live on each call.
+        """
+        first = self.hidden[0][0] if self.hidden else self.out
+        d = items.shape[1]
+        if first.shape[-1] != 2 * d:
+            raise DimensionError(f"tower input width {first.shape[-1]} != 2 x item width {d}")
+        e = np.asarray(entity_emb, dtype=np.float64)
+        if e.shape != (d,):
+            raise DimensionError(f"entity embedding shape {e.shape} != ({d},)")
+        reads, versions = (items, items.values, first, first.values), (items.version, first.version)
+        held = self._held
+        if held is None or held[1] != versions or any(a is not b for a, b in zip(reads, held[0])):
+            self._held = None  # the old P is freed before the new one is made
+            items.values.flags.writeable = first.values.flags.writeable = False
+            self._held = (reads, versions, items.values @ first.values[..., d:].T)
+        h = self._held[2] + (first.values[..., :d] @ e + (self.hidden[0][1].values if self.hidden else 0.0))
+        if not self.hidden:
+            return h
+        np.maximum(h, 0.0, out=h)
+        for w, b in self.hidden[1:]:
+            h = h @ w.values.T
+            h += b.values
+            np.maximum(h, 0.0, out=h)
+        return h @ self.out.values
 
 
 @dataclass
@@ -492,85 +525,8 @@ def transient_group_embedding(members, params: ModelParams, cfg: ModelConfig,
     return fp.member_vectors(member_ids).values.mean(axis=0)
 
 
-class ItemScorer:
-    """Inference scores of entity embeddings against every item, one tower.
-
-    The tower's first layer reads ``[entity ‖ item]``, so its weight splits
-    as ``W1 = [W_e | W_i]`` and its item half ``P = items @ W_i.T`` is
-    computed once, here, and kept in the scorer.  An entity then costs
-    ``c = W_e @ e + b1``, ``h1 = max(P + c, 0)`` and the remaining layers;
-    a tower without hidden layers splits its output vector the same way.
-    Entities are scored one at a time, so an entity's scores do not depend
-    on which other entities a caller scores (and no temporary is larger
-    than one entity's first-layer activations).  ``np.maximum`` keeps NaN,
-    so a non-finite parameter or item row shows up as a non-finite score.
-    Dropout is the identity at inference; the training path runs
-    :func:`mlp_forward` instead, on the tape.
-
-    Every array but ``P`` is read live from the tower at each call.  To
-    tell whether ``P`` still holds, the scorer keeps a copy of the item
-    table and of ``W_i``, so it holds two item-table-sized arrays (``P``
-    and that copy; 2 x 5.1 MB for 10,000 items at ``d=64``).
-    :meth:`MlpTower.scorer` keeps one scorer per tower and reuses it while
-    :meth:`holds`.
-    """
-
-    def __init__(self, tower: MlpTower, items: np.ndarray):
-        d = items.shape[1]
-        first = tower.hidden[0][0].values if tower.hidden else tower.out.values
-        if first.shape[-1] != 2 * d:
-            raise DimensionError(f"tower input width {first.shape[-1]} != 2 x item width {d}")
-        self.d = d
-        self._reads = tower.arrays() + (items,)
-        self._entity_w = first[..., :d]
-        self._p = items @ first[..., d:].T
-        self._items_at_build, self._item_w_at_build = items.copy(), first[..., d:].copy()
-        self._bias = tower.hidden[0][1].values if tower.hidden else 0.0
-        self._rest = [(w.values, b.values) for w, b in tower.hidden[1:]]
-        self._out = tower.out.values if tower.hidden else None
-
-    def holds(self, tower: MlpTower, items: np.ndarray) -> bool:
-        """Whether this scorer still scores ``tower`` against ``items``.
-
-        Every array the scorer reads must be the same object as the tower's
-        and ``items`` (a rebound ``.values`` fails this), and the item
-        table and ``W_i`` must hold the bits ``P`` was computed from.  The
-        bits are compared as ``uint64``, so a NaN payload or the sign of a
-        zero counts; an in-place edit (an optimizer step, a restored
-        checkpoint, a test's write) fails this unless it wrote the same bits.
-        """
-        reads = tower.arrays() + (items,)
-        return (len(reads) == len(self._reads) and all(a is b for a, b in zip(reads, self._reads))
-                and _same_bits(items, self._items_at_build)
-                and _same_bits(reads[0][..., self.d:], self._item_w_at_build))
-
-    def scores(self, entity_emb: np.ndarray) -> np.ndarray:
-        """Scores of one entity embedding against every item, in a new array."""
-        e = np.asarray(entity_emb, dtype=np.float64)
-        if e.shape != (self.d,):
-            raise DimensionError(f"entity embedding shape {e.shape} != ({self.d},)")
-        h = self._p + (self._entity_w @ e + self._bias)
-        if self._out is None:
-            return h
-        np.maximum(h, 0.0, out=h)
-        for w, b in self._rest:
-            h = h @ w.T
-            h += b
-            np.maximum(h, 0.0, out=h)
-        return h @ self._out
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def score_items_for_embedding(entity_emb: np.ndarray, params: ModelParams,
                               tower: MlpTower, cfg: ModelConfig) -> np.ndarray:
-    """Inference scores of one entity embedding against every item.
-
-    Scores through the tower's held scorer (:meth:`MlpTower.scorer`), so
-    repeated requests against unchanged params reuse ``P`` and pay only
-    the check of :meth:`ItemScorer.holds`; a one-shot call (the CLI's
-    ``recommend``) builds the scorer and copies the item table once.
-    """
-    return tower.scorer(params.item_embeddings.values).scores(entity_emb)
+    """Inference scores of one entity embedding against every item, through
+    :meth:`MlpTower.item_scores`; ``cfg`` is unused."""
+    return tower.item_scores(entity_emb, params.item_embeddings)

@@ -93,16 +93,37 @@ class Tensor:
     ``trainable`` marks optimizer-visible leaves.  Outputs of recorded
     operations receive gradients regardless; leaves only when trainable,
     so frozen inputs never accumulate gradient work.
+
+    :meth:`writing` is the package's one path for writing ``values`` in
+    place, and ``version`` counts its writes.  A reader that caches a
+    result computed from ``values`` (a tower's item projection) marks the
+    array read-only and keeps the array and its version: a write through
+    :meth:`writing` bumps the version, a rebound ``values`` is another
+    object, and any other in-place write raises numpy's read-only error.
     """
 
-    __slots__ = ("values", "grad", "name", "trainable", "_rg")
+    __slots__ = ("values", "grad", "name", "trainable", "version", "_rg")
 
     def __init__(self, values, name: str | None = None, trainable: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
         self.trainable = trainable
+        self.version = 0
         self._rg = trainable  # does gradient need to flow into this tensor?
+
+    @contextmanager
+    def writing(self):
+        """Yield ``values`` writeable for the block, then restore its
+        writeable flag and bump ``version``, also when the block raises."""
+        values = self.values
+        writeable = values.flags.writeable
+        values.flags.writeable = True
+        try:
+            yield values
+        finally:
+            self.version += 1
+            values.flags.writeable = writeable
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -435,8 +456,8 @@ def dropout(x: Tensor, ratio: float, rng: np.random.Generator, tape: Tape | None
     """Inverted dropout: zero with probability ``ratio``, scale survivors.
 
     Identity for ratio 0; the expected value of the output equals the
-    input.  Inference scores through ``model.ItemScorer``, which has no
-    dropout.
+    input.  Inference scores through ``model.MlpTower.item_scores``, which
+    has no dropout.
     """
     if not 0.0 <= ratio < 1.0:
         raise ContractViolation(f"dropout ratio must be in [0, 1), got {ratio}")

@@ -236,7 +236,8 @@ class SgdOptimizer:
 
     def step(self, tensors) -> None:
         for p, g in _checked_grads(tensors):
-            p.values -= self.lr * g
+            with p.writing() as values:
+                values -= self.lr * g
 
 
 # Elements per block of the Adam update: two scratch blocks of this size
@@ -271,15 +272,16 @@ class AdamOptimizer:
             self._state[id(p)] = (m, v, t)
             bc1 = 1.0 - self.beta1 ** t
             bc2 = 1.0 - self.beta2 ** t
-            if not (p.values.flags.c_contiguous and g.flags.c_contiguous):
-                # a flat view of these would be a copy: update them whole
-                self._update(p.values, g, m, v, bc1, bc2, np.empty(m.shape), np.empty(m.shape))
-                continue
-            flat = p.values.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-            s1, s2 = self._scratch
-            for lo in range(0, m.size, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, m.size)
-                self._update(*(a[lo:hi] for a in flat), bc1, bc2, s1[:hi - lo], s2[:hi - lo])
+            with p.writing() as values:
+                if not (values.flags.c_contiguous and g.flags.c_contiguous):
+                    # a flat view of these would be a copy: update them whole
+                    self._update(values, g, m, v, bc1, bc2, np.empty(m.shape), np.empty(m.shape))
+                    continue
+                flat = values.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+                s1, s2 = self._scratch
+                for lo in range(0, m.size, ADAM_BLOCK):
+                    hi = min(lo + ADAM_BLOCK, m.size)
+                    self._update(*(a[lo:hi] for a in flat), bc1, bc2, s1[:hi - lo], s2[:hi - lo])
 
     def _update(self, p, g, m, v, bc1, bc2, s1, s2) -> None:
         b1, b2 = self.beta1, self.beta2
@@ -504,6 +506,7 @@ class _EarlyStop:
 
     def restore_best(self) -> int | None:
         """Write the best epoch's values back in place; that epoch, if any."""
-        for (_, t), values in zip(self.params.trainable_tensors(), self._best_values):
-            t.values[...] = values
+        for (_, t), best in zip(self.params.trainable_tensors(), self._best_values):
+            with t.writing() as values:
+                values[...] = best
         return self.best_epoch

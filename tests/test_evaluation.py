@@ -256,14 +256,14 @@ class TestEvaluate:
         cfg = hm.ModelConfig(d=16, k_ipm=1, s_ipm=2, k_hrl=1, s_hrl=2)
         params = hm.initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng(8))
         seen = []
-        scores = hm.ItemScorer.scores
+        item_scores = hm.MlpTower.item_scores
 
-        def recording(self, emb):
-            out = scores(self, emb)
+        def recording(self, emb, items):
+            out = item_scores(self, emb, items)
             seen.append(out.copy())
             return out
 
-        monkeypatch.setattr(hm.ItemScorer, "scores", recording)
+        monkeypatch.setattr(hm.MlpTower, "item_scores", recording)
         _, detail = he.evaluate(params, cfg, social, hyper, ds, cutoffs=(10,), eval_seed=4,
                                 detail=True)
         groups = sorted({g for g, _ in ds.group_item})

@@ -112,7 +112,7 @@ class TestHypergraph:
                 assert {b: common for b, (_, common) in got.items()} == oracle[g]
                 for weight, common in got.values():
                     assert weight == len(common)
-                assert h.members(g).tolist() == memberships[g]
+                assert h.members_of(np.array([g]))[0].tolist() == memberships[g]
 
     def test_symmetry_and_no_self_adjacency(self):
         rng = np.random.default_rng(2)

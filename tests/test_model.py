@@ -44,12 +44,12 @@ def forward(params, cfg, social, hyper, seed):
 # one entity's scores against every item, through the inference engine
 def group_scores(g, params, cfg, hyper):
     emb = forward(params, cfg, None, hyper, 0).group_vectors([g]).values[0]
-    return hm.ItemScorer(params.group_mlp, params.item_embeddings.values).scores(emb)
+    return params.group_mlp.item_scores(emb, params.item_embeddings)
 
 
 def user_scores(u, params, cfg):
     emb = forward(params, cfg, None, None, 0).member_vectors([u]).values[0]
-    return hm.ItemScorer(params.user_mlp, params.item_embeddings.values).scores(emb)
+    return params.user_mlp.item_scores(emb, params.item_embeddings)
 
 
 class TestConfig:
@@ -370,6 +370,8 @@ class TestScoring:
 
 
 class TestItemScorer:
+    """``MlpTower.item_scores``: a tower's inference scores against every item."""
+
     @pytest.mark.parametrize("hidden", [None, (4,), ()])
     def test_matches_mlp_forward_on_tiled_inputs(self, hidden):
         cfg = hm.ModelConfig(d=16, mlp_hidden=hidden, dropout=0.3)
@@ -377,12 +379,11 @@ class TestItemScorer:
         params = hm.initialize_params(cfg, 5, 300, rng)
         items = params.item_embeddings.values
         for tower in (params.group_mlp, params.user_mlp):
-            scorer = hm.ItemScorer(tower, items)
             for _ in range(8):
                 e = rng.normal(size=cfg.d)
                 x = nm.Tensor(np.concatenate([np.tile(e, (items.shape[0], 1)), items], axis=1))
                 want = hm.mlp_forward(tower, x, replace(cfg, dropout=0.0), rng).values
-                got = scorer.scores(e)
+                got = tower.item_scores(e, params.item_embeddings)
                 assert got.shape == want.shape
                 # the first layer's sums are reassociated: equal to rounding
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -392,18 +393,17 @@ class TestItemScorer:
         cfg = hm.ModelConfig(d=4, mlp_hidden=hidden)
         params = hm.initialize_params(cfg, 3, 6, np.random.default_rng(4))
         params.item_embeddings.values[2, 1] = np.nan
-        scores = hm.ItemScorer(params.group_mlp, params.item_embeddings.values).scores(np.ones(4))
+        scores = params.group_mlp.item_scores(np.ones(4), params.item_embeddings)
         assert np.isnan(scores[2])
         assert np.all(np.isfinite(np.delete(scores, 2)))
 
     def test_wrong_entity_width_rejected(self):
         cfg = hm.ModelConfig(d=4)
         params = hm.initialize_params(cfg, 3, 6, np.random.default_rng(5))
-        scorer = hm.ItemScorer(params.group_mlp, params.item_embeddings.values)
         with pytest.raises(DimensionError):
-            scorer.scores(np.ones(5))
+            params.group_mlp.item_scores(np.ones(5), params.item_embeddings)
         with pytest.raises(DimensionError):
-            hm.ItemScorer(params.group_mlp, np.ones((6, 3)))
+            params.group_mlp.item_scores(np.ones(3), nm.Tensor(np.ones((6, 3))))
 
 
 def held_world(seed=3):
@@ -416,15 +416,16 @@ def held_world(seed=3):
 
 
 class TestHeldScorer:
-    """A tower's held scorer serves only while the arrays it read hold."""
+    """A tower's kept ``P`` serves only while the arrays it was computed
+    from are the same objects at the same versions."""
 
     EMB = np.linspace(-1.0, 1.0, 8)
 
     def scores_match_fresh(self, params, cfg, tower=None):
-        """The held path's scores, checked bit-equal to a new ItemScorer's."""
+        """The held path's scores, checked bit-equal to a tower that holds no ``P``."""
         tower = tower or params.group_mlp
         got = hm.score_items_for_embedding(self.EMB, params, tower, cfg)
-        want = hm.ItemScorer(tower, params.item_embeddings.values).scores(self.EMB)
+        want = hm.MlpTower(tower.hidden, tower.out).item_scores(self.EMB, params.item_embeddings)
         assert got.tobytes() == want.tobytes()
         return got
 
@@ -441,7 +442,8 @@ class TestHeldScorer:
     def test_in_place_edit_shows(self, name, index):
         _, _, _, cfg, params = held_world()
         before = self.scores_match_fresh(params, cfg)
-        params.tensors[name].values[index] += 0.5
+        with params.tensors[name].writing() as values:
+            values[index] += 0.5
         assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
 
     @pytest.mark.parametrize("name", ["item_embeddings", "group_mlp_w1", "group_mlp_b1", "group_mlp_w2",
@@ -449,39 +451,69 @@ class TestHeldScorer:
     def test_rebound_values_rebuild(self, name):
         _, _, _, cfg, params = held_world()
         before = self.scores_match_fresh(params, cfg)
-        held = params.group_mlp._scorer
+        held = params.group_mlp._held
         tensor = params.tensors[name]
         tensor.values = tensor.values * 1.5 + 0.25
         assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
-        assert params.group_mlp._scorer is not held
+        # only the item table and w1 are read into P; the other arrays are read live
+        assert (params.group_mlp._held is not held) == (name in ("item_embeddings", "group_mlp_w1"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name, index", [("item_embeddings", (2, 1)), ("group_mlp_w1", (1, 9))])
     def test_injected_non_finite_shows(self, name, index, value):
         _, _, _, cfg, params = held_world()
         self.scores_match_fresh(params, cfg)
-        params.tensors[name].values[index] = value
+        with params.tensors[name].writing() as values:
+            values[index] = value
         with np.errstate(invalid="ignore"):
             assert not np.all(np.isfinite(self.scores_match_fresh(params, cfg)))
 
-    def test_bits_decide_signed_zero_and_nan_payload(self):
+    def test_every_write_shows_signed_zero_and_nan_payload_included(self):
         _, _, _, cfg, params = held_world()
-        tower, items = params.group_mlp, params.item_embeddings.values
+        tower, items = params.group_mlp, params.item_embeddings
         other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-        for before, after in ((0.0, -0.0), (np.nan, other_nan)):
-            items[4, 0] = before
+        for before, after in ((0.0, -0.0), (np.nan, other_nan), (1.0, 1.0)):
+            with items.writing() as values:
+                values[4, 0] = before
             self.scores_match_fresh(params, cfg)
-            assert tower._scorer.holds(tower, items)  # the same bits, NaN included
-            items[4, 0] = after
-            assert not tower._scorer.holds(tower, items)
+            held = tower._held
             self.scores_match_fresh(params, cfg)
+            assert tower._held is held
+            with items.writing() as values:
+                values[4, 0] = after
+            self.scores_match_fresh(params, cfg)
+            assert tower._held is not held
+
+    def test_scored_arrays_refuse_writes_outside_the_write_path(self):
+        _, _, _, cfg, params = held_world()
+        items, w1 = params.item_embeddings, params.group_mlp.hidden[0][0]
+        items.values[0, 0] = 0.5  # never scored: plainly writable
+        before = self.scores_match_fresh(params, cfg)
+        for tensor in (items, w1):
+            with pytest.raises(ValueError, match="read-only"):
+                tensor.values[0, 0] = 0.25
+            with pytest.raises(ValueError, match="read-only"):
+                tensor.values[...] += 1.0
+        assert self.scores_match_fresh(params, cfg).tobytes() == before.tobytes()
+        # the arrays read live stay writable
+        params.group_mlp.hidden[0][1].values[0] = 0.5
+        params.group_mlp.out.values[0] = 0.5
+        assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
+
+    def test_training_leaves_unscored_arrays_writable(self):
+        ds, social, hyper, cfg, params = held_world()
+        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1, strategy="GROUP_ONLY", seed=1)
+        ht.train(ds, social, hyper, params, cfg, tcfg)
+        assert params.item_embeddings.version > 0
+        params.item_embeddings.values[2, 1] = np.inf
+        params.group_mlp.hidden[0][0].values[0, 0] = 0.5
 
     def test_train_and_restore_best_show(self):
         ds, social, hyper, cfg, params = held_world()
         tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1, strategy="GROUP_ONLY", seed=1)
         stop = ht._EarlyStop(replace(tcfg, early_stop_patience=1), cfg, params, social, hyper, ds)
-        assert not stop.should_stop(0)  # keeps these values; its evaluate holds a scorer
-        assert params.group_mlp._scorer is not None
+        assert not stop.should_stop(0)  # keeps these values; its evaluate keeps P
+        assert params.group_mlp._held is not None
         before = self.scores_match_fresh(params, cfg)
         ht.train(ds, social, hyper, params, cfg, tcfg)
         assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
@@ -492,30 +524,34 @@ class TestHeldScorer:
     def test_scores_are_a_new_array_each_call(self, hidden):
         cfg = hm.ModelConfig(d=8, mlp_hidden=hidden)
         params = hm.initialize_params(cfg, 3, 15, np.random.default_rng(6))
-        scorer = params.group_mlp.scorer(params.item_embeddings.values)
-        first = scorer.scores(self.EMB)
+        first = params.group_mlp.item_scores(self.EMB, params.item_embeddings)
         want = first.copy()
         first[[0, 4]] = -np.inf  # as evaluate excludes training positives
-        second = params.group_mlp.scorer(params.item_embeddings.values).scores(self.EMB)
+        second = params.group_mlp.item_scores(self.EMB, params.item_embeddings)
         assert not np.shares_memory(first, second)
         assert second.tobytes() == want.tobytes()
 
     def test_unchanged_params_build_p_once(self, monkeypatch):
         ds, social, hyper, cfg, params = held_world()
-        built = []
-        init = hm.ItemScorer.__init__
+        seen = []
+        item_scores = hm.MlpTower.item_scores
 
-        def counting(self, tower, items):
-            built.append(tower)
-            init(self, tower, items)
+        def recording(self, emb, items):
+            out = item_scores(self, emb, items)
+            seen.append((self, self._held))
+            return out
 
-        monkeypatch.setattr(hm.ItemScorer, "__init__", counting)
+        monkeypatch.setattr(hm.MlpTower, "item_scores", recording)
         he.evaluate(params, cfg, social, hyper, ds, cutoffs=(5,))
         for _ in range(3):
             hm.score_items_for_embedding(self.EMB, params, params.group_mlp, cfg)
         hm.score_items_for_embedding(self.EMB, params, params.user_mlp, cfg)
         he.evaluate(params, cfg, social, hyper, ds, cutoffs=(5,), target="users")
-        assert [id(t) for t in built] == [id(params.group_mlp), id(params.user_mlp)]
+        built = []
+        for tower, held in seen:
+            if all(held is not h for _, h in built):
+                built.append((tower, held))
+        assert [id(t) for t, _ in built] == [id(params.group_mlp), id(params.user_mlp)]
 
 
 class TestFullPipelineOracle:
@@ -560,7 +596,8 @@ class TestSharedEmbeddingContract:
         params = hm.initialize_params(cfg, 3, 4, np.random.default_rng(0))
         g_before = group_scores(0, params, cfg, hyper)[2]
         u_before = user_scores(0, params, cfg)[2]
-        params.item_embeddings.values[2] += 1.0
+        with params.item_embeddings.writing() as values:
+            values[2] += 1.0
         g_after = group_scores(0, params, cfg, hyper)[2]
         u_after = user_scores(0, params, cfg)[2]
         assert g_after != g_before and u_after != u_before

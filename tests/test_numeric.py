@@ -1,5 +1,6 @@
 """Unit and gradient-oracle tests for the numeric kernel."""
 
+import ast
 import json
 import math
 import os
@@ -771,3 +772,55 @@ class TestHeapPolicy:
         monkeypatch.setattr(nm.ctypes, "CDLL", lambda name: libc)
         nm._keep_heap_warm()
         assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+
+class TestWritePath:
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_writing_bumps_the_version_and_restores_the_flag(self, writeable):
+        t = nm.Tensor(np.zeros(3))
+        t.values.flags.writeable = writeable
+        with t.writing() as values:
+            assert values is t.values and values.flags.writeable
+            values[1] = 2.0
+        assert t.version == 1 and t.values.flags.writeable == writeable
+        assert t.values.tolist() == [0.0, 2.0, 0.0]
+
+    def test_writing_bumps_the_version_and_restores_the_flag_when_its_block_raises(self):
+        t = nm.Tensor(np.zeros(3))
+        t.values.flags.writeable = False
+        with pytest.raises(KeyError):
+            with t.writing() as values:
+                values[0] = 1.0
+                raise KeyError("stop")
+        assert t.version == 1 and not t.values.flags.writeable
+        assert t.values.tolist() == [1.0, 0.0, 0.0]
+
+    @staticmethod
+    def in_place_values_writes(source: str) -> list[int]:
+        """Lines that subscript-assign, augment-assign or ``out=`` into a
+        ``.values`` attribute."""
+        def is_values(node):
+            return isinstance(node, ast.Attribute) and node.attr == "values"
+
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) and is_values(node.value)
+                    or isinstance(node, ast.AugAssign) and is_values(node.target)
+                    or isinstance(node, ast.keyword) and node.arg == "out" and is_values(node.value)):
+                lines.append(node.lineno)
+        return sorted(lines)
+
+    def test_the_guard_sees_each_kind_of_write(self):
+        source = ("t.values[0] = 1\n" "t.values -= g\n" "np.add(a, b, out=t.values)\n"
+                  "t.values[1:] += 2\n" "del t.values[0]\n" "t.values = v\n" "x = t.values[0]\n")
+        assert self.in_place_values_writes(source) == [1, 2, 3, 4, 5]
+
+    def test_the_package_writes_values_only_through_writing(self):
+        # a write elsewhere would change an array behind a kept result
+        # without bumping its version
+        found = {}
+        for path in sorted(Path(nm.__file__).parent.glob("*.py")):
+            lines = self.in_place_values_writes(path.read_text(encoding="utf-8"))
+            if lines:
+                found[path.name] = lines
+        assert not found, f"in-place writes to .values outside Tensor.writing: {found}"

@@ -207,6 +207,17 @@ class TestOptimizers:
         assert opt._state[id(p)][2] == 2
         assert not np.array_equal(p.values, before)
 
+    @pytest.mark.parametrize("make", [lambda: ht.AdamOptimizer(0.1), lambda: ht.SgdOptimizer(0.1)])
+    def test_steps_write_through_the_tensor_write_path(self, make):
+        # a read-only parameter is stepped, bumps its version and stays read-only
+        p = Tensor([[0.5, -0.5]], name="p", trainable=True)
+        p.values.flags.writeable = False
+        p.grad = np.array([[0.2, 0.1]])
+        before = p.values.copy()
+        make().step([p])
+        assert p.version == 1 and not p.values.flags.writeable
+        assert not np.array_equal(p.values, before)
+
     def test_adam_single_step_hand_computed(self):
         p = Tensor([0.5], name="p", trainable=True)
         p.grad = np.array([0.2])
