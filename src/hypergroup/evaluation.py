@@ -75,9 +75,7 @@ class EvalReport:
         blob = {
             "target": self.target,
             "num_test_cases": self.num_test_cases,
-            "metrics": {
-                str(n): {"hr": pair.hr, "ndcg": pair.ndcg} for n, pair in self.metrics.items()
-            },
+            "metrics": _metrics_dict(self.metrics),
         }
         if self.strata is not None:
             blob["strata"] = self.strata
@@ -94,6 +92,15 @@ class EvalReport:
             lines.append(f"@{n:<7}{pair.hr:>10.4f}{pair.ndcg:>10.4f}")
         lines.append(f"test cases: {self.num_test_cases}")
         return "\n".join(lines)
+
+
+def _metrics_dict(metrics: dict[int, MetricPair]) -> dict:
+    return {str(n): {"hr": pair.hr, "ndcg": pair.ndcg} for n, pair in metrics.items()}
+
+
+def _item_ids(pairs) -> np.ndarray:
+    """The item of every pair, as int64 even when there are none."""
+    return np.array([v for _, v in pairs], dtype=np.int64)
 
 
 def _metrics_from_ranks(ranks: np.ndarray, cutoffs) -> dict[int, MetricPair]:
@@ -185,10 +192,8 @@ def evaluate(
             sizes = np.array([len(test_ds.memberships[g]) for g, _ in cases])
             report.strata["group_size"] = _stratify(ranks, sizes, GROUP_SIZE_BINS, cutoffs)
         activity_source = train_ds if train_ds is not None else test_ds
-        counts = np.zeros(params.num_items, dtype=np.int64)
-        for _, v in activity_source.group_item:
-            counts[v] += 1
-        activity = np.array([counts[v] for _, v in cases])
+        counts = np.bincount(_item_ids(activity_source.group_item), minlength=params.num_items)
+        activity = counts[_item_ids(cases)]
         report.strata["item_activity"] = _stratify(ranks, activity, ITEM_ACTIVITY_BINS, cutoffs)
 
     if detail:
@@ -204,10 +209,9 @@ def _stratify(ranks, keys, bins, cutoffs) -> dict:
         if not mask.any():
             out[label] = {"num_test_cases": 0, "metrics": None}
             continue
-        metrics = _metrics_from_ranks(ranks[mask], cutoffs)
         out[label] = {
             "num_test_cases": int(mask.sum()),
-            "metrics": {str(n): {"hr": p.hr, "ndcg": p.ndcg} for n, p in metrics.items()},
+            "metrics": _metrics_dict(_metrics_from_ranks(ranks[mask], cutoffs)),
         }
     return out
 
@@ -217,9 +221,5 @@ def pop_baseline(train_ds: InteractionDataset) -> np.ndarray:
     user interactions), ties by ascending index."""
     if not train_ds.group_item and not train_ds.user_item:
         raise ContractViolation("training split holds no interactions")
-    counts = np.zeros(train_ds.num_items, dtype=np.int64)
-    for _, v in train_ds.group_item:
-        counts[v] += 1
-    for _, v in train_ds.user_item:
-        counts[v] += 1
+    counts = np.bincount(_item_ids(train_ds.group_item + train_ds.user_item), minlength=train_ds.num_items)
     return np.argsort(-counts, kind="stable")

@@ -22,8 +22,8 @@ same checkpoints.  :func:`scatter_add`, which accumulates ``gather_rows``
 gradients and ``segment_mean`` sums, adds each target row's entries one
 at a time in index order, exactly as ``np.add.at`` does; a sort-then-sum
 or ``np.add.reduceat`` would reassociate the sums and is not allowed.
-Strictly ascending indices take one fancy-indexed add, non-decreasing
-ones skip the sort, and the rest pay one stable argsort.
+Strictly ascending indices take one fancy-indexed add, and the rest pay
+one stable argsort.
 
 Gradient buffers exist on demand.  A trainable leaf gets a zero buffer
 when a recorded operation reads it, so the optimizer steps every touched
@@ -280,10 +280,9 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     order, ``((t + v1) + v2) + ...``; float addition is not associative,
     so a sort-then-sum (or ``np.add.reduceat``) gives other bits.  This
     keeps the order.  Strictly ascending indices add once per row, by one
-    ``target[idx] += vals``.  Otherwise the entries are grouped into one
-    run per row, in index order within a run: non-decreasing indices
-    already are, other indices take one stable argsort.  With the runs
-    ordered longest first, level j (occurrence j of every row with more
+    ``target[idx] += vals``.  Otherwise one stable argsort groups the
+    entries into one run per row, in index order within a run.  With the
+    runs ordered longest first, level j (occurrence j of every row with more
     than j entries) is a prefix of the runs, and it is added by one
     ``buf[:count] += vals`` after level j - 1, into a compact buffer that
     is gathered from ``target`` once and written back once.  Occurrences
@@ -306,28 +305,21 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
         raise IndexError(f"index {bad} is out of bounds for axis 0 with size {size}")
     if lo < 0:
         idx = np.where(idx < 0, idx + size, idx)
-    step = np.diff(idx)
-    lowest = step.min()
-    if lowest > 0:
+    if np.diff(idx).min() > 0:
         target[idx] += vals
         return
     # each run: its row, its entry count and where it starts in sorted order
-    if lowest == 0:
-        starts = np.flatnonzero(np.concatenate(([1], step)))
-        lens = np.diff(starts, append=n)
-        run_rows = idx[starts]
-    else:
-        counts = np.bincount(idx)
-        run_rows = np.flatnonzero(counts)
-        lens = counts[run_rows]
-        starts = np.cumsum(lens) - lens
+    counts = np.bincount(idx)
+    run_rows = np.flatnonzero(counts)
+    lens = counts[run_rows]
+    starts = np.cumsum(lens) - lens
     # level j holds every row with more than j entries
     level_sizes = np.cumsum(np.bincount(lens)[:0:-1])[::-1]
     levels = level_sizes[level_sizes >= SCATTER_MIN_ROWS].tolist()
     if not levels:
         np.add.at(target, idx, vals)
         return
-    order = None if lowest == 0 else _stable_argsort(idx, size)
+    order = _stable_argsort(idx, size)
     longest = int(lens.max())
     by_len = _stable_argsort(longest - lens, longest)
     first, dst = starts[by_len], run_rows[by_len]
@@ -336,7 +328,7 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     ends = np.cumsum(level_sizes)
     run = np.arange(n) - np.repeat(ends - level_sizes, level_sizes)
     at = first[run] + np.repeat(np.arange(level_sizes.size), level_sizes)
-    src = at if order is None else order[at]
+    src = order[at]
     buf = target[dst]
     done = 0
     for count in levels:
@@ -599,7 +591,8 @@ def _tensor_specs(header, path) -> list[tuple[str, tuple[int, ...]]]:
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint blob back into ``(meta, {name: array})``.
 
-    Any malformed header or payload raises :class:`CheckpointError`.
+    Any malformed header or payload, bytes after the last tensor included,
+    raises :class:`CheckpointError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -623,6 +616,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 remaining -= size
                 buf = fh.read(size)
                 tensors[name] = np.frombuffer(buf, dtype=CHECKPOINT_DTYPE).reshape(shape).copy()
+            if remaining:
+                raise CheckpointError(f"{remaining} bytes after the last tensor in {path}")
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     meta = {k: v for k, v in header.items() if k not in ("dtype", "tensors")}

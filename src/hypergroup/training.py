@@ -328,7 +328,7 @@ def make_optimizer(cfg: TrainConfig):
 
 
 class _Stream:
-    """The batches of one task (user-item or group-item) and their steps.
+    """The batches of one task (user-item or group-item).
 
     A pass is a shuffle of the task's train pairs or, with a budget,
     ``budget`` pairs drawn with replacement.  Each pass is drawn when its
@@ -338,12 +338,13 @@ class _Stream:
     until the cyclic collector runs.
     """
 
-    def __init__(self, task, pairs, budget, train_ds, params, model_cfg, cfg, social, hyper, optimizer, rng):
+    def __init__(self, task, pairs, budget, batch_size, train_ds):
         self.task = task
         self.pairs = list(pairs)
         self.positives = positives_by_entity(pairs)
         self.budget = budget
-        self.pass_length = -(-(len(self.pairs) if budget is None else budget) // cfg.batch_size)
+        self.batch_size = batch_size
+        self.pass_length = -(-(len(self.pairs) if budget is None else budget) // batch_size)
         n_items = train_ds.num_items
         if self.pass_length:
             full = [e for e, items in self.positives.items() if len(items) >= n_items]
@@ -353,44 +354,17 @@ class _Stream:
                     name = repr(train_ds.id_maps.reverse(f"{task}s")[name])
                 raise SamplingError(f"{task} {name}'s training positives cover all {n_items} "
                                     "items; no negatives exist")
-        self.n_items = n_items
-        self.params = params
-        self.model_cfg = model_cfg
-        self.cfg = cfg
-        self.social = social
-        self.hyper = hyper
-        self.optimizer = optimizer
-        self.rng = rng
         self._order = ()  # the current pass
         self._start = 0  # where its next batch starts
 
-    def _next_batch(self):
-        size = self.cfg.batch_size
+    def next_batch(self, rng: np.random.Generator):
+        size = self.batch_size
         if self._start >= len(self._order):
             n = len(self.pairs)
-            self._order = (self.rng.permutation(n) if self.budget is None
-                           else self.rng.integers(0, n, size=self.budget))
+            self._order = rng.permutation(n) if self.budget is None else rng.integers(0, n, size=self.budget)
             self._start = 0
         self._start += size
         return [self.pairs[int(i)] for i in self._order[self._start - size:self._start]]
-
-    def step(self) -> float:
-        """One optimizer step on the next batch; the batch's loss."""
-        triples = build_triples(self._next_batch(), self.positives, self.n_items,
-                                self.cfg.negatives, self.rng)
-        tape = Tape()
-        if self.task == "group":
-            loss = group_batch_loss(triples, self.params, self.model_cfg, self.social,
-                                    self.hyper, self.cfg.l2_reg, self.rng, tape)
-        else:
-            loss = user_batch_loss(triples, self.params, self.model_cfg, self.social,
-                                   self.cfg.l2_reg, self.rng, tape)
-        tape.backward(loss)
-        touched = tape.touched_parameters()
-        self.optimizer.step(touched)
-        for p in touched:
-            p.zero_grad()
-        return float(loss.values)
 
 
 def effective_strategy(model_cfg: ModelConfig, cfg: TrainConfig) -> str:
@@ -417,8 +391,10 @@ def train(
     turns as its streams' passes hold batches together, and each turn steps
     every stream once, so the shorter stream of a JOINT epoch cycles
     through fresh passes.  A stage without train pairs is skipped; a stream
-    with a budget of 0 is never stepped.  Early stopping follows every
-    epoch of a stage with group-item pairs.
+    with a budget of 0 is never stepped.  Early stopping, given a patience
+    and a val split with group-item pairs, scores NDCG@10 after every epoch
+    of a stage with group-item pairs; the run ends with the values of the
+    best epoch.
 
     All randomness (shuffles, negatives, neighbor samples, dropout) flows
     from one generator seeded with ``cfg.seed``, so a fixed config plus
@@ -429,8 +405,27 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(cfg)
     report = TrainReport(strategy=strategy)
-    early_stop = _EarlyStop(cfg, model_cfg, params, social, hyper, val_ds)
     budgets = {"user": cfg.user_budget, "group": cfg.group_budget}
+
+    def step(stream: _Stream) -> float:
+        """One optimizer step on the stream's next batch; the batch's loss."""
+        triples = build_triples(stream.next_batch(rng), stream.positives, train_ds.num_items,
+                                cfg.negatives, rng)
+        tape = Tape()
+        if stream.task == "group":
+            loss = group_batch_loss(triples, params, model_cfg, social, hyper, cfg.l2_reg, rng, tape)
+        else:
+            loss = user_batch_loss(triples, params, model_cfg, social, cfg.l2_reg, rng, tape)
+        tape.backward(loss)
+        touched = tape.touched_parameters()
+        optimizer.step(touched)
+        for p in touched:
+            p.zero_grad()
+        return float(loss.values)
+
+    # early stopping on validation NDCG@10 keeps the best epoch's values
+    early_stop = cfg.early_stop_patience is not None and val_ds is not None and bool(val_ds.group_item)
+    best, stale, best_values = -np.inf, 0, []
     for number, stage in enumerate(STAGES[strategy]):
         if report.stopped_early:
             break
@@ -438,8 +433,7 @@ def train(
         for task in stage:
             pairs = train_ds.group_item if task == "group" else train_ds.user_item
             if pairs:
-                streams.append(_Stream(task, pairs, budgets[task], train_ds, params,
-                                       model_cfg, cfg, social, hyper, optimizer, rng))
+                streams.append(_Stream(task, pairs, budgets[task], cfg.batch_size, train_ds))
             else:
                 log.warning("no %s-item training data", task)
         if not streams:
@@ -452,61 +446,23 @@ def train(
             losses = {"user": [], "group": []}
             for _ in range(max(1, sum(s.pass_length for s in streams))):
                 for s in stepped:
-                    losses[s.task].append(s.step())
+                    losses[s.task].append(step(s))
             loss_g, loss_u = (float(np.mean(losses[t])) if losses[t] else None for t in ("group", "user"))
-            report.epochs.append(EpochStats(len(report.epochs), loss_g, loss_u, time.perf_counter() - start))
-            if any(s.task == "group" for s in streams) and early_stop.should_stop(report.epochs[-1].epoch):
+            epoch = len(report.epochs)
+            report.epochs.append(EpochStats(epoch, loss_g, loss_u, time.perf_counter() - start))
+            if not early_stop or all(s.task != "group" for s in streams):
+                continue
+            score = evaluation.evaluate(params, model_cfg, social, hyper, val_ds, cutoffs=(10,),
+                                        eval_seed=cfg.seed, target="groups").metrics[10].ndcg
+            if score > best + 1e-12:
+                best, stale, report.best_epoch = score, 0, epoch
+                best_values = [t.values.copy() for _, t in params.trainable_tensors()]
+                continue
+            stale += 1
+            if stale >= cfg.early_stop_patience:
                 report.stopped_early = True
                 break
-    report.best_epoch = early_stop.restore_best()
+    for (_, t), values in zip(params.trainable_tensors(), best_values):
+        with t.writing() as out:
+            out[...] = values
     return report
-
-
-class _EarlyStop:
-    """Optional early stopping on validation NDCG@10.
-
-    Keeps a copy of the trainable values of the best epoch so far, and
-    :meth:`restore_best` puts them back when training ends.
-    """
-
-    def __init__(self, cfg, model_cfg, params, social, hyper, val_ds):
-        self.enabled = (
-            cfg.early_stop_patience is not None
-            and val_ds is not None
-            and bool(val_ds.group_item)
-        )
-        self.patience = cfg.early_stop_patience or 0
-        self.cfg = cfg
-        self.model_cfg = model_cfg
-        self.params = params
-        self.social = social
-        self.hyper = hyper
-        self.val_ds = val_ds
-        self.best = -np.inf
-        self.best_epoch: int | None = None
-        self._best_values: list[np.ndarray] = []
-        self.stale = 0
-
-    def should_stop(self, epoch: int) -> bool:
-        if not self.enabled:
-            return False
-        report = evaluation.evaluate(
-            self.params, self.model_cfg, self.social, self.hyper, self.val_ds,
-            cutoffs=(10,), eval_seed=self.cfg.seed, target="groups",
-        )
-        score = report.metrics[10].ndcg
-        if score > self.best + 1e-12:
-            self.best = score
-            self.best_epoch = epoch
-            self._best_values = [t.values.copy() for _, t in self.params.trainable_tensors()]
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
-
-    def restore_best(self) -> int | None:
-        """Write the best epoch's values back in place; that epoch, if any."""
-        for (_, t), best in zip(self.params.trainable_tensors(), self._best_values):
-            with t.writing() as values:
-                values[...] = best
-        return self.best_epoch

@@ -316,6 +316,19 @@ class TestEval:
                        "--data", str(other_data), "--topn", "5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["eval", "recommend"])
+    def test_checkpoint_with_bytes_after_its_tensors_exits_2(self, tmp_path, data_dir, capsys, command):
+        out = run_train(tmp_path, data_dir)
+        padded = tmp_path / "padded.bin"
+        padded.write_bytes((out / "checkpoint.bin").read_bytes() + b"7 bytes")
+        member = load_dataset(data_dir).id_maps.reverse("users")[0]
+        extra = ["--members", member] if command == "recommend" else []
+        capsys.readouterr()
+        rc = cli.main([command, "--checkpoint", str(padded), "--data", str(data_dir), *extra])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "7 bytes after the last tensor" in captured.err
+
 
 class TestRecommend:
     def test_existing_group_matches_eval_pathway(self, tmp_path, data_dir, capsys):

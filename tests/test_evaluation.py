@@ -1,5 +1,7 @@
 """Ranking-metric and evaluation-pipeline tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,17 @@ class TestEvaluate:
         total = sum(v["num_test_cases"] for v in report.strata["item_activity"].values())
         assert total == report.num_test_cases
 
+    def test_item_activity_from_a_train_split_without_group_pairs(self):
+        # no group-item pair counts, so every test item has activity 0
+        ds, hyper, cfg, params = make_eval_world()
+        train = replace(ds, group_item=[])
+        report = he.evaluate(params, cfg, None, hyper, ds, cutoffs=(5,), eval_seed=0, target="users",
+                             train_ds=train, strata=True)
+        activity = report.strata["item_activity"]
+        assert activity["tau<=3"]["num_test_cases"] == report.num_test_cases == len(ds.user_item)
+        assert activity["tau>3"] == {"num_test_cases": 0, "metrics": None}
+        assert activity["tau<=3"]["metrics"] == report.to_dict()["metrics"]
+
     def test_empty_split_rejected(self):
         ds, hyper, cfg, params = make_eval_world()
         ds.group_item = []
@@ -357,6 +370,13 @@ class TestPopBaseline:
         )
         ranked = he.pop_baseline(ds).tolist()
         assert ranked == [3, 0, 1, 2, 4]
+
+    @pytest.mark.parametrize("kind", ["user_item", "group_item"])
+    def test_one_kind_of_pairs(self, kind):
+        ds = InteractionDataset(num_users=1, num_items=4, num_groups=1, social_edges=set(),
+                                user_item=[], group_item=[], memberships=[[0]])
+        setattr(ds, kind, [(0, 2), (0, 1)])
+        assert he.pop_baseline(ds).tolist() == [1, 2, 0, 3]
 
     def test_matches_reference_sort(self):
         rng = np.random.default_rng(3)

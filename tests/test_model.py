@@ -508,17 +508,25 @@ class TestHeldScorer:
         params.item_embeddings.values[2, 1] = np.inf
         params.group_mlp.hidden[0][0].values[0, 0] = 0.5
 
-    def test_train_and_restore_best_show(self):
+    def test_train_and_restore_best_show(self, monkeypatch):
         ds, social, hyper, cfg, params = held_world()
-        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1, strategy="GROUP_ONLY", seed=1)
-        stop = ht._EarlyStop(replace(tcfg, early_stop_patience=1), cfg, params, social, hyper, ds)
-        assert not stop.should_stop(0)  # keeps these values; its evaluate keeps P
-        assert params.group_mlp._held is not None
-        before = self.scores_match_fresh(params, cfg)
-        ht.train(ds, social, hyper, params, cfg, tcfg)
-        assert self.scores_match_fresh(params, cfg).tobytes() != before.tobytes()
-        stop.restore_best()
-        assert self.scores_match_fresh(params, cfg).tobytes() == before.tobytes()
+        scripted, seen = iter([0.5, 0.25]), []
+        evaluate = he.evaluate
+
+        def scripted_evaluate(*args, **kwargs):
+            evaluate(*args, **kwargs)  # keeps the group tower's P
+            assert params.group_mlp._held is not None
+            seen.append(self.scores_match_fresh(params, cfg))
+            return he.EvalReport("groups", {10: he.MetricPair(0.0, next(scripted))}, 1)
+
+        monkeypatch.setattr(he, "evaluate", scripted_evaluate)
+        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=2, strategy="GROUP_ONLY",
+                              seed=1, early_stop_patience=2)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=ds)
+        assert report.best_epoch == 0 and not report.stopped_early
+        first, last = seen
+        assert first.tobytes() != last.tobytes()  # training moved the held P
+        assert self.scores_match_fresh(params, cfg).tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("hidden", [None, ()])
     def test_scores_are_a_new_array_each_call(self, hidden):

@@ -513,6 +513,14 @@ class TestCheckpointBlob:
         with pytest.raises(CheckpointError):
             nm.load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra", [b"\0", b"garbage", np.ones(1).astype("<f8").tobytes()])
+    def test_bytes_after_the_last_tensor_rejected(self, tmp_path, extra):
+        path = tmp_path / "bad.bin"
+        nm.save_checkpoint(path, [("v", nm.Tensor(np.ones(4)))], {})
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(CheckpointError, match=f"{len(extra)} bytes after the last tensor"):
+            nm.load_checkpoint(path)
+
 
 def raw_checkpoint(header) -> bytes:
     """A checkpoint blob with an arbitrary JSON header and an 8-byte payload."""
@@ -625,10 +633,10 @@ class TestScatterAdd:
         idx = rng.integers(-700, 700, n)
         self.assert_matches_add_at(self.spread_values(rng, (700, 3)), idx, self.spread_values(rng, (n, 3)))
 
-    # index layouts that take each path of scatter_add: strictly ascending
-    # (one add), non-decreasing (no sort; segment ids with runs of 1-14),
-    # a row with most entries (the np.add.at tail), sorted or not, and a
-    # sorted index whose negative entries wrap to the end
+    # index layouts for each path of scatter_add: strictly ascending (one
+    # add), non-decreasing (the argsort path; segment ids with runs of
+    # 1-14), a row with most entries (the np.add.at tail), sorted or not,
+    # and a sorted index whose negative entries wrap to the end
     LAYOUTS = {
         "strictly_ascending": lambda rng: np.sort(rng.choice(2000, 700, replace=False)),
         "runs_of_1_to_14": lambda rng: np.repeat(np.arange(600), rng.integers(1, 15, 600)),

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,31 +394,33 @@ class TestTrainingLoops:
         # a stream draws each pass when its first batch is taken; a run must
         # see the same batches, and so write the same checkpoint bytes, as
         # with a queue that materialises a whole pass and pops from its front
-        stream = ht._Stream
+        next_batch, build_triples = ht._Stream.next_batch, ht.build_triples
 
-        def queue_batch(s, log):
+        def queue_batch(s, rng, log):
             if not getattr(s, "queue", None):
                 log.append("draw")
-                n, size = len(s.pairs), s.cfg.batch_size
-                order = s.rng.permutation(n) if s.budget is None else s.rng.integers(0, n, size=s.budget)
+                n, size = len(s.pairs), s.batch_size
+                order = rng.permutation(n) if s.budget is None else rng.integers(0, n, size=s.budget)
                 s.queue = [[s.pairs[int(i)] for i in order[lo:lo + size]]
                            for lo in range(0, len(order), size)]
             return s.queue.pop(0)
 
-        def run(next_batch, name):
+        def run(take_batch, name):
             log = []
 
-            class Recorded(stream):
-                def _next_batch(self):
-                    batch = next_batch(self, log)
-                    log.append((self.task, batch))
-                    return batch
+            def recorded_batch(self, rng):
+                batch = take_batch(self, rng, log)
+                log.append((self.task, batch))
+                return batch
 
-                def step(self):
-                    log.append("step")
-                    return super().step()
+            def recorded_triples(batch_pairs, *args):
+                # one call per step, on the batch just taken
+                assert batch_pairs == log[-1][1]
+                log.append("step")
+                return build_triples(batch_pairs, *args)
 
-            monkeypatch.setattr(ht, "_Stream", Recorded)
+            monkeypatch.setattr(ht._Stream, "next_batch", recorded_batch)
+            monkeypatch.setattr(ht, "build_triples", recorded_triples)
             ds, social, hyper, cfg, params = synth_world(seed=12)
             user_budget, group_budget = budgets or (None, None)
             tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2, strategy=strategy,
@@ -428,11 +431,15 @@ class TestTrainingLoops:
             return log, (tmp_path / name).read_bytes(), [-(-n // 16) for n in sizes]
 
         queue_log, queue_bytes, (user_pass, group_pass) = run(queue_batch, "queue.bin")
-        lazy_log, lazy_bytes, _ = run(lambda s, log: stream._next_batch(s), "lazy.bin")
+        lazy_log, lazy_bytes, _ = run(lambda s, rng, log: next_batch(s, rng), "lazy.bin")
         assert [e for e in queue_log if e != "draw"] == lazy_log
         assert lazy_bytes == queue_bytes
-        # the queue draws every pass inside the step that takes its first batch
-        assert all(queue_log[i - 1] == "step" for i, e in enumerate(queue_log) if e == "draw")
+        # the queue draws every pass inside the step that takes its first
+        # batch: after the previous step's negatives, before this step's
+        assert all(type(queue_log[i + 1]) is tuple and queue_log[i + 2] == "step"
+                   for i, e in enumerate(queue_log) if e == "draw")
+        # every batch taken is stepped at once
+        assert len(lazy_log) % 2 == 0 and lazy_log[1::2] == ["step"] * (len(lazy_log) // 2)
         # the stage loop: a budgeted TWO_STAGE stage runs once, and a JOINT
         # epoch steps both streams as many times as their passes hold
         # batches together, so its shorter stream refills more than once
@@ -475,7 +482,13 @@ class TestTrainingLoops:
         ht.train(ds, social, hyper, params, cfg,
                  ht.TrainConfig(epochs=1, strategy="JOINT", group_budget=0, seed=1))
         stepped = []
-        monkeypatch.setattr(ht._Stream, "step", lambda self: stepped.append(self.task))
+        build_triples = ht.build_triples
+
+        def recording(batch_pairs, *args):
+            stepped.append(batch_pairs)
+            return build_triples(batch_pairs, *args)
+
+        monkeypatch.setattr(ht, "build_triples", recording)
         with pytest.raises(SamplingError, match="group 2's training positives cover all 6 items"):
             ht.train(ds, social, hyper, params, cfg, ht.TrainConfig(epochs=1, strategy="JOINT", seed=1))
         assert stepped == []
@@ -585,6 +598,46 @@ class TestTrainingLoops:
         tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2, seed=5)
         report = ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=ds)
         assert report.best_epoch is None and not report.stopped_early
+
+    def test_val_split_without_group_pairs_never_evaluates(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(he, "evaluate", lambda *args, **kwargs: calls.append(1))
+        ds, social, hyper, cfg, params = synth_world(seed=13)
+        val = replace(ds, group_item=[])
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2, strategy="JOINT", seed=5,
+                              early_stop_patience=1)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=val)
+        assert calls == [] and report.best_epoch is None and not report.stopped_early
+        assert len(report.epochs) == 2
+
+    def test_two_stage_evaluates_after_group_epochs_only(self, monkeypatch):
+        # best_epoch counts the epochs of both stages
+        batches = {"user": 0, "group": 0}
+        calls = []
+        scripted = iter([0.2, 0.6, 0.4])
+        for task in batches:
+            loss = getattr(ht, f"{task}_batch_loss")
+
+            def counted(*args, task=task, loss=loss, **kwargs):
+                batches[task] += 1
+                return loss(*args, **kwargs)
+
+            monkeypatch.setattr(ht, f"{task}_batch_loss", counted)
+
+        def fake_evaluate(*args, **kwargs):
+            calls.append(dict(batches))
+            return he.EvalReport(target="groups", metrics={10: he.MetricPair(0.0, next(scripted))},
+                                 num_test_cases=1)
+
+        monkeypatch.setattr(he, "evaluate", fake_evaluate)
+        ds, social, hyper, cfg, params = synth_world(seed=13)
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=3, strategy="TWO_STAGE", seed=5,
+                              early_stop_patience=2)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=ds)
+        user_pass, group_pass = (-(-len(pairs) // 16) for pairs in (ds.user_item, ds.group_item))
+        assert calls == [{"user": 3 * user_pass, "group": k * group_pass} for k in (1, 2, 3)]
+        assert len(report.epochs) == 6 and not report.stopped_early
+        assert report.best_epoch == 4
 
     def test_report_writers(self, tmp_path):
         ds, social, hyper, cfg, params = synth_world(seed=11)
