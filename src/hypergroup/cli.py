@@ -239,8 +239,6 @@ def cmd_recommend(args) -> int:
     params, model_cfg, meta, ds, _train_split, _eval_split, social, hyper = _restore_world(
         args.checkpoint, args.data, "all"
     )
-    if ds.id_maps is None:
-        raise DataError("dataset has no ID map; cannot resolve member names")
     raw_members = [tok for tok in args.members.split(",") if tok]
     if not raw_members:
         raise ConfigError("--members needs at least one member id")

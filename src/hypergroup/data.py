@@ -47,6 +47,13 @@ class IdMaps:
         return out
 
 
+def entity_name(maps: IdMaps | None, kind: str, index: int) -> str:
+    """How a refusal names entity ``index`` of ``kind`` (``"users"``,
+    ``"items"`` or ``"groups"``): its raw id when there are id maps, else
+    the index."""
+    return str(index) if maps is None else repr(maps.reverse(kind)[index])
+
+
 @dataclass
 class InteractionDataset:
     """Users, items and groups with their four interaction relations.
@@ -66,7 +73,8 @@ class InteractionDataset:
     id_maps: IdMaps | None = field(default=None, compare=False)
 
     def validate(self) -> None:
-        """Raise :class:`IntegrityError` if any structural invariant fails."""
+        """Raise :class:`IntegrityError` if any structural invariant fails
+        (loaded and generated records hold them by construction)."""
         if len(self.memberships) != self.num_groups:
             raise IntegrityError("memberships must list every group")
         for a, b in self.social_edges:
@@ -237,7 +245,9 @@ def load_dataset(dir_path) -> InteractionDataset:
     ``user_item.tsv``, then ``group_item.tsv``; groups in
     ``group_members.tsv``, then ``group_item.tsv``.
     Social edges are symmetrized, self-loops and duplicates are dropped
-    with a logged count, and memberships referring to unknown users raise.
+    with a logged count, and memberships referring to unknown users raise,
+    as does a group without members; the rest of
+    :meth:`InteractionDataset.validate` holds by construction.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -290,6 +300,9 @@ def load_dataset(dir_path) -> InteractionDataset:
             continue
         seen.add((gi, ui))
         memberships[gi].append(ui)
+    for g, members in enumerate(memberships):
+        if not members:
+            raise IntegrityError(f"group {entity_name(maps, 'groups', g)} has no members")
 
     ds = InteractionDataset(
         num_users=len(maps.users),
@@ -301,7 +314,6 @@ def load_dataset(dir_path) -> InteractionDataset:
         memberships=memberships,
         id_maps=maps,
     )
-    ds.validate()
     singles = sum(len(members) == 1 for members in memberships)
     if singles:
         log.warning("%d group(s) have a single member", singles)
@@ -466,7 +478,7 @@ def generate_synthetic(cfg: SynthConfig) -> InteractionDataset:
             else:
                 group_item.add((g, pick_item(g % t)))
 
-    ds = InteractionDataset(
+    return InteractionDataset(
         num_users=m,
         num_items=n,
         num_groups=k,
@@ -475,5 +487,3 @@ def generate_synthetic(cfg: SynthConfig) -> InteractionDataset:
         group_item=sorted(group_item),
         memberships=memberships,
     )
-    ds.validate()
-    return ds

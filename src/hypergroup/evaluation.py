@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionDataset
+from .data import InteractionDataset, entity_name
 from .errors import ConfigError, ContractViolation
 from .graph import Hypergraph, SocialGraph
 from .model import ForwardPass, ModelConfig, ModelParams
@@ -173,7 +173,9 @@ def evaluate(
         if drop:
             clash = drop.intersection(truths[entity])
             if clash:
-                raise ConfigError(f"{target[:-1]} {entity} has item {min(clash)} both as a test case and "
+                maps = test_ds.id_maps
+                raise ConfigError(f"{target[:-1]} {entity_name(maps, target, entity)} has item "
+                                  f"{entity_name(maps, 'items', min(clash))} both as a test case and "
                                   "as an excluded training positive")
             scores[sorted(drop)] = -np.inf
         for v, rank in zip(truths[entity], count_ranks(scores, truths[entity]).tolist()):

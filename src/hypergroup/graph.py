@@ -310,23 +310,21 @@ def sample_neighbors(degrees: np.ndarray, size: int, rng: np.random.Generator) -
 
     The draws are exactly those of one ``rng.choice(n, size,
     replace=False)`` (or ``rng.integers(0, n, size)`` for a smaller pool)
-    per nonempty row, in row order, so a seed gives the same samples as
-    sampling node by node, on any bit generator.  ``choice`` without
-    replacement is Floyd's algorithm (round ``k`` draws from ``[0, n -
-    size + k]`` and takes ``n - size + k`` itself on a repeat) followed by
-    a Fisher-Yates shuffle of the picks (from ``[0, size - 1]`` down to
-    ``[0, 1]``).  Every one of these is numpy's bounded-integer draw, so
-    the whole layer comes from one ``rng.integers`` call over an array of
-    exclusive bounds in the same order; a bound of 1 (the range ``[0,
-    0]``) consumes nothing and stands for a draw numpy does not make.
-    Only pools so large that ``choice`` switches to a tail shuffle are
-    drawn one row at a time.
+    per nonempty row, in row order, on any bit generator, wherever
+    ``choice`` takes Floyd's algorithm: for a pool of at most 10,000 or a
+    sample of at most 1/50 of the pool, so for every sample of at most 200.
+    Floyd's round ``k`` draws from ``[0, n - size + k]`` and takes ``n -
+    size + k`` itself on a repeat; a Fisher-Yates shuffle of the picks
+    follows (from ``[0, size - 1]`` down to ``[0, 1]``).  Every one of
+    these is numpy's bounded-integer draw, so the whole layer comes from
+    one ``rng.integers`` call over an array of exclusive bounds in the same
+    order; a bound of 1 (the range ``[0, 0]``) consumes nothing and stands
+    for a draw numpy does not make.  Where ``choice`` tail-shuffles
+    instead, these draws stay uniform and seeded, but are not ``choice``'s.
     """
     if size < 1:
         raise ContractViolation(f"sample size must be >= 1, got {size}")
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1)
-    if np.any((degrees > 10000) & (size > degrees // 50)):
-        return _sample_rows(degrees, size, rng)
     floyd = degrees >= size
     k = np.arange(2 * size - 1)[:, None]
     bounds = np.empty((2 * size - 1, degrees.size), dtype=np.int64)
@@ -349,13 +347,3 @@ def sample_neighbors(degrees: np.ndarray, size: int, rng: np.random.Generator) -
         picks[swap, at] = held
     return np.where(degrees[:, None] > 0, picks.T, -1)
 
-
-def _sample_rows(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`sample_neighbors` by one numpy call per nonempty row."""
-    out = np.full((degrees.size, size), -1, dtype=np.int64)
-    for r, n in enumerate(degrees.tolist()):
-        if n >= size:
-            out[r] = rng.choice(n, size=size, replace=False)
-        elif n:
-            out[r] = rng.integers(0, n, size=size)
-    return out

@@ -493,7 +493,7 @@ def bpr_pair_loss(score_pos: Tensor, score_neg: Tensor, tape: Tape | None = None
     if pv.shape != nv.shape:
         raise DimensionError(f"bpr_pair_loss: incompatible shapes {pv.shape} and {nv.shape}")
     delta = pv - nv
-    s = _sigmoid(np.atleast_1d(delta)).reshape(delta.shape)
+    s = _sigmoid(delta)
     return _op(tape, np.logaddexp(0.0, -delta), (score_pos, score_neg),
                ((lambda g: g * (s - 1.0)), (lambda g: g * (1.0 - s))))
 

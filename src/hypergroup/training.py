@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluation
 from . import numeric as nm
-from .data import InteractionDataset
+from .data import InteractionDataset, entity_name
 from .errors import ConfigError, ContractViolation, NumericError, SamplingError, check_fields
 from .graph import Hypergraph, SocialGraph
 from .model import ForwardPass, ModelConfig, ModelParams, mlp_forward
@@ -349,9 +349,7 @@ class _Stream:
         if self.pass_length:
             full = [e for e, items in self.positives.items() if len(items) >= n_items]
             if full:
-                name = min(full)
-                if train_ds.id_maps is not None:
-                    name = repr(train_ds.id_maps.reverse(f"{task}s")[name])
+                name = entity_name(train_ds.id_maps, f"{task}s", min(full))
                 raise SamplingError(f"{task} {name}'s training positives cover all {n_items} "
                                     "items; no negatives exist")
         self._order = ()  # the current pass

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ class TestTrain:
                        "no negatives exist\n")
         assert not (out / "checkpoint.bin").exists()
 
+    def test_memberless_group_exits_2_naming_its_raw_id(self, tmp_path, capsys):
+        # group k appears only in group_item.tsv, so it has no members
+        src = tmp_path / "data"
+        src.mkdir()
+        (src / "social.tsv").write_text("a\tb\n")
+        (src / "user_item.tsv").write_text("a\ti\nb\tj\n")
+        (src / "group_members.tsv").write_text("h\ta\ng\tb\n")
+        (src / "group_item.tsv").write_text("k\ti\nh\tj\n")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"model": {"d": 4}, "train": {"epochs": 1, "seed": 1}}))
+        rc = cli.main(["train", "--data", str(src), "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "hypergroup: data error: group 'k' has no members\n"
+
     def test_strategy_flag_applies(self, tmp_path, data_dir):
         out = run_train(tmp_path, data_dir, "rj", extra=["--strategy", "joint"])
         manifest = json.loads((out / "manifest.json").read_text())
@@ -148,9 +163,10 @@ class TestGoldenDigest:
     The exact-order contract of ``numeric`` lets a faster kernel replace a
     slower one only when every float operation stays the same, so the
     checkpoint of a fixed config and seed must not move.  This run is big
-    enough that ``scatter_add`` takes its level paths for strictly
-    ascending, non-decreasing and unsorted indices, and it goes through
-    JOINT training with Adam, dropout, l2 and two layers of each encoder.
+    enough that ``scatter_add`` takes its path for strictly ascending
+    indices and its level path for all others, sorted or not, and it goes
+    through JOINT training with Adam, dropout, l2 and two layers of each
+    encoder.
 
     The digest belongs to the numpy and OpenBLAS build it was recorded
     with (numpy 2.4.6, scipy-openblas 0.3.31 on x86-64 Haswell kernels):
@@ -286,6 +302,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and "excluded training positive" in err
+
+    @pytest.mark.parametrize("target", ["groups", "users"])
+    def test_excluded_positive_clash_names_raw_ids(self, tmp_path, data_dir, capsys, target):
+        # the data's ids are not its dense indices: the refusal names the ids
+        src = tmp_path / "named"
+        src.mkdir()
+        prefixes = {"social.tsv": "uu", "user_item.tsv": "ui", "group_members.tsv": "gu", "group_item.tsv": "gi"}
+        for name, (a, b) in prefixes.items():
+            rows = [line.split("\t") for line in (data_dir / name).read_text().splitlines()]
+            (src / name).write_text("".join(f"{a}{x}\t{b}{y}\n" for x, y in rows))
+        out = run_train(tmp_path, src)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(src),
+                       "--split", "all", "--target", target, "--exclude-train-positives"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        entity = target[:-1]
+        named = re.fullmatch(f"hypergroup: config error: {entity} '({entity[0]}\\d+)' has item '(i\\d+)' "
+                             "both as a test case and as an excluded training positive\n", err)
+        assert named and f"{named[1]}\t{named[2]}\n" in (src / f"{entity}_item.tsv").read_text()
 
     def test_split_without_cases_exits_2(self, tmp_path, capsys):
         # 5 group-item pairs over 4 groups: the val split gets none of them

@@ -185,7 +185,7 @@ class TestLoadDataset:
         ghost.mkdir()
         write_dataset_dir(ghost, social="a\tb\n", user_item="a\ti\n",
                           group_members="h\ta\ng\tb\n", group_item="k\ti\nh\ti\n")
-        with pytest.raises(IntegrityError, match="2 has no members"):
+        with pytest.raises(IntegrityError, match="group 'k' has no members"):
             hd.load_dataset(ghost)
 
     def test_invalid_utf8_is_parse_error_naming_the_file(self, tmp_path):

@@ -236,11 +236,11 @@ class TestSampleNeighbors:
         b = hg.sample_neighbors(degrees, 4, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
-    def test_draws_match_numpy_row_by_row(self, monkeypatch):
+    def test_draws_match_numpy_row_by_row(self):
         # a layer draws what one rng.choice / rng.integers call per nonempty
         # row would, and leaves the generator in the same state, on any bit
-        # generator.  Every layer is one rng.integers call, except one with a
-        # pool so large that choice tail-shuffles, which is drawn row by row.
+        # generator, wherever choice takes Floyd's algorithm: for every
+        # sample of at most 200.
         def per_row(degrees, size, rng):
             out = np.full((len(degrees), size), -1)
             for r, n in enumerate(degrees):
@@ -250,21 +250,14 @@ class TestSampleNeighbors:
                     out[r] = rng.integers(0, n, size=size)
             return out
 
-        by_rows = []
-        sample_rows = hg._sample_rows
-        monkeypatch.setattr(hg, "_sample_rows", lambda *args: by_rows.append(args) or sample_rows(*args))
-
         def check(degrees, size, make_rng, buffered):
             ref, got = make_rng(), make_rng()
             if buffered:  # leave half of a 64-bit output in the generator
                 ref.integers(0, 5)
                 got.integers(0, 5)
             want = per_row(list(degrees), size, ref)
-            by_rows.clear()
             np.testing.assert_array_equal(hg.sample_neighbors(degrees, size, got), want)
             np.testing.assert_equal(got.bit_generator.state, ref.bit_generator.state)
-            degrees = np.asarray(degrees, dtype=np.int64)
-            assert bool(by_rows) == bool(np.any((degrees > 10000) & (size > degrees // 50)))
 
         pick = np.random.default_rng(8)
         generators = (np.random.PCG64, np.random.MT19937, np.random.Philox)
@@ -278,12 +271,21 @@ class TestSampleNeighbors:
                        else pick.choice(edge, size=int(pick.integers(0, 12))))
             bitgen = generators[trial % len(generators)]
             check(degrees, size, lambda: np.random.Generator(bitgen(trial)), trial % 2)
-        # numpy's choice switches algorithm for a pool above 10000 once the
-        # sample is larger than 1/50 of it
-        for n, size in ((10001, 200), (10001, 201), (20000, 401)):
+        # numpy's choice keeps Floyd's algorithm for a pool above 10000 while
+        # the sample is at most 1/50 of it
+        for n, size in ((10001, 200), (20000, 400)):
             check(np.array([n, 3, 0, n]), size, lambda: np.random.default_rng(n), False)
         for bitgen in generators[1:]:
             check(np.array([9, 2, 0, 5]), 4, lambda: np.random.Generator(bitgen(3)), False)
+        # beyond that choice tail-shuffles; the layer keeps its own draws,
+        # still distinct, in range and replayed by the seed
+        for n, size in ((10001, 201), (20000, 401)):
+            degrees = np.array([n, 3, 0, n])
+            out = hg.sample_neighbors(degrees, size, np.random.default_rng(n))
+            np.testing.assert_array_equal(out, hg.sample_neighbors(degrees, size, np.random.default_rng(n)))
+            for row in out[[0, 3]].tolist():
+                assert len(set(row)) == size and 0 <= min(row) and max(row) < n
+            assert 0 <= out[1].min() and out[1].max() < 3 and (out[2] == -1).all()
 
     def test_without_replacement_when_pool_large(self):
         rng = np.random.default_rng(5)
