@@ -1,8 +1,10 @@
 """Command-line entry point: train, eval, recommend and synth commands.
 
 Every run is reproducible from its manifest: the config JSON, the dataset
-fingerprint, and the seed fully determine the outputs.  Exit codes:
-0 success, 1 usage or bad configuration, 2 data problem, 3 numeric failure.
+fingerprint, and the seed fully determine the outputs, at any thread count
+on numpy's bundled OpenBLAS, which importing the package pins to one thread
+(another BLAS, or another CPU's dynamic-arch kernels, may give other bits).
+Exit codes: 0 success, 1 usage or bad configuration, 2 data problem, 3 numeric failure.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, IntegrityError, ParseError, check_fields
+from .errors import ConfigError, DataError, IntegrityError, ParseError, bounded, check_fields
 from .numeric import atomic_write, atomic_writes
 
 log = logging.getLogger(__name__)
@@ -29,6 +29,9 @@ GROUP_MEMBERS_FILE = "group_members.tsv"
 GROUP_ITEM_FILE = "group_item.tsv"
 ID_MAP_FILE = "id_map.json"
 DATA_FILES = (SOCIAL_FILE, USER_ITEM_FILE, GROUP_MEMBERS_FILE, GROUP_ITEM_FILE)
+
+# the largest mean numpy's Generator.poisson accepts
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass
@@ -106,21 +109,16 @@ class InteractionDataset:
 class SplitSpec:
     """Ratios for the train/validation/test partition plus the shuffle seed."""
 
-    train_ratio: float = 0.8
-    val_ratio: float = 0.1
-    test_ratio: float = 0.1
-    seed: int = 0
+    train_ratio: float = bounded(0.8, gt=0, lt=1)
+    val_ratio: float = bounded(0.1, gt=0, lt=1)
+    test_ratio: float = bounded(0.1, gt=0, lt=1)
+    seed: int = bounded(0, ge=0)
 
     def validate(self) -> None:
         check_fields(self)
-        for name, r in (("train", self.train_ratio), ("val", self.val_ratio), ("test", self.test_ratio)):
-            if not 0.0 < r < 1.0:
-                raise ConfigError(f"{name}_ratio must lie in (0, 1), got {r}")
         total = self.train_ratio + self.val_ratio + self.test_ratio
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {total}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -129,40 +127,29 @@ class SynthConfig:
 
     ``organizer_influence`` concentrates a group's interactions on a small
     signature subset of its organizer's topic items (the organizer being
-    the group's lowest-indexed hub member), so group behavior carries
-    member-identity signal beyond the plain topic.
+    the member ``u`` with the smallest ``(u * 2654435761) % 2**32``), so
+    group behavior carries member-identity signal beyond the plain topic.
     """
 
-    num_users: int
-    num_items: int
-    num_groups: int
-    avg_group_size: float = 4.5
-    num_latent_topics: int = 3
-    overlap_strength: float = 0.5
-    interactions_per_user: float = 6.0
-    interactions_per_group: float = 2.0
-    social_degree: float = 4.0
-    cross_topic_noise: float = 0.05
-    organizer_influence: float = 0.0
-    seed: int = 0
+    num_users: int = bounded(ge=1)
+    num_items: int = bounded(ge=1)
+    num_groups: int = bounded(ge=1)
+    avg_group_size: float = bounded(4.5, ge=1)
+    num_latent_topics: int = bounded(3, ge=1)
+    overlap_strength: float = bounded(0.5, ge=0, le=1)
+    interactions_per_user: float = bounded(6.0, ge=0, le=_POISSON_LAM_MAX)
+    interactions_per_group: float = bounded(2.0, ge=0, le=_POISSON_LAM_MAX)
+    social_degree: float = bounded(4.0, ge=0, le=_POISSON_LAM_MAX)
+    cross_topic_noise: float = bounded(0.05, ge=0, le=1)
+    organizer_influence: float = bounded(0.0, ge=0, le=1)
+    seed: int = bounded(0, ge=0)
 
     def validate(self) -> None:
         check_fields(self)
-        for name in ("num_users", "num_items", "num_groups", "num_latent_topics"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.avg_group_size < 1:
-            raise ConfigError("avg_group_size must be >= 1")
         if self.avg_group_size > self.num_users:
             raise ConfigError("avg_group_size cannot exceed num_users")
-        if not 0.0 <= self.overlap_strength <= 1.0:
-            raise ConfigError("overlap_strength must lie in [0, 1]")
-        if not 0.0 <= self.organizer_influence <= 1.0:
-            raise ConfigError("organizer_influence must lie in [0, 1]")
         if self.num_latent_topics > min(self.num_users, self.num_items):
             raise ConfigError("more topics than users or items")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ exit 2, numeric failures exit 3.
 import dataclasses
 import math
 import numbers
+import operator
 import types
 import typing
 
@@ -73,20 +74,34 @@ def _accepts(kind, value) -> bool:
     return isinstance(value, kind)
 
 
+_RELATIONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def bounded(default=dataclasses.MISSING, *, ge=None, gt=None, le=None, lt=None):
+    """A dataclass field that :func:`check_fields` holds to the given bounds."""
+    bounds = tuple((rel, b) for rel, b in zip(_RELATIONS, (ge, gt, le, lt)) if b is not None)
+    return dataclasses.field(default=default, metadata={"bounds": bounds})
+
+
 def check_fields(cfg) -> None:
     """Raise :class:`ConfigError` unless every field of the config dataclass
-    ``cfg`` holds a value of its annotated type.
+    ``cfg`` holds a value of its annotated type within its declared bounds.
 
     ``int`` takes integers (a bool or a float is none, even 2.0); ``float``
     takes finite numbers but no bool; ``str`` and ``bool`` take only their
     own type; ``X | None`` also takes None; ``tuple[int, ...]`` takes a
-    tuple of integers.
+    tuple of integers.  A value, or each tuple entry, then meets its bounds.
     """
     hints = typing.get_type_hints(type(cfg))
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if not _accepts(hints[f.name], value):
             raise ConfigError(f"{f.name} takes {f.type}, got {value!r}")
+        bounds = f.metadata.get("bounds", ())
+        entries = value if isinstance(value, tuple) else () if value is None else (value,)
+        if not all(_RELATIONS[rel](v, b) for v in entries for rel, b in bounds):
+            wanted = " and ".join(f"{rel} {b}" for rel, b in bounds)
+            raise ConfigError(f"{f.name} must be {wanted}, got {value!r}")
 
 
 def load_config(cls, where: str, *layers, complete: bool = False):

@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import numeric as nm
-from .errors import CheckpointError, ConfigError, ContractViolation, DimensionError, check_fields, load_config
+from .errors import (CheckpointError, ConfigError, ContractViolation, DimensionError, bounded, check_fields,
+                     load_config)
 from .graph import (
     Hypergraph,
     SocialGraph,
@@ -58,33 +59,24 @@ def uses_hrl(variant: str) -> bool:
 class ModelConfig:
     """Architecture hyper-parameters; fully determines tensor shapes."""
 
-    d: int = 128
-    k_ipm: int = 1
-    k_hrl: int = 2
-    s_ipm: int = 4
-    s_hrl: int = 4
-    mlp_hidden: tuple[int, ...] | None = None
-    dropout: float = 0.1
-    residual_w: float = 0.5
+    d: int = bounded(128, ge=1)
+    k_ipm: int = bounded(1, ge=0)
+    k_hrl: int = bounded(2, ge=0)
+    s_ipm: int = bounded(4, ge=0)
+    s_hrl: int = bounded(4, ge=0)
+    mlp_hidden: tuple[int, ...] | None = bounded(None, ge=1)
+    dropout: float = bounded(0.1, ge=0, lt=1)
+    residual_w: float = bounded(0.5, ge=0, le=1)
     variant: str = "FULL"
 
     def validate(self) -> None:
         check_fields(self)
-        if self.d < 1:
-            raise ConfigError("embedding dimension must be >= 1")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if uses_ipm(self.variant) and (self.k_ipm < 1 or self.s_ipm < 1):
             raise ConfigError("k_ipm and s_ipm must be >= 1 for the social encoder")
         if uses_hrl(self.variant) and (self.k_hrl < 1 or self.s_hrl < 1):
             raise ConfigError("k_hrl and s_hrl must be >= 1 for the hyperedge encoder")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
-        if not 0.0 <= self.residual_w <= 1.0:
-            raise ConfigError("residual_w must lie in [0, 1]")
-        for width in self.hidden_widths():
-            if width < 1:
-                raise ConfigError("mlp hidden widths must be >= 1")
 
     def hidden_widths(self) -> tuple[int, ...]:
         if self.mlp_hidden is not None:
@@ -297,8 +289,8 @@ def load_params(path) -> tuple[ModelParams, ModelConfig, dict]:
 class ForwardPass:
     """One forward evaluation over shared neighbor samples.
 
-    Each public method may be called once per instance; build a new pass
-    per mini-batch or per evaluation sweep.
+    An instance serves one call to one of its public methods; build a new
+    pass per mini-batch or per evaluation sweep.
     """
 
     def __init__(

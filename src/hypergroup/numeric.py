@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import logging
 import math
 import os
 import struct
@@ -84,7 +85,23 @@ def _keep_heap_warm() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, whatever
+    ``OPENBLAS_NUM_THREADS`` says, or warn that it cannot: a large product
+    sums in another order on two threads than on one."""
+    try:
+        set_threads = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        logging.getLogger(__name__).warning(
+            "numpy exports no scipy_openblas_set_num_threads64_; BLAS bits may vary with the thread count")
+        return
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    set_threads(1)
+
+
 _keep_heap_warm()
+_pin_blas_threads()
 
 
 class Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluation
 from . import numeric as nm
 from .data import InteractionDataset, entity_name
-from .errors import ConfigError, ContractViolation, NumericError, SamplingError, check_fields
+from .errors import ConfigError, ContractViolation, NumericError, SamplingError, bounded, check_fields
 from .graph import Hypergraph, SocialGraph
 from .model import ForwardPass, ModelConfig, ModelParams, mlp_forward
 from .numeric import Tape, Tensor
@@ -48,34 +48,20 @@ STRATEGY_FLAGS = {
 class TrainConfig:
     """Everything that determines a training run given a seed."""
 
-    learning_rate: float = 1e-4
-    batch_size: int = 256
-    negatives: int = 1
-    epochs: int = 30
-    l2_reg: float = 1e-5
+    learning_rate: float = bounded(1e-4, gt=0)
+    batch_size: int = bounded(256, ge=1)
+    negatives: int = bounded(1, ge=1)
+    epochs: int = bounded(30, ge=1)
+    l2_reg: float = bounded(1e-5, ge=0)
     strategy: str = "TWO_STAGE"
     optimizer: str = "ADAM"
-    seed: int = 0
-    user_budget: int | None = None
-    group_budget: int | None = None
-    early_stop_patience: int | None = None
+    seed: int = bounded(0, ge=0)
+    user_budget: int | None = bounded(None, ge=0)
+    group_budget: int | None = bounded(None, ge=0)
+    early_stop_patience: int | None = bounded(None, ge=0)
 
     def validate(self) -> None:
         check_fields(self)
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.negatives < 1:
-            raise ConfigError("negatives must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.l2_reg < 0:
-            raise ConfigError("l2_reg must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if any(b is not None and b < 0 for b in (self.user_budget, self.group_budget)):
-            raise ConfigError("user_budget and group_budget must be >= 0")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.optimizer not in OPTIMIZERS:

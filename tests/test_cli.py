@@ -532,8 +532,8 @@ class TestIntegerConfigFields:
     """A value of the wrong type for any config field (a float or a bool
     where an integer goes; a string, a bool or a non-finite number where a
     float goes), an unknown field, a section that is no JSON object or a
-    negative budget is a one-line error.  The class keeps its first name,
-    from when it covered integer fields only."""
+    value outside its field's declared bounds is a one-line error.  The
+    class keeps its first name, from when it covered integer fields only."""
 
     @pytest.mark.parametrize("section,name,value", [
         ("model", "d", 8.0), ("model", "s_hrl", 2.0), ("model", "k_ipm", True),
@@ -542,7 +542,7 @@ class TestIntegerConfigFields:
         ("train", "learning_rate", "0.1"), ("train", "learning_rate", True),
         ("train", "learning_rate", float("nan")), ("train", "l2_reg", float("inf")),
         ("split", "train_ratio", "0.8"), ("model", "normalize_overlap_weights", True),
-        ("train", "seed", -1), ("split", "seed", -1),
+        ("train", "seed", -1), ("split", "seed", -1), ("train", "early_stop_patience", -3),
     ])
     def test_run_config_exits_1(self, tmp_path, data_dir, capsys, section, name, value):
         run_cfg = dict(RUN_CFG, split={})
@@ -568,7 +568,8 @@ class TestIntegerConfigFields:
         assert len(err.splitlines()) == 1 and section in err
 
     @pytest.mark.parametrize("name,value", [("num_users", 30.0), ("seed", True), ("avg_group_size", "3"),
-                                            ("seed", -3)])
+                                            ("seed", -3), ("interactions_per_user", -1), ("social_degree", -2),
+                                            ("interactions_per_group", 1e300), ("cross_topic_noise", 1.5)])
     def test_synth_config_exits_1(self, tmp_path, capsys, name, value):
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(dict(SYNTH_CFG, **{name: value})))

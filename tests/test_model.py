@@ -64,6 +64,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             hm.ModelConfig(residual_w=1.5).validate()
 
+    @pytest.mark.parametrize("variant,name", [("NO_HRL", "k_hrl"), ("NO_HRL", "s_hrl"), ("NO_BOTH", "k_ipm"),
+                                              ("NO_IPM", "s_ipm")])
+    def test_negative_depth_or_fan_out_refused_for_an_unused_encoder(self, variant, name):
+        hm.ModelConfig(variant=variant, **{name: 0}).validate()
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0, got -1"):
+            hm.ModelConfig(variant=variant, **{name: -1}).validate()
+
     def test_hash_stable_and_sensitive(self):
         a = hm.ModelConfig(d=8)
         assert hm.config_hash(a) == hm.config_hash(hm.ModelConfig(d=8))

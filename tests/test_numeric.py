@@ -782,6 +782,50 @@ class TestHeapPolicy:
         assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 
 
+# the gradient bytes of one 256-triple group batch, d=64, on 3,000 users: the
+# layer-1 encoder weight gradients sum over enough rows that a threaded
+# OpenBLAS splits them, which changed their bits
+GRADIENT_DIGESTS = """
+import hashlib, json
+import numpy as np
+from hypergroup import (ModelConfig, SynthConfig, build_hypergraph, build_social_graph, generate_synthetic,
+                        initialize_params)
+from hypergroup.numeric import Tape
+from hypergroup.training import build_triples, group_batch_loss, positives_by_entity
+
+ds = generate_synthetic(SynthConfig(num_users=3000, num_items=1500, num_groups=1500, num_latent_topics=20,
+                                    seed=7))
+cfg = ModelConfig(d=64)
+params = initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng([7, 1]))
+rng = np.random.default_rng(7)
+triples = build_triples(ds.group_item[:256], positives_by_entity(ds.group_item), ds.num_items, 1, rng)
+tape = Tape()
+loss = group_batch_loss(triples, params, cfg, build_social_graph(ds), build_hypergraph(ds), 1e-5, rng, tape)
+tape.backward(loss)
+print(json.dumps({name: None if t.grad is None else hashlib.sha256(t.grad.tobytes()).hexdigest()
+                  for name, t in params.trainable_tensors()}))
+"""
+
+
+class TestBlasThreads:
+    def test_gradients_are_the_same_bits_at_one_and_two_threads(self):
+        path = (str(Path(nm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+                   "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", GRADIENT_DIGESTS], env=env, capture_output=True,
+                                 text=True, check=True, timeout=300)
+            digests.append(json.loads(out.stdout))
+        assert digests[0] == digests[1]
+
+    def test_a_numpy_without_the_setter_warns_once(self, monkeypatch, caplog):
+        monkeypatch.setattr(nm.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        with caplog.at_level("WARNING", logger="hypergroup.numeric"):
+            nm._pin_blas_threads()
+        assert len(caplog.records) == 1 and "scipy_openblas_set_num_threads64_" in caplog.text
+
+
 class TestWritePath:
     @pytest.mark.parametrize("writeable", [True, False])
     def test_writing_bumps_the_version_and_restores_the_flag(self, writeable):

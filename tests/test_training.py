@@ -593,6 +593,17 @@ class TestTrainingLoops:
         for (name, a), (_, b) in zip(params.named_tensors(), reference.named_tensors()):
             assert a.values.tobytes() == b.values.tobytes(), name
 
+    @pytest.mark.parametrize("patience", [0, 1])
+    def test_patience_0_stops_as_1_does(self, monkeypatch, patience):
+        scripted = iter([0.5, 0.4, 0.6])
+        monkeypatch.setattr(he, "evaluate", lambda *args, **kwargs: he.EvalReport(
+            target="groups", metrics={10: he.MetricPair(0.0, next(scripted))}, num_test_cases=1))
+        ds, social, hyper, cfg, params = synth_world(seed=12)
+        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=5, strategy="GROUP_ONLY", seed=6,
+                              early_stop_patience=patience)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=ds)
+        assert report.stopped_early and len(report.epochs) == 2 and report.best_epoch == 0
+
     def test_no_best_epoch_without_early_stopping(self):
         ds, social, hyper, cfg, params = synth_world(seed=13)
         tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=2, seed=5)
