@@ -12,8 +12,9 @@ from __future__ import annotations
 import errno
 import json
 import logging
+import re
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,10 @@ GROUP_ITEM_FILE = "group_item.tsv"
 ID_MAP_FILE = "id_map.json"
 DATA_FILES = (SOCIAL_FILE, USER_ITEM_FILE, GROUP_MEMBERS_FILE, GROUP_ITEM_FILE)
 
+# the most entities of one kind a synthetic set may hold: a larger count is
+# refused in one line here instead of failing inside generate_synthetic's
+# numpy allocations, and every index fits in int32
+_MAX_ENTITIES = 2**31 - 1
 # the largest mean numpy's Generator.poisson accepts
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
@@ -131,9 +136,9 @@ class SynthConfig:
     group behavior carries member-identity signal beyond the plain topic.
     """
 
-    num_users: int = bounded(ge=1)
-    num_items: int = bounded(ge=1)
-    num_groups: int = bounded(ge=1)
+    num_users: int = bounded(ge=1, le=_MAX_ENTITIES)
+    num_items: int = bounded(ge=1, le=_MAX_ENTITIES)
+    num_groups: int = bounded(ge=1, le=_MAX_ENTITIES)
     avg_group_size: float = bounded(4.5, ge=1)
     num_latent_topics: int = bounded(3, ge=1)
     overlap_strength: float = bounded(0.5, ge=0, le=1)
@@ -156,23 +161,48 @@ class SynthConfig:
 # loading and saving
 
 
-def _read_pairs(path: Path) -> list[tuple[str, str]]:
-    pairs = []
+# a plain line: two whitespace-free fields around one tab, the first not
+# starting with "#"
+_PLAIN_LINE = r"[^\s#]\S*\t\S+(?:\n|\Z)"
+_PLAIN_FIRST = re.compile(_PLAIN_LINE)
+_ODD_NEXT = re.compile(r"\n(?!" + _PLAIN_LINE + ")")
+
+
+def _is_plain(text: str) -> bool:
+    """Whether every line of ``text`` is plain, so that its fields are exactly
+    ``text.split()``. Each line is matched on its own, so the regex engine
+    keeps no state that grows with the file."""
+    end = len(text) - text.endswith("\n")
+    return _PLAIN_FIRST.match(text, 0, end) is not None and _ODD_NEXT.search(text, 0, end) is None
+
+
+def _read_pairs(path: Path) -> list[str]:
+    """Both fields of every data line of ``path``, flat: ``[a0, b0, a1, b1, ...]``.
+    A plain file is split in one call, any other line by line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                parts = stripped.split("\t")
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise ParseError(f"{path.name}:{lineno}: expected two tab-separated fields")
-                pairs.append((parts[0], parts[1]))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path.name}: not valid UTF-8: {exc}") from exc
+        raw = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return pairs
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"{path.name}:{lineno}: not valid UTF-8: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if _is_plain(text):
+        return text.split()
+    fields = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParseError(f"{path.name}:{lineno}: expected two tab-separated fields")
+        fields += parts
+    return fields
 
 
 def _read_id_map(path: Path) -> IdMaps:
@@ -206,20 +236,38 @@ def _first_seen(*columns) -> dict[str, int]:
     return {raw: i for i, raw in enumerate(dict.fromkeys(chain(*columns)))}
 
 
-def _lookup(ids: dict[str, int], raws, file: str, kind: str) -> list[int]:
+def _int_pool(ids: dict[str, int]) -> np.ndarray:
+    """The map's own index objects as an object array, each at its index:
+    a record built by indexing it holds one ``int`` per id."""
+    pool = np.empty(len(ids), dtype=object)
+    pool[np.fromiter(ids.values(), np.int64, len(ids))] = list(ids.values())
+    return pool
+
+
+def _lookup(ids: dict[str, int], raws: list[str], file: str, kind: str) -> np.ndarray:
     """Dense indices of ``raws``; the first raw id missing from ``ids`` raises."""
     try:
-        return [ids[raw] for raw in raws]
+        return np.fromiter(map(ids.__getitem__, raws), np.int64, len(raws))
     except KeyError as exc:
         raise IntegrityError(f"{file}: unknown {kind} id {exc.args[0]!r}") from None
 
 
-def _dedupe(pairs: list[tuple[int, int]], label: str) -> list[tuple[int, int]]:
-    """``pairs`` without repeats, in first-seen order; logs how many went."""
-    out = list(dict.fromkeys(pairs))
-    if len(out) != len(pairs):
-        log.warning("dropped %d duplicate %s pair(s)", len(pairs) - len(out), label)
-    return out
+def _first_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Ascending indices of the first ``(a, b)`` row of each value, for
+    ``b`` in ``[0, n)``."""
+    first = np.unique(a * n + b, return_index=True)[1]
+    first.sort()
+    return first
+
+
+def _pairs(a_pool: np.ndarray, a: np.ndarray, b_pool: np.ndarray, b: np.ndarray,
+           label: str) -> list[tuple[int, int]]:
+    """The ``(a, b)`` rows as pool ints, without repeats, in first-seen
+    order; logs how many went."""
+    keep = _first_rows(a, b, len(b_pool))
+    if len(keep) != len(a):
+        log.warning("dropped %d duplicate %s pair(s)", len(a) - len(keep), label)
+    return list(zip(a_pool[a[keep]].tolist(), b_pool[b[keep]].tolist()))
 
 
 def load_dataset(dir_path) -> InteractionDataset:
@@ -235,6 +283,11 @@ def load_dataset(dir_path) -> InteractionDataset:
     with a logged count, and memberships referring to unknown users raise,
     as does a group without members; the rest of
     :meth:`InteractionDataset.validate` holds by construction.
+
+    A file whose every line is two plain fields around a tab is split in
+    one call, any other line by line; both give the same record, which
+    array operations build from the id map's own ints.  Bytes that are not
+    UTF-8 are a :class:`ParseError` naming the line of the first bad byte.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -249,9 +302,9 @@ def load_dataset(dir_path) -> InteractionDataset:
         maps = _read_id_map(map_path)
     else:
         maps = IdMaps(
-            users=_first_seen(chain.from_iterable(social_raw), (u for u, _ in user_item_raw)),
-            items=_first_seen((v for _, v in user_item_raw), (v for _, v in group_item_raw)),
-            groups=_first_seen((g for g, _ in members_raw), (g for g, _ in group_item_raw)),
+            users=_first_seen(social_raw, user_item_raw[0::2]),
+            items=_first_seen(user_item_raw[1::2], group_item_raw[1::2]),
+            groups=_first_seen(members_raw[0::2], group_item_raw[0::2]),
         )
         try:
             with atomic_write(map_path, encoding="utf-8") as fh:
@@ -260,36 +313,44 @@ def load_dataset(dir_path) -> InteractionDataset:
             if not isinstance(exc, PermissionError) and exc.errno != errno.EROFS:
                 raise
             log.warning("cannot write %s (%s); using the derived id map", map_path, exc)
+    users, items = _int_pool(maps.users), _int_pool(maps.items)
 
-    ends = _lookup(maps.users, chain.from_iterable(social_raw), SOCIAL_FILE, "user")
-    edges = list(zip(ends[::2], ends[1::2]))
-    social = {(a, b) if a < b else (b, a) for a, b in edges if a != b}
-    loops = sum(a == b for a, b in edges)
-    if loops:
-        log.warning("dropped %d social self-loop(s)", loops)
+    ends = _lookup(maps.users, social_raw, SOCIAL_FILE, "user")
+    a, b = ends[0::2], ends[1::2]
+    edges = a != b
+    social = set(zip(users[np.minimum(a, b)[edges]].tolist(), users[np.maximum(a, b)[edges]].tolist()))
+    if not edges.all():
+        log.warning("dropped %d social self-loop(s)", len(a) - np.count_nonzero(edges))
 
-    ui_users = _lookup(maps.users, (u for u, _ in user_item_raw), USER_ITEM_FILE, "user")
-    ui_items = _lookup(maps.items, (v for _, v in user_item_raw), USER_ITEM_FILE, "item")
-    user_item = _dedupe(list(zip(ui_users, ui_items)), "user-item")
-    gi_groups = _lookup(maps.groups, (g for g, _ in group_item_raw), GROUP_ITEM_FILE, "group")
-    gi_items = _lookup(maps.items, (v for _, v in group_item_raw), GROUP_ITEM_FILE, "item")
-    group_item = _dedupe(list(zip(gi_groups, gi_items)), "group-item")
+    ui_users = _lookup(maps.users, user_item_raw[0::2], USER_ITEM_FILE, "user")
+    ui_items = _lookup(maps.items, user_item_raw[1::2], USER_ITEM_FILE, "item")
+    user_item = _pairs(users, ui_users, items, ui_items, "user-item")
+    gi_groups = _lookup(maps.groups, group_item_raw[0::2], GROUP_ITEM_FILE, "group")
+    gi_items = _lookup(maps.items, group_item_raw[1::2], GROUP_ITEM_FILE, "item")
+    group_item = _pairs(_int_pool(maps.groups), gi_groups, items, gi_items, "group-item")
 
-    memberships: list[list[int]] = [[] for _ in range(len(maps.groups))]
-    member_groups = _lookup(maps.groups, (g for g, _ in members_raw), GROUP_MEMBERS_FILE, "group")
-    seen: set[tuple[int, int]] = set()
-    for (g, u), gi in zip(members_raw, member_groups):
-        ui = maps.users.get(u)
-        if ui is None:
-            raise IntegrityError(f"{GROUP_MEMBERS_FILE}: member {u!r} of group {g!r} appears in no user file")
-        if (gi, ui) in seen:
-            log.warning("group %r lists member %r more than once; ignoring repeat", g, u)
-            continue
-        seen.add((gi, ui))
-        memberships[gi].append(ui)
-    for g, members in enumerate(memberships):
-        if not members:
-            raise IntegrityError(f"group {entity_name(maps, 'groups', g)} has no members")
+    member_groups = _lookup(maps.groups, members_raw[0::2], GROUP_MEMBERS_FILE, "group")
+    member_users = members_raw[1::2]
+    member_ids = np.fromiter(map(maps.users.get, member_users, repeat(-1)), np.int64, len(member_users))
+    unknown = np.flatnonzero(member_ids < 0)
+    rows = int(unknown[0]) if unknown.size else len(member_ids)
+    # the rows before the first unknown member still warn of their repeats
+    keep = _first_rows(member_groups[:rows], member_ids[:rows], len(users))
+    repeats = np.ones(rows, dtype=bool)
+    repeats[keep] = False
+    for row in np.flatnonzero(repeats).tolist():
+        log.warning("group %r lists member %r more than once; ignoring repeat",
+                    members_raw[2 * row], member_users[row])
+    if unknown.size:
+        raise IntegrityError(f"{GROUP_MEMBERS_FILE}: member {member_users[rows]!r} of group "
+                             f"{members_raw[2 * rows]!r} appears in no user file")
+    member_groups, member_ids = member_groups[keep], member_ids[keep]
+    sizes = np.bincount(member_groups, minlength=len(maps.groups))
+    if not sizes.all():
+        raise IntegrityError(f"group {entity_name(maps, 'groups', int(np.argmin(sizes)))} has no members")
+    flat = users[member_ids[np.argsort(member_groups, kind="stable")]].tolist()
+    stops = np.cumsum(sizes).tolist()
+    memberships = [flat[lo:hi] for lo, hi in zip([0, *stops], stops)]
 
     ds = InteractionDataset(
         num_users=len(maps.users),
@@ -301,7 +362,7 @@ def load_dataset(dir_path) -> InteractionDataset:
         memberships=memberships,
         id_maps=maps,
     )
-    singles = sum(len(members) == 1 for members in memberships)
+    singles = np.count_nonzero(sizes == 1)
     if singles:
         log.warning("%d group(s) have a single member", singles)
     return ds

@@ -569,7 +569,8 @@ class TestIntegerConfigFields:
 
     @pytest.mark.parametrize("name,value", [("num_users", 30.0), ("seed", True), ("avg_group_size", "3"),
                                             ("seed", -3), ("interactions_per_user", -1), ("social_degree", -2),
-                                            ("interactions_per_group", 1e300), ("cross_topic_noise", 1.5)])
+                                            ("interactions_per_group", 1e300), ("cross_topic_noise", 1.5),
+                                            ("num_users", 10**20), ("num_items", 10**20)])
     def test_synth_config_exits_1(self, tmp_path, capsys, name, value):
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(dict(SYNTH_CFG, **{name: value})))
