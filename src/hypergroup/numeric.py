@@ -23,14 +23,24 @@ gradients and ``segment_mean`` sums, adds each target row's entries one
 at a time in index order, exactly as ``np.add.at`` does; a sort-then-sum
 or ``np.add.reduceat`` would reassociate the sums and is not allowed.
 Strictly ascending indices take one fancy-indexed add, and the rest pay
-one stable argsort.
+one stable argsort.  :func:`sum_squares` walks the top of numpy's own
+pairwise-summation tree and leaves each cache-sized leaf to numpy.
 
-Gradient buffers exist on demand.  A trainable leaf gets a zero buffer
-when a recorded operation reads it, so the optimizer steps every touched
-parameter, zero gradient included.  Any other tensor gets one from its
-first gradient contribution, ``0.0 + g`` in a new array: the bits of
-adding ``g`` into zeros.  A backward step whose output received no
-gradient is skipped.
+Gradients exist on demand.  A trainable leaf gets a zero gradient when a
+recorded operation reads it, so the optimizer steps every touched
+parameter, zero gradient included.  The leaf holds it as row sums while
+only :func:`gather_rows` feeds it, after at most one :func:`sum_squares`
+(the l2 term, whose backward step runs first): that step keeps its
+factor ``c = 2*g`` in place of
+the table-sized ``c*x``, a row new to the sums is seeded with
+``0.0 + c*x[row]`` (zeros without l2), and each gather scatter-adds into
+the sums in the order above.  Those are the bits the dense buffer would
+get.  Any other contribution, and any read of ``Tensor.grad``, first
+turns the sums into that dense buffer, and the leaf stays dense from then
+on; ``zero_grad`` drops the rows.  Any other tensor gets a gradient from
+its first contribution, ``0.0 + g`` in a new array: the bits of adding
+``g`` into zeros.  A backward step whose output received no gradient is
+skipped.
 
 Heap policy.  Every batch builds and frees tens of MB of gathered rows,
 gradient and scatter buffers.  Under glibc's adaptive defaults the free
@@ -105,11 +115,15 @@ _pin_blas_threads()
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A dense float64 array plus an optional gradient.
 
     ``trainable`` marks optimizer-visible leaves.  Outputs of recorded
     operations receive gradients regardless; leaves only when trainable,
     so frozen inputs never accumulate gradient work.
+
+    ``grad`` reads and assigns the gradient as a dense array.  A trainable
+    leaf may hold it as row sums instead (see the module docstring); a
+    read turns those into the dense array first.
 
     :meth:`writing` is the package's one path for writing ``values`` in
     place, and ``version`` counts its writes.  A reader that caches a
@@ -119,11 +133,12 @@ class Tensor:
     object, and any other in-place write raises numpy's read-only error.
     """
 
-    __slots__ = ("values", "grad", "name", "trainable", "version", "_rg")
+    __slots__ = ("values", "_grad", "_row_grad", "name", "trainable", "version", "_rg")
 
     def __init__(self, values, name: str | None = None, trainable: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._row_grad: _RowGrad | None = None  # when set, it is the gradient
         self.name = name
         self.trainable = trainable
         self.version = 0
@@ -146,18 +161,136 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        if self._row_grad is not None:
+            self._densify()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._row_grad = None
+        self._grad = value
+
     def ensure_grad(self) -> np.ndarray:
+        """The dense gradient buffer, zeros if there was no gradient."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        return self.grad
+            self._grad = np.zeros_like(self.values)
+        return self._grad
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        if self._row_grad is not None:
+            self._row_grad = _RowGrad()
+        elif self._grad is not None:
+            self._grad.fill(0.0)
+
+    def _live_row_grad(self) -> _RowGrad:
+        """The row gradient, whose l2 share is read from ``values`` when
+        used, so a write since the backward pass leaves no gradient."""
+        rg = self._row_grad
+        if rg.c is not None and rg.version != self.version:
+            raise ContractViolation(f"the l2 gradient of {self.name or 'a tensor'} was taken "
+                                    "before its values were written; it no longer exists")
+        return rg
+
+    def _densify(self) -> None:
+        """Replace the row gradient by the dense array it stands for."""
+        rg = self._live_row_grad()
+        self._row_grad = None
+        self._grad = rg.seed(self.values)
+        if rg.rows.size:
+            self._grad[rg.rows] = rg.sums
+
+    def _grad_for_step(self, max_width: int):
+        """The gradient an optimizer step reads, or None: the row gradient
+        itself when ``values`` is C-contiguous with rows of 1 to
+        ``max_width`` elements, else the dense array."""
+        v = self.values
+        if self._row_grad is not None and v.flags.c_contiguous and v.ndim and 0 < v.size <= max_width * len(v):
+            return self._live_row_grad()
+        return self.grad
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "tensor"
         return f"Tensor({label}, shape={self.values.shape})"
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+class _RowGrad:
+    """A trainable leaf's gradient as distinct-row sums.
+
+    It stands for the dense array ``0.0 + c*x`` (zeros while ``c`` is
+    None; ``c*x`` is the share of :func:`sum_squares`) with the sorted,
+    distinct ``rows`` replaced by ``sums``.  A row enters ``sums`` seeded
+    with its dense value, and :func:`gather_rows` scatter-adds into it, so
+    each row gets the bits of adding the same terms into the dense array.
+    """
+
+    __slots__ = ("c", "sumsq", "version", "rows", "sums")
+
+    def __init__(self):
+        self.c = None  # 2*g of the l2 term, once its backward step ran
+        self.sumsq = None  # the l2 term's forward value, sum(x*x)
+        self.version = None  # the tensor's version when ``c`` was set
+        self.rows = _NO_ROWS
+        self.sums = None
+
+    def seed(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense gradient of rows ``x`` before any gather's share,
+        ``0.0 + c*x`` or zeros, in ``out`` or a new array."""
+        if out is None:
+            out = np.empty_like(x)
+        if self.c is None:
+            out.fill(0.0)
+        else:
+            np.multiply(x, self.c, out=out)
+            out += 0.0
+        return out
+
+    def add(self, x: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+        """Scatter-add ``g`` at rows ``idx`` of ``x`` (range-checked)."""
+        idx = idx.reshape(-1)
+        if not idx.size:
+            return
+        if idx.min() < 0:
+            idx = np.where(idx < 0, idx + len(x), idx)
+        new = np.unique(idx)
+        if self.rows.size:
+            new = new[~np.isin(new, self.rows, assume_unique=True)]
+        if new.size:
+            sums = self.seed(x[new])
+            if self.rows.size:
+                rows = np.concatenate([self.rows, new])
+                order = np.argsort(rows)
+                new, sums = rows[order], np.concatenate([self.sums, sums])[order]
+            self.rows, self.sums = new, sums
+        scatter_add(self.sums, np.searchsorted(self.rows, idx), g)
+
+    def block(self, x: np.ndarray, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """The gradient of rows ``r0:r1`` of C-contiguous ``x``, flat in the
+        front of ``out``."""
+        part = out[:(r1 - r0) * (x.size // len(x))]
+        dense = self.seed(x[r0:r1], part.reshape((r1 - r0,) + x.shape[1:]))
+        lo, hi = np.searchsorted(self.rows, (r0, r1))
+        if hi > lo:
+            dense[self.rows[lo:hi] - r0] = self.sums[lo:hi]
+        return part
+
+    def finite(self, x: np.ndarray) -> bool:
+        """Whether every entry of the dense gradient is finite."""
+        if self.sums is not None and not np.all(np.isfinite(self.sums)):
+            return False
+        c, sumsq = self.c, self.sumsq
+        if c is None:
+            return True
+        # |c*x_i| <= |c|*sqrt(sum(x*x)); the factor 2 covers the sum's and
+        # the root's rounding, and a finite sum has no NaN or Inf summand
+        if math.isfinite(sumsq) and math.isfinite(2.0 * abs(c) * math.sqrt(sumsq)):
+            return True
+        step = max(1, _SQUARES_LEAF * len(x) // x.size)
+        return all(np.all(np.isfinite(self.seed(x[r:r + step]))) for r in range(0, len(x), step))
 
 
 class Tape:
@@ -194,7 +327,7 @@ class Tape:
             raise ContractViolation("backward() expects a scalar loss")
         loss.grad = np.ones_like(loss.values)
         for out, step in reversed(self._steps):
-            if out.grad is not None:  # else no gradient reached ``out``
+            if out._grad is not None:  # else no gradient reached ``out``
                 step()
 
 
@@ -208,8 +341,8 @@ def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], backward) 
         return out
     out._rg = True
     for t in inputs:
-        if t.trainable:
-            t.ensure_grad()
+        if t.trainable and t._grad is None and t._row_grad is None:
+            t._row_grad = _RowGrad()
     tape.record(out, backward)
     return out
 
@@ -218,12 +351,14 @@ def _accumulate(t: Tensor, g) -> None:
     """``t.grad += g``; the first contribution to a gradient-less tensor is
     written as ``0.0 + g`` into a new array of ``t``'s shape, the same bits
     as adding ``g`` into zeros (``-0.0`` becomes ``+0.0``, a broadcast
-    ``g`` fills the shape).
+    ``g`` fills the shape).  A row gradient becomes dense first.
     """
-    if t.grad is None:
-        t.grad = np.add(0.0, g, out=np.empty_like(t.values))
+    if t._row_grad is not None:
+        t._densify()
+    if t._grad is None:
+        t._grad = np.add(0.0, g, out=np.empty_like(t.values))
     else:
-        t.grad += g
+        t._grad += g
 
 
 def _op(tape: Tape | None, values, inputs: Sequence[Tensor], rules) -> Tensor:
@@ -232,7 +367,7 @@ def _op(tape: Tape | None, values, inputs: Sequence[Tensor], rules) -> Tensor:
     out = Tensor(values)
 
     def backward():
-        g = out.grad
+        g = out._grad
         for t, rule in zip(inputs, rules):
             if t._rg:
                 _accumulate(t, rule(g))
@@ -283,6 +418,9 @@ def matvec(x: Tensor, w: Tensor, tape: Tape | None = None) -> Tensor:
 # ``scatter_add`` pays for, and an occurrence level with fewer rows costs
 # more as its own fancy-indexed add than inside the ``np.add.at`` tail.
 SCATTER_MIN_ROWS = 128
+# A run with this many entries past the last level sums them by one
+# accumulate; a shorter one costs less inside the tail's ``np.add.at``.
+_TAIL_MIN_RUN = 32
 
 
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -303,9 +441,11 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     than j entries) is a prefix of the runs, and it is added by one
     ``buf[:count] += vals`` after level j - 1, into a compact buffer that
     is gathered from ``target`` once and written back once.  Occurrences
-    past the last level of at least ``SCATTER_MIN_ROWS`` rows (the tail
-    of a few heavy rows) go through one ``np.add.at``, which adds each
-    row's remaining entries in their index order too.
+    past the last level of at least ``SCATTER_MIN_ROWS`` rows form the
+    tail of a few heavy rows.  A row with at least ``_TAIL_MIN_RUN`` of
+    them sums its buffer row and then those entries, in index order, by
+    one ``np.add.accumulate``; the other rows' tail entries go through one
+    ``np.add.at``, which adds each row's entries in index order too.
     ``idx`` may have any shape; ``vals`` holds one row per index.
     Negative indices wrap as in numpy; out-of-range ones raise IndexError.
     """
@@ -352,7 +492,19 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
         buf[:count] += vals[src[done:done + count]]
         done += count
     if done < n:
-        np.add.at(buf, run[done:], vals[src[done:]])
+        # the tail: fewer than SCATTER_MIN_ROWS runs have entries left
+        rest = lens[by_len] - len(levels)
+        heavy = np.flatnonzero(rest >= _TAIL_MIN_RUN)
+        tail_run, tail_src = run[done:], src[done:]
+        if heavy.size:
+            for r in heavy.tolist():
+                at = first[r] + len(levels)
+                acc = vals[order[at:at + rest[r]]]
+                acc[0] += buf[r]
+                buf[r] = np.add.accumulate(acc, axis=0, out=acc)[-1]
+            short = rest[tail_run] < _TAIL_MIN_RUN
+            tail_run, tail_src = tail_run[short], tail_src[short]
+        np.add.at(buf, tail_run, vals[tail_src])
     target[dst] = buf
 
 
@@ -385,7 +537,8 @@ def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
-    """Select rows ``x[idx]``; the backward pass scatter-adds into ``x``.
+    """Select rows ``x[idx]``; the backward pass scatter-adds into ``x``'s
+    gradient, or into its row sums while it holds them.
 
     Repeated indices accumulate, which is what embedding lookups need.
     """
@@ -393,7 +546,10 @@ def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
     out = Tensor(x.values[idx])
 
     def backward():
-        scatter_add(x.ensure_grad(), idx, out.grad)
+        if x._row_grad is not None:
+            x._row_grad.add(x.values, idx, out._grad)
+        else:
+            scatter_add(x.ensure_grad(), idx, out._grad)
 
     return _record(tape, out, (x,), backward)
 
@@ -521,9 +677,54 @@ def mean_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _op(tape, x.values.mean(), (x,), (lambda g: g * inv,))
 
 
+# Elements per leaf of sum_squares' blocked sum: a leaf and its squares
+# stay in cache.
+_SQUARES_LEAF = 1 << 14
+
+
+def _sum_of_squares(xv: np.ndarray):
+    """``np.sum(xv * xv)``, bit for bit, without the squares' temporary.
+
+    numpy sums a contiguous array pairwise: halve ``n``, round the half
+    down to a multiple of 8, and recurse, down to blocks of at most 128
+    summed by eight running sums.  This runs the top of that tree in
+    Python and hands each leaf of at most ``_SQUARES_LEAF`` squares to
+    numpy's own sum, which finishes the tree below it.
+    """
+    if not xv.flags.c_contiguous or xv.size <= _SQUARES_LEAF:
+        return np.sum(xv * xv)
+    flat = xv.reshape(-1)
+    squares = np.empty(_SQUARES_LEAF)
+
+    def tree(lo: int, n: int):
+        if n <= _SQUARES_LEAF:
+            leaf = flat[lo:lo + n]
+            return np.add.reduce(np.multiply(leaf, leaf, out=squares[:n]))
+        half = n // 2 - n // 2 % 8
+        return tree(lo, half) + tree(lo + half, n - half)
+
+    return tree(0, flat.size)
+
+
 def sum_squares(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Sum of squared entries, producing a scalar."""
-    return _op(tape, np.sum(x.values * x.values), (x,), (lambda g: 2.0 * g * x.values,))
+    """Sum of squared entries, producing a scalar.
+
+    The gradient ``2*g*x`` of a leaf holding row sums is kept as the
+    factor ``c = 2*g``; each row takes its share when it enters the sums,
+    and the rest when the gradient is read or stepped.
+    """
+    total = _sum_of_squares(x.values)
+    out = Tensor(total)
+
+    def backward():
+        c = 2.0 * out._grad
+        rg = x._row_grad
+        if rg is not None and rg.c is None and not rg.rows.size:
+            rg.c, rg.sumsq, rg.version = c, float(total), x.version
+        else:
+            _accumulate(x, c * x.values)
+
+    return _record(tape, out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -214,32 +214,60 @@ def user_batch_loss(triples, params, cfg, social, l2_reg, rng, tape=None) -> Ten
 # optimizers
 
 
+# Elements per block of an optimizer step: the scratch blocks stay in
+# cache and replace the table-sized temporaries of a whole-array update.
+ADAM_BLOCK = 1 << 14
+
+
+def _grad_blocks(values: np.ndarray, g, scratch: np.ndarray):
+    """``(lo, hi, gb)`` over the flat elements of C-contiguous ``values``:
+    ``gb`` is the gradient of ``values.reshape(-1)[lo:hi]``.  A dense ``g``
+    is cut into views of ``ADAM_BLOCK`` elements; a row gradient is built
+    in ``scratch``, as many whole rows as fit."""
+    if isinstance(g, np.ndarray):
+        flat = g.reshape(-1)
+        for lo in range(0, flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, flat.size)
+            yield lo, hi, flat[lo:hi]
+        return
+    n = len(values)
+    width = values.size // n
+    rows = ADAM_BLOCK // width
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        yield r0 * width, r1 * width, g.block(values, r0, r1, scratch)
+
+
 class SgdOptimizer:
-    """Plain gradient descent."""
+    """Plain gradient descent, ``p -= lr*g``."""
 
     def __init__(self, lr: float):
         self.lr = lr
+        self._scratch = np.empty(ADAM_BLOCK)
 
     def step(self, tensors) -> None:
         for p, g in _checked_grads(tensors):
             with p.writing() as values:
-                values -= self.lr * g
-
-
-# Elements per block of the Adam update: two scratch blocks of this size
-# stay in cache and replace the table-sized temporaries of a whole-array
-# update.
-ADAM_BLOCK = 1 << 14
+                if isinstance(g, np.ndarray):
+                    values -= self.lr * g
+                    continue
+                flat = values.reshape(-1)
+                for lo, hi, gb in _grad_blocks(values, g, self._scratch):
+                    gb *= self.lr
+                    flat[lo:hi] -= gb
 
 
 class AdamOptimizer:
     """Bias-corrected adaptive moments; per-tensor step counts.
 
-    The update runs in place, block by block, through two scratch buffers
+    The update runs in place, block by block, through scratch buffers
     reused across tensors and steps.  It keeps the operation order of the
     textbook formula ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
     ``p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``, so it is bitwise equal
-    to the whole-array version.
+    to the whole-array version.  Every element of every stepped tensor is
+    updated, zero gradient included.  A gradient held as row sums is
+    never made dense: each block's gradient is built in cache, the l2
+    share ``0.0 + c*p`` with the summed rows written over it.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -248,7 +276,7 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self._state: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self, tensors) -> None:
         for p, g in _checked_grads(tensors):
@@ -259,15 +287,15 @@ class AdamOptimizer:
             bc1 = 1.0 - self.beta1 ** t
             bc2 = 1.0 - self.beta2 ** t
             with p.writing() as values:
-                if not (values.flags.c_contiguous and g.flags.c_contiguous):
+                if isinstance(g, np.ndarray) and not (values.flags.c_contiguous and g.flags.c_contiguous):
                     # a flat view of these would be a copy: update them whole
                     self._update(values, g, m, v, bc1, bc2, np.empty(m.shape), np.empty(m.shape))
                     continue
-                flat = values.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-                s1, s2 = self._scratch
-                for lo in range(0, m.size, ADAM_BLOCK):
-                    hi = min(lo + ADAM_BLOCK, m.size)
-                    self._update(*(a[lo:hi] for a in flat), bc1, bc2, s1[:hi - lo], s2[:hi - lo])
+                flat = values.reshape(-1), m.reshape(-1), v.reshape(-1)
+                s0, s1, s2 = self._scratch
+                for lo, hi, gb in _grad_blocks(values, g, s0):
+                    pb, mb, vb = (a[lo:hi] for a in flat)
+                    self._update(pb, gb, mb, vb, bc1, bc2, s1[:hi - lo], s2[:hi - lo])
 
     def _update(self, p, g, m, v, bc1, bc2, s1, s2) -> None:
         b1, b2 = self.beta1, self.beta2
@@ -287,19 +315,23 @@ class AdamOptimizer:
         p -= s1
 
 
-def _checked_grads(tensors) -> list[tuple[Tensor, np.ndarray]]:
-    """``(tensor, grad)`` of every trainable tensor holding a gradient.
+def _checked_grads(tensors) -> list[tuple[Tensor, object]]:
+    """``(tensor, grad)`` of every trainable tensor holding a gradient;
+    ``grad`` is a dense array or the tensor's row gradient.
 
     Every gradient is checked before any tensor is updated, so a
     non-finite one aborts the step with the parameters untouched.
     """
     out = []
     for p in tensors:
-        if not p.trainable or p.grad is None:
+        if not p.trainable:
             continue
-        if not np.all(np.isfinite(p.grad)):
+        g = p._grad_for_step(ADAM_BLOCK)
+        if g is None:
+            continue
+        if not (np.all(np.isfinite(g)) if isinstance(g, np.ndarray) else g.finite(p.values)):
             raise NumericError(f"non-finite gradient for parameter {p.name or 'unnamed'}")
-        out.append((p, p.grad))
+        out.append((p, g))
     return out
 
 

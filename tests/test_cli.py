@@ -164,14 +164,16 @@ class TestGoldenDigest:
     slower one only when every float operation stays the same, so the
     checkpoint of a fixed config and seed must not move.  This run is big
     enough that ``scatter_add`` takes its path for strictly ascending
-    indices and its level path for all others, sorted or not, and it goes
-    through JOINT training with Adam, dropout, l2 and two layers of each
-    encoder.
+    indices, its level path for all others, sorted or not, and its
+    accumulate path for the tails of heavy rows.  It goes through JOINT
+    training with Adam, dropout, l2 and two layers of each encoder, and
+    the user and item tables hold their gradients as row sums.  Its tables
+    are too small for ``sum_squares``' blocked sum.
 
     The digest belongs to the numpy and OpenBLAS build it was recorded
-    with (numpy 2.4.6, scipy-openblas 0.3.31 on x86-64 Haswell kernels):
-    another BLAS may round a matrix product differently and then gives
-    another, equally valid, digest.
+    with (numpy 2.4.6, scipy-openblas 0.3.31 on x86-64 SkylakeX kernels):
+    another BLAS, or OpenBLAS on another kernel family, may round a matrix
+    product differently and then gives another, equally valid, digest.
     """
 
     SYNTH = {"num_users": 400, "num_items": 60, "num_groups": 300, "avg_group_size": 4.0,

@@ -675,6 +675,46 @@ class TestScatterAdd:
         with pytest.raises(IndexError):
             nm.scatter_add(np.zeros((700, 3)), idx, np.ones((n, 3)))
 
+    @staticmethod
+    def heavy_tail_layout(rng):
+        """Up to 200 rows repeated 1-400 times over a random background,
+        sorted, unsorted or permuted: tails of heavy rows on both sides of
+        the accumulate threshold, and rows with none."""
+        rows = int(rng.integers(1, 3000))
+        heavy = rng.integers(0, rows, int(rng.integers(1, 200)))
+        idx = np.concatenate([np.repeat(heavy, rng.integers(1, 400, heavy.size)),
+                              rng.integers(0, rows, int(rng.integers(0, 3000)))])
+        return rows, (np.sort(idx) if rng.random() < 0.3 else rng.permutation(idx))
+
+    def test_heavy_row_tails_with_signed_zeros(self):
+        rng = np.random.default_rng(59)
+        accumulated = 0
+        for case in range(300):
+            rows, idx = self.heavy_tail_layout(rng)
+            tail = ((), (1,), (3,), (64,))[case % 4]
+            target, vals = (np.where(rng.random(shape) < 0.2, rng.choice([-0.0, 0.0], shape),
+                                     self.spread_values(rng, shape))
+                            for shape in ((rows,) + tail, (idx.size,) + tail))
+            self.assert_matches_add_at(target, idx, vals)
+            counts = np.bincount(idx)
+            levels = np.sum(np.cumsum(np.bincount(counts)[:0:-1])[::-1] >= nm.SCATTER_MIN_ROWS)
+            accumulated += int(levels and np.sum(counts - levels >= nm._TAIL_MIN_RUN))
+        # the layouts reach the accumulate path, and not only it
+        assert accumulated > 300
+
+
+class TestSumOfSquares:
+    """``sum_squares`` sums in blocks, with the bits of ``np.sum(x * x)``."""
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (129,), (8193,), (12345, 17),
+                                       (nm._SQUARES_LEAF + 1,), (3 * nm._SQUARES_LEAF + 5, 2)])
+    def test_bitwise_equal_to_numpy_sum(self, shape):
+        rng = np.random.default_rng(int(np.prod(shape)))
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150, 150, shape)
+        for values in (x, x[::-1], np.asfortranarray(x)):
+            got = nm.sum_squares(nm.Tensor(values)).values
+            assert bits(got) == bits(np.sum(values * values))
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):

@@ -13,7 +13,7 @@ from hypergroup import model as hm
 from hypergroup import numeric as nm
 from hypergroup import training as ht
 from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
-from hypergroup.errors import ConfigError, NumericError, SamplingError
+from hypergroup.errors import ConfigError, ContractViolation, NumericError, SamplingError
 from hypergroup.graph import build_hypergraph, build_social_graph
 from hypergroup.numeric import Tape, Tensor
 
@@ -301,6 +301,179 @@ class WholeArrayAdam:
             v_hat = v / (1.0 - self.beta2 ** t)
             p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             self._state[id(p)] = (m, v, t)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+OPTIMIZERS = {"adam": lambda: ht.AdamOptimizer(1e-2), "sgd": lambda: ht.SgdOptimizer(0.1)}
+
+
+class TestRowGradients:
+    """A trainable leaf that only ``gather_rows`` feeds holds its gradient
+    as row sums.  Its reads and its optimizer steps give the bits of the
+    dense gradient, which a dense buffer assigned before the forward pass
+    keeps a tensor on."""
+
+    @staticmethod
+    def spread(rng, shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4, 4, shape)
+
+    def project(self, rows: Tensor, rng, tape) -> Tensor:
+        """A scalar from gathered rows through fixed spread weights."""
+        if rows.values.ndim == 2:
+            rows = nm.matvec(rows, Tensor(self.spread(rng, rows.shape[1])), tape)
+        return nm.matvec(rows, Tensor(self.spread(rng, rows.shape[0])), tape)
+
+    def loss(self, case, x, l2, seed, tape):
+        """Gathers with overlapping and repeated rows, l2 on the whole leaf,
+        and, by case, a dense contribution or the l2 term recorded first."""
+        rng = np.random.default_rng(seed)
+        n = len(x.values)
+        heavy = np.full(min(n, 300), int(rng.integers(n)))
+        idx = (rng.permutation(np.concatenate([rng.integers(0, n, min(n, 400)), heavy])),
+               rng.integers(0, -(-n // 2), min(n, 250)))
+        terms = []
+        if case == "l2_first" and l2:
+            terms.append(nm.scale(nm.sum_squares(x, tape), l2, tape))
+        if case == "dense_after_gathers":  # its backward step runs after theirs
+            terms.append(nm.mean_all(nm.scale(x, 0.75, tape), tape))
+        terms += [self.project(nm.gather_rows(x, i, tape), rng, tape) for i in idx]
+        if case == "dense_before_gathers":
+            terms.append(nm.mean_all(nm.scale(x, -1.25, tape), tape))
+        if case != "l2_first" and l2:
+            terms.append(nm.scale(nm.sum_squares(x, tape), l2, tape))
+        total = terms[0]
+        for t in terms[1:]:
+            total = nm.add(total, t, tape)
+        return total
+
+    def leaves(self, shape, layout):
+        x = self.spread(np.random.default_rng(3), shape)
+        rowed, dense = (Tensor(x.copy(), name="table", trainable=True) for _ in range(2))
+        if layout == "fortran":
+            rowed.values, dense.values = np.asfortranarray(rowed.values), np.asfortranarray(dense.values)
+        elif layout == "strided":
+            rowed.values, dense.values = rowed.values[::-1], dense.values[::-1]
+        dense.grad = np.zeros_like(dense.values)
+        return rowed, dense
+
+    CASES = ["gathers_only", "dense_after_gathers", "dense_before_gathers", "l2_first"]
+
+    @staticmethod
+    def keeps_rows(case, l2) -> bool:
+        """Whether only gathers and an l2 seed before them feed the leaf;
+        any other contribution makes its gradient dense."""
+        return case == "gathers_only" or case == "l2_first" and not l2
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("shape,layout", [((700, 48), "c"), ((40000,), "c"), ((700, 48), "fortran"),
+                                              ((700, 48), "strided")])
+    def test_gradient_reads_equal_the_dense_gradient(self, shape, layout, case, l2):
+        rowed, dense = self.leaves(shape, layout)
+        for t in (rowed, dense):
+            tape = Tape()
+            tape.backward(self.loss(case, t, l2, 5, tape))
+        assert (rowed._row_grad is not None) == self.keeps_rows(case, l2) and dense._row_grad is None
+        assert np.array_equal(bits(rowed.grad), bits(dense.grad))
+
+    @pytest.mark.parametrize("opt", OPTIMIZERS)
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("shape,layout", [((700, 48), "c"), ((40000,), "c"), ((700, 48), "fortran"),
+                                              ((2, ht.ADAM_BLOCK + 3), "c")])
+    def test_steps_equal_dense_steps(self, shape, layout, case, l2, opt):
+        rowed, dense = self.leaves(shape, layout)
+        optimizers = OPTIMIZERS[opt](), OPTIMIZERS[opt]()
+        for step in range(3):
+            for t, optimizer in zip((rowed, dense), optimizers):
+                tape = Tape()
+                tape.backward(self.loss(case, t, l2, step, tape))
+                optimizer.step([t])
+                t.zero_grad()
+            assert np.array_equal(bits(rowed.values), bits(dense.values)), step
+        # a layout without whole-row blocks is stepped from the dense gradient
+        blockable = layout == "c" and math.prod(shape[1:]) <= ht.ADAM_BLOCK
+        assert (rowed._row_grad is not None) == (blockable and self.keeps_rows(case, l2))
+
+    @pytest.mark.parametrize("opt", OPTIMIZERS)
+    @pytest.mark.parametrize("l2,nan_row", [(1e-3, "untouched"), (1e-3, "touched"), (0.0, "untouched"),
+                                            (0.0, "touched"), (1e300, None), (1e206, None)])
+    def test_non_finite_gradient_raises_as_the_dense_check_does(self, opt, l2, nan_row):
+        # without l2 a NaN value reaches no gradient; 1e300 makes c*p
+        # overflow; 1e206 overflows the bound |c|*sqrt(sum p*p) but no c*p,
+        # so the exact pass runs and finds every entry finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            raised = [self.step_raises(OPTIMIZERS[opt](), l2, nan_row, keep_dense) for keep_dense in (False, True)]
+        assert raised[0] == raised[1] == (nan_row is not None and l2 > 0 or l2 == 1e300)
+
+    def step_raises(self, optimizer, l2, nan_row, keep_dense) -> bool:
+        """Whether a step over a small dense tensor and the table raises,
+        after checking that a raising step changed nothing."""
+        rng = np.random.default_rng(4)
+        idx = np.arange(0, 300, 3)
+        x = self.spread(rng, (300, 8)) if nan_row else rng.choice([-5e100, 5e100], (300, 8))
+        if nan_row:
+            x[idx[7] if nan_row == "touched" else 1] = np.nan
+        table, other = Tensor(x.copy(), name="table", trainable=True), Tensor([0.5, -0.25], trainable=True)
+        if keep_dense:
+            table.grad = np.zeros_like(x)
+        tape = Tape()
+        loss = nm.add(self.project(nm.gather_rows(table, idx, tape), np.random.default_rng(6), tape),
+                      nm.mean_all(other, tape), tape)
+        if l2:
+            loss = nm.add(loss, nm.scale(nm.sum_squares(table, tape), l2, tape), tape)
+        tape.backward(loss)
+        try:
+            optimizer.step([other, table])
+        except NumericError as exc:
+            assert "table" in str(exc)
+            assert np.array_equal(bits(table.values), bits(x))
+            assert np.array_equal(other.values, [0.5, -0.25])
+            assert not getattr(optimizer, "_state", {})
+            return True
+        return False
+
+    def test_l2_gradient_is_unreadable_after_a_write(self):
+        # the l2 share is computed from the values when read; once they are
+        # written, the gradient the backward pass meant is gone
+        table = Tensor(np.ones((4, 2)), name="table", trainable=True)
+        tape = Tape()
+        tape.backward(nm.add(nm.mean_all(nm.gather_rows(table, [1, 2], tape), tape),
+                             nm.sum_squares(table, tape), tape))
+        ht.SgdOptimizer(0.1).step([table])
+        with pytest.raises(ContractViolation, match="table"):
+            table.grad
+        with pytest.raises(ContractViolation, match="table"):
+            ht.AdamOptimizer(0.1).step([table])
+        table.zero_grad()
+        np.testing.assert_array_equal(table.grad, np.zeros((4, 2)))
+
+    def test_second_step_allocates_no_table_sized_temporary(self):
+        import tracemalloc
+        rng = np.random.default_rng(7)
+        table = Tensor(rng.normal(size=(20000, 64)) * 0.1, name="table", trainable=True)
+        idx = rng.integers(0, 20000, 512)
+        optimizer = ht.AdamOptimizer(1e-3)
+
+        def step():
+            tape = Tape()
+            loss = nm.add(self.project(nm.gather_rows(table, idx, tape), np.random.default_rng(8), tape),
+                          nm.scale(nm.sum_squares(table, tape), 1e-3, tape), tape)
+            tape.backward(loss)
+            optimizer.step(tape.touched_parameters())
+            table.zero_grad()
+
+        step()  # allocates the moments
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.values.nbytes / 4
 
 
 def synth_world(seed=0, variant="FULL", num_groups=10):
