@@ -23,8 +23,13 @@ gradients and ``segment_mean`` sums, adds each target row's entries one
 at a time in index order, exactly as ``np.add.at`` does; a sort-then-sum
 or ``np.add.reduceat`` would reassociate the sums and is not allowed.
 Strictly ascending indices take one fancy-indexed add, and the rest pay
-one stable argsort.  :func:`sum_squares` walks the top of numpy's own
-pairwise-summation tree and leaves each cache-sized leaf to numpy.
+one stable argsort, unless ``np.add.at`` alone is cheaper.  A heavy row,
+one with at least ``_TAIL_MIN_RUN`` entries past the levels that
+``SCATTER_MIN_ROWS`` rows share, is summed by one row reduce over its
+entries, also when no level forms: numpy adds a block's rows one at a
+time.  Rows of one element take an accumulate instead, since numpy sums
+a single column pairwise.  :func:`sum_squares` walks the top of numpy's
+own pairwise-summation tree and leaves each cache-sized leaf to numpy.
 
 Gradients exist on demand.  A trainable leaf gets a zero gradient when a
 recorded operation reads it, so the optimizer steps every touched
@@ -441,11 +446,16 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     than j entries) is a prefix of the runs, and it is added by one
     ``buf[:count] += vals`` after level j - 1, into a compact buffer that
     is gathered from ``target`` once and written back once.  Occurrences
-    past the last level of at least ``SCATTER_MIN_ROWS`` rows form the
-    tail of a few heavy rows.  A row with at least ``_TAIL_MIN_RUN`` of
-    them sums its buffer row and then those entries, in index order, by
-    one ``np.add.accumulate``; the other rows' tail entries go through one
-    ``np.add.at``, which adds each row's entries in index order too.
+    past the last level of at least ``SCATTER_MIN_ROWS`` rows (every
+    occurrence, when no level is that wide) form the tail of a few heavy
+    rows.  A row with at least ``_TAIL_MIN_RUN`` of them sums its buffer
+    row and then those entries, in index order: by one ``np.add.reduce``
+    over axis 0, which numpy runs one row at a time for rows of 2 or more
+    elements, or by one ``np.add.accumulate`` for rows of one element,
+    which ``reduce`` would sum pairwise.  The other rows' tail entries go
+    through one ``np.add.at``, which adds each row's entries in index
+    order too.  With no level and no row that heavy, one ``np.add.at``
+    takes every entry, unsorted.
     ``idx`` may have any shape; ``vals`` holds one row per index.
     Negative indices wrap as in numpy; out-of-range ones raise IndexError.
     """
@@ -473,11 +483,11 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     # level j holds every row with more than j entries
     level_sizes = np.cumsum(np.bincount(lens)[:0:-1])[::-1]
     levels = level_sizes[level_sizes >= SCATTER_MIN_ROWS].tolist()
-    if not levels:
+    longest = int(lens.max())
+    if not levels and longest < _TAIL_MIN_RUN:
         np.add.at(target, idx, vals)
         return
     order = _stable_argsort(idx, size)
-    longest = int(lens.max())
     by_len = _stable_argsort(longest - lens, longest)
     first, dst = starts[by_len], run_rows[by_len]
     # level by level, occurrence j of runs 0 .. level_sizes[j] - 1: the
@@ -497,11 +507,15 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
         heavy = np.flatnonzero(rest >= _TAIL_MIN_RUN)
         tail_run, tail_src = run[done:], src[done:]
         if heavy.size:
+            # numpy reduces axis 0 of a C-contiguous block one row at a
+            # time when rows have 2 or more elements, but sums a single
+            # column pairwise; accumulate is sequential at any width
+            wide = vals[0].size > 1
             for r in heavy.tolist():
                 at = first[r] + len(levels)
                 acc = vals[order[at:at + rest[r]]]
-                acc[0] += buf[r]
-                buf[r] = np.add.accumulate(acc, axis=0, out=acc)[-1]
+                acc[0] = buf[r] + acc[0]
+                buf[r] = np.add.reduce(acc, axis=0) if wide else np.add.accumulate(acc, axis=0, out=acc)[-1]
             short = rest[tail_run] < _TAIL_MIN_RUN
             tail_run, tail_src = tail_run[short], tail_src[short]
         np.add.at(buf, tail_run, vals[tail_src])
@@ -602,9 +616,15 @@ def mul_rows(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
 
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Element-wise max(0, x)."""
+    """Element-wise max(0, x): ``np.where(x > 0, x, 0.0)``, bit for bit.
+
+    ``fmax`` turns NaN into 0.0 and may keep a -0.0, which adding 0.0
+    turns into +0.0.  Unlike ``np.where`` on a mask, it does not branch.
+    """
     mask = x.values > 0
-    return _op(tape, np.where(mask, x.values, 0.0), (x,), (lambda g: g * mask,))
+    yv = np.fmax(x.values, 0.0)
+    yv += 0.0
+    return _op(tape, yv, (x,), (lambda g: g * mask,))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -644,11 +664,16 @@ def l2_normalize(x: Tensor, tape: Tape | None = None) -> Tensor:
     norms = np.linalg.norm(xv, axis=1)
     live = norms > NORM_EPS
     safe = np.where(live, norms, 1.0)
-    yv = np.where(live[:, None], xv / safe[:, None], xv)
+    yv = xv / safe[:, None]
+    # with every row live the masks would select every scaled row
+    dead = not live.all()
+    if dead:
+        yv = np.where(live[:, None], yv, xv)
 
     def rule(g):
         inner = np.sum(yv * g, axis=1, keepdims=True)
-        return np.where(live[:, None], (g - yv * inner) / safe[:, None], g)
+        share = (g - yv * inner) / safe[:, None]
+        return np.where(live[:, None], share, g) if dead else share
 
     return _op(tape, yv, (x,), (rule,))
 

@@ -140,6 +140,33 @@ class TestConcat:
         check_gradients(build, [a, b])
 
 
+def bits(a):
+    """Bit patterns of a float64 array: tells -0.0 from 0.0, and NaN payloads apart."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def odd_floats(rng, shape):
+    """Spread magnitudes, with about one entry in five NaN, a signed zero,
+    an infinity or a subnormal."""
+    out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    odd = rng.random(shape) < 0.2
+    out[odd] = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2e-310], int(odd.sum()))
+    return out
+
+
+def backward_share(op, xv, g):
+    """``op``'s output for ``xv`` and the share its backward step adds into
+    the input for output gradient ``g``, bit for bit (``-0.0 + s`` is ``s``)."""
+    x = nm.Tensor(xv.copy(), trainable=True)
+    x.grad = np.full_like(xv, -0.0)
+    tape = nm.Tape()
+    out = op(x, tape)
+    out.grad = g
+    (_, step), = tape._steps
+    step()
+    return out.values, x.grad
+
+
 class TestL2Normalize:
     def test_three_four_five(self):
         out = nm.l2_normalize(nm.Tensor([[3.0, 4.0]]))
@@ -193,6 +220,34 @@ class TestL2Normalize:
         assert rel_err(analytic[[0, 2]], numeric[[0, 2]]) < FD_TOL
         np.testing.assert_allclose(analytic[1], probe[0] / 3.0, atol=1e-12)
 
+    @staticmethod
+    def where_formulas(xv, g):
+        """Forward values and backward share of the masked formulas."""
+        norms = np.linalg.norm(xv, axis=1)
+        live = norms > nm.NORM_EPS
+        safe = np.where(live, norms, 1.0)
+        yv = np.where(live[:, None], xv / safe[:, None], xv)
+        inner = np.sum(yv * g, axis=1, keepdims=True)
+        return yv, np.where(live[:, None], (g - yv * inner) / safe[:, None], g)
+
+    @pytest.mark.parametrize("dead_rows", [False, True])
+    def test_bitwise_equal_to_where_formulas(self, dead_rows):
+        rng = np.random.default_rng(15 + dead_rows)
+        xv, g = (odd_floats(rng, (300, 8)) for _ in range(2))
+        if dead_rows:
+            xv[rng.random(300) < 0.3] = 0.0
+            xv[5] = [5e-324, -5e-324] * 4  # a subnormal row: norm below eps
+            xv[7, 2] = np.nan
+        else:
+            xv[~np.isfinite(np.linalg.norm(xv, axis=1))] = 1.0
+            xv[np.linalg.norm(xv, axis=1) <= nm.NORM_EPS, 0] = 1.0
+        live = np.linalg.norm(xv, axis=1) > nm.NORM_EPS
+        assert live.all() != dead_rows
+        with np.errstate(all="ignore"):
+            got, want = backward_share(nm.l2_normalize, xv, g), self.where_formulas(xv, g)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(bits(a), bits(b))
+
 
 class TestActivations:
     def test_sigmoid_midpoint(self):
@@ -205,6 +260,17 @@ class TestActivations:
     def test_relu_values(self):
         out = nm.relu(nm.Tensor([-1.0, 2.0]))
         np.testing.assert_array_equal(out.values, [0.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(9,), (300, 8)])
+    def test_relu_bitwise_equal_to_where_formulas(self, shape):
+        rng = np.random.default_rng(16)
+        xv, g = (odd_floats(rng, shape) for _ in range(2))
+        xv.reshape(-1)[:9] = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.0]
+        with np.errstate(all="ignore"):
+            values, share = backward_share(nm.relu, xv, g)
+            want = g * (xv > 0)
+        np.testing.assert_array_equal(bits(values), bits(np.where(xv > 0, xv, 0.0)))
+        np.testing.assert_array_equal(bits(share), bits(want))
 
     def test_gradients_away_from_kink(self):
         rng = np.random.default_rng(14)
@@ -574,11 +640,6 @@ class TestMalformedCheckpointHeader:
             nm.load_checkpoint(path)
 
 
-def bits(a):
-    """Bit patterns of a float64 array: tells -0.0 from 0.0, and NaN payloads apart."""
-    return np.ascontiguousarray(a).view(np.int64)
-
-
 class TestScatterAdd:
     """``scatter_add`` must give exactly the bits of ``np.add.at``."""
 
@@ -701,6 +762,100 @@ class TestScatterAdd:
             accumulated += int(levels and np.sum(counts - levels >= nm._TAIL_MIN_RUN))
         # the layouts reach the accumulate path, and not only it
         assert accumulated > 300
+
+    @staticmethod
+    def levelless_layout(rng, heavy=14, light=30):
+        """About 9,000 entries onto ``heavy`` rows, plus 1-5 each onto
+        ``light`` rows, of 1,300: under SCATTER_MIN_ROWS distinct rows, so
+        no level forms."""
+        rows = rng.choice(1300, heavy + light, replace=False)
+        counts = np.concatenate([rng.integers(500, 800, heavy), rng.integers(1, 6, light)])
+        return rng.permutation(np.repeat(rows, counts)), rows[heavy:]
+
+    @pytest.mark.parametrize("target_zero", [False, True])
+    @pytest.mark.parametrize("d", [None, 1, 2, 3, 64])
+    def test_levelless_heavy_rows(self, d, target_zero):
+        rng = np.random.default_rng(60 + (d or 0) + 100 * target_zero)
+        idx, _ = self.levelless_layout(rng)
+        tail = () if d is None else (d,)
+
+        def huge(shape):
+            # magnitudes of 1e-300 to 1e300 with signed zeros mixed in
+            out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+            return np.where(rng.random(shape) < 0.2, rng.choice([-0.0, 0.0], shape), out)
+
+        target = np.zeros((1300,) + tail) if target_zero else huge((1300,) + tail)
+        for order in (idx, np.sort(idx)):
+            self.assert_matches_add_at(target, order, huge((idx.size,) + tail))
+
+    @staticmethod
+    def add_at_entries(monkeypatch, target, idx, vals):
+        """How many entries ``scatter_add`` sends through ``np.add.at``."""
+        seen = []
+
+        class Add:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def at(self, a, i, b):
+                seen.append(np.size(i))
+                np.add.at(a, i, b)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        with monkeypatch.context() as m:
+            m.setattr(nm, "np", Numpy())
+            nm.scatter_add(target, idx, vals)
+        return sum(seen)
+
+    @pytest.mark.parametrize("d", [None, 64])
+    def test_levelless_heavy_rows_skip_add_at(self, monkeypatch, d):
+        # only the light rows' entries reach np.add.at, with or without a level
+        rng = np.random.default_rng(70)
+        idx, light = self.levelless_layout(rng)
+        tail = () if d is None else (d,)
+        vals = self.spread_values(rng, (idx.size,) + tail)
+        got = self.add_at_entries(monkeypatch, np.zeros((1300,) + tail), idx, vals)
+        assert got == np.isin(idx, light).sum() < 100
+
+    def test_levelless_light_rows_take_add_at_alone(self, monkeypatch):
+        # with no level and no row of _TAIL_MIN_RUN entries, the sort buys nothing
+        rng = np.random.default_rng(71)
+        idx = rng.permutation(np.repeat(np.arange(20), nm._TAIL_MIN_RUN - 1))
+        vals = self.spread_values(rng, (idx.size, 3))
+        assert self.add_at_entries(monkeypatch, np.zeros((20, 3)), idx, vals) == idx.size
+
+
+class TestNumpySumOrders:
+    """The numpy summation orders ``scatter_add``'s heavy rows rely on:
+    ``np.add.reduce`` over axis 0 of a C-contiguous block whose rows have
+    2 or more elements adds the rows one at a time, and ``np.add.accumulate``
+    does at any width.  A numpy that reorders either fails here."""
+
+    @staticmethod
+    def row_by_row(a):
+        total = a[0].copy()
+        for row in a[1:]:
+            total = total + row
+        return total
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 17, 130, 640, 5000])
+    @pytest.mark.parametrize("row", [(2,), (3,), (8,), (64,), (65,), (2, 3)])
+    def test_axis0_reduce_adds_rows_in_order(self, k, row):
+        rng = np.random.default_rng(k * 131 + sum(row))
+        a = rng.choice([-1.0, 1.0], (k,) + row) * 10.0 ** rng.uniform(-150, 150, (k,) + row)
+        np.testing.assert_array_equal(bits(np.add.reduce(a, axis=0)), bits(self.row_by_row(a)))
+
+    @pytest.mark.parametrize("k", [9, 130, 5000])
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    def test_accumulate_adds_in_order(self, k, shape):
+        rng = np.random.default_rng(k)
+        a = rng.choice([-1.0, 1.0], (k,) + shape) * 10.0 ** rng.uniform(-150, 150, (k,) + shape)
+        np.testing.assert_array_equal(bits(np.add.accumulate(a, axis=0)[-1]), bits(self.row_by_row(a)))
 
 
 class TestSumOfSquares:
