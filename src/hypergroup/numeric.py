@@ -450,7 +450,8 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     occurrence, when no level is that wide) form the tail of a few heavy
     rows.  A row with at least ``_TAIL_MIN_RUN`` of them sums its buffer
     row and then those entries, in index order: by one ``np.add.reduce``
-    over axis 0, which numpy runs one row at a time for rows of 2 or more
+    over axis 0 from ``initial=-0.0`` (so that a column of -0.0 sums to
+    -0.0), which numpy runs one row at a time for rows of 2 or more
     elements, or by one ``np.add.accumulate`` for rows of one element,
     which ``reduce`` would sum pairwise.  The other rows' tail entries go
     through one ``np.add.at``, which adds each row's entries in index
@@ -509,13 +510,18 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
         if heavy.size:
             # numpy reduces axis 0 of a C-contiguous block one row at a
             # time when rows have 2 or more elements, but sums a single
-            # column pairwise; accumulate is sequential at any width
+            # column pairwise; accumulate is sequential at any width.  The
+            # reduce starts from -0.0, which changes no sum, so a column of
+            # -0.0 stays -0.0 (from add's identity +0.0 it would not)
             wide = vals[0].size > 1
             for r in heavy.tolist():
                 at = first[r] + len(levels)
                 acc = vals[order[at:at + rest[r]]]
                 acc[0] = buf[r] + acc[0]
-                buf[r] = np.add.reduce(acc, axis=0) if wide else np.add.accumulate(acc, axis=0, out=acc)[-1]
+                if wide:
+                    buf[r] = np.add.reduce(acc, axis=0, initial=-0.0)
+                else:
+                    buf[r] = np.add.accumulate(acc, axis=0, out=acc)[-1]
             short = rest[tail_run] < _TAIL_MIN_RUN
             tail_run, tail_src = tail_run[short], tail_src[short]
         np.add.at(buf, tail_run, vals[tail_src])
@@ -664,15 +670,14 @@ def l2_normalize(x: Tensor, tape: Tape | None = None) -> Tensor:
     norms = np.linalg.norm(xv, axis=1)
     live = norms > NORM_EPS
     safe = np.where(live, norms, 1.0)
+    # a dead row's divisor is 1.0, and x / 1.0 is x bit for bit
     yv = xv / safe[:, None]
-    # with every row live the masks would select every scaled row
     dead = not live.all()
-    if dead:
-        yv = np.where(live[:, None], yv, xv)
 
     def rule(g):
         inner = np.sum(yv * g, axis=1, keepdims=True)
         share = (g - yv * inner) / safe[:, None]
+        # with every row live the mask would select every share
         return np.where(live[:, None], share, g) if dead else share
 
     return _op(tape, yv, (x,), (rule,))

@@ -785,8 +785,14 @@ class TestScatterAdd:
             return np.where(rng.random(shape) < 0.2, rng.choice([-0.0, 0.0], shape), out)
 
         target = np.zeros((1300,) + tail) if target_zero else huge((1300,) + tail)
-        for order in (idx, np.sort(idx)):
-            self.assert_matches_add_at(target, order, huge((idx.size,) + tail))
+        vals = huge((idx.size,) + tail)
+        # one heavy row whose target and entries are all -0.0 in column 0:
+        # np.add.at keeps -0.0 there, a reduce from +0.0 would not
+        row = np.bincount(idx).argmax()
+        target[row] = -0.0
+        vals[idx == row, ...] = np.where(np.arange(d or 1) == 0, -0.0, vals[idx == row, ...])
+        for order, v in ((idx, vals), (np.sort(idx), vals[np.argsort(idx, kind="stable")])):
+            self.assert_matches_add_at(target, order, v)
 
     @staticmethod
     def add_at_entries(monkeypatch, target, idx, vals):
@@ -848,7 +854,12 @@ class TestNumpySumOrders:
     def test_axis0_reduce_adds_rows_in_order(self, k, row):
         rng = np.random.default_rng(k * 131 + sum(row))
         a = rng.choice([-1.0, 1.0], (k,) + row) * 10.0 ** rng.uniform(-150, 150, (k,) + row)
-        np.testing.assert_array_equal(bits(np.add.reduce(a, axis=0)), bits(self.row_by_row(a)))
+        # a -0.0 block in the first column, and signed zeros scattered
+        a[..., 0] = -0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        a[rng.random(a.shape) < 0.1] = 0.0
+        got = np.add.reduce(a, axis=0, initial=-0.0)
+        np.testing.assert_array_equal(bits(got), bits(self.row_by_row(a)))
 
     @pytest.mark.parametrize("k", [9, 130, 5000])
     @pytest.mark.parametrize("shape", [(), (1,)])
