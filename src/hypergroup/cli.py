@@ -47,7 +47,6 @@ from .model import (
     initialize_params,
     load_params,
     save_params,
-    score_items_for_embedding,
     transient_group_embedding,
 )
 from .training import STRATEGY_FLAGS, TrainConfig, train
@@ -252,7 +251,7 @@ def cmd_recommend(args) -> int:
 
     rng = np.random.default_rng(_run_seed(args.seed, meta))
     emb = transient_group_embedding(members, params, model_cfg, social, hyper, rng)
-    scores = score_items_for_embedding(emb, params, params.group_mlp, model_cfg)
+    scores = params.group_mlp.item_scores(emb, params.item_embeddings)
     order = rank_items(scores)[: args.topn]
     item_names = ds.id_maps.reverse("items")
     for v in order:

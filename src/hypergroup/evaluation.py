@@ -146,7 +146,7 @@ def evaluate(
 
     rng = np.random.default_rng(eval_seed)
     entities = sorted({e for e, _ in cases})
-    fp = ForwardPass(params, model_cfg, social, hyper, rng, tape=None, training=False)
+    fp = ForwardPass(params, model_cfg, social, hyper, rng)
     if target == "groups":
         rows = fp.group_vectors(entities).values
         tower = params.group_mlp

@@ -36,23 +36,22 @@ from .graph import (
 )
 from .numeric import Tape, Tensor
 
-VARIANTS = ("FULL", "NO_IPM", "NO_HRL", "NO_BOTH", "NO_USER_TASK")
+VARIANTS = ("FULL", "NO_IPM", "NO_HRL", "NO_BOTH")
 
 VARIANT_FLAGS = {
     "full": "FULL",
     "s": "NO_IPM",
     "h": "NO_HRL",
     "sh": "NO_BOTH",
-    "u": "NO_USER_TASK",
 }
 
 
 def uses_ipm(variant: str) -> bool:
-    return variant in ("FULL", "NO_HRL", "NO_USER_TASK")
+    return variant in ("FULL", "NO_HRL")
 
 
 def uses_hrl(variant: str) -> bool:
-    return variant in ("FULL", "NO_IPM", "NO_USER_TASK")
+    return variant in ("FULL", "NO_IPM")
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def _batch_loss(
 ) -> Tensor:
     if not triples:
         raise ContractViolation("batch must hold at least one triple")
-    fp = ForwardPass(params, cfg, social, hyper, rng, tape, training=True)
+    fp = ForwardPass(params, cfg, social, hyper, rng, tape)
     if task == "group":
         entity_rows = fp.group_vectors([g for g, _, _ in triples])
         tower = params.group_mlp
@@ -383,14 +383,6 @@ class _Stream:
         return [self.pairs[int(i)] for i in self._order[self._start - size:self._start]]
 
 
-def effective_strategy(model_cfg: ModelConfig, cfg: TrainConfig) -> str:
-    """The NO_USER_TASK variant trains on group-item interactions only."""
-    if model_cfg.variant == "NO_USER_TASK" and cfg.strategy != "GROUP_ONLY":
-        log.info("variant NO_USER_TASK forces the GROUP_ONLY strategy")
-        return "GROUP_ONLY"
-    return cfg.strategy
-
-
 def train(
     train_ds: InteractionDataset,
     social: SocialGraph | None,
@@ -417,10 +409,9 @@ def train(
     seed reproduces the run bit-exactly.
     """
     cfg.validate()
-    strategy = effective_strategy(model_cfg, cfg)
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(cfg)
-    report = TrainReport(strategy=strategy)
+    report = TrainReport(strategy=cfg.strategy)
     budgets = {"user": cfg.user_budget, "group": cfg.group_budget}
 
     def step(stream: _Stream) -> float:
@@ -442,7 +433,7 @@ def train(
     # early stopping on validation NDCG@10 keeps the best epoch's values
     early_stop = cfg.early_stop_patience is not None and val_ds is not None and bool(val_ds.group_item)
     best, stale, best_values = -np.inf, 0, []
-    for number, stage in enumerate(STAGES[strategy]):
+    for number, stage in enumerate(STAGES[cfg.strategy]):
         if report.stopped_early:
             break
         streams = []
@@ -456,7 +447,7 @@ def train(
             log.warning("skipping the %s stage", ("first", "second")[number])
             continue
         stepped = [s for s in streams if s.pass_length]
-        once = strategy == "TWO_STAGE" and all(s.budget is not None for s in streams)
+        once = cfg.strategy == "TWO_STAGE" and all(s.budget is not None for s in streams)
         for _ in range(1 if once else cfg.epochs):
             start = time.perf_counter()
             losses = {"user": [], "group": []}

@@ -1,8 +1,13 @@
 """Command-line interface tests: flows, determinism, exit codes."""
 
+import ctypes
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,12 +154,47 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["strategy"] == "JOINT"
 
-    @pytest.mark.parametrize("flag", ["s", "sh", "u"])
+    @pytest.mark.parametrize("flag", ["s", "sh"])
     def test_every_variant_trains_and_evaluates(self, tmp_path, data_dir, flag):
         out = run_train(tmp_path, data_dir, f"rv_{flag}", extra=["--variant", flag])
         rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
                        "--data", str(data_dir), "--topn", "5"])
         assert rc == 0
+
+    def test_variant_u_is_gone(self, tmp_path, data_dir, capsys):
+        # the run without the user task is --strategy group-only
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(RUN_CFG))
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run"), "--variant", "u"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "--variant" in err
+
+
+def blas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS runs, as OpenBLAS reads it
+    back (forcing ``Prescott`` reads back ``Katmai``)."""
+    get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
+# the golden run in a fresh process, so OPENBLAS_CORETYPE picks its kernel;
+# prints the kernel read back and the checkpoint's digest
+GOLDEN_RUN = """
+import hashlib, sys
+from pathlib import Path
+from test_cli import blas_core
+from hypergroup import cli
+
+tmp = Path(sys.argv[1])
+assert cli.main(["synth", "--config", str(tmp / "synth.json"), "--out", str(tmp / "data")]) == 0
+assert cli.main(["train", "--data", str(tmp / "data"), "--config", str(tmp / "run.json"),
+                 "--out", str(tmp / "run")]) == 0
+print(blas_core(), hashlib.sha256((tmp / "run" / "checkpoint.bin").read_bytes()).hexdigest())
+"""
 
 
 class TestGoldenDigest:
@@ -170,10 +210,12 @@ class TestGoldenDigest:
     the user and item tables hold their gradients as row sums.  Its tables
     are too small for ``sum_squares``' blocked sum.
 
-    The digest belongs to the numpy and OpenBLAS build it was recorded
-    with (numpy 2.4.6, scipy-openblas 0.3.31 on x86-64 SkylakeX kernels):
-    another BLAS, or OpenBLAS on another kernel family, may round a matrix
-    product differently and then gives another, equally valid, digest.
+    The digests belong to the numpy and OpenBLAS build they were recorded
+    with (numpy 2.4.6, scipy-openblas 0.3.31 on x86-64), one per kernel
+    family that build runs: each family may round a matrix product
+    differently and so gives another, equally valid, digest.  They are
+    keyed by the family OpenBLAS reads back, oldest first.  A host whose
+    family has no entry fails, naming the family and the digest it got.
     """
 
     SYNTH = {"num_users": 400, "num_items": 60, "num_groups": 300, "avg_group_size": 4.0,
@@ -182,7 +224,13 @@ class TestGoldenDigest:
     RUN = {"model": {"d": 8, "k_ipm": 2, "s_ipm": 3, "k_hrl": 2, "s_hrl": 3, "dropout": 0.2},
            "train": {"learning_rate": 0.01, "batch_size": 128, "epochs": 2, "l2_reg": 0.001,
                      "strategy": "JOINT", "optimizer": "ADAM", "seed": 7}}
-    DIGEST = "c3f08a909805ebefd9f8073fd024ea46e0ae1f5809afad6388ffcfc73c576470"
+    DIGESTS = {
+        "Katmai": "7f8ba253d90cb898fb9b3edf2ea3bfc5325cd29d43371c1f99577163f4d0c941",
+        "Nehalem": "6328a3efaa8ffbb53faf56cf109ec0f5112001d026a5a52fe1d262661ca93da9",
+        "Sandybridge": "3638cf39c3bbb7638bf20ffd4c9055b174fd953fd55a0adbdd506012dc37c40c",
+        "Haswell": "233156009461bb0da0e8d5c41d2c8ac195912c8f0a9fed3f4643aa75cbf48b56",
+        "SkylakeX": "c3f08a909805ebefd9f8073fd024ea46e0ae1f5809afad6388ffcfc73c576470",
+    }
 
     def test_checkpoint_digest_is_pinned(self, tmp_path):
         cfg_path = tmp_path / "synth.json"
@@ -190,7 +238,27 @@ class TestGoldenDigest:
         data = tmp_path / "data"
         assert cli.main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
         out = run_train(tmp_path, data, run_cfg=self.RUN)
-        assert hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest() == self.DIGEST
+        core, digest = blas_core(), hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest()
+        assert self.DIGESTS.get(core) == digest, f"OpenBLAS kernel {core} gave digest {digest}"
+
+    @pytest.mark.parametrize("kernel", list(DIGESTS))
+    def test_each_recorded_kernel_gives_its_digest(self, tmp_path, kernel):
+        # a kernel newer than the host's own may need instructions the CPU
+        # lacks; where OpenBLAS falls back to an older one, that one's
+        # digest must match
+        (tmp_path / "synth.json").write_text(json.dumps(self.SYNTH))
+        (tmp_path / "run.json").write_text(json.dumps(self.RUN))
+        path = (str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).parent),
+                os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "OPENBLAS_CORETYPE": kernel}
+        out = subprocess.run([sys.executable, "-c", GOLDEN_RUN, str(tmp_path)], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        core, digest = out.stdout.splitlines()[-1].split()
+        host, families = blas_core(), list(self.DIGESTS)
+        assert host in families, f"OpenBLAS kernel {host} has no recorded digest"
+        if families.index(kernel) <= families.index(host):
+            assert core == kernel
+        assert self.DIGESTS.get(core) == digest, f"OpenBLAS kernel {core} gave digest {digest}"
 
 
 class TestGoldenOutputs:
@@ -545,6 +613,7 @@ class TestIntegerConfigFields:
         ("train", "learning_rate", float("nan")), ("train", "l2_reg", float("inf")),
         ("split", "train_ratio", "0.8"), ("model", "normalize_overlap_weights", True),
         ("train", "seed", -1), ("split", "seed", -1), ("train", "early_stop_patience", -3),
+        ("model", "variant", "NO_USER_TASK"),
     ])
     def test_run_config_exits_1(self, tmp_path, data_dir, capsys, section, name, value):
         run_cfg = dict(RUN_CFG, split={})
@@ -585,6 +654,7 @@ class TestIntegerConfigFields:
         ("config", "k_ipm", 1.0), ("config", "d", 8.0), ("config", "s_hrl", 2.5),
         ("config", "mlp_hidden", [8.5, 4]), ("split", "seed", 1.5),
         ("config", "residual_w", True), ("config", "normalize_overlap_weights", False),
+        ("config", "variant", "NO_USER_TASK"),
     ])
     def test_checkpoint_exits_2(self, tmp_path, data_dir, capsys, block, name, value):
         out = run_train(tmp_path, data_dir)

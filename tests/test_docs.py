@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import hypergroup
+from hypergroup import model, training
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hypergroup.__path__))
@@ -42,3 +43,15 @@ def test_code_references_resolve():
         if not resolves(obj, name) or (attr and not resolves(getattr(obj, name), attr)):
             missing.append(".".join(filter(None, (module, name, attr))))
     assert not missing, f"README names what the package lacks: {missing}"
+
+
+def test_variant_and_strategy_names_match_the_package():
+    # the Variants sentence and the usage block's alternatives list exactly
+    # what the package accepts, so a removed variant or flag cannot linger
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"Variants:(.*?)\.\s", text, re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", sentence) == list(model.VARIANTS)
+    usage = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    for flag, names in (("--variant", model.VARIANT_FLAGS), ("--strategy", training.STRATEGY_FLAGS)):
+        alternatives = re.search(rf"\[{flag} ([\w|-]+)\]", usage).group(1).split("|")
+        assert sorted(alternatives) == sorted(names), flag

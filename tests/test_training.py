@@ -516,14 +516,6 @@ class TestTrainingLoops:
             if n.startswith("user_mlp"):
                 assert np.array_equal(before[n], t.values), n
 
-    def test_no_user_task_variant_forces_group_only(self):
-        ds, social, hyper, cfg, params = synth_world(seed=6, variant="NO_USER_TASK")
-        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=1,
-                              strategy="JOINT", seed=0)
-        report = ht.train(ds, social, hyper, params, cfg, tcfg)
-        assert report.strategy == "GROUP_ONLY"
-        assert all(e.loss_u is None for e in report.epochs)
-
     def test_losses_decrease_on_toy(self):
         for strategy in ("TWO_STAGE", "JOINT", "GROUP_ONLY", "USER_ONLY"):
             ds, social, hyper, cfg, params = synth_world(seed=7)
