@@ -516,6 +516,18 @@ class TestTrainingLoops:
             if n.startswith("user_mlp"):
                 assert np.array_equal(before[n], t.values), n
 
+    @pytest.mark.parametrize("variant", hm.VARIANTS)
+    def test_every_variant_runs_the_strategy_asked_for(self, variant):
+        # no variant overrides the strategy: a run without the user task
+        # asks for GROUP_ONLY itself
+        ds, social, hyper, cfg, params = synth_world(seed=6, variant=variant)
+        tcfg = ht.TrainConfig(learning_rate=1e-3, batch_size=64, epochs=1,
+                              strategy="JOINT", seed=0)
+        report = ht.train(ds, social, hyper, params, cfg, tcfg)
+        assert report.strategy == "JOINT"
+        assert report.epochs and all(e.loss_u is not None and e.loss_g is not None
+                                     for e in report.epochs)
+
     def test_losses_decrease_on_toy(self):
         for strategy in ("TWO_STAGE", "JOINT", "GROUP_ONLY", "USER_ONLY"):
             ds, social, hyper, cfg, params = synth_world(seed=7)
