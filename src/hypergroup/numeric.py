@@ -42,13 +42,23 @@ the table-sized ``c*x``, a row new to the sums is seeded with
 the sums in the order above.  Those are the bits the dense buffer would
 get.  Any other contribution, and any read of ``Tensor.grad``, first
 turns the sums into that dense buffer, and the leaf stays dense from then
-on; ``zero_grad`` drops the rows.  Any other tensor gets a gradient from
-its first contribution, ``0.0 + g`` in a new array: the bits of adding
-``g`` into zeros.  A backward step whose output received no gradient is
-skipped.
+on; ``zero_grad`` drops the rows.
+
+The graph keeps only what gradient rules read.  A recorded output holds
+its gradient in a small cell, and a backward step references that cell,
+the cells and trainable leaves it feeds, and the arrays its rules read
+(``linear``'s inputs, ``l2_normalize``'s output, masks, indices), never a
+tensor; so an intermediate is freed as soon as the forward code drops
+it.  A cell gets a gradient from its first contribution, ``0.0 + g`` in
+a new array: the bits of adding ``g`` into zeros.  A backward step whose
+output received no gradient is skipped.  Each step leaves the tape as it
+runs and then frees its output's gradient, so after backward the tape is
+empty, only trainable leaves hold gradients, and a recorded output's
+``grad`` reads None, as a non-leaf tensor's does in PyTorch.
 
 Heap policy.  Every batch builds and frees tens of MB of gathered rows,
-gradient and scatter buffers.  Under glibc's adaptive defaults the free
+gradient and scatter buffers (a sparse-train group batch peaks at about
+35 MB of them).  Under glibc's adaptive defaults the free
 top of the heap goes back to the OS after a batch, and the next batch
 page-faults every page in again.  So on glibc, importing this module
 fixes the mmap threshold at 32 MiB (glibc's 64-bit ceiling; fixing it
@@ -128,7 +138,10 @@ class Tensor:
 
     ``grad`` reads and assigns the gradient as a dense array.  A trainable
     leaf may hold it as row sums instead (see the module docstring); a
-    read turns those into the dense array first.
+    read turns those into the dense array first.  A recorded output's
+    gradient lives in the cell the tape shares, where ``grad`` and
+    :meth:`zero_grad` act on it; it reads None once backward has
+    propagated it.
 
     :meth:`writing` is the package's one path for writing ``values`` in
     place, and ``version`` counts its writes.  A reader that caches a
@@ -138,16 +151,16 @@ class Tensor:
     object, and any other in-place write raises numpy's read-only error.
     """
 
-    __slots__ = ("values", "_grad", "_row_grad", "name", "trainable", "version", "_rg")
+    __slots__ = ("values", "_grad", "_row_grad", "_cell", "name", "trainable", "version")
 
     def __init__(self, values, name: str | None = None, trainable: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self._grad: np.ndarray | None = None
         self._row_grad: _RowGrad | None = None  # when set, it is the gradient
+        self._cell: _Cell | None = None  # a recorded output's gradient
         self.name = name
         self.trainable = trainable
         self.version = 0
-        self._rg = trainable  # does gradient need to flow into this tensor?
 
     @contextmanager
     def writing(self):
@@ -168,26 +181,26 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
+        if self._cell is not None:
+            return self._cell.grad
         if self._row_grad is not None:
             self._densify()
         return self._grad
 
     @grad.setter
     def grad(self, value) -> None:
-        self._row_grad = None
-        self._grad = value
-
-    def ensure_grad(self) -> np.ndarray:
-        """The dense gradient buffer, zeros if there was no gradient."""
-        if self.grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
+        if self._cell is not None:
+            self._cell.grad = value
+        else:
+            self._row_grad = None
+            self._grad = value
 
     def zero_grad(self) -> None:
+        """Zero the gradient in place, if there is one."""
         if self._row_grad is not None:
             self._row_grad = _RowGrad()
-        elif self._grad is not None:
-            self._grad.fill(0.0)
+        elif self.grad is not None:
+            self.grad.fill(0.0)
 
     def _live_row_grad(self) -> _RowGrad:
         """The row gradient, whose l2 share is read from ``values`` when
@@ -298,8 +311,23 @@ class _RowGrad:
         return all(np.all(np.isfinite(self.seed(x[r:r + step]))) for r in range(0, len(x), step))
 
 
+class _Cell:
+    """The gradient of a recorded output, held apart from its values so
+    that the tape keeps the gradient slot and not the array."""
+
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+
 class Tape:
     """Record of one forward pass, replayable exactly once for gradients.
+
+    A step holds its output's gradient cell, never the output tensor
+    (see the module docstring), and :meth:`backward` frees each
+    intermediate gradient once propagated.
 
     Also tracks which trainable tensors participated in the pass; the
     training loop uses this both for regularization scope and to restrict
@@ -307,13 +335,14 @@ class Tape:
     """
 
     def __init__(self):
-        self._steps: list[tuple[Tensor, object]] = []
+        self._steps: list[tuple[_Cell, object]] = []
         self._touched: dict[int, Tensor] = {}
         self._consumed = False
 
-    def record(self, out: Tensor, step) -> None:
-        """Queue ``step``, which propagates ``out``'s gradient to its inputs."""
-        self._steps.append((out, step))
+    def record(self, cell: _Cell, step) -> None:
+        """Queue ``step``, which propagates the gradient in ``cell`` to the
+        inputs of the output that owns it."""
+        self._steps.append((cell, step))
 
     def touch(self, tensor: Tensor) -> None:
         if tensor.trainable:
@@ -324,60 +353,70 @@ class Tape:
         return list(self._touched.values())
 
     def backward(self, loss: Tensor) -> None:
-        """Populate gradients of every participating tensor from ``loss``."""
+        """Populate the gradients of the trainable leaves from ``loss``.
+
+        Each step leaves the tape as it runs, and the gradient it
+        propagated is freed, so afterwards the tape is empty and every
+        recorded output's ``grad`` reads None.
+        """
         if self._consumed:
             raise ContractViolation("backward() may run only once per forward pass")
         self._consumed = True
         if loss.values.ndim != 0:
             raise ContractViolation("backward() expects a scalar loss")
         loss.grad = np.ones_like(loss.values)
-        for out, step in reversed(self._steps):
-            if out._grad is not None:  # else no gradient reached ``out``
+        steps = self._steps
+        while steps:
+            cell, step = steps.pop()
+            if cell.grad is not None:  # else no gradient reached the output
                 step()
+                cell.grad = None
 
 
-def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
-    """Attach ``backward`` to the tape if any input needs gradients."""
+def _record(tape: Tape | None, values, inputs: Sequence[Tensor], backward) -> Tensor:
+    """A tensor of ``values``.  With a tape, and an input that needs a
+    gradient, it gets a cell, and the tape records ``backward(g, sinks)``
+    with ``g`` the cell's gradient and one sink per input: the input when
+    trainable, its cell when recorded, else None."""
+    out = Tensor(values)
     if tape is None:
         return out
+    sinks = [t if t.trainable else t._cell for t in inputs]
     for t in inputs:
         tape.touch(t)
-    if not any(t._rg for t in inputs):
-        return out
-    out._rg = True
-    for t in inputs:
         if t.trainable and t._grad is None and t._row_grad is None:
             t._row_grad = _RowGrad()
-    tape.record(out, backward)
+    if all(s is None for s in sinks):
+        return out
+    cell = out._cell = _Cell(out.values.shape)
+    tape.record(cell, lambda: backward(cell.grad, sinks))
     return out
 
 
-def _accumulate(t: Tensor, g) -> None:
-    """``t.grad += g``; the first contribution to a gradient-less tensor is
-    written as ``0.0 + g`` into a new array of ``t``'s shape, the same bits
-    as adding ``g`` into zeros (``-0.0`` becomes ``+0.0``, a broadcast
-    ``g`` fills the shape).  A row gradient becomes dense first.
+def _accumulate(sink, g) -> None:
+    """``sink.grad += g`` for a tensor or cell; the first contribution is
+    written as ``0.0 + g`` into a new array of ``sink``'s shape, the same
+    bits as adding ``g`` into zeros (``-0.0`` becomes ``+0.0``, a broadcast
+    ``g`` fills the shape).  Reading a leaf's ``grad`` makes a row
+    gradient dense first.
     """
-    if t._row_grad is not None:
-        t._densify()
-    if t._grad is None:
-        t._grad = np.add(0.0, g, out=np.empty_like(t.values))
+    grad = sink.grad
+    if grad is None:
+        sink.grad = np.add(0.0, g, out=np.empty(sink.shape))
     else:
-        t._grad += g
+        grad += g
 
 
 def _op(tape: Tape | None, values, inputs: Sequence[Tensor], rules) -> Tensor:
     """The output of an operation: forward ``values``, and a backward step
-    that adds ``rules[k](out.grad)`` into each input k needing a gradient."""
-    out = Tensor(values)
+    that adds ``rules[k](g)`` into each input k needing a gradient."""
 
-    def backward():
-        g = out._grad
-        for t, rule in zip(inputs, rules):
-            if t._rg:
-                _accumulate(t, rule(g))
+    def backward(g, sinks):
+        for sink, rule in zip(sinks, rules):
+            if sink is not None:
+                _accumulate(sink, rule(g))
 
-    return _record(tape, out, inputs, backward)
+    return _record(tape, values, inputs, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +602,17 @@ def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
     Repeated indices accumulate, which is what embedding lookups need.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.values[idx])
 
-    def backward():
-        if x._row_grad is not None:
-            x._row_grad.add(x.values, idx, out._grad)
-        else:
-            scatter_add(x.ensure_grad(), idx, out._grad)
+    def backward(g, sinks):
+        (t,) = sinks
+        if isinstance(t, Tensor) and t._row_grad is not None:
+            t._row_grad.add(t.values, idx, g)
+            return
+        if t.grad is None:
+            t.grad = np.zeros(t.shape)
+        scatter_add(t.grad, idx, g)
 
-    return _record(tape, out, (x,), backward)
+    return _record(tape, x.values[idx], (x,), backward)
 
 
 def mean_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
@@ -743,18 +784,19 @@ def sum_squares(x: Tensor, tape: Tape | None = None) -> Tensor:
     factor ``c = 2*g``; each row takes its share when it enters the sums,
     and the rest when the gradient is read or stepped.
     """
-    total = _sum_of_squares(x.values)
-    out = Tensor(total)
+    xv = x.values
+    total = _sum_of_squares(xv)
 
-    def backward():
-        c = 2.0 * out._grad
-        rg = x._row_grad
+    def backward(g, sinks):
+        (t,) = sinks
+        c = 2.0 * g
+        rg = t._row_grad if isinstance(t, Tensor) else None
         if rg is not None and rg.c is None and not rg.rows.size:
-            rg.c, rg.sumsq, rg.version = c, float(total), x.version
+            rg.c, rg.sumsq, rg.version = c, float(total), t.version
         else:
-            _accumulate(x, c * x.values)
+            _accumulate(t, c * xv)
 
-    return _record(tape, out, (x,), backward)
+    return _record(tape, total, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

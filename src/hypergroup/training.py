@@ -8,6 +8,7 @@ per batch, updating only parameters the batch actually touched.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
 import time
@@ -138,9 +139,21 @@ def sample_negative(
 
 
 def positives_by_entity(pairs) -> dict[int, set[int]]:
-    table: dict[int, set[int]] = {}
-    for e, v in pairs:
-        table.setdefault(e, set()).add(v)
+    """Each entity's set of positive items.
+
+    The table is built with the cyclic collector paused: its one set per
+    entity forms no cycle, yet the allocations would run the collector
+    many times over the live heap.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table: dict[int, set[int]] = {}
+        for e, v in pairs:
+            table.setdefault(e, set()).add(v)
+    finally:
+        if enabled:
+            gc.enable()
     return table
 
 

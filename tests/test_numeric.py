@@ -7,13 +7,17 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypergroup import (ModelConfig, SynthConfig, build_hypergraph, build_social_graph, generate_synthetic,
+                        initialize_params)
 from hypergroup import numeric as nm
+from hypergroup import training as ht
 from hypergroup.errors import (
     CheckpointError,
     ContractViolation,
@@ -513,7 +517,13 @@ class TestTapeContract:
         a = nm.scale(x, 2.0, tape)
         b = nm.relu(a, tape)
         c = nm.scale(b, 3.0, tape)  # feeds nothing: its step and b's are skipped
-        tape.backward(nm.mean_all(a, tape))
+        loss = nm.mean_all(a, tape)
+        # step the tape as backward does, keeping each gradient: relu's step
+        # run on no gradient would raise
+        loss.grad = np.ones(())
+        for cell, step in reversed(tape._steps):
+            if cell.grad is not None:
+                step()
         assert c.grad is None and b.grad is None
         np.testing.assert_array_equal(a.grad, np.full((2, 2), 0.25))
         np.testing.assert_array_equal(x.grad, np.full((2, 2), 0.5))
@@ -533,11 +543,46 @@ class TestTapeContract:
 
     def test_first_contribution_normalises_negative_zero(self):
         x = nm.Tensor([[-1.0, 2.0]], trainable=True)
+        x.grad = np.full((1, 2), -0.0)  # -0.0 + s is s: x reads h's gradient bits
         tape = nm.Tape()
         h = nm.scale(x, 1.0, tape)
         tape.backward(nm.mean_all(nm.mul_rows(h, [-0.0], tape), tape))
-        # -0.0 * 0.5 reaches h; added into zeros it reads +0.0
-        assert bits(h.grad).tolist() == bits(np.zeros((1, 2))).tolist()
+        # -0.0 * 0.5 reaches h; added into zeros it reads +0.0, and x gets
+        # -0.0 + 1.0 * +0.0
+        assert bits(x.grad).tolist() == bits(np.zeros((1, 2))).tolist()
+
+    def test_backward_empties_the_tape_and_keeps_only_leaf_gradients(self):
+        rng = np.random.default_rng(32)
+        table = nm.Tensor(rng.uniform(-1, 1, (5, 3)), trainable=True)
+        w = nm.Tensor(rng.uniform(-1, 1, (2, 3)), trainable=True)
+        frozen = nm.Tensor(rng.uniform(-1, 1, (4, 2)))
+        tape = nm.Tape()
+        rows = nm.gather_rows(table, [0, 2, 2, 4], tape)
+        pre = nm.linear(w, None, rows, tape)
+        h = nm.relu(pre, tape)
+        mixed = nm.add(h, frozen, tape)
+        fit = nm.mean_all(mixed, tape)
+        l2 = nm.sum_squares(w, tape)
+        loss = nm.add(fit, l2, tape)
+        tape.backward(loss)
+        assert tape._steps == []
+        assert all(out.grad is None for out in (rows, pre, h, mixed, fit, l2, loss))
+        assert table.grad is not None and w.grad is not None and frozen.grad is None
+
+    def test_grad_and_zero_grad_act_on_a_recorded_output_before_backward(self):
+        x = nm.Tensor([[1.0, -2.0]], trainable=True)
+        tape = nm.Tape()
+        h = nm.scale(x, 2.0, tape)
+        h.zero_grad()  # no gradient yet: nothing to zero
+        assert h.grad is None
+        h.grad = np.full((1, 2), 3.0)
+        h.zero_grad()
+        np.testing.assert_array_equal(h.grad, np.zeros((1, 2)))
+        h.grad += 1.0  # what the step reads
+        (cell, step), = tape._steps
+        assert cell.grad is h.grad
+        step()
+        np.testing.assert_array_equal(x.grad, np.full((1, 2), 2.0))
 
     def test_no_nan_inf_from_finite_inputs(self):
         rng = np.random.default_rng(30)
@@ -549,6 +594,69 @@ class TestTapeContract:
                 nm.bpr_pair_loss(x, nm.Tensor(rng.uniform(-50, 50, 8))),
             ):
                 assert np.all(np.isfinite(out.values))
+
+
+def traced_pass(forward):
+    """Run ``forward(tape)`` and the tape's backward under tracemalloc.
+
+    Returns the bytes still traced when ``forward`` has returned its loss
+    and the peak during backward, both above the bytes traced before.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = nm.Tape()
+        loss = forward(tape)
+        live = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return live, peak
+
+
+class TestTapeMemory:
+    MiB = 1 << 20
+
+    def test_dropped_intermediates_are_freed(self):
+        # a 16 MiB gathered block passes through ops whose rules read no
+        # input values, so only relu's 2 MiB mask outlives the forward code
+        n, d = 1 << 16, 32
+        table = nm.Tensor(np.random.default_rng(33).uniform(-1, 1, (1024, d)), trainable=True)
+        idx = np.random.default_rng(34).integers(0, 1024, n)
+
+        def forward(tape):
+            h = nm.relu(nm.scale(nm.gather_rows(table, idx, tape), 2.0, tape), tape)
+            return nm.mean_all(nm.sum_rows_stride(h, 64, tape), tape)
+
+        live, peak = traced_pass(forward)
+        block = n * d * 8
+        assert live < block // 4
+        # a step holds its output's gradient, its rule's share and the
+        # input's gradient: three blocks, and the mask
+        assert peak < 3.5 * block
+        assert table.grad is not None
+
+    def test_group_batch_memory_is_bounded(self):
+        # one 256-triple group batch, d=64, on 3,000 users keeps about
+        # 6 MiB live after forward and peaks at about 12 MiB in backward;
+        # a tape that kept every tensor would keep 23 and peak at 47
+        ds = generate_synthetic(SynthConfig(num_users=3000, num_items=1500, num_groups=1500,
+                                            num_latent_topics=20, seed=7))
+        cfg = ModelConfig(d=64)
+        params = initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng([7, 1]))
+        social, hyper = build_social_graph(ds), build_hypergraph(ds)
+        rng = np.random.default_rng(7)
+        triples = ht.build_triples(ds.group_item[:256], ht.positives_by_entity(ds.group_item),
+                                   ds.num_items, 1, rng)
+        live, peak = traced_pass(lambda tape: ht.group_batch_loss(triples, params, cfg, social, hyper,
+                                                                  1e-5, rng, tape))
+        assert live < 10 * self.MiB
+        assert peak < 20 * self.MiB
 
 
 class TestCheckpointBlob:

@@ -67,6 +67,41 @@ class TestSampleNegative:
             ht.sample_negative({0, 1, 2}, 3, 1, np.random.default_rng(0))
 
 
+class TestPositivesByEntity:
+    def test_table_equals_a_plain_build(self):
+        ds = generate_synthetic(SynthConfig(num_users=200, num_items=80, num_groups=60, seed=3))
+        for pairs in (ds.user_item, ds.group_item):
+            want = {}
+            for e, v in pairs:
+                want.setdefault(e, set()).add(v)
+            got = ht.positives_by_entity(pairs)
+            assert got == want and list(got) == list(want)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_collector_paused_and_restored(self, enabled, fails):
+        seen = []
+
+        def pairs():
+            seen.append(gc.isenabled())
+            yield 0, 1
+            if fails:
+                yield None  # cannot unpack
+            yield 0, 2
+
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if fails:
+                with pytest.raises(TypeError):
+                    ht.positives_by_entity(pairs())
+            else:
+                assert ht.positives_by_entity(pairs()) == {0: {1, 2}}
+            assert gc.isenabled() == enabled and seen == [False]
+        finally:
+            gc.enable() if was else gc.disable()
+
+
 class TestBatchLosses:
     def zeroed_world(self, **kw):
         ds, social, hyper, cfg, params = toy_world(**kw)
