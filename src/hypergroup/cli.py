@@ -4,7 +4,8 @@ Every run is reproducible from its manifest: the config JSON, the dataset
 fingerprint, and the seed fully determine the outputs, at any thread count
 on numpy's bundled OpenBLAS, which importing the package pins to one thread
 (another BLAS, or another CPU's dynamic-arch kernels, may give other bits).
-Exit codes: 0 success, 1 usage or bad configuration, 2 data problem, 3 numeric failure.
+Exit codes: 0 success, 1 usage, bad configuration or out of memory, 2 data problem,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -336,7 +337,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # a non-finite value ends the run at the finite checks of training,
+        # eval and recommend as one numeric failure, so the warnings numpy
+        # would print on the way there are silenced; no bit changes
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except MemoryError as exc:
+        print(f"hypergroup: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigError as exc:
         print(f"hypergroup: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -61,8 +61,8 @@ class ModelConfig:
     d: int = bounded(128, ge=1)
     k_ipm: int = bounded(1, ge=0)
     k_hrl: int = bounded(2, ge=0)
-    s_ipm: int = bounded(4, ge=0)
-    s_hrl: int = bounded(4, ge=0)
+    s_ipm: int = bounded(4, ge=0, le=200)
+    s_hrl: int = bounded(4, ge=0, le=200)
     mlp_hidden: tuple[int, ...] | None = bounded(None, ge=1)
     dropout: float = bounded(0.1, ge=0, lt=1)
     residual_w: float = bounded(0.5, ge=0, le=1)
@@ -88,6 +88,15 @@ def config_hash(cfg: ModelConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+# :meth:`MlpTower.item_scores` runs a tower over blocks of items that start
+# at multiples of this size, the remainder merged into the last block, so
+# no matrix product has fewer rows than this unless the whole table does.
+# Every OpenBLAS kernel family the golden digests record gives each row the
+# same bits at this size as over the whole table; a smaller size or a
+# separate tail block does not.
+SCORE_BLOCK = 1024
+
+
 @dataclass
 class MlpTower:
     """Hidden (weight, bias) layers plus a final projection vector.
@@ -110,8 +119,13 @@ class MlpTower:
         ``h1 = max(P + c, 0)`` and the remaining layers; a tower without
         hidden layers splits its output vector the same way.  Entities are
         scored one at a time, so an entity's scores do not depend on which
-        other entities a caller scores (and no temporary is larger than one
-        entity's first-layer activations).  ``np.maximum`` keeps NaN, so a
+        other entities a caller scores.  The layers after ``P`` run over
+        blocks of items that start at multiples of :data:`SCORE_BLOCK`, the
+        remainder merged into the last block, through two buffers allocated
+        per call: every product has 1,024-2,047 rows (all rows of a table
+        under two blocks), a row's bits equal those of one pass over the
+        whole table, and no temporary is larger than one block's
+        activations.  ``np.maximum`` keeps NaN, so a
         non-finite parameter or item row shows up as a non-finite score.
         Dropout is the identity at inference; the training path runs
         :func:`mlp_forward` instead, on the tape.
@@ -135,15 +149,27 @@ class MlpTower:
             self._held = None  # the old P is freed before the new one is made
             items.values.flags.writeable = first.values.flags.writeable = False
             self._held = (reads, versions, items.values @ first.values[..., d:].T)
-        h = self._held[2] + (first.values[..., :d] @ e + (self.hidden[0][1].values if self.hidden else 0.0))
+        p = self._held[2]
+        c = first.values[..., :d] @ e + (self.hidden[0][1].values if self.hidden else 0.0)
         if not self.hidden:
-            return h
-        np.maximum(h, 0.0, out=h)
-        for w, b in self.hidden[1:]:
-            h = h @ w.values.T
-            h += b.values
+            return p + c
+        n = p.shape[0]
+        scores = np.empty(n)
+        # two flat buffers that the hidden layers' block activations take
+        # turns in, as C-contiguous prefixes, each as wide as its widest layer
+        rows, widths = min(n, 2 * SCORE_BLOCK - 1), [w.shape[0] for w, _ in self.hidden]
+        bufs = [np.empty(rows * max(widths[j::2], default=0)) for j in (0, 1)]
+        starts = range(0, max(n - SCORE_BLOCK, 0) + 1, SCORE_BLOCK)
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            outs = [bufs[i % 2][:(hi - lo) * k].reshape(hi - lo, k) for i, k in enumerate(widths)]
+            h = np.add(p[lo:hi], c, out=outs[0])
             np.maximum(h, 0.0, out=h)
-        return h @ self.out.values
+            for (w, b), out in zip(self.hidden[1:], outs[1:]):
+                h = np.matmul(h, w.values.T, out=out)
+                h += b.values
+                np.maximum(h, 0.0, out=h)
+            np.matmul(h, self.out.values, out=scores[lo:hi])
+        return scores
 
 
 @dataclass
@@ -169,6 +195,11 @@ class ModelParams:
             MlpTower(hidden=list(zip(self._layers(f"{p}_w"), self._layers(f"{p}_b"))), out=t[f"{p}_out"])
             for p in ("group_mlp", "user_mlp")
         )
+
+    def drop_projections(self) -> None:
+        """Free both towers' kept item projections ``P``; the next
+        :meth:`MlpTower.item_scores` call of each computes its own anew."""
+        self.group_mlp._held = self.user_mlp._held = None
 
     def _layers(self, prefix: str) -> list[Tensor]:
         """The tensors whose names start with ``prefix``, in order."""

@@ -446,6 +446,9 @@ def train(
     # early stopping on validation NDCG@10 keeps the best epoch's values
     early_stop = cfg.early_stop_patience is not None and val_ds is not None and bool(val_ds.group_item)
     best, stale, best_values = -np.inf, 0, []
+    # the next optimizer step makes the towers' item projections stale, so
+    # they are freed rather than held through training
+    params.drop_projections()
     for number, stage in enumerate(STAGES[cfg.strategy]):
         if report.stopped_early:
             break
@@ -474,6 +477,7 @@ def train(
                 continue
             score = evaluation.evaluate(params, model_cfg, social, hyper, val_ds, cutoffs=(10,),
                                         eval_seed=cfg.seed, target="groups").metrics[10].ndcg
+            params.drop_projections()
             if score > best + 1e-12:
                 best, stale, report.best_epoch = score, 0, epoch
                 best_values = [t.values.copy() for _, t in params.trainable_tensors()]

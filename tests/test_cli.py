@@ -47,9 +47,14 @@ def data_dir(tmp_path):
     return out
 
 
-def run_train(tmp_path, data_dir, out_name="run", extra=(), run_cfg=None):
-    cfg_path = tmp_path / f"{out_name}.json"
+def write_run_cfg(tmp_path, run_cfg=None, name="run"):
+    cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(run_cfg or RUN_CFG))
+    return cfg_path
+
+
+def run_train(tmp_path, data_dir, out_name="run", extra=(), run_cfg=None):
+    cfg_path = write_run_cfg(tmp_path, run_cfg, out_name)
     out = tmp_path / out_name
     rc = cli.main(
         ["train", "--data", str(data_dir), "--config", str(cfg_path), "--out", str(out), *extra]
@@ -613,7 +618,7 @@ class TestIntegerConfigFields:
         ("train", "learning_rate", float("nan")), ("train", "l2_reg", float("inf")),
         ("split", "train_ratio", "0.8"), ("model", "normalize_overlap_weights", True),
         ("train", "seed", -1), ("split", "seed", -1), ("train", "early_stop_patience", -3),
-        ("model", "variant", "NO_USER_TASK"),
+        ("model", "variant", "NO_USER_TASK"), ("model", "s_ipm", 201), ("model", "s_hrl", 201),
     ])
     def test_run_config_exits_1(self, tmp_path, data_dir, capsys, section, name, value):
         run_cfg = dict(RUN_CFG, split={})
@@ -626,6 +631,12 @@ class TestIntegerConfigFields:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and name in err
+
+    def test_sample_size_ceiling_is_accepted(self, tmp_path, data_dir):
+        run_cfg = dict(RUN_CFG, model=dict(RUN_CFG["model"], s_ipm=200, s_hrl=200),
+                       train=dict(RUN_CFG["train"], epochs=1))
+        out = run_train(tmp_path, data_dir, run_cfg=run_cfg)
+        assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data_dir)]) == 0
 
     @pytest.mark.parametrize("section", ["model", "train", "split"])
     def test_non_object_section_exits_1(self, tmp_path, data_dir, capsys, section):
@@ -654,7 +665,7 @@ class TestIntegerConfigFields:
         ("config", "k_ipm", 1.0), ("config", "d", 8.0), ("config", "s_hrl", 2.5),
         ("config", "mlp_hidden", [8.5, 4]), ("split", "seed", 1.5),
         ("config", "residual_w", True), ("config", "normalize_overlap_weights", False),
-        ("config", "variant", "NO_USER_TASK"),
+        ("config", "variant", "NO_USER_TASK"), ("config", "s_ipm", 201), ("config", "s_hrl", 201),
     ])
     def test_checkpoint_exits_2(self, tmp_path, data_dir, capsys, block, name, value):
         out = run_train(tmp_path, data_dir)
@@ -667,6 +678,46 @@ class TestIntegerConfigFields:
         err = capsys.readouterr().err
         assert rc == 2
         assert len(err.splitlines()) == 1 and name in err
+
+
+class TestFailureLines:
+    """Failures that numpy raises or warns about still end a run in one line."""
+
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 22.4 GiB for an array with shape (300, 10000000) and data type float64"),
+        MemoryError(),
+    ])
+    def test_failed_allocation_exits_1(self, tmp_path, data_dir, capsys, monkeypatch, error):
+        def allocate(rng, shape):
+            raise error
+
+        monkeypatch.setattr(hm, "_glorot", allocate)
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--config", str(write_run_cfg(tmp_path)),
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("hypergroup: out of memory: ") and len(err.splitlines()) == 1
+        assert str(error) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_diverging_run_prints_only_its_failure(self, tmp_path):
+        # in a fresh process, where numpy's warnings reach stderr as they
+        # would for a user, on data whose loading warns of nothing (no
+        # single-member group)
+        (tmp_path / "synth.json").write_text(json.dumps(dict(SYNTH_CFG, avg_group_size=4.0)))
+        data_dir = tmp_path / "data"
+        assert cli.main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(data_dir)]) == 0
+        cfg_path = write_run_cfg(tmp_path, dict(RUN_CFG, train=dict(RUN_CFG["train"], learning_rate=1e308)))
+        path = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-m", "hypergroup.cli", "train", "--data", str(data_dir),
+                              "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 3
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("hypergroup: numeric failure: non-finite")
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigFiles:

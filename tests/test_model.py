@@ -1,7 +1,11 @@
 """Forward-model tests: straight-line oracles and variant contracts."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from hypergroup import training as ht
 from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
 from hypergroup.errors import CheckpointError, ConfigError, ContractViolation, DimensionError, load_config
 from hypergroup.graph import build_hypergraph, build_social_graph, common_members
+
+import test_cli  # the recorded OpenBLAS kernel families and blas_core
 
 
 def make_ds(num_users, num_items, memberships, social_edges=()):
@@ -67,9 +73,16 @@ class TestConfig:
     @pytest.mark.parametrize("variant,name", [("NO_HRL", "k_hrl"), ("NO_HRL", "s_hrl"), ("NO_BOTH", "k_ipm"),
                                               ("NO_IPM", "s_ipm")])
     def test_negative_depth_or_fan_out_refused_for_an_unused_encoder(self, variant, name):
+        bounds = ">= 0 and <= 200" if name.startswith("s_") else ">= 0"
         hm.ModelConfig(variant=variant, **{name: 0}).validate()
-        with pytest.raises(ConfigError, match=f"{name} must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match=f"{name} must be {bounds}, got -1"):
             hm.ModelConfig(variant=variant, **{name: -1}).validate()
+
+    @pytest.mark.parametrize("name", ["s_ipm", "s_hrl"])
+    def test_sample_size_has_a_ceiling(self, name):
+        hm.ModelConfig(**{name: 200}).validate()
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0 and <= 200, got 201"):
+            hm.ModelConfig(**{name: 201}).validate()
 
     def test_hash_stable_and_sensitive(self):
         a = hm.ModelConfig(d=8)
@@ -413,6 +426,91 @@ class TestItemScorer:
             params.group_mlp.item_scores(np.ones(3), nm.Tensor(np.ones((6, 3))))
 
 
+def whole_table_scores(tower, e, items):
+    """``MlpTower.item_scores`` as one pass over the whole item table, the
+    reference the blocked scores must equal bit for bit."""
+    first, d = (tower.hidden[0][0] if tower.hidden else tower.out), items.shape[1]
+    h = items.values @ first.values[..., d:].T + (first.values[..., :d] @ e
+                                                 + (tower.hidden[0][1].values if tower.hidden else 0.0))
+    if not tower.hidden:
+        return h
+    np.maximum(h, 0.0, out=h)
+    for w, b in tower.hidden[1:]:
+        h = h @ w.values.T
+        h += b.values
+        np.maximum(h, 0.0, out=h)
+    return h @ tower.out.values
+
+
+def blocked_score_mismatches():
+    """The (hidden, items, tower) cases whose blocked scores differ from the
+    whole-table reference in any bit."""
+    bad = []
+    for hidden in (None, (4,), (), (64, 32, 16)):
+        for n in (1, 1023, 1024, 2047, 2048, 2049, 3071, 10000):
+            cfg = hm.ModelConfig(d=16, mlp_hidden=hidden)
+            rng = np.random.default_rng(n)
+            params = hm.initialize_params(cfg, 2, n, rng)
+            for name, tower in (("group", params.group_mlp), ("user", params.user_mlp)):
+                for _, b in tower.hidden:  # biases start at zero; make them count
+                    b.values[...] = rng.normal(0.0, 0.1, b.shape)
+                e = rng.normal(size=cfg.d)
+                got = tower.item_scores(e, params.item_embeddings)
+                want = whole_table_scores(tower, e, params.item_embeddings)
+                if got.tobytes() != want.tobytes():
+                    bad.append((hidden, n, name))
+    return bad
+
+
+# the blocked-score check in a fresh process, so OPENBLAS_CORETYPE picks its
+# kernel; prints the kernel read back and the mismatching cases
+BLOCKED_RUN = """
+from test_cli import blas_core
+from test_model import blocked_score_mismatches
+print(blas_core(), blocked_score_mismatches())
+"""
+
+
+class TestBlockedScores:
+    """``item_scores`` runs the tower over blocks of ``SCORE_BLOCK`` items
+    aligned to multiples of it, the tail merged into the last block, and
+    gives each item the bits one pass over the whole table gives it: with a
+    block boundary at 1,024 and 2,048, a last block of 1,023-2,047 items
+    and whole tables below two blocks.  ``TestGoldenOutputs`` scores 60
+    items, one block, so it does not guard this."""
+
+    def test_block_size_is_the_checked_one(self):
+        assert hm.SCORE_BLOCK == 1024
+
+    def test_blocked_scores_equal_whole_table_scores(self):
+        assert blocked_score_mismatches() == []
+
+    @pytest.mark.parametrize("hidden", [None, (64, 32, 16)])
+    def test_nan_item_in_a_later_block_stays_at_its_item(self, hidden):
+        cfg = hm.ModelConfig(d=16, mlp_hidden=hidden)
+        params = hm.initialize_params(cfg, 2, 3071, np.random.default_rng(8))
+        params.item_embeddings.values[2500, 3] = np.nan
+        e = np.random.default_rng(9).normal(size=cfg.d)
+        with np.errstate(invalid="ignore"):
+            want = whole_table_scores(params.group_mlp, e, params.item_embeddings)
+        got = params.group_mlp.item_scores(e, params.item_embeddings)
+        assert np.isnan(got[2500]) and np.all(np.isfinite(np.delete(got, 2500)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", list(test_cli.TestGoldenDigest.DIGESTS))
+    def test_each_recorded_kernel_gives_whole_table_bits(self, kernel):
+        path = (str(Path(hm.__file__).resolve().parents[1]), str(Path(__file__).parent),
+                os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "OPENBLAS_CORETYPE": kernel}
+        out = subprocess.run([sys.executable, "-c", BLOCKED_RUN], env=env, capture_output=True, text=True,
+                             check=True, timeout=300)
+        core, mismatches = out.stdout.splitlines()[-1].split(" ", 1)
+        families = list(test_cli.TestGoldenDigest.DIGESTS)
+        if families.index(kernel) <= families.index(test_cli.blas_core()):
+            assert core == kernel
+        assert mismatches == "[]", f"OpenBLAS kernel {core} changed the bits of {mismatches}"
+
+
 def held_world(seed=3):
     ds = generate_synthetic(SynthConfig(num_users=20, num_items=15, num_groups=10, avg_group_size=3.0,
                                         num_latent_topics=2, interactions_per_user=4.0,
@@ -534,6 +632,22 @@ class TestHeldScorer:
         first, last = seen
         assert first.tobytes() != last.tobytes()  # training moved the held P
         assert self.scores_match_fresh(params, cfg).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("patience", [None, 1])
+    def test_training_frees_the_projections_it_makes_stale(self, patience):
+        ds, social, hyper, cfg, params = held_world()
+        _, _, _, _, other = held_world()
+        for p in (params, other):
+            he.evaluate(p, cfg, social, hyper, ds, cutoffs=(5,))
+            he.evaluate(p, cfg, social, hyper, ds, cutoffs=(5,), target="users")
+        kept = other.group_mlp._held, other.user_mlp._held
+        tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=16, epochs=2, strategy="JOINT", seed=1,
+                              early_stop_patience=patience)
+        ht.train(ds, social, hyper, params, cfg, tcfg, val_ds=ds)
+        assert params.group_mlp._held is None and params.user_mlp._held is None
+        assert other.group_mlp._held is kept[0] and other.user_mlp._held is kept[1]
+        for tower in (params.group_mlp, params.user_mlp):
+            self.scores_match_fresh(params, cfg, tower)
 
     @pytest.mark.parametrize("hidden", [None, ()])
     def test_scores_are_a_new_array_each_call(self, hidden):
