@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -330,18 +331,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Held(logging.Handler):
+    """Keeps the records it is handed, to pass on once a command succeeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record) -> None:
+        self.records.append(record)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # the package's log records (a loader's warnings) are held while the
+    # command runs: a failure prints its one line alone, and a success hands
+    # them on as they would have gone (to stderr, unless logging is set up)
+    logger, held = logging.getLogger("hypergroup"), _Held()
+    handlers, propagate = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [held], False
     try:
         # a non-finite value ends the run at the finite checks of training,
         # eval and recommend as one numeric failure, so the warnings numpy
         # would print on the way there are silenced; no bit changes
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            code = args.func(args)
     except MemoryError as exc:
         print(f"hypergroup: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
@@ -354,6 +372,11 @@ def main(argv=None) -> int:
     except (NumericError, DimensionError, ContractViolation) as exc:
         print(f"hypergroup: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        logger.handlers, logger.propagate = handlers, propagate
+    for record in held.records:
+        logging.getLogger(record.name).handle(record)
+    return code
 
 
 if __name__ == "__main__":

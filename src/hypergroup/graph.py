@@ -8,11 +8,12 @@ when they share at least one member.  The hypergraph is three CSR
 structures and nothing more: the group -> members incidence, the user ->
 groups inverted index, and the hyperedge adjacency, which holds neighbor
 ids only.  Neither the shared-member sets nor their sizes (the overlap
-weights) are stored; :func:`common_members` computes the sets on demand
-from the two member lists of each group pair a forward pass actually
-sampled, and a weight is the size of its set.  The hyperedge encoder asks
-a group graph three things, ``degrees``, ``neighbor_ids`` and
-``members_of``, which :class:`TransientHypergraphView` answers too.
+weights) are stored; :func:`shared_members` computes the sets on demand,
+for the group pairs a forward pass actually sampled, from the one member
+listing of the groups the pass reaches, and a weight is the size of its
+set.  The hyperedge encoder asks a group graph three things,
+``degrees``, ``neighbor_ids`` and ``members_of``, which
+:class:`TransientHypergraphView` answers too.
 
 Both encoders sample a fixed number of neighbors per node, in the style of
 GraphSAGE.  :func:`sample_neighbors` draws them for every node of one
@@ -283,20 +284,37 @@ def _symmetric_csr(a, b, num_rows):
 def common_members(hyper, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Members shared by each group pair ``(a[k], b[k])``, as ``(users, pairs)``.
 
-    ``users[j]`` is shared by pair ``pairs[j]``; users ascend within a pair.
-    ``hyper`` is a :class:`Hypergraph` or anything with its ``members_of``.
-    Both member lists are keyed ``pair * span + user``; ``b``'s keys are
-    sorted (a view may list a pair's members out of order) and each member
-    of ``a`` whose key they hold is kept.
+    ``users[j]`` is shared by pair ``pairs[j]``; users ascend within a pair
+    and pairs ascend.  ``hyper`` is a :class:`Hypergraph` or anything with
+    its ``members_of``, which lists the groups of both arrays once for
+    :func:`shared_members`.
     """
-    users, rows = hyper.members_of(a)
-    b_users, b_rows = hyper.members_of(b)
-    span = int(max(users.max(initial=-1), b_users.max(initial=-1))) + 1
-    keys, b_keys = rows * span + users, np.sort(b_rows * span + b_users)
-    pos = np.searchsorted(b_keys, keys)
-    keep = pos < b_keys.size
-    keep[keep] = b_keys[pos[keep]] == keys[keep]
-    return users[keep], rows[keep]
+    groups = unique_ids(a, b)
+    users, rows = hyper.members_of(groups)
+    return shared_members(users, rows, np.searchsorted(groups, a), np.searchsorted(groups, b))
+
+
+def shared_members(users: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """:func:`common_members` of the listed groups ``(a[k], b[k])``.
+
+    ``(users, rows)`` is one ``members_of`` listing, and ``a`` and ``b``
+    index the groups it lists.  The listing is keyed ``row * span + user``
+    and sorted (a view may list its rows out of order); each pair takes its
+    ``a`` group's members and keeps those whose key under ``b`` is there.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    span = int(users.max(initial=-1)) + 1
+    keys = np.sort(rows * span + users)
+    listed_rows, listed_users = np.divmod(keys, span)
+    indptr = _indptr(listed_rows, int(max(a.max(initial=-1), rows.max(initial=-1))) + 1)
+    sizes = indptr[a + 1] - indptr[a]
+    found = listed_users[_ranges(indptr[a], sizes)]
+    pairs = np.repeat(np.arange(a.size), sizes)
+    wanted = b[pairs] * span + found
+    pos = np.searchsorted(keys, wanted)
+    keep = pos < keys.size
+    keep[keep] = keys[pos[keep]] == wanted[keep]
+    return found[keep], pairs[keep]
 
 
 def sample_neighbors(degrees: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,8 +30,8 @@ from .graph import (
     Hypergraph,
     SocialGraph,
     TransientHypergraphView,
-    common_members,
     sample_neighbors,
+    shared_members,
     unique_ids,
 )
 from .numeric import Tape, Tensor
@@ -363,10 +363,9 @@ class ForwardPass:
             needed[i - 1] = unique_ids(needed[i], nbrs[i])
         return needed, nbrs, live
 
-    def _encode(self, w: Tensor, own: Tensor, agg: Tensor) -> Tensor:
-        """One encoder layer: ``l2_normalize(relu(w [own ‖ agg]))``."""
-        pre = nm.linear(w, None, nm.concat(own, agg, self.tape), self.tape)
-        return nm.l2_normalize(nm.relu(pre, self.tape), self.tape)
+    def _encode(self, w: Tensor, x: Tensor) -> Tensor:
+        """One encoder layer: ``l2_normalize(relu(w x))`` of ``x = [own ‖ agg]``."""
+        return nm.l2_normalize(nm.relu(nm.linear(w, None, x, self.tape), self.tape), self.tape)
 
     # -- users ------------------------------------------------------------
 
@@ -386,9 +385,8 @@ class ForwardPass:
             if i > 1:
                 own_ids = np.searchsorted(needed[i - 1], own_ids)
                 nbr_ids = np.searchsorted(needed[i - 1], nbr_ids)
-            own = nm.gather_rows(h, own_ids, tape)
-            nbr_mean = nm.mean_rows_stride(nm.gather_rows(h, nbr_ids, tape), S, tape)
-            h = self._encode(params.ipm_layers[i - 1], own, nbr_mean)
+            x = nm.concat(nm.gather_rows(h, own_ids, tape), nm.gather_mean_rows(h, nbr_ids, S, tape), tape)
+            h = self._encode(params.ipm_layers[i - 1], x)
         return h
 
     def _member_rows(self, users: np.ndarray) -> Tensor:
@@ -422,14 +420,15 @@ class ForwardPass:
 
     # -- groups -----------------------------------------------------------
 
-    def _member_average(self, groups: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Mean member embedding per group, with the member rows it averaged
-        and their sorted user ids."""
-        members, rows = self.hyper.members_of(groups)
+    def _member_average(self, members: np.ndarray, rows: np.ndarray,
+                        num_groups: int) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Mean member embedding of each of ``num_groups`` groups listed as
+        ``members_of`` lists them, with the member rows it averaged and
+        their sorted user ids."""
         users = unique_ids(members)
         member_rows = self._member_rows(users)
-        gathered = nm.gather_rows(member_rows, np.searchsorted(users, members), self.tape)
-        return nm.segment_mean(gathered, rows, len(groups), self.tape), member_rows, users
+        mean = nm.gather_segment_mean(member_rows, np.searchsorted(users, members), rows, num_groups, self.tape)
+        return mean, member_rows, users
 
     def _hrl_forward(self, groups: np.ndarray) -> tuple[Tensor, Tensor]:
         """Hyperedge embeddings for sorted unique ``groups``.
@@ -443,21 +442,25 @@ class ForwardPass:
         base_groups = needed[0]
 
         # every live sampled pair once, as a (low id, high id) key; a
-        # pair's overlap weight is the number of members it shares
+        # pair's overlap weight is the number of members it shares.  Both
+        # ends of every pair lie in base_groups, so one listing of their
+        # members serves the common members and the member average
         span = int(base_groups[-1]) + 1
         keys = {i: np.minimum(needed[i][:, None], nbrs[i]) * span + np.maximum(needed[i][:, None], nbrs[i])
                 for i in range(1, K + 1)}
         pairs = unique_ids(*[keys[i][live[i]] for i in keys])
-        common, pair_rows = common_members(hyper, pairs // span, pairs % span)
+        members, rows = hyper.members_of(base_groups)
+        common, pair_rows = shared_members(members, rows, np.searchsorted(base_groups, pairs // span),
+                                           np.searchsorted(base_groups, pairs % span))
         overlap = np.bincount(pair_rows, minlength=pairs.size)
 
-        # both ends of every pair lie in base_groups, so their members cover common
-        x0, member_rows, users = self._member_average(base_groups)
+        x0, member_rows, users = self._member_average(members, rows, base_groups.size)
         if pairs.size:
-            shared = nm.gather_rows(member_rows, np.searchsorted(users, common), tape)
-            l_rows = nm.segment_mean(shared, pair_rows, pairs.size, tape)
+            l_rows = nm.gather_segment_mean(member_rows, np.searchsorted(users, common), pair_rows,
+                                            pairs.size, tape)
         else:
             l_rows = Tensor(np.zeros((1, cfg.d)))
+        del member_rows
 
         m = x0
         for i in range(1, K + 1):
@@ -468,10 +471,11 @@ class ForwardPass:
             w[live[i]] = overlap[l_idx[live[i]]]
             msg = nm.add(nm.gather_rows(m, np.searchsorted(prev, nbrs[i].ravel()), tape),
                          nm.gather_rows(l_rows, l_idx.ravel(), tape), tape)
-            msg = nm.mul_rows(msg, w.ravel(), tape)
-            agg = nm.sum_rows_stride(msg, S, tape)
-            own = nm.gather_rows(m, np.searchsorted(prev, needed[i]), tape)
-            m = self._encode(params.hrl_layers[i - 1], own, agg)
+            agg = nm.sum_rows_stride(nm.mul_rows(msg, w.ravel(), tape), S, tape)
+            del msg
+            x = nm.concat(nm.gather_rows(m, np.searchsorted(prev, needed[i]), tape), agg, tape)
+            del agg
+            m = self._encode(params.hrl_layers[i - 1], x)
         return self._align(x0, base_groups, groups), m
 
     def hrl_vectors(self, groups) -> tuple[Tensor, Tensor]:
@@ -490,7 +494,7 @@ class ForwardPass:
         groups = _ids(groups)
         uniq = unique_ids(groups)
         if not uses_hrl(self.cfg.variant):
-            emb = self._member_average(uniq)[0]
+            emb = self._member_average(*self.hyper.members_of(uniq), uniq.size)[0]
         else:
             x, z = self._hrl_forward(uniq)
             w = self.cfg.residual_w

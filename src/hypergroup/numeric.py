@@ -5,8 +5,8 @@ operation is a forward value, computed eagerly on numpy arrays, plus one
 gradient rule per input: rule k maps the output's gradient to input k's
 share.  With a :class:`Tape`, the operation records one backward step
 that adds the shares, in input order, into the inputs that need
-gradients (:func:`gather_rows` instead scatter-adds into its input's
-buffer).  Replaying the steps in reverse order of recording is a valid
+gradients (a row gather instead scatter-adds into its input's buffer).
+Replaying the steps in reverse order of recording is a valid
 reverse topological traversal because the forward pass builds the graph
 sequentially.
 
@@ -18,10 +18,12 @@ any other shape.
 Exact-order contract: a fast kernel may replace a plain numpy expression
 only if it performs the same float operations in the same order, so
 results match bit for bit and a config plus seed keeps reproducing the
-same checkpoints.  :func:`scatter_add`, which accumulates ``gather_rows``
-gradients and ``segment_mean`` sums, adds each target row's entries one
-at a time in index order, exactly as ``np.add.at`` does; a sort-then-sum
-or ``np.add.reduceat`` would reassociate the sums and is not allowed.
+same checkpoints.  :func:`scatter_add`, which accumulates row-gather
+gradients and the sums of the gather-fused reductions, adds each target
+row's entries one at a time in index order, exactly as ``np.add.at``
+does; a sort-then-sum or ``np.add.reduceat`` would reassociate the sums
+and is not allowed.  With a ``take`` index it reads entry k's row as
+``vals[take[k]]``, so an entry list that repeats rows is never built.
 Strictly ascending indices take one fancy-indexed add, and the rest pay
 one stable argsort, unless ``np.add.at`` alone is cheaper.  A heavy row,
 one with at least ``_TAIL_MIN_RUN`` entries past the levels that
@@ -31,10 +33,18 @@ time.  Rows of one element take an accumulate instead, since numpy sums
 a single column pairwise.  :func:`sum_squares` walks the top of numpy's
 own pairwise-summation tree and leaves each cache-sized leaf to numpy.
 
+Gather-fused reductions.  :func:`gather_segment_mean` and
+:func:`gather_mean_rows` average rows of ``x[idx]`` without building
+``x[idx]``: the forward pass reads rows through ``idx``, and the backward
+pass scatter-adds ``0.0 + g/count`` through ``idx`` with ``take``.  These
+are the bits of :func:`gather_rows` followed by a segment mean (by
+``np.add.at``) or by numpy's mean over runs, so neither the gathered
+block nor its gradient cell exists.
+
 Gradients exist on demand.  A trainable leaf gets a zero gradient when a
 recorded operation reads it, so the optimizer steps every touched
 parameter, zero gradient included.  The leaf holds it as row sums while
-only :func:`gather_rows` feeds it, after at most one :func:`sum_squares`
+only row gathers feed it, after at most one :func:`sum_squares`
 (the l2 term, whose backward step runs first): that step keeps its
 factor ``c = 2*g`` in place of
 the table-sized ``c*x``, a row new to the sums is seeded with
@@ -49,9 +59,11 @@ its gradient in a small cell, and a backward step references that cell,
 the cells and trainable leaves it feeds, and the arrays its rules read
 (``linear``'s inputs, ``l2_normalize``'s output, masks, indices), never a
 tensor; so an intermediate is freed as soon as the forward code drops
-it.  A cell gets a gradient from its first contribution, ``0.0 + g`` in
-a new array: the bits of adding ``g`` into zeros.  A backward step whose
-output received no gradient is skipped.  Each step leaves the tape as it
+it.  A cell's first contribution ``s`` becomes ``0.0 + s``, the bits of
+adding ``s`` into zeros: in place when a rule returned ``s`` as a new
+C-contiguous array of the cell's shape, else in a new array (when ``s``
+is the step's own output gradient, a view of it, or a broadcast).  A
+backward step whose output received no gradient is skipped.  Each step leaves the tape as it
 runs and then frees its output's gradient, so after backward the tape is
 empty, only trainable leaves hold gradients, and a recorded output's
 ``grad`` reads None, as a non-leaf tensor's does in PyTorch.
@@ -267,8 +279,9 @@ class _RowGrad:
             out += 0.0
         return out
 
-    def add(self, x: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
-        """Scatter-add ``g`` at rows ``idx`` of ``x`` (range-checked)."""
+    def add(self, x: np.ndarray, idx: np.ndarray, g: np.ndarray, take=None) -> None:
+        """Scatter-add ``g`` (or ``g[take]``) at rows ``idx`` of ``x``
+        (range-checked), as :func:`scatter_add` does."""
         idx = idx.reshape(-1)
         if not idx.size:
             return
@@ -284,7 +297,7 @@ class _RowGrad:
                 order = np.argsort(rows)
                 new, sums = rows[order], np.concatenate([self.sums, sums])[order]
             self.rows, self.sums = new, sums
-        scatter_add(self.sums, np.searchsorted(self.rows, idx), g)
+        scatter_add(self.sums, np.searchsorted(self.rows, idx), g, take)
 
     def block(self, x: np.ndarray, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
         """The gradient of rows ``r0:r1`` of C-contiguous ``x``, flat in the
@@ -393,18 +406,22 @@ def _record(tape: Tape | None, values, inputs: Sequence[Tensor], backward) -> Te
     return out
 
 
-def _accumulate(sink, g) -> None:
-    """``sink.grad += g`` for a tensor or cell; the first contribution is
-    written as ``0.0 + g`` into a new array of ``sink``'s shape, the same
-    bits as adding ``g`` into zeros (``-0.0`` becomes ``+0.0``, a broadcast
-    ``g`` fills the shape).  Reading a leaf's ``grad`` makes a row
-    gradient dense first.
+def _accumulate(sink, share, g=None) -> None:
+    """``sink.grad += share`` for a tensor or cell.  The first contribution
+    becomes ``0.0 + share``, the same bits as adding ``share`` into zeros
+    (``-0.0`` becomes ``+0.0``, a broadcast ``share`` fills the shape): in
+    place when ``share`` is a new C-contiguous array of ``sink``'s shape
+    that owns its data and is not the output gradient ``g``, else in a new
+    array.  Reading a leaf's ``grad`` makes a row gradient dense first.
     """
     grad = sink.grad
-    if grad is None:
-        sink.grad = np.add(0.0, g, out=np.empty(sink.shape))
+    if grad is not None:
+        grad += share
+    elif (type(share) is np.ndarray and share is not g and share.base is None and share.shape == sink.shape
+          and share.dtype == np.float64 and share.flags.c_contiguous):
+        sink.grad = np.add(0.0, share, out=share)
     else:
-        grad += g
+        sink.grad = np.add(0.0, share, out=np.empty(sink.shape))
 
 
 def _op(tape: Tape | None, values, inputs: Sequence[Tensor], rules) -> Tensor:
@@ -414,7 +431,7 @@ def _op(tape: Tape | None, values, inputs: Sequence[Tensor], rules) -> Tensor:
     def backward(g, sinks):
         for sink, rule in zip(sinks, rules):
             if sink is not None:
-                _accumulate(sink, rule(g))
+                _accumulate(sink, rule(g), g)
 
     return _record(tape, values, inputs, backward)
 
@@ -472,8 +489,10 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys.astype(np.uint16) if bound <= 1 << 16 else keys, kind="stable")
 
 
-def scatter_add(target: np.ndarray, idx, vals) -> None:
-    """``target[idx[k]] += vals[k]`` for every k, bitwise equal to ``np.add.at``.
+def scatter_add(target: np.ndarray, idx, vals, take=None) -> None:
+    """``target[idx[k]] += vals[k]`` for every k, bitwise equal to ``np.add.at``;
+    with ``take``, entry k adds ``vals[take[k]]``, never building ``vals[take]``
+    whole.
 
     ``np.add.at`` adds the entries of one row one at a time in index
     order, ``((t + v1) + v2) + ...``; float addition is not associative,
@@ -496,15 +515,25 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     through one ``np.add.at``, which adds each row's entries in index
     order too.  With no level and no row that heavy, one ``np.add.at``
     takes every entry, unsorted.
-    ``idx`` may have any shape; ``vals`` holds one row per index.
-    Negative indices wrap as in numpy; out-of-range ones raise IndexError.
+    ``idx`` may have any shape; ``vals`` holds one row per index, or with
+    ``take`` (as many entries as ``idx``) the rows it names.  Negative
+    indices wrap as in numpy; out-of-range ones raise IndexError.
     """
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     n = idx.size
-    vals = np.asarray(vals).reshape((n,) + target.shape[1:])
+    if take is None:
+        vals = np.asarray(vals).reshape((n,) + target.shape[1:])
+    else:
+        vals = np.asarray(vals).reshape((-1,) + target.shape[1:])
+        take = np.asarray(take, dtype=np.int64).reshape(-1)
+
+    def rows(at):
+        """The rows of entries ``at``, in a new array."""
+        return vals[at] if take is None else vals[take[at]]
+
     size = target.shape[0]
     if n < SCATTER_MIN_ROWS:
-        np.add.at(target, idx, vals)
+        np.add.at(target, idx, vals if take is None else vals[take])
         return
     lo, hi = int(idx.min()), int(idx.max())
     if lo < -size or hi >= size:
@@ -513,7 +542,7 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     if lo < 0:
         idx = np.where(idx < 0, idx + size, idx)
     if np.diff(idx).min() > 0:
-        target[idx] += vals
+        target[idx] += vals if take is None else vals[take]
         return
     # each run: its row, its entry count and where it starts in sorted order
     counts = np.bincount(idx)
@@ -525,7 +554,7 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     levels = level_sizes[level_sizes >= SCATTER_MIN_ROWS].tolist()
     longest = int(lens.max())
     if not levels and longest < _TAIL_MIN_RUN:
-        np.add.at(target, idx, vals)
+        np.add.at(target, idx, vals if take is None else vals[take])
         return
     order = _stable_argsort(idx, size)
     by_len = _stable_argsort(longest - lens, longest)
@@ -539,7 +568,7 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
     buf = target[dst]
     done = 0
     for count in levels:
-        buf[:count] += vals[src[done:done + count]]
+        buf[:count] += rows(src[done:done + count])
         done += count
     if done < n:
         # the tail: fewer than SCATTER_MIN_ROWS runs have entries left
@@ -552,10 +581,10 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
             # column pairwise; accumulate is sequential at any width.  The
             # reduce starts from -0.0, which changes no sum, so a column of
             # -0.0 stays -0.0 (from add's identity +0.0 it would not)
-            wide = vals[0].size > 1
+            wide = target[0].size > 1
             for r in heavy.tolist():
                 at = first[r] + len(levels)
-                acc = vals[order[at:at + rest[r]]]
+                acc = rows(order[at:at + rest[r]])
                 acc[0] = buf[r] + acc[0]
                 if wide:
                     buf[r] = np.add.reduce(acc, axis=0, initial=-0.0)
@@ -563,7 +592,7 @@ def scatter_add(target: np.ndarray, idx, vals) -> None:
                     buf[r] = np.add.accumulate(acc, axis=0, out=acc)[-1]
             short = rest[tail_run] < _TAIL_MIN_RUN
             tail_run, tail_src = tail_run[short], tail_src[short]
-        np.add.at(buf, tail_run, vals[tail_src])
+        np.add.at(buf, tail_run, rows(tail_src))
     target[dst] = buf
 
 
@@ -595,6 +624,17 @@ def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     return _op(tape, c * x.values, (x,), (lambda g: c * g,))
 
 
+def _scatter_rows(sink, idx: np.ndarray, vals: np.ndarray, take=None) -> None:
+    """Scatter-add ``vals`` (or ``vals[take]``) at rows ``idx`` of a sink's
+    gradient, or into its row sums while it holds them."""
+    if isinstance(sink, Tensor) and sink._row_grad is not None:
+        sink._row_grad.add(sink.values, idx, vals, take)
+        return
+    if sink.grad is None:
+        sink.grad = np.zeros(sink.shape)
+    scatter_add(sink.grad, idx, vals, take)
+
+
 def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
     """Select rows ``x[idx]``; the backward pass scatter-adds into ``x``'s
     gradient, or into its row sums while it holds them.
@@ -602,27 +642,41 @@ def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
     Repeated indices accumulate, which is what embedding lookups need.
     """
     idx = np.asarray(idx, dtype=np.int64)
+    return _record(tape, x.values[idx], (x,), lambda g, sinks: _scatter_rows(sinks[0], idx, g))
+
+
+def gather_mean_rows(x: Tensor, idx, stride: int, tape: Tape | None = None) -> Tensor:
+    """Average each consecutive run of ``stride`` rows of ``x[idx]``:
+    ``x[idx].reshape(B, stride, d).mean(axis=1)`` bit for bit, without the
+    gathered ``[B*stride, d]`` block.
+
+    numpy's mean adds the ``stride`` slices into zeros in order and divides
+    by ``stride``, and so does this, one slice of ``B`` rows at a time; a
+    single column numpy sums pairwise, so it is gathered and averaged as
+    numpy does.  The backward pass scatter-adds ``0.0 + g/stride``, the
+    gradient the gathered block would have received, through ``idx`` into
+    ``x``'s gradient, each run's row read once per entry.
+    """
+    xv = x.values
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    if xv.ndim != 2 or stride < 1 or idx.size % stride != 0:
+        raise DimensionError(f"gather_mean_rows: {idx.size} rows of {xv.shape} not divisible by {stride}")
+    groups = idx.size // stride
+    if xv.shape[1] == 1:
+        mean = xv[idx].reshape(groups, stride, 1).mean(axis=1)
+    else:
+        runs = idx.reshape(groups, stride)
+        mean = np.zeros((groups, xv.shape[1]))
+        for j in range(stride):
+            mean += xv[runs[:, j]]
+        mean /= stride
 
     def backward(g, sinks):
-        (t,) = sinks
-        if isinstance(t, Tensor) and t._row_grad is not None:
-            t._row_grad.add(t.values, idx, g)
-            return
-        if t.grad is None:
-            t.grad = np.zeros(t.shape)
-        scatter_add(t.grad, idx, g)
+        share = g / stride
+        share += 0.0
+        _scatter_rows(sinks[0], idx, share, np.arange(idx.size) // stride)
 
-    return _record(tape, x.values[idx], (x,), backward)
-
-
-def mean_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
-    """Average each consecutive run of ``stride`` rows: ``[B*S, d] -> [B, d]``."""
-    xv = x.values
-    if xv.ndim != 2 or xv.shape[0] % stride != 0:
-        raise DimensionError(f"mean_rows_stride: shape {xv.shape} not divisible by {stride}")
-    groups = xv.shape[0] // stride
-    return _op(tape, xv.reshape(groups, stride, xv.shape[1]).mean(axis=1), (x,),
-               (lambda g: np.repeat(g, stride, axis=0) / stride,))
+    return _record(tape, mean, (x,), backward)
 
 
 def sum_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
@@ -635,18 +689,34 @@ def sum_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
                (lambda g: np.repeat(g, stride, axis=0),))
 
 
-def segment_mean(x: Tensor, segment_ids, num_segments: int, tape: Tape | None = None) -> Tensor:
-    """Mean of rows per segment id; every segment must receive >= 1 row."""
+def gather_segment_mean(x: Tensor, idx, segment_ids, num_segments: int, tape: Tape | None = None) -> Tensor:
+    """Mean of the rows ``x[idx]`` per segment id, without the gathered
+    block; every segment must receive >= 1 row.
+
+    The forward pass scatter-adds each ``x[idx[k]]`` into segment
+    ``segment_ids[k]`` of a zero buffer, in ``scatter_add``'s order, and
+    divides by the counts.  The backward pass scatter-adds ``0.0 +
+    g/count``, the gradient the gathered block would have received, through
+    ``idx`` into ``x``'s gradient.
+    """
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     seg = np.asarray(segment_ids, dtype=np.int64)
     xv = x.values
-    if xv.ndim != 2 or seg.shape != (xv.shape[0],):
-        raise DimensionError("segment_mean: ids must map one per row of a 2-D input")
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
+    if xv.ndim != 2 or seg.shape != idx.shape:
+        raise DimensionError("gather_segment_mean: ids must map one per gathered row of a 2-D input")
+    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)[:, None]
     if np.any(counts == 0):
-        raise ContractViolation("segment_mean: every segment needs at least one row")
+        raise ContractViolation("gather_segment_mean: every segment needs at least one row")
     acc = np.zeros((num_segments, xv.shape[1]))
-    scatter_add(acc, seg, xv)
-    return _op(tape, acc / counts[:, None], (x,), (lambda g: (g / counts[:, None])[seg],))
+    scatter_add(acc, seg, xv, idx)
+    acc /= counts
+
+    def backward(g, sinks):
+        share = g / counts
+        share += 0.0
+        _scatter_rows(sinks[0], idx, share, seg)
+
+    return _record(tape, acc, (x,), backward)
 
 
 def mul_rows(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
@@ -794,7 +864,7 @@ def sum_squares(x: Tensor, tape: Tape | None = None) -> Tensor:
         if rg is not None and rg.c is None and not rg.rows.size:
             rg.c, rg.sumsq, rg.version = c, float(total), t.version
         else:
-            _accumulate(t, c * xv)
+            _accumulate(t, c * xv, g)
 
     return _record(tape, total, (x,), backward)
 

@@ -701,23 +701,44 @@ class TestFailureLines:
         assert str(error) in err
         assert not (tmp_path / "run").exists()
 
-    def test_diverging_run_prints_only_its_failure(self, tmp_path):
-        # in a fresh process, where numpy's warnings reach stderr as they
-        # would for a user, on data whose loading warns of nothing (no
-        # single-member group)
-        (tmp_path / "synth.json").write_text(json.dumps(dict(SYNTH_CFG, avg_group_size=4.0)))
+    @staticmethod
+    def train_in_a_fresh_process(tmp_path, synth_cfg, learning_rate):
+        """``train`` in a fresh process, where numpy's warnings and the
+        package's log records reach stderr as they would for a user."""
+        (tmp_path / "synth.json").write_text(json.dumps(synth_cfg))
         data_dir = tmp_path / "data"
         assert cli.main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(data_dir)]) == 0
-        cfg_path = write_run_cfg(tmp_path, dict(RUN_CFG, train=dict(RUN_CFG["train"], learning_rate=1e308)))
+        cfg_path = write_run_cfg(tmp_path, dict(RUN_CFG, train=dict(RUN_CFG["train"], learning_rate=learning_rate)))
         path = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        out = subprocess.run([sys.executable, "-m", "hypergroup.cli", "train", "--data", str(data_dir),
-                              "--config", str(cfg_path), "--out", str(tmp_path / "run")],
-                             env=env, capture_output=True, text=True, timeout=300)
+        return subprocess.run([sys.executable, "-m", "hypergroup.cli", "train", "--data", str(data_dir),
+                               "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    # groups of 1.2 members on average: the loader warns of single-member groups
+    SINGLES = dict(SYNTH_CFG, avg_group_size=1.2)
+
+    def test_diverging_run_prints_only_its_failure(self, tmp_path):
+        # on data whose loading warns of nothing (no single-member group)
+        out = self.train_in_a_fresh_process(tmp_path, dict(SYNTH_CFG, avg_group_size=4.0), 1e308)
         assert out.returncode == 3
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("hypergroup: numeric failure: non-finite")
         assert not (tmp_path / "run").exists()
+
+    def test_diverging_run_on_single_member_groups_prints_only_its_failure(self, tmp_path):
+        out = self.train_in_a_fresh_process(tmp_path, self.SINGLES, 1e308)
+        assert out.returncode == 3
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("hypergroup: numeric failure: non-finite")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_successful_run_still_warns_of_single_member_groups_once(self, tmp_path):
+        out = self.train_in_a_fresh_process(tmp_path, self.SINGLES, RUN_CFG["train"]["learning_rate"])
+        assert out.returncode == 0
+        (line,) = out.stderr.splitlines()
+        assert re.fullmatch(r"[1-9]\d* group\(s\) have a single member", line)
+        assert (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 class TestConfigFiles:

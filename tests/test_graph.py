@@ -178,6 +178,57 @@ class TestHypergraph:
         assert users.size == pairs.size == 0
 
 
+    def test_one_listing_gives_the_pairwise_listings_common_members(self):
+        # shared_members works from one members_of listing of the groups the
+        # pairs reach; listing both groups of every pair gave these sets, in
+        # this order, for a base graph, and pair by pair for a view
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            num_users = int(rng.integers(2, 40))
+            memberships = [
+                sorted(rng.choice(num_users, size=int(rng.integers(1, min(8, num_users) + 1)),
+                                  replace=False).tolist())
+                for _ in range(int(rng.integers(1, 30)))
+            ]
+            h = hg.build_hypergraph(make_ds(num_users, memberships))
+            a, b = rng.integers(0, h.num_groups, (2, 200))
+            want = pairwise_common_members(h, a, b)
+            assert [x.tolist() for x in hg.common_members(h, a, b)] == [x.tolist() for x in want]
+            groups = hg.unique_ids(a, b)
+            listed = hg.shared_members(*h.members_of(groups), np.searchsorted(groups, a),
+                                       np.searchsorted(groups, b))
+            assert [x.tolist() for x in listed] == [x.tolist() for x in want]
+
+            view = hg.TransientHypergraphView(h, rng.choice(num_users, int(rng.integers(1, num_users + 1))))
+            a, b = rng.integers(0, view.transient_index + 1, (2, 200))
+            users, pairs = pairwise_common_members(view, a, b)
+            order = np.argsort(pairs, kind="stable")  # the view listed base pairs first
+            want = [users[order].tolist(), pairs[order].tolist()]
+            assert [x.tolist() for x in hg.common_members(view, a, b)] == want
+            groups = hg.unique_ids(a, b)
+            listed = hg.shared_members(*view.members_of(groups), np.searchsorted(groups, a),
+                                       np.searchsorted(groups, b))
+            assert [x.tolist() for x in listed] == want
+            # the forward pass's pairs join two groups, lower id first, so the
+            # transient edge only ever ends a pair, and no reordering occurs
+            two = a != b
+            low, high = np.minimum(a, b)[two], np.maximum(a, b)[two]
+            assert ([x.tolist() for x in hg.common_members(view, low, high)]
+                    == [x.tolist() for x in pairwise_common_members(view, low, high)])
+
+
+def pairwise_common_members(hyper, a, b):
+    """Common members from both groups' member lists of every pair."""
+    users, rows = hyper.members_of(a)
+    b_users, b_rows = hyper.members_of(b)
+    span = int(max(users.max(initial=-1), b_users.max(initial=-1))) + 1
+    keys, b_keys = rows * span + users, np.sort(b_rows * span + b_users)
+    pos = np.searchsorted(b_keys, keys)
+    keep = pos < b_keys.size
+    keep[keep] = b_keys[pos[keep]] == keys[keep]
+    return users[keep], rows[keep]
+
+
 def assert_common_members(graph, memberships, a, b):
     """``common_members`` lists each pair's set intersection, ascending."""
     users, pairs = hg.common_members(graph, a, b)

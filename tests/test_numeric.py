@@ -374,19 +374,19 @@ class TestStructuralOps:
         )
         assert rel_err(m.grad, numeric) < FD_TOL
 
-    def test_segment_mean_and_strides(self):
+    def test_gather_segment_mean_and_strides(self):
         rng = np.random.default_rng(20)
         x = nm.Tensor(rng.uniform(-1, 1, (6, 3)), trainable=True)
         seg = [0, 0, 1, 1, 1, 2]
         probe = rng.uniform(-1, 1, (3, 3))
 
         def build(tape):
-            return probe_loss(nm.segment_mean(x, seg, 3, tape), probe, tape)
+            return probe_loss(nm.gather_segment_mean(x, np.arange(6), seg, 3, tape), probe, tape)
 
         check_gradients(build, [x])
 
         def build_mean(tape):
-            return probe_loss(nm.mean_rows_stride(x, 2, tape), probe, tape)
+            return probe_loss(nm.gather_mean_rows(x, np.arange(6), 2, tape), probe, tape)
 
         check_gradients(build_mean, [x])
 
@@ -397,9 +397,9 @@ class TestStructuralOps:
 
         check_gradients(build_sum, [x])
 
-    def test_segment_mean_rejects_empty_segment(self):
+    def test_gather_segment_mean_rejects_empty_segment(self):
         with pytest.raises(ContractViolation):
-            nm.segment_mean(nm.Tensor(np.ones((2, 2))), [0, 0], 2)
+            nm.gather_segment_mean(nm.Tensor(np.ones((2, 2))), [0, 1], [0, 0], 2)
 
     def test_mul_rows_gradient(self):
         rng = np.random.default_rng(21)
@@ -442,9 +442,10 @@ GRAD_OPS = {
     "add": ([(3, 4), (3, 4)], lambda t, tape: nm.add(t[0], t[1], tape)),
     "scale": ([(3, 4)], lambda t, tape: nm.scale(t[0], -1.5, tape)),
     "gather_rows": ([(4, 3)], lambda t, tape: nm.gather_rows(t[0], [1, 1, 2, 0], tape)),
-    "mean_rows_stride": ([(6, 3)], lambda t, tape: nm.mean_rows_stride(t[0], 2, tape)),
+    "gather_mean_rows": ([(4, 3)], lambda t, tape: nm.gather_mean_rows(t[0], [1, 3, 1, 0, 2, 2], 2, tape)),
     "sum_rows_stride": ([(6, 3)], lambda t, tape: nm.sum_rows_stride(t[0], 3, tape)),
-    "segment_mean": ([(6, 3)], lambda t, tape: nm.segment_mean(t[0], [0, 0, 1, 1, 1, 2], 3, tape)),
+    "gather_segment_mean": ([(4, 3)], lambda t, tape: nm.gather_segment_mean(
+        t[0], [2, 0, 0, 1, 3, 1], [0, 0, 1, 1, 1, 2], 3, tape)),
     "mul_rows": ([(4, 3)], lambda t, tape: nm.mul_rows(t[0], [0.5, 2.0, -1.0, 1.5], tape)),
     "relu": ([(3, 4)], lambda t, tape: nm.relu(t[0], tape)),
     "dropout": ([(3, 4)], lambda t, tape: nm.dropout(t[0], 0.4, np.random.default_rng(99), tape)),
@@ -474,6 +475,171 @@ def test_gradient_rules_with_each_input_frozen(op, frozen):
     check_gradients(build, [t for t in inputs if t.trainable])
     if frozen is not None:
         assert inputs[frozen].grad is None
+
+
+def copying_accumulate(sink, share, g=None):
+    """``numeric._accumulate`` that writes every first contribution into a
+    new array, never adopting the rule's output."""
+    grad = sink.grad
+    if grad is None:
+        sink.grad = np.add(0.0, share, out=np.empty(sink.shape))
+    else:
+        grad += share
+
+
+@pytest.mark.parametrize("op", GRAD_OPS)
+def test_adopted_first_gradients_keep_the_copied_bits(op, monkeypatch):
+    shapes, apply = GRAD_OPS[op]
+
+    def leaf_grads():
+        rng = np.random.default_rng(62)
+        leaves = [nm.Tensor(rng.choice([-1.0, 1.0], s) * rng.uniform(0.2, 1.0, s), trainable=True)
+                  for s in shapes]
+        tape = nm.Tape()
+        # every input is a recorded output, so its first gradient lands in a
+        # cell; the first one's comes from an l2 term
+        cells = [nm.scale(t, 1.0, tape) for t in leaves]
+        out = apply(cells, tape)
+        loss = nm.add(probe_loss(out, rng.uniform(-1, 1, out.shape), tape), nm.sum_squares(cells[0], tape), tape)
+        tape.backward(loss)
+        return [bits(t.grad).tolist() for t in leaves]
+
+    adopted = []
+    accumulate = nm._accumulate
+
+    def counting(sink, share, g=None):
+        accumulate(sink, share, g)
+        adopted.append(sink.grad is share)
+
+    monkeypatch.setattr(nm, "_accumulate", counting)
+    got = leaf_grads()
+    assert any(adopted)
+    monkeypatch.setattr(nm, "_accumulate", copying_accumulate)
+    assert leaf_grads() == got
+
+
+def reference_segment_mean(x, idx, seg, num_segments, tape):
+    """``gather_rows``, then a segment mean over ``np.add.at``: the
+    composition ``gather_segment_mean`` replaces."""
+    gathered = nm.gather_rows(x, idx, tape)
+    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)[:, None]
+    acc = np.zeros((num_segments, gathered.shape[1]))
+    np.add.at(acc, seg, gathered.values)
+    return nm._op(tape, acc / counts, (gathered,), ((lambda g: (g / counts)[seg]),))
+
+
+def reference_mean_rows(x, idx, stride, tape):
+    """``gather_rows``, then numpy's mean of each run of ``stride`` rows: the
+    composition ``gather_mean_rows`` replaces."""
+    gathered = nm.gather_rows(x, idx, tape)
+    v = gathered.values
+    return nm._op(tape, v.reshape(-1, stride, v.shape[1]).mean(axis=1), (gathered,),
+                  ((lambda g: np.repeat(g, stride, axis=0) / stride),))
+
+
+class TestGatherFusedReductions:
+    """Each fused op gives the bits of the gather-then-reduce composition it
+    replaces, forward and backward, on every path of ``scatter_add`` and
+    into every kind of gradient sink."""
+
+    ROWS = 300
+    # one id array per scatter_add path, ids below ROWS
+    LAYOUTS = {
+        "below_min_rows": lambda rng: rng.integers(0, 300, nm.SCATTER_MIN_ROWS - 28),
+        "strictly_ascending": lambda rng: np.sort(rng.choice(300, 200, replace=False)),
+        "sorted": lambda rng: np.sort(rng.integers(0, 300, 600)),
+        "unsorted": lambda rng: rng.integers(0, 300, 600),
+        "heavy_row": lambda rng: rng.permutation(np.concatenate(
+            [np.full(2 * nm._TAIL_MIN_RUN, 7), rng.integers(0, 60, 200)])),
+        "heavy_row_past_levels": lambda rng: rng.permutation(np.concatenate(
+            [np.full(400, 7), rng.integers(0, 300, 3000)])),
+    }
+    SINKS = ("cell", "row_leaf", "row_leaf_l2", "second")
+
+    @staticmethod
+    def values(rng, shape):
+        """Spread magnitudes, a -0.0 column (every other row of a single
+        column) and a NaN row."""
+        v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        v[::1 if shape[1] > 1 else 2, 0] = -0.0
+        v[5] = np.nan
+        return v
+
+    @staticmethod
+    def upstream(rng, shape):
+        """An output gradient whose tiny negatives divide to -0.0."""
+        g = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        g[rng.random(shape) < 0.2] = -5e-324
+        return g
+
+    @classmethod
+    def run(cls, apply, x_values, sink, g, prior):
+        """Forward values of ``apply(x, tape)`` and the gradient that reaches
+        ``x``: a recorded output's cell, a trainable leaf's row sums (with
+        or without an l2 term), or a leaf's existing dense gradient."""
+        tape = nm.Tape()
+        seen = []
+        if sink == "cell":
+            anchor = nm.Tensor(np.zeros(1), trainable=True)
+            x = nm._record(tape, x_values.copy(), (anchor,), lambda grad, sinks: seen.append(grad.copy()))
+        else:
+            x = nm.Tensor(x_values.copy(), trainable=True)
+            if sink == "second":
+                x.grad = prior.copy()
+        out = apply(x, tape)
+        loss = nm._op(tape, np.float64(0.0), (out,), ((lambda _: g.copy()),))
+        if sink == "row_leaf_l2":
+            loss = nm.add(loss, nm.sum_squares(x, tape), tape)
+        tape.backward(loss)
+        if sink.startswith("row_leaf"):
+            assert x._row_grad is not None
+        return out.values, (seen[0] if sink == "cell" else x.grad)
+
+    @classmethod
+    def assert_same_bits(cls, fused, reference, d, rng, out_rows):
+        x_values = cls.values(rng, (cls.ROWS, d))
+        g = cls.upstream(rng, (out_rows, d))
+        prior = np.where(rng.random((cls.ROWS, d)) < 0.3, -0.0, cls.values(rng, (cls.ROWS, d)))
+        for sink in cls.SINKS:
+            got_out, got_grad = cls.run(fused, x_values, sink, g, prior)
+            want_out, want_grad = cls.run(reference, x_values, sink, g, prior)
+            assert bits(got_out).tolist() == bits(want_out).tolist(), sink
+            assert bits(got_grad).tolist() == bits(want_grad).tolist(), sink
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_gather_segment_mean_bits(self, layout, d):
+        rng = np.random.default_rng(sorted(self.LAYOUTS).index(layout) * 10 + d)
+        idx = self.LAYOUTS[layout](rng)
+        # segment ids of the same layout, renumbered so every segment is hit
+        _, seg = np.unique(self.LAYOUTS[layout](rng), return_inverse=True)
+        n = int(seg.max()) + 1
+        self.assert_same_bits(lambda x, tape: nm.gather_segment_mean(x, idx, seg, n, tape),
+                              lambda x, tape: reference_segment_mean(x, idx, seg, n, tape), d, rng, n)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 4, 17, 200])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_gather_mean_rows_bits(self, layout, stride, d):
+        rng = np.random.default_rng(sorted(self.LAYOUTS).index(layout) * 1000 + stride * 10 + d)
+        idx = self.LAYOUTS[layout](rng)
+        if idx.size < stride:  # one run of every id, then the rest
+            idx = np.resize(idx, stride)
+        idx = idx[:idx.size // stride * stride]
+        self.assert_same_bits(lambda x, tape: nm.gather_mean_rows(x, idx, stride, tape),
+                              lambda x, tape: reference_mean_rows(x, idx, stride, tape),
+                              d, rng, idx.size // stride)
+
+    def test_gather_mean_rows_keeps_numpys_signed_zero(self):
+        # numpy's mean sums from +0.0, so a run of -0.0 averages to +0.0
+        x = nm.Tensor(np.full((4, 3), -0.0))
+        want = x.values[[0, 1, 2, 3]].reshape(2, 2, 3).mean(axis=1)
+        got = nm.gather_mean_rows(x, [0, 1, 2, 3], 2).values
+        assert bits(got).tolist() == bits(want).tolist() == bits(np.zeros((2, 3))).tolist()
+
+    def test_gather_mean_rows_rejects_a_partial_run(self):
+        with pytest.raises(DimensionError):
+            nm.gather_mean_rows(nm.Tensor(np.ones((3, 2))), [0, 1, 2], 2)
 
 
 class TestTapeContract:
@@ -584,6 +750,33 @@ class TestTapeContract:
         step()
         np.testing.assert_array_equal(x.grad, np.full((1, 2), 2.0))
 
+    def test_first_gradient_adopts_only_a_new_array_of_the_cells_shape(self):
+        g = np.array([[1.0, -0.0, 3.0], [-4.0, 5.0, -0.0]])
+        kept = bits(g).tolist()
+        copied = {
+            "the output gradient": (g, (2, 3)),
+            "a view of it": (g[:, :2], (2, 2)),
+            "a transposed view": (g.T, (3, 2)),
+            "a broadcast row": (g[0] * 2.0, (2, 3)),
+            "a numpy scalar": (np.float64(-0.0), (2, 3)),
+            "a Fortran-ordered array": (np.asfortranarray(g * 2.0), (2, 3)),
+        }
+        for name, (share, shape) in copied.items():
+            cell = nm._Cell(shape)
+            nm._accumulate(cell, share, g)
+            assert cell.grad is not share and not np.shares_memory(cell.grad, g), name
+            assert cell.grad.flags.c_contiguous, name
+            assert bits(cell.grad).tolist() == bits(0.0 + np.broadcast_to(share, shape)).tolist(), name
+        assert bits(g).tolist() == kept
+        fresh = g * 1.0
+        cell = nm._Cell((2, 3))
+        nm._accumulate(cell, fresh, g)
+        assert cell.grad is fresh
+        assert bits(fresh).tolist() == bits(0.0 + g).tolist()  # -0.0 became +0.0 in place
+        nm._accumulate(cell, g * 2.0, g)  # a second contribution adds in place
+        assert cell.grad is fresh
+        np.testing.assert_array_equal(fresh, 3.0 * g)
+
     def test_no_nan_inf_from_finite_inputs(self):
         rng = np.random.default_rng(30)
         for _ in range(100):
@@ -657,6 +850,42 @@ class TestTapeMemory:
                                                                   1e-5, rng, tape))
         assert live < 10 * self.MiB
         assert peak < 20 * self.MiB
+
+
+    def test_second_group_batch_peaks_below_its_gathered_blocks(self):
+        # the second 256-triple group batch on the data above, after an Adam
+        # step: gathering the member, common-member and neighbor blocks and
+        # their gradient cells peaked at 10.7 MiB in forward and 10.5 MiB in
+        # backward; fused gathers peak at about 8.6 and 9.4
+        ds = generate_synthetic(SynthConfig(num_users=3000, num_items=1500, num_groups=1500,
+                                            num_latent_topics=20, seed=7))
+        cfg = ModelConfig(d=64)
+        params = initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng([7, 1]))
+        social, hyper = build_social_graph(ds), build_hypergraph(ds)
+        rng = np.random.default_rng(7)
+        positives = ht.positives_by_entity(ds.group_item)
+        adam = ht.AdamOptimizer(1e-3)
+        tracemalloc.start()
+        try:
+            for batch in range(2):
+                triples = ht.build_triples(ds.group_item[256 * batch:256 * (batch + 1)], positives,
+                                           ds.num_items, 1, rng)
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                tape = nm.Tape()
+                loss = ht.group_batch_loss(triples, params, cfg, social, hyper, 1e-5, rng, tape)
+                forward_peak = tracemalloc.get_traced_memory()[1] - base
+                tracemalloc.reset_peak()
+                tape.backward(loss)
+                backward_peak = tracemalloc.get_traced_memory()[1] - base
+                touched = tape.touched_parameters()
+                adam.step(touched)
+                for t in touched:
+                    t.zero_grad()
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 9.5 * self.MiB
+        assert backward_peak < 10 * self.MiB
 
 
 class TestCheckpointBlob:
@@ -843,6 +1072,40 @@ class TestScatterAdd:
         idx[n // 2] = bad
         with pytest.raises(IndexError):
             nm.scatter_add(np.zeros((700, 3)), idx, np.ones((n, 3)))
+
+    # every path of scatter_add: the LAYOUTS, fewer than SCATTER_MIN_ROWS
+    # entries, and no level with a heavy row or with none
+    TAKE_LAYOUTS = {
+        **LAYOUTS,
+        "below_min_rows": lambda rng: rng.integers(0, 2000, 20),
+        "levelless_heavy": lambda rng: rng.permutation(np.concatenate(
+            [np.full(2 * nm._TAIL_MIN_RUN, 3), rng.integers(0, 30, 60)])),
+        "levelless_light": lambda rng: rng.integers(0, 100, 200),
+    }
+
+    @pytest.mark.parametrize("layout", TAKE_LAYOUTS)
+    def test_take_reads_the_named_rows(self, layout):
+        rng = np.random.default_rng(63)
+        idx = self.TAKE_LAYOUTS[layout](rng)
+        vals = self.spread_values(rng, (50, 3))
+        vals[rng.random((50, 3)) < 0.1] = -0.0
+        take = rng.integers(-50, 50, idx.size)
+        target = np.where(rng.random((2000, 3)) < 0.2, -0.0, self.spread_values(rng, (2000, 3)))
+        want = target.copy()
+        np.add.at(want, idx, vals[take])
+        nm.scatter_add(target, idx, vals, take)
+        assert bits(target).tolist() == bits(want).tolist()
+
+    @pytest.mark.parametrize("bad", [50, -51])
+    @pytest.mark.parametrize("layout", TAKE_LAYOUTS)
+    def test_out_of_range_take_raises_index_error(self, layout, bad):
+        idx = self.TAKE_LAYOUTS[layout](np.random.default_rng(64))
+        take = np.zeros(idx.size, dtype=np.int64)
+        take[idx.size // 2] = bad
+        target = np.zeros((2000, 3))
+        with pytest.raises(IndexError):
+            nm.scatter_add(target, idx, np.ones((50, 3)), take)
+        assert not target.any()  # nothing was added
 
     @staticmethod
     def heavy_tail_layout(rng):

@@ -756,17 +756,18 @@ class TestTrainingLoops:
             params = hm.initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng(3))
             return ds, build_social_graph(ds), build_hypergraph(ds), cfg, params
 
-        def add_at(target, idx, vals):
+        def add_at(target, idx, vals, take=None):
             idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-            np.add.at(target, idx, np.asarray(vals).reshape((idx.size,) + target.shape[1:]))
+            vals = np.asarray(vals).reshape((-1,) + target.shape[1:])
+            np.add.at(target, idx, vals if take is None else vals[np.asarray(take).reshape(-1)])
 
         tcfg = ht.TrainConfig(learning_rate=1e-2, batch_size=256, epochs=2, strategy="JOINT", seed=9)
         sizes = []
         scatter_add = nm.scatter_add
 
-        def recording(target, idx, vals):
+        def recording(target, idx, vals, take=None):
             sizes.append(np.size(idx))
-            scatter_add(target, idx, vals)
+            scatter_add(target, idx, vals, take)
 
         monkeypatch.setattr(nm, "scatter_add", recording)
         ds, social, hyper, cfg, fast = world()
