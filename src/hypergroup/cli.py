@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import logging.handlers
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -331,17 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Held(logging.Handler):
-    """Keeps the records it is handed, to pass on once a command succeeds."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record) -> None:
-        self.records.append(record)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -351,7 +341,7 @@ def main(argv=None) -> int:
     # the package's log records (a loader's warnings) are held while the
     # command runs: a failure prints its one line alone, and a success hands
     # them on as they would have gone (to stderr, unless logging is set up)
-    logger, held = logging.getLogger("hypergroup"), _Held()
+    logger, held = logging.getLogger("hypergroup"), logging.handlers.BufferingHandler(float("inf"))
     handlers, propagate = logger.handlers, logger.propagate
     logger.handlers, logger.propagate = [held], False
     try:
@@ -374,7 +364,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     finally:
         logger.handlers, logger.propagate = handlers, propagate
-    for record in held.records:
+    for record in held.buffer:
         logging.getLogger(record.name).handle(record)
     return code
 

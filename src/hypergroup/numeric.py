@@ -63,10 +63,11 @@ it.  A cell's first contribution ``s`` becomes ``0.0 + s``, the bits of
 adding ``s`` into zeros: in place when a rule returned ``s`` as a new
 C-contiguous array of the cell's shape, else in a new array (when ``s``
 is the step's own output gradient, a view of it, or a broadcast).  A
-backward step whose output received no gradient is skipped.  Each step leaves the tape as it
-runs and then frees its output's gradient, so after backward the tape is
-empty, only trainable leaves hold gradients, and a recorded output's
-``grad`` reads None, as a non-leaf tensor's does in PyTorch.
+backward step whose output received no gradient is skipped.  Each step
+leaves the tape as it runs and then frees its output's gradient, so
+after backward the tape is empty, only trainable leaves hold gradients,
+and a recorded output's ``grad`` reads None, as a non-leaf tensor's does
+in PyTorch.
 
 Heap policy.  Every batch builds and frees tens of MB of gathered rows,
 gradient and scatter buffers (a sparse-train group batch peaks at about
@@ -406,7 +407,7 @@ def _record(tape: Tape | None, values, inputs: Sequence[Tensor], backward) -> Te
     return out
 
 
-def _accumulate(sink, share, g=None) -> None:
+def _accumulate(sink, share, g) -> None:
     """``sink.grad += share`` for a tensor or cell.  The first contribution
     becomes ``0.0 + share``, the same bits as adding ``share`` into zeros
     (``-0.0`` becomes ``+0.0``, a broadcast ``share`` fills the shape): in
@@ -527,13 +528,13 @@ def scatter_add(target: np.ndarray, idx, vals, take=None) -> None:
         vals = np.asarray(vals).reshape((-1,) + target.shape[1:])
         take = np.asarray(take, dtype=np.int64).reshape(-1)
 
-    def rows(at):
-        """The rows of entries ``at``, in a new array."""
+    def rows(at=slice(None)):
+        """The rows of entries ``at``; a new array when ``at`` is an index array."""
         return vals[at] if take is None else vals[take[at]]
 
     size = target.shape[0]
     if n < SCATTER_MIN_ROWS:
-        np.add.at(target, idx, vals if take is None else vals[take])
+        np.add.at(target, idx, rows())
         return
     lo, hi = int(idx.min()), int(idx.max())
     if lo < -size or hi >= size:
@@ -542,7 +543,7 @@ def scatter_add(target: np.ndarray, idx, vals, take=None) -> None:
     if lo < 0:
         idx = np.where(idx < 0, idx + size, idx)
     if np.diff(idx).min() > 0:
-        target[idx] += vals if take is None else vals[take]
+        target[idx] += rows()
         return
     # each run: its row, its entry count and where it starts in sorted order
     counts = np.bincount(idx)
@@ -554,7 +555,7 @@ def scatter_add(target: np.ndarray, idx, vals, take=None) -> None:
     levels = level_sizes[level_sizes >= SCATTER_MIN_ROWS].tolist()
     longest = int(lens.max())
     if not levels and longest < _TAIL_MIN_RUN:
-        np.add.at(target, idx, vals if take is None else vals[take])
+        np.add.at(target, idx, rows())
         return
     order = _stable_argsort(idx, size)
     by_len = _stable_argsort(longest - lens, longest)

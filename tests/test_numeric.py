@@ -477,7 +477,7 @@ def test_gradient_rules_with_each_input_frozen(op, frozen):
         assert inputs[frozen].grad is None
 
 
-def copying_accumulate(sink, share, g=None):
+def copying_accumulate(sink, share, g):
     """``numeric._accumulate`` that writes every first contribution into a
     new array, never adopting the rule's output."""
     grad = sink.grad
@@ -507,7 +507,7 @@ def test_adopted_first_gradients_keep_the_copied_bits(op, monkeypatch):
     adopted = []
     accumulate = nm._accumulate
 
-    def counting(sink, share, g=None):
+    def counting(sink, share, g):
         accumulate(sink, share, g)
         adopted.append(sink.grad is share)
 
