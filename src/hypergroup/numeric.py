@@ -71,7 +71,7 @@ in PyTorch.
 
 Heap policy.  Every batch builds and frees tens of MB of gathered rows,
 gradient and scatter buffers (a sparse-train group batch peaks at about
-35 MB of them).  Under glibc's adaptive defaults the free
+16 MiB of them in backward).  Under glibc's adaptive defaults the free
 top of the heap goes back to the OS after a batch, and the next batch
 page-faults every page in again.  So on glibc, importing this module
 fixes the mmap threshold at 32 MiB (glibc's 64-bit ceiling; fixing it
