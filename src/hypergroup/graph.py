@@ -7,7 +7,11 @@ Groups act as hyperedges over the user set.  Two hyperedges are adjacent
 when they share at least one member.  The hypergraph is three CSR
 structures and nothing more: the group -> members incidence, the user ->
 groups inverted index, and the hyperedge adjacency, which holds neighbor
-ids only.  Neither the shared-member sets nor their sizes (the overlap
+ids only.  The adjacency is built from every group pair sharing a
+member: by a ``G x G`` pair bitmap when its ``G ** 2`` bytes are no
+more than the 8 bytes per expanded pair of int64 pair keys (dense
+overlap), and by sorting those keys otherwise; both paths give the same
+arrays (see :func:`build_hypergraph`).  Neither the shared-member sets nor their sizes (the overlap
 weights) are stored; :func:`shared_members` computes the sets on demand,
 for the group pairs a forward pass actually sampled, from the one member
 listing of the groups the pass reaches, and a weight is the size of its
@@ -111,7 +115,8 @@ class Hypergraph(_Adjacency):
     - ``member_indptr``/``member_ids``: each group's members.
     - ``group_indptr``/``group_ids``: the inverted index, each user's groups.
     - ``indptr``/``indices``: the hyperedge adjacency.  Row ``g`` lists
-      the other groups that share a member with ``g``.
+      the other groups that share a member with ``g``, as int32 ids
+      whenever every group id fits.
     """
 
     member_indptr: np.ndarray
@@ -210,8 +215,19 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
 
     Every group pair sharing at least one member gets a symmetric pair of
     adjacency entries.  The pairs come from each user's group list: a user
-    in ``d`` groups names ``d * (d - 1) / 2`` pairs, so the build is
-    quadratic in the number of groups per user.
+    in ``d`` groups names ``d * (d - 1) / 2`` pairs (a pair repeats once
+    per shared member), so the build is quadratic in the number of groups
+    per user.  With ``G`` groups and ``E`` such expanded pairs, the
+    adjacency is laid out by one of two paths, which give the same arrays:
+
+    - ``G ** 2 <= 8 * E`` (dense overlap): every pair and its mirror is
+      marked in a ``G x G`` boolean bitmap, whose rows read off as the
+      ascending ids of each row.  The bitmap never takes more bytes than
+      the int64 pair keys it replaces, and nothing is sorted.
+    - otherwise: the distinct int64 pair keys are sorted, and both
+      directions of each pair are laid out from them.
+
+    ``indices`` is int32 whenever every group id fits; ``indptr`` is int64.
     """
     num_groups, span = ds.num_groups, max(ds.num_users, 1)
     sizes = [len(m) for m in ds.memberships]
@@ -223,10 +239,7 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     group_ids = owner[by_user]
     group_indptr = _indptr(member_ids[by_user], ds.num_users)
     member_indptr = _indptr(owner, num_groups)
-    keys = _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
-    a, b = np.divmod(keys, num_groups)
-    del keys  # not held through the CSR assembly, the build's peak
-    indptr, indices = _symmetric_csr(a, b, num_groups)
+    indptr, indices = _adjacency(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
     return Hypergraph(
         member_indptr=member_indptr,
         member_ids=member_ids,
@@ -237,34 +250,86 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     )
 
 
+def _adjacency(owner, member_ids, by_user, group_ids, group_indptr, member_indptr):
+    """Hyperedge adjacency ``(indptr, indices)`` of the groups sharing a
+    member, by :func:`_bitmap_csr` or by sorting the pair keys for
+    :func:`_symmetric_csr`, as :func:`_use_bitmap` chooses."""
+    num_groups = len(member_indptr) - 1
+    dtype = np.int32 if num_groups <= 1 << 31 else np.int64
+    expanded, blocks = _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
+    if _use_bitmap(num_groups, expanded):
+        return _bitmap_csr(blocks, num_groups, dtype)
+    # each block's distinct keys; no key repeats across blocks, which
+    # concatenate in key order
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [unique_ids(a * num_groups + b) for a, b in blocks])
+    a, b = np.divmod(keys, num_groups)
+    del keys  # not held through the CSR assembly, the sort path's peak
+    return _symmetric_csr(a, b, num_groups, dtype)
+
+
+def _use_bitmap(num_groups: int, expanded: int) -> bool:
+    """Whether a ``num_groups ** 2``-byte pair bitmap costs no more than
+    the int64 keys of ``expanded`` group pairs."""
+    return num_groups * num_groups <= 8 * expanded
+
+
 def _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr):
-    """Sorted distinct ``a * G + b`` keys of every group pair ``a < b``
-    sharing a member.
+    """Every group pair ``a < b`` sharing a member, as ``(count, blocks)``.
 
     A membership ``(a, u)`` pairs ``a`` with every later group in u's
-    list.  The memberships are expanded in blocks of consecutive ``a``,
-    so no key repeats across blocks and the blocks concatenate in key
-    order.
+    list, so a pair appears once per shared member and ``count`` counts
+    the pairs with these repeats.  ``blocks`` yields them as ``(a, b)``
+    arrays of about ``PAIR_BLOCK`` pairs at a time, expanding the
+    memberships of consecutive ``a``; so the repeats of a pair fall in
+    one block and ``a`` ascends from block to block.
     """
     num_groups = len(member_indptr) - 1
     rank = np.empty_like(by_user)
     rank[by_user] = np.arange(by_user.size)  # position of each membership in the inverted index
     later = group_indptr[member_ids + 1] - 1 - rank
     expanded = np.concatenate(([0], np.cumsum(later)))[member_indptr]  # pairs before each group
-    keys = [np.zeros(0, dtype=np.int64)]
-    a0 = 0
-    while a0 < num_groups:
-        a1 = max(a0 + 1, int(np.searchsorted(expanded, expanded[a0] + PAIR_BLOCK, side="right")) - 1)
-        e0, e1 = member_indptr[a0], member_indptr[a1]
-        reps = later[e0:e1]
-        a = np.repeat(owner[e0:e1], reps)
-        b = group_ids[_ranges(rank[e0:e1] + 1, reps)]
-        keys.append(unique_ids(a * num_groups + b))
-        a0 = a1
-    return np.concatenate(keys)
+
+    def blocks():
+        a0 = 0
+        while a0 < num_groups:
+            a1 = max(a0 + 1, int(np.searchsorted(expanded, expanded[a0] + PAIR_BLOCK, side="right")) - 1)
+            e0, e1 = member_indptr[a0], member_indptr[a1]
+            reps = later[e0:e1]
+            yield np.repeat(owner[e0:e1], reps), group_ids[_ranges(rank[e0:e1] + 1, reps)]
+            a0 = a1
+
+    return int(expanded[-1]), blocks()
 
 
-def _symmetric_csr(a, b, num_rows):
+def _bitmap_csr(blocks, num_rows, dtype):
+    """CSR of both directions of the pairs in ``blocks``, from a bitmap.
+
+    Each pair ``(a, b)`` marks cells ``a * num_rows + b`` and ``b *
+    num_rows + a``, repeats included.  The marked cells of a row are its
+    ids, ascending, and its count of them gives ``indptr``.  The ids are
+    read a band of rows at a time, so only the bitmap and ``indices``
+    are held whole.
+    """
+    seen = np.zeros(num_rows * num_rows, dtype=bool)
+    for a, b in blocks:
+        seen[a * num_rows + b] = True
+        seen[b * num_rows + a] = True
+        del a, b  # not held through the extraction
+    seen = seen.reshape(num_rows, num_rows)
+    counts = np.count_nonzero(seen, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.empty(int(indptr[-1]), dtype=dtype)
+    band = max(1, PAIR_BLOCK // max(num_rows, 1))
+    for r0 in range(0, num_rows, band):
+        r1 = min(r0 + band, num_rows)
+        cells = np.flatnonzero(seen[r0:r1])  # (r - r0) * num_rows + id
+        starts = np.repeat(np.arange(r1 - r0) * num_rows, counts[r0:r1])
+        np.subtract(cells, starts, out=indices[indptr[r0]:indptr[r1]])
+    return indptr, indices
+
+
+def _symmetric_csr(a, b, num_rows, dtype):
     """CSR of both directions of the pairs ``a < b``, given sorted by ``(a, b)``.
 
     Row ``r`` holds its entries below ``r`` (from pairs ``(x, r)``) and then
@@ -274,7 +339,7 @@ def _symmetric_csr(a, b, num_rows):
     n_above = np.bincount(a, minlength=num_rows)
     n_below = np.bincount(b, minlength=num_rows)
     indptr = np.concatenate(([0], np.cumsum(n_above + n_below)))
-    indices = np.empty(2 * a.size, dtype=np.int64)
+    indices = np.empty(2 * a.size, dtype=dtype)
     below = np.argsort(b, kind="stable")  # the pairs by (b, a)
     indices[np.arange(a.size) + (np.cumsum(n_above) - n_above)[b[below]]] = a[below]
     indices[np.arange(a.size) + np.cumsum(n_below)[a]] = b

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypergroup import graph as hg
-from hypergroup.data import InteractionDataset
+from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
 from hypergroup.errors import ContractViolation
 
 
@@ -105,16 +105,17 @@ class TestHypergraph:
             # odd trials expand the group pairs in many small blocks
             monkeypatch.setattr(hg, "PAIR_BLOCK", 7 if trial % 2 else 1 << 22)
             ds = make_ds(num_users, memberships)
-            h = hg.build_hypergraph(ds)
             oracle = brute_force_adjacency(memberships)
-            for g in range(num_groups):
-                got = adjacency_with_common_members(h, g)
-                assert {b: common for b, (_, common) in got.items()} == oracle[g]
-                for weight, common in got.values():
-                    assert weight == len(common)
-                assert h.members_of(np.array([g]))[0].tolist() == memberships[g]
+            for bitmap in (False, True):
+                h = build_by_path(monkeypatch, ds, bitmap)
+                for g in range(num_groups):
+                    got = adjacency_with_common_members(h, g)
+                    assert {b: common for b, (_, common) in got.items()} == oracle[g]
+                    for weight, common in got.values():
+                        assert weight == len(common)
+                    assert h.members_of(np.array([g]))[0].tolist() == memberships[g]
 
-    def test_symmetry_and_no_self_adjacency(self):
+    def test_symmetry_and_no_self_adjacency(self, monkeypatch):
         rng = np.random.default_rng(2)
         for _ in range(100):
             num_users = int(rng.integers(4, 30))
@@ -123,17 +124,73 @@ class TestHypergraph:
                 sorted(rng.choice(num_users, size=int(rng.integers(1, 5)), replace=False).tolist())
                 for _ in range(num_groups)
             ]
-            h = hg.build_hypergraph(make_ds(num_users, memberships))
-            for g in range(num_groups):
-                nbrs = h.neighbors(g).tolist()
-                assert nbrs == sorted(set(nbrs))
-                for b, (weight, common) in adjacency_with_common_members(h, g).items():
-                    assert b != g
-                    assert weight >= 1
-                    assert common <= set(memberships[g])
-                    assert common <= set(memberships[b])
-                    back = adjacency_with_common_members(h, b)
-                    assert back[g] == (weight, common)
+            for bitmap in (False, True):
+                h = build_by_path(monkeypatch, make_ds(num_users, memberships), bitmap)
+                for g in range(num_groups):
+                    nbrs = h.neighbors(g).tolist()
+                    assert nbrs == sorted(set(nbrs))
+                    for b, (weight, common) in adjacency_with_common_members(h, g).items():
+                        assert b != g
+                        assert weight >= 1
+                        assert common <= set(memberships[g])
+                        assert common <= set(memberships[b])
+                        back = adjacency_with_common_members(h, b)
+                        assert back[g] == (weight, common)
+
+    def test_both_paths_give_the_same_arrays(self, monkeypatch):
+        # random memberships from sparse to dense overlap, then the edge
+        # cases: no shared member (no pair at all), one group, zero groups
+        rng = np.random.default_rng(6)
+        cases = []
+        for trial in range(40):
+            num_users = int(rng.integers(2, 60))
+            size_cap = int(rng.integers(1, min(10, num_users) + 1))
+            cases.append((num_users, [
+                sorted(rng.choice(num_users, size=int(rng.integers(1, size_cap + 1)),
+                                  replace=False).tolist())
+                for _ in range(int(rng.integers(1, 80)))
+            ]))
+        cases += [(9, [[0, 1], [2, 3, 4], [5], [6, 7, 8]]), (3, [[0, 2]]), (3, [])]
+        for trial, (num_users, memberships) in enumerate(cases):
+            ds = make_ds(num_users, memberships)
+            # odd cases mark one bitmap (and sort the keys) in many small blocks
+            monkeypatch.setattr(hg, "PAIR_BLOCK", 7 if trial % 2 else 1 << 22)
+            by_sort = build_by_path(monkeypatch, ds, False)
+            by_bitmap = build_by_path(monkeypatch, ds, True)
+            nodes = np.arange(len(memberships))
+            for h in (by_sort, by_bitmap):
+                assert h.indptr.dtype == np.int64 and h.indices.dtype == np.int32
+                assert h.indptr.tolist() == adjacency_indptr(memberships)
+                # sampled ids stay int64 whatever ``indices`` holds
+                first = np.where(h.degrees(nodes) > 0, 0, -1)[:, None]
+                assert h.neighbor_ids(nodes, first).dtype == np.int64
+            assert np.array_equal(by_sort.indptr, by_bitmap.indptr)
+            assert np.array_equal(by_sort.indices, by_bitmap.indices)
+
+    def test_selection_on_the_benchmark_shapes(self, monkeypatch):
+        # dense hub overlap takes the bitmap, 200 sparse topics the sort;
+        # the bitmap's num_groups ** 2 bytes never exceed the 8 bytes per
+        # expanded pair of the int64 keys it replaces
+        hub = dict(num_users=3000, num_items=2000, num_groups=1200, num_latent_topics=2,
+                   overlap_strength=0.8)
+        sparse = dict(num_users=20000, num_items=10000, num_groups=10000, num_latent_topics=200)
+        chosen = []
+        choose = hg._use_bitmap
+
+        def record(num_groups, expanded):
+            chosen.append((num_groups, expanded, choose(num_groups, expanded)))
+            return chosen[-1][2]
+
+        monkeypatch.setattr(hg, "_use_bitmap", record)
+        for shape, bitmap in ((hub, True), (sparse, False)):
+            ds = generate_synthetic(SynthConfig(seed=0, **shape))
+            hg.build_hypergraph(ds)
+            num_groups, expanded, took = chosen.pop()
+            groups_per_user = np.bincount(np.concatenate(ds.memberships), minlength=ds.num_users)
+            assert num_groups == ds.num_groups
+            assert expanded == int((groups_per_user * (groups_per_user - 1) // 2).sum())
+            assert took is bitmap
+            assert (num_groups ** 2 <= 8 * expanded) is bitmap
 
     def test_degree_sum_equals_membership_sum(self):
         # the inverted index lists, for every user, exactly its groups
@@ -215,6 +272,18 @@ class TestHypergraph:
             low, high = np.minimum(a, b)[two], np.maximum(a, b)[two]
             assert ([x.tolist() for x in hg.common_members(view, low, high)]
                     == [x.tolist() for x in pairwise_common_members(view, low, high)])
+
+
+def build_by_path(monkeypatch, ds, bitmap):
+    """``build_hypergraph`` with its adjacency path forced to the bitmap or the sort."""
+    monkeypatch.setattr(hg, "_use_bitmap", lambda num_groups, expanded: bitmap)
+    return hg.build_hypergraph(ds)
+
+
+def adjacency_indptr(memberships):
+    """Row offsets of the brute-force adjacency."""
+    oracle = brute_force_adjacency(memberships)
+    return np.concatenate(([0], np.cumsum([len(oracle[g]) for g in range(len(memberships))]))).tolist()
 
 
 def pairwise_common_members(hyper, a, b):
