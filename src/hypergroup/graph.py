@@ -1,7 +1,8 @@
 """Social graph and group hypergraph as CSR arrays, plus the layer sampler.
 
 Both graphs use compressed sparse rows (CSR): row ``r`` of a flat array
-is the slice ``indptr[r]:indptr[r + 1]``, and every row is sorted by id.
+is the slice ``indptr[r]:indptr[r + 1]``, and every row is sorted by id
+(ids are made distinct by one sort, :func:`~hypergroup.numeric.unique_ids`).
 
 Groups act as hyperedges over the user set.  Two hyperedges are adjacent
 when they share at least one member.  The hypergraph is three CSR
@@ -42,24 +43,11 @@ import numpy as np
 
 from .data import InteractionDataset
 from .errors import ContractViolation
+from .numeric import unique_ids
 
 # group pairs expanded at once while building the hyperedge adjacency;
 # bounds the build's temporary arrays when some users belong to many groups
 PAIR_BLOCK = 1 << 22
-
-
-def unique_ids(*arrays) -> np.ndarray:
-    """Sorted distinct values of the given id arrays together.
-
-    Same result as ``np.unique`` of their concatenation, by one sort and
-    a neighbour comparison: on int64 ids numpy's ``np.unique`` (without
-    ``return_counts``) takes a hashing path that is several times slower.
-    """
-    ids = np.sort(np.concatenate([np.ravel(a) for a in arrays]))
-    keep = np.empty(ids.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -102,10 +90,6 @@ class SocialGraph(_Adjacency):
 
     indptr: np.ndarray
     indices: np.ndarray
-
-    @property
-    def num_users(self) -> int:
-        return len(self.indptr) - 1
 
 
 @dataclass

@@ -7,7 +7,7 @@ evaluation: every (entity, layer) pair is sampled exactly once per pass,
 shared across all places the entity appears in that pass.  Both encoders
 draw their sample tree the same way, each layer's samples for all its
 nodes in one :func:`~hypergroup.graph.sample_neighbors` call, and the
-pass works on sorted id arrays: :func:`~hypergroup.graph.unique_ids`
+pass works on sorted id arrays: :func:`~hypergroup.numeric.unique_ids`
 collects the nodes a layer needs and ``np.searchsorted`` maps ids to rows
 (the social encoder's first layer reads the frozen node features by user
 id itself).  Common-member sets, and with them the overlap weights, are
@@ -32,9 +32,8 @@ from .graph import (
     TransientHypergraphView,
     sample_neighbors,
     shared_members,
-    unique_ids,
 )
-from .numeric import Tape, Tensor
+from .numeric import Tape, Tensor, unique_ids
 
 VARIANTS = ("FULL", "NO_IPM", "NO_HRL", "NO_BOTH")
 
@@ -290,13 +289,15 @@ def save_params(path, params: ModelParams, cfg: ModelConfig, seed: int, extra_me
 
 
 def load_params(path) -> tuple[ModelParams, ModelConfig, dict]:
-    """Rebuild params and config from a checkpoint blob."""
+    """Rebuild params and config from a checkpoint blob, its config hash checked."""
     meta, tensors = nm.load_checkpoint(path)
     try:
         cfg = load_config(ModelConfig, "config", meta["config"], complete=True)
         num_users, num_items = meta["num_users"], meta["num_items"]
     except (KeyError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint {path} has no usable config block: {exc}") from exc
+    if meta.get("config_sha256") != config_hash(cfg):
+        raise CheckpointError(f"checkpoint {path} config_sha256 is missing or does not match its config block")
     for key, n in (("num_users", num_users), ("num_items", num_items)):
         if type(n) is not int or n < 0:
             raise CheckpointError(f"checkpoint {key} must be a non-negative integer, got {n!r}")

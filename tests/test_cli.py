@@ -679,6 +679,19 @@ class TestIntegerConfigFields:
         assert rc == 2
         assert len(err.splitlines()) == 1 and name in err
 
+    def test_edited_checkpoint_config_exits_2(self, tmp_path, data_dir, capsys):
+        # valid values of the same tensor shapes, so only the stored hash tells
+        out = run_train(tmp_path, data_dir)
+        params, cfg, meta = load_params(out / "checkpoint.bin")
+        edited = tmp_path / "edited.bin"
+        hm.save_params(edited, params, cfg, meta["seed"],
+                       extra_meta={"config": dict(meta["config"], residual_w=1.0, s_hrl=50), "split": meta["split"]})
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(edited), "--data", str(data_dir), "--topn", "5"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and "config_sha256" in err
+
 
 class TestFailureLines:
     """Failures that numpy raises or warns about still end a run in one line."""

@@ -866,11 +866,28 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         bad_meta = {
             "config": asdict(hm.ModelConfig(d=8)),
-            "config_sha256": "x",
+            "config_sha256": hm.config_hash(hm.ModelConfig(d=8)),
             "seed": 0,
             "num_users": 4,
             "num_items": 3,
         }
         nm.save_checkpoint(path, list(params.named_tensors()), bad_meta)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="shape"):
+            hm.load_params(path)
+
+    @pytest.mark.parametrize("case", ["edited_config", "other_hash", "no_hash"])
+    def test_config_block_must_match_its_hash(self, tmp_path, case):
+        cfg = hm.ModelConfig(d=4)
+        params = hm.initialize_params(cfg, 3, 2, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        hm.save_params(path, params, cfg, seed=0)
+        meta, _ = nm.load_checkpoint(path)
+        if case == "edited_config":  # valid values of the same tensor shapes
+            meta["config"] = dict(meta["config"], residual_w=1.0, s_hrl=50)
+        elif case == "other_hash":
+            meta["config_sha256"] = hm.config_hash(hm.ModelConfig(d=8))
+        else:
+            del meta["config_sha256"]
+        nm.save_checkpoint(path, list(params.named_tensors()), meta)
+        with pytest.raises(CheckpointError, match="config_sha256"):
             hm.load_params(path)

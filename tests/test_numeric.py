@@ -1453,3 +1453,54 @@ class TestWritePath:
             if lines:
                 found[path.name] = lines
         assert not found, f"in-place writes to .values outside Tensor.writing: {found}"
+
+
+class TestUniqueIds:
+    """The package makes ids distinct through ``numeric.unique_ids``, one
+    sort, and not through numpy's hashing ``np.unique`` or its set
+    routines."""
+
+    def test_matches_np_unique_of_the_concatenation(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            parts = [rng.integers(0, 50, size=(int(rng.integers(0, 4)), int(rng.integers(0, 30))))
+                     for _ in range(int(rng.integers(1, 4)))]
+            want = np.unique(np.concatenate([p.ravel() for p in parts]))
+            np.testing.assert_array_equal(nm.unique_ids(*parts), want)
+
+    def test_graph_and_model_use_this_one(self):
+        from hypergroup import graph, model
+        assert graph.unique_ids is model.unique_ids is nm.unique_ids
+
+    SET_ROUTINES = {"isin", "in1d", "union1d", "intersect1d", "setdiff1d", "setxor1d"}
+    SORTING_FORMS = {"return_index", "return_inverse", "return_counts"}
+
+    @classmethod
+    def hashing_id_calls(cls, source: str) -> list[int]:
+        """Lines that call ``np.unique`` without one of the keywords that
+        make it sort, or one of numpy's set routines."""
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            func = node.func if isinstance(node, ast.Call) else None
+            if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "np"):
+                continue
+            if (func.attr in cls.SET_ROUTINES
+                    or func.attr == "unique" and not cls.SORTING_FORMS & {k.arg for k in node.keywords}):
+                lines.append(node.lineno)
+        return sorted(lines)
+
+    def test_the_guard_sees_each_call(self):
+        source = ("np.unique(a)\n" "np.isin(a, b)\n" "np.in1d(a, b)\n" "np.union1d(a, b)\n"
+                  "np.intersect1d(a, b)\n" "np.setdiff1d(a, b)\n" "np.setxor1d(a, b)\n"
+                  "np.unique(a, axis=0)\n" "np.unique(a, return_index=True)\n"
+                  "np.unique(a, return_inverse=True)\n" "np.unique(a, return_counts=True)\n"
+                  "unique_ids(a, b)\n" "np.sort(a)\n")
+        assert self.hashing_id_calls(source) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+    def test_the_package_makes_ids_distinct_by_sorting(self):
+        found = {}
+        for path in sorted(Path(nm.__file__).parent.glob("*.py")):
+            lines = self.hashing_id_calls(path.read_text(encoding="utf-8"))
+            if lines:
+                found[path.name] = lines
+        assert not found, f"np.unique's hashing form or a numpy set routine, in place of unique_ids: {found}"

@@ -362,13 +362,19 @@ class TestRowGradients:
         return nm.matvec(rows, Tensor(self.spread(rng, rows.shape[0])), tape)
 
     def loss(self, case, x, l2, seed, tape):
-        """Gathers with overlapping and repeated rows, l2 on the whole leaf,
-        and, by case, a dense contribution or the l2 term recorded first."""
+        """Gathers with overlapping, repeated and negative rows, l2 on the
+        whole leaf, and, by case, a dense contribution or the l2 term
+        recorded first."""
         rng = np.random.default_rng(seed)
         n = len(x.values)
         heavy = np.full(min(n, 300), int(rng.integers(n)))
-        idx = (rng.permutation(np.concatenate([rng.integers(0, n, min(n, 400)), heavy])),
-               rng.integers(0, -(-n // 2), min(n, 250)))
+        first = rng.permutation(np.concatenate([rng.integers(0, n, min(n, 400)), heavy]))
+        second = rng.integers(0, -(-n // 2), min(n, 250))
+        third = np.concatenate([first[:100], second[:100], rng.integers(0, n, min(n, 100))])
+        # about half of each gather's ids are written as their negative
+        # alias; backward adds the gathers last to first, so the second's
+        # and the first's adds meet held rows, new rows and wrapped ids
+        idx = [np.where(rng.random(i.size) < 0.5, i - n, i) for i in (first, second, third)]
         terms = []
         if case == "l2_first" and l2:
             terms.append(nm.scale(nm.sum_squares(x, tape), l2, tape))
@@ -412,6 +418,20 @@ class TestRowGradients:
             tape = Tape()
             tape.backward(self.loss(case, t, l2, 5, tape))
         assert (rowed._row_grad is not None) == self.keeps_rows(case, l2) and dense._row_grad is None
+        assert np.array_equal(bits(rowed.grad), bits(dense.grad))
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_adds_of_one_new_row_and_of_none(self, l2):
+        # backward adds the last gather first: rows 3, 5 and 9, then one
+        # new row (7), then none (-695 is row 5)
+        rowed, dense = self.leaves((700, 48), "c")
+        for t in (rowed, dense):
+            tape, rng = Tape(), np.random.default_rng(9)
+            terms = [self.project(nm.gather_rows(t, idx, tape), rng, tape)
+                     for idx in ([5, 9, -695], [9, 7, 5], [3, 5, 9])]
+            total = nm.add(nm.add(*terms[:2], tape), terms[2], tape)
+            tape.backward(nm.add(total, nm.scale(nm.sum_squares(t, tape), l2, tape), tape))
+        assert rowed._row_grad.rows.tolist() == [3, 5, 7, 9]
         assert np.array_equal(bits(rowed.grad), bits(dense.grad))
 
     @pytest.mark.parametrize("opt", OPTIMIZERS)
