@@ -9,6 +9,7 @@ and honored on subsequent loads so indices stay stable across round trips.
 
 from __future__ import annotations
 
+import codecs
 import errno
 import json
 import logging
@@ -177,10 +178,11 @@ def _is_plain(text: str) -> bool:
 
 
 def _read_pairs(path: Path) -> list[str]:
-    """Both fields of every data line of ``path``, flat: ``[a0, b0, a1, b1, ...]``.
-    A plain file is split in one call, any other line by line."""
+    """Both fields of every data line of ``path``, flat: ``[a0, b0, a1, b1, ...]``,
+    after one leading UTF-8 byte order mark.  A plain file is split in one
+    call, any other line by line."""
     try:
-        raw = path.read_bytes()
+        raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
@@ -286,8 +288,9 @@ def load_dataset(dir_path) -> InteractionDataset:
 
     A file whose every line is two plain fields around a tab is split in
     one call, any other line by line; both give the same record, which
-    array operations build from the id map's own ints.  Bytes that are not
-    UTF-8 are a :class:`ParseError` naming the line of the first bad byte.
+    array operations build from the id map's own ints.  A leading UTF-8
+    byte order mark is dropped.  Bytes that are not UTF-8 are a
+    :class:`ParseError` naming the line of the first bad byte.
     """
     root = Path(dir_path)
     if not root.is_dir():

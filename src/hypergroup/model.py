@@ -120,8 +120,9 @@ class MlpTower:
         scored one at a time, so an entity's scores do not depend on which
         other entities a caller scores.  The layers after ``P`` run over
         blocks of items that start at multiples of :data:`SCORE_BLOCK`, the
-        remainder merged into the last block, through two buffers allocated
-        per call: every product has 1,024-2,047 rows (all rows of a table
+        remainder merged into the last block, each block through fresh
+        per-layer activations with the bias and ``np.maximum`` applied in
+        place: every product has 1,024-2,047 rows (all rows of a table
         under two blocks), a row's bits equal those of one pass over the
         whole table, and no temporary is larger than one block's
         activations.  ``np.maximum`` keeps NaN, so a
@@ -154,17 +155,12 @@ class MlpTower:
             return p + c
         n = p.shape[0]
         scores = np.empty(n)
-        # two flat buffers that the hidden layers' block activations take
-        # turns in, as C-contiguous prefixes, each as wide as its widest layer
-        rows, widths = min(n, 2 * SCORE_BLOCK - 1), [w.shape[0] for w, _ in self.hidden]
-        bufs = [np.empty(rows * max(widths[j::2], default=0)) for j in (0, 1)]
         starts = range(0, max(n - SCORE_BLOCK, 0) + 1, SCORE_BLOCK)
         for lo, hi in zip(starts, [*starts[1:], n]):
-            outs = [bufs[i % 2][:(hi - lo) * k].reshape(hi - lo, k) for i, k in enumerate(widths)]
-            h = np.add(p[lo:hi], c, out=outs[0])
+            h = p[lo:hi] + c
             np.maximum(h, 0.0, out=h)
-            for (w, b), out in zip(self.hidden[1:], outs[1:]):
-                h = np.matmul(h, w.values.T, out=out)
+            for w, b in self.hidden[1:]:
+                h = h @ w.values.T
                 h += b.values
                 np.maximum(h, 0.0, out=h)
             np.matmul(h, self.out.values, out=scores[lo:hi])
@@ -320,8 +316,9 @@ def load_params(path) -> tuple[ModelParams, ModelConfig, dict]:
 class ForwardPass:
     """One forward evaluation over shared neighbor samples.
 
-    An instance serves one call to one of its public methods; build a new
-    pass per mini-batch or per evaluation sweep.
+    An instance serves one call to one of its public methods, and a second
+    call raises :class:`ContractViolation`; build a new pass per mini-batch
+    or per evaluation sweep.
     """
 
     def __init__(
@@ -343,10 +340,13 @@ class ForwardPass:
         self.training = training
         self._used = False
 
-    def _claim(self) -> None:
+    def _request(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Claim the pass for its one request: ``ids`` flat as int64, and their sorted distinct ids."""
         if self._used:
             raise ContractViolation("a ForwardPass instance serves a single request")
         self._used = True
+        ids = _ids(ids)
+        return ids, unique_ids(ids)
 
     # -- both encoders ------------------------------------------------------
 
@@ -405,18 +405,14 @@ class ForwardPass:
 
     def ipm_vectors(self, users) -> Tensor:
         """Social-graph user embeddings, one row per requested user."""
-        self._claim()
+        users, uniq = self._request(users)
         if not uses_ipm(self.cfg.variant):
             raise ConfigError(f"variant {self.cfg.variant} has no social encoder")
-        users = _ids(users)
-        uniq = unique_ids(users)
         return self._align(self._ipm_forward(uniq), uniq, users)
 
     def member_vectors(self, users) -> Tensor:
         """Shared user embeddings (social output plus latent rows)."""
-        self._claim()
-        users = _ids(users)
-        uniq = unique_ids(users)
+        users, uniq = self._request(users)
         return self._align(self._member_rows(uniq), uniq, users)
 
     # -- groups -----------------------------------------------------------
@@ -481,19 +477,15 @@ class ForwardPass:
 
     def hrl_vectors(self, groups) -> tuple[Tensor, Tensor]:
         """Pair of (aggregation-initialized, hyperedge-encoder) group rows."""
-        self._claim()
+        groups, uniq = self._request(groups)
         if not uses_hrl(self.cfg.variant):
             raise ConfigError(f"variant {self.cfg.variant} has no hyperedge encoder")
-        groups = _ids(groups)
-        uniq = unique_ids(groups)
         x, z = self._hrl_forward(uniq)
         return self._align(x, uniq, groups), self._align(z, uniq, groups)
 
     def group_vectors(self, groups) -> Tensor:
         """Final group embeddings under the configured variant."""
-        self._claim()
-        groups = _ids(groups)
-        uniq = unique_ids(groups)
+        groups, uniq = self._request(groups)
         if not uses_hrl(self.cfg.variant):
             emb = self._member_average(*self.hyper.members_of(uniq), uniq.size)[0]
         else:

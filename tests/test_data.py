@@ -1,6 +1,7 @@
 """Dataset loading, splitting and synthesis tests."""
 
 import builtins
+import codecs
 import errno
 import io
 import json
@@ -194,6 +195,24 @@ class TestLoadDataset:
         (tmp_path / "group_members.tsv").write_bytes(b"g\ta\ng\t\xff\xfe\n")
         with pytest.raises(ParseError, match="group_members.tsv"):
             hd.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", hd.DATA_FILES)
+    @pytest.mark.parametrize("plain", [True, False])
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path, name, plain):
+        files = {"social": "u1\tu2\n", "user_item": "u1\ti1\nu2\ti1\n",
+                 "group_members": "g\tu1\ng\tu2\n", "group_item": "g\ti1\n"}
+        if not plain:  # a comment sends the file down the line-by-line path
+            files = {k: v + "# end\n" for k, v in files.items()}
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        want, got = write_dataset_dir(tmp_path / "plain", **files), write_dataset_dir(tmp_path / "bom", **files)
+        (got / name).write_bytes(codecs.BOM_UTF8 + (got / name).read_bytes())
+        assert hd.load_dataset(got) == hd.load_dataset(want)
+        assert (got / hd.ID_MAP_FILE).read_bytes() == (want / hd.ID_MAP_FILE).read_bytes()
+        # a bad byte after the mark is still named by its line
+        (got / name).write_bytes(codecs.BOM_UTF8 + b"u1\tu2\nu1\t\xff\n")
+        with pytest.raises(ParseError, match=f"{name}:2: not valid UTF-8"):
+            hd.load_dataset(got)
 
     def test_one_big_group_loads_in_linear_time(self, tmp_path):
         # repeats are found in a set of seen pairs, not by scanning the

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -496,6 +497,28 @@ class TestBlockedScores:
         got = params.group_mlp.item_scores(e, params.item_embeddings)
         assert np.isnan(got[2500]) and np.all(np.isfinite(np.delete(got, 2500)))
         assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_blocks_activations(self):
+        """One call at 10,000 items, ``d=64`` and hidden widths (64, 32),
+        with ``P`` held, peaks at the scores plus the largest block's (1,808
+        rows) two activations and a few KiB of small objects: 1.40 MiB, where
+        a pair of buffers sized for 2,047 rows traces 1.64 MiB."""
+        cfg = hm.ModelConfig(d=64)
+        params = hm.initialize_params(cfg, 2, 10_000, np.random.default_rng(6))
+        e = np.random.default_rng(7).normal(size=cfg.d)
+        params.group_mlp.item_scores(e, params.item_embeddings)  # holds P
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            params.group_mlp.item_scores(e, params.item_embeddings)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8 * (10_000 + 1808 * (64 + 32)) + 4096
 
     @pytest.mark.parametrize("kernel", list(test_cli.TestGoldenDigest.DIGESTS))
     def test_each_recorded_kernel_gives_whole_table_bits(self, kernel):
