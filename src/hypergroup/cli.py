@@ -79,7 +79,7 @@ def _read_json(path) -> dict:
     if not p.is_file():
         raise DataError(f"config file not found: {p}")
     try:
-        blob = json.loads(p.read_text(encoding="utf-8"))
+        blob = json.loads(p.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise DataError(f"malformed JSON in {p}: {exc}") from exc
     if not isinstance(blob, dict):

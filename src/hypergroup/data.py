@@ -209,7 +209,7 @@ def _read_pairs(path: Path) -> list[str]:
 
 def _read_id_map(path: Path) -> IdMaps:
     try:
-        blob = json.loads(path.read_text(encoding="utf-8"))
+        blob = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(blob, dict):
             raise DataError(f"malformed {path}: the root is not a JSON object")
         maps = {}

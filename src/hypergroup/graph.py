@@ -73,6 +73,7 @@ def _pick(starts: np.ndarray, offsets: np.ndarray, values: np.ndarray, fill) -> 
 class _Adjacency:
     """Row access to an ``indptr``/``indices`` adjacency."""
 
+    # kept for perfbench's adjacency-entries metric, its only caller outside tests
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
@@ -113,12 +114,6 @@ class Hypergraph(_Adjacency):
     @property
     def num_groups(self) -> int:
         return len(self.member_indptr) - 1
-
-    def overlaps(self, g: int) -> np.ndarray:
-        """Shared-member counts, aligned with :meth:`neighbors`."""
-        nbrs = self.neighbors(g)
-        _, pairs = common_members(self, np.full(nbrs.size, g), nbrs)
-        return np.bincount(pairs, minlength=nbrs.size)
 
     def members_of(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Members of each group as ``(users, rows)``: ``users[k]`` belongs
@@ -330,26 +325,16 @@ def _symmetric_csr(a, b, num_rows, dtype):
     return indptr, indices
 
 
-def common_members(hyper, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def shared_members(users: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Members shared by each group pair ``(a[k], b[k])``, as ``(users, pairs)``.
 
-    ``users[j]`` is shared by pair ``pairs[j]``; users ascend within a pair
-    and pairs ascend.  ``hyper`` is a :class:`Hypergraph` or anything with
-    its ``members_of``, which lists the groups of both arrays once for
-    :func:`shared_members`.
-    """
-    groups = unique_ids(a, b)
-    users, rows = hyper.members_of(groups)
-    return shared_members(users, rows, np.searchsorted(groups, a), np.searchsorted(groups, b))
-
-
-def shared_members(users: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """:func:`common_members` of the listed groups ``(a[k], b[k])``.
-
     ``(users, rows)`` is one ``members_of`` listing, and ``a`` and ``b``
-    index the groups it lists.  The listing is keyed ``row * span + user``
-    and sorted (a view may list its rows out of order); each pair takes its
-    ``a`` group's members and keeps those whose key under ``b`` is there.
+    index the groups it lists.  ``users[j]`` is shared by pair
+    ``pairs[j]``; users ascend within a pair and pairs ascend, so a pair's
+    overlap weight is its count in ``pairs``.  The listing is keyed ``row *
+    span + user`` and sorted (a view may list its rows out of order); each
+    pair takes its ``a`` group's members and keeps those whose key under
+    ``b`` is there.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     span = int(users.max(initial=-1)) + 1

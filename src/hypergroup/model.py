@@ -403,13 +403,6 @@ class ForwardPass:
             return rows
         return nm.gather_rows(rows, np.searchsorted(uniq, requested), self.tape)
 
-    def ipm_vectors(self, users) -> Tensor:
-        """Social-graph user embeddings, one row per requested user."""
-        users, uniq = self._request(users)
-        if not uses_ipm(self.cfg.variant):
-            raise ConfigError(f"variant {self.cfg.variant} has no social encoder")
-        return self._align(self._ipm_forward(uniq), uniq, users)
-
     def member_vectors(self, users) -> Tensor:
         """Shared user embeddings (social output plus latent rows)."""
         users, uniq = self._request(users)
@@ -474,14 +467,6 @@ class ForwardPass:
             del agg
             m = self._encode(params.hrl_layers[i - 1], x)
         return self._align(x0, base_groups, groups), m
-
-    def hrl_vectors(self, groups) -> tuple[Tensor, Tensor]:
-        """Pair of (aggregation-initialized, hyperedge-encoder) group rows."""
-        groups, uniq = self._request(groups)
-        if not uses_hrl(self.cfg.variant):
-            raise ConfigError(f"variant {self.cfg.variant} has no hyperedge encoder")
-        x, z = self._hrl_forward(uniq)
-        return self._align(x, uniq, groups), self._align(z, uniq, groups)
 
     def group_vectors(self, groups) -> Tensor:
         """Final group embeddings under the configured variant."""

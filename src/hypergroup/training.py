@@ -286,11 +286,10 @@ class AdamOptimizer:
     share ``0.0 + c*p`` with the summed rows written over it.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._state: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
@@ -300,8 +299,8 @@ class AdamOptimizer:
             m, v, t = state if state is not None else (np.zeros(p.values.shape), np.zeros(p.values.shape), 0)
             t += 1
             self._state[id(p)] = (m, v, t)
-            bc1 = 1.0 - self.beta1 ** t
-            bc2 = 1.0 - self.beta2 ** t
+            bc1 = 1.0 - self.BETA1 ** t
+            bc2 = 1.0 - self.BETA2 ** t
             with p.writing() as values:
                 if isinstance(g, np.ndarray) and not (values.flags.c_contiguous and g.flags.c_contiguous):
                     # a flat view of these would be a copy: update them whole
@@ -314,7 +313,7 @@ class AdamOptimizer:
                     self._update(pb, gb, mb, vb, bc1, bc2, s1[:hi - lo], s2[:hi - lo])
 
     def _update(self, p, g, m, v, bc1, bc2, s1, s2) -> None:
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         m *= b1
         np.multiply(g, 1.0 - b1, out=s1)
         m += s1
@@ -326,7 +325,7 @@ class AdamOptimizer:
         s1 *= self.lr
         np.divide(v, bc2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += self.EPS
         s1 /= s2
         p -= s1
 

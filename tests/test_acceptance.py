@@ -23,8 +23,8 @@ from hypergroup.data import (
     split_interactions,
 )
 from hypergroup.evaluation import evaluate
-from hypergroup.graph import build_hypergraph, build_social_graph, common_members, sample_neighbors
-from hypergroup.numeric import Tape
+from hypergroup.graph import build_hypergraph, build_social_graph, sample_neighbors, shared_members
+from hypergroup.numeric import Tape, Tensor
 from hypergroup.training import (
     TrainConfig,
     group_batch_loss,
@@ -41,12 +41,15 @@ FD_STEP = 1e-5
 
 
 def adjacency_row(hyper, g):
-    """``{neighbor: (weight, common-member set)}`` for group ``g``."""
+    """``{neighbor: (weight, common-member set)}`` for group ``g``, the common
+    members from one listing of every group; a pair's weight is the size of
+    its common set, as the forward pass counts it."""
     nbrs = hyper.neighbors(g)
-    users, pair = common_members(hyper, np.full(nbrs.size, g), nbrs)
+    listing = hyper.members_of(np.arange(hyper.num_groups))
+    users, pair = shared_members(*listing, np.full(nbrs.size, g), nbrs)
     return {
         int(b): (int(w), set(users[pair == k].tolist()))
-        for k, (b, w) in enumerate(zip(nbrs, hyper.overlaps(g)))
+        for k, (b, w) in enumerate(zip(nbrs, np.bincount(pair, minlength=nbrs.size)))
     }
 
 
@@ -411,9 +414,15 @@ def test_criterion_8_invariants():
         params = hm.initialize_params(cfg, num_users, 3, np.random.default_rng(trial))
         u = int(rng.integers(num_users))
         g = int(rng.integers(len(memberships)))
+        # the social encoder's row (member rows over a zero latent table, z +
+        # 0.0) and the hyperedge encoder's (residual_w 1, 1.0*z + 0.0*x); both
+        # draw what the encoders alone draw, in the same order
+        zero = Tensor(np.zeros((num_users, cfg.d)))
+        zero_latent = hm.ModelParams(num_users, 3, {**params.tensors, "user_latent": zero})
+        encoder_only = replace(cfg, residual_w=1.0)
         for vec in (
-            hm.ForwardPass(params, cfg, social, None, rng).ipm_vectors([u]).values[0],
-            hm.ForwardPass(params, cfg, social, hyper, rng).hrl_vectors([g])[1].values[0],
+            hm.ForwardPass(zero_latent, cfg, social, None, rng).member_vectors([u]).values[0],
+            hm.ForwardPass(params, encoder_only, social, hyper, rng).group_vectors([g]).values[0],
         ):
             n = float(np.linalg.norm(vec))
             assert abs(n - 1.0) < 1e-9 or n < 1e-6

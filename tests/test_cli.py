@@ -1,5 +1,6 @@
 """Command-line interface tests: flows, determinism, exit codes."""
 
+import codecs
 import ctypes
 import hashlib
 import json
@@ -754,6 +755,15 @@ class TestFailureLines:
         assert (tmp_path / "run" / "checkpoint.bin").exists()
 
 
+def assert_codec_error_after_the_mark(cfg_path, argv, capsys):
+    """A bad byte after a byte order mark is still the codec's one-line error."""
+    cfg_path.write_bytes(codecs.BOM_UTF8 + b'{"seed": "\xff"}')
+    capsys.readouterr()
+    assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'utf-8' codec can't decode byte 0xff" in err
+
+
 class TestConfigFiles:
     """A run or synth config file that is not the documented JSON object
     is a one-line error, never a traceback."""
@@ -768,6 +778,26 @@ class TestConfigFiles:
         err = capsys.readouterr().err
         assert rc == 2
         assert len(err.splitlines()) == 1 and err.startswith("hypergroup: data error: ")
+
+    def test_synth_config_behind_a_byte_order_mark(self, tmp_path, data_dir, capsys):
+        # one leading UTF-8 byte order mark changes no output file
+        cfg_path = tmp_path / "bom.json"
+        cfg_path.write_bytes(codecs.BOM_UTF8 + json.dumps(SYNTH_CFG).encode("utf-8"))
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "bom")]) == 0
+        for name in sorted(p.name for p in data_dir.iterdir()):
+            assert (tmp_path / "bom" / name).read_bytes() == (data_dir / name).read_bytes()
+        assert_codec_error_after_the_mark(cfg_path, ["synth", "--out", str(tmp_path / "bad")], capsys)
+
+    def test_train_config_behind_a_byte_order_mark(self, tmp_path, data_dir, capsys):
+        plain = run_train(tmp_path, data_dir, "plain")
+        cfg_path = tmp_path / "bom.json"
+        cfg_path.write_bytes(codecs.BOM_UTF8 + json.dumps(RUN_CFG).encode("utf-8"))
+        assert cli.main(["train", "--data", str(data_dir), "--config", str(cfg_path),
+                         "--out", str(tmp_path / "bom")]) == 0
+        for name in ("checkpoint.bin", "manifest.json"):
+            assert (tmp_path / "bom" / name).read_bytes() == (plain / name).read_bytes()
+        assert_codec_error_after_the_mark(
+            cfg_path, ["train", "--data", str(data_dir), "--out", str(tmp_path / "bad")], capsys)
 
     @pytest.mark.parametrize("key,value", [
         ("modle", {"d": 8}), ("node_features_file", [1]), ("node_features_file", {"path": "f.bin"}),

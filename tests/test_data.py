@@ -259,6 +259,21 @@ class TestIdMapFile:
         with pytest.raises(DataError, match=message):
             hd.load_dataset(tmp_path)
 
+    def test_byte_order_mark_is_not_part_of_the_map(self, tmp_path):
+        # a given map (not the derived one) behind one UTF-8 byte order mark
+        # loads the record it loads without the mark
+        swapped = json.dumps(dict(GOOD_MAPS, users={"a": 1, "b": 0})).encode("utf-8")
+        for name, text in (("plain", swapped), ("bom", codecs.BOM_UTF8 + swapped)):
+            (tmp_path / name).mkdir()
+            (write_small_dataset(tmp_path / name) / hd.ID_MAP_FILE).write_bytes(text)
+        want, got = hd.load_dataset(tmp_path / "plain"), hd.load_dataset(tmp_path / "bom")
+        assert got == want and got.id_maps == want.id_maps
+        assert got.id_maps.users == {"a": 1, "b": 0}
+        # a bad byte after the mark is still reported by the codec
+        (tmp_path / "bom" / hd.ID_MAP_FILE).write_bytes(codecs.BOM_UTF8 + b'{"users": "\xff"}')
+        with pytest.raises(DataError, match="'utf-8' codec can't decode byte 0xff"):
+            hd.load_dataset(tmp_path / "bom")
+
     def test_derived_map_is_written_and_reused(self, tmp_path):
         write_small_dataset(tmp_path)
         first = hd.load_dataset(tmp_path)

@@ -13,6 +13,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hypergroup.__path__))
 # a backticked `[hypergroup.]<module>.<name>[.<attr>]`, optionally called with arguments
 REFERENCE = re.compile(rf"(?:hypergroup\.)?({'|'.join(MODULES)})\.(\w+)(?:\.(\w+))?(?:\(.*\))?", re.DOTALL)
+# every public class the package defines, by name, and a backticked
+# `<Class>.<attr>`, optionally called with arguments
+CLASSES = {name: obj for module in MODULES
+           for name, obj in vars(importlib.import_module(f"hypergroup.{module}")).items()
+           if not name.startswith("_") and isinstance(obj, type) and obj.__module__.startswith("hypergroup.")}
+CLASS_REFERENCE = re.compile(rf"({'|'.join(CLASSES)})\.(\w+)(?:\(.*\))?", re.DOTALL)
 
 
 def test_library_entry_points_import():
@@ -31,17 +37,19 @@ def resolves(obj, name: str) -> bool:
 
 
 def test_code_references_resolve():
-    # every `module.name` the prose names exists, so a removed name cannot
-    # stay in the docs
+    # every `module.name` and `Class.attr` the prose names exists, so a
+    # removed name cannot stay in the docs
     prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
     spans = re.findall(r"`([^`]+)`", prose)
     refs = [m.groups() for m in map(REFERENCE.fullmatch, spans) if m]
-    assert refs
+    class_refs = [m.groups() for m in map(CLASS_REFERENCE.fullmatch, spans) if m]
+    assert refs and class_refs
     missing = []
     for module, name, attr in refs:
         obj = importlib.import_module(f"hypergroup.{module}")
         if not resolves(obj, name) or (attr and not resolves(getattr(obj, name), attr)):
             missing.append(".".join(filter(None, (module, name, attr))))
+    missing += [f"{cls}.{attr}" for cls, attr in class_refs if not resolves(CLASSES[cls], attr)]
     assert not missing, f"README names what the package lacks: {missing}"
 
 

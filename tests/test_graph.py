@@ -38,13 +38,21 @@ def rows(graph, n):
     return [graph.neighbors(r).tolist() for r in range(n)]
 
 
+def listed_common_members(hyper, a, b):
+    """``shared_members`` of the pairs ``(a[k], b[k])`` over one
+    ``members_of`` listing of every group id up to the highest one named."""
+    groups = np.arange(int(max(np.max(a, initial=-1), np.max(b, initial=-1))) + 1)
+    return hg.shared_members(*hyper.members_of(groups), a, b)
+
+
 def adjacency_with_common_members(h, g):
-    """``{neighbor: (weight, common-member set)}`` for row ``g`` of ``h``."""
+    """``{neighbor: (weight, common-member set)}`` for row ``g`` of ``h``; a
+    pair's weight is the size of its common set, as the forward pass counts it."""
     nbrs = h.neighbors(g)
-    users, pair = hg.common_members(h, np.full(nbrs.size, g), nbrs)
+    users, pair = listed_common_members(h, np.full(nbrs.size, g), nbrs)
     return {
         int(b): (int(w), set(users[pair == k].tolist()))
-        for k, (b, w) in enumerate(zip(nbrs, h.overlaps(g)))
+        for k, (b, w) in enumerate(zip(nbrs, np.bincount(pair, minlength=nbrs.size)))
     }
 
 
@@ -231,7 +239,7 @@ class TestHypergraph:
             b = np.concatenate([rng.integers(0, t + 1, size=40), [0, t, t, t - 1]])
             assert_common_members(view, memberships + [members], a, b)
         empty = np.zeros(0, dtype=np.int64)
-        users, pairs = hg.common_members(h, empty, empty)
+        users, pairs = listed_common_members(h, empty, empty)
         assert users.size == pairs.size == 0
 
 
@@ -250,7 +258,7 @@ class TestHypergraph:
             h = hg.build_hypergraph(make_ds(num_users, memberships))
             a, b = rng.integers(0, h.num_groups, (2, 200))
             want = pairwise_common_members(h, a, b)
-            assert [x.tolist() for x in hg.common_members(h, a, b)] == [x.tolist() for x in want]
+            assert [x.tolist() for x in listed_common_members(h, a, b)] == [x.tolist() for x in want]
             groups = hg.unique_ids(a, b)
             listed = hg.shared_members(*h.members_of(groups), np.searchsorted(groups, a),
                                        np.searchsorted(groups, b))
@@ -261,7 +269,7 @@ class TestHypergraph:
             users, pairs = pairwise_common_members(view, a, b)
             order = np.argsort(pairs, kind="stable")  # the view listed base pairs first
             want = [users[order].tolist(), pairs[order].tolist()]
-            assert [x.tolist() for x in hg.common_members(view, a, b)] == want
+            assert [x.tolist() for x in listed_common_members(view, a, b)] == want
             groups = hg.unique_ids(a, b)
             listed = hg.shared_members(*view.members_of(groups), np.searchsorted(groups, a),
                                        np.searchsorted(groups, b))
@@ -270,7 +278,7 @@ class TestHypergraph:
             # transient edge only ever ends a pair, and no reordering occurs
             two = a != b
             low, high = np.minimum(a, b)[two], np.maximum(a, b)[two]
-            assert ([x.tolist() for x in hg.common_members(view, low, high)]
+            assert ([x.tolist() for x in listed_common_members(view, low, high)]
                     == [x.tolist() for x in pairwise_common_members(view, low, high)])
 
 
@@ -299,8 +307,8 @@ def pairwise_common_members(hyper, a, b):
 
 
 def assert_common_members(graph, memberships, a, b):
-    """``common_members`` lists each pair's set intersection, ascending."""
-    users, pairs = hg.common_members(graph, a, b)
+    """``shared_members`` lists each pair's set intersection, ascending."""
+    users, pairs = listed_common_members(graph, a, b)
     for k, (g, h) in enumerate(zip(a.tolist(), b.tolist())):
         assert users[pairs == k].tolist() == sorted(set(memberships[g]) & set(memberships[h]))
 

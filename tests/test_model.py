@@ -17,7 +17,7 @@ from hypergroup import numeric as nm
 from hypergroup import training as ht
 from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
 from hypergroup.errors import CheckpointError, ConfigError, ContractViolation, DimensionError, load_config
-from hypergroup.graph import build_hypergraph, build_social_graph, common_members
+from hypergroup.graph import build_hypergraph, build_social_graph, shared_members
 
 import test_cli  # the recorded OpenBLAS kernel families and blas_core
 
@@ -46,6 +46,22 @@ def norm_np(x):
 def forward(params, cfg, social, hyper, seed):
     """An inference pass; ``seed`` is an int or a generator to draw from."""
     return hm.ForwardPass(params, cfg, social, hyper, np.random.default_rng(seed))
+
+
+def social_rows(params, cfg, social, seed, users):
+    """The social encoder's output for ``users``: ``member_vectors`` over a
+    copy of ``params`` whose latent table is zero, so each row is the
+    encoder's row plus +0.0."""
+    zero = nm.Tensor(np.zeros_like(params.user_latent.values))
+    zeroed = hm.ModelParams(params.num_users, params.num_items, {**params.tensors, "user_latent": zero})
+    return forward(zeroed, cfg, social, None, seed).member_vectors(users)
+
+
+def residual_rows(params, cfg, hyper, seed, groups, w):
+    """``group_vectors`` under ``residual_w = w``: at 1 the hyperedge
+    encoder's output (``1.0*z + 0.0*x``), at 0 the member-average
+    initialization."""
+    return forward(params, replace(cfg, residual_w=w), None, hyper, seed).group_vectors(groups)
 
 
 # one entity's scores against every item, through the inference engine
@@ -110,7 +126,7 @@ class TestIpmEmbed:
     def test_unit_norm(self):
         _, social, cfg, params = self.cycle_setup()
         for u in range(5):
-            z = forward(params, cfg, social, None, u).ipm_vectors([u]).values[0]
+            z = social_rows(params, cfg, social, u, [u]).values[0]
             assert abs(np.linalg.norm(z) - 1.0) < 1e-12
 
     def test_matches_straight_line_k1(self):
@@ -120,7 +136,7 @@ class TestIpmEmbed:
         for u in range(5):
             nbrs = [(u - 1) % 5, (u + 1) % 5]
             expected = norm_np(relu_np(w @ np.concatenate([feats[u], feats[nbrs].mean(axis=0)])))
-            got = forward(params, cfg, social, None, 3).ipm_vectors([u]).values[0]
+            got = social_rows(params, cfg, social, 3, [u]).values[0]
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_matches_straight_line_k2(self):
@@ -134,7 +150,7 @@ class TestIpmEmbed:
         for u in range(5):
             nbrs = [(u - 1) % 5, (u + 1) % 5]
             expected = norm_np(relu_np(w2 @ np.concatenate([h1[u], h1[nbrs].mean(axis=0)])))
-            got = forward(params, cfg, social, None, 4).ipm_vectors([u]).values[0]
+            got = social_rows(params, cfg, social, 4, [u]).values[0]
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_identical_neighbor_features_duplicate_concat(self):
@@ -148,7 +164,7 @@ class TestIpmEmbed:
         params.node_features.values[1] = f
         w = params.ipm_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([f, f])))
-        got = forward(params, cfg, social, None, 0).ipm_vectors([0]).values[0]
+        got = social_rows(params, cfg, social, 0, [0]).values[0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_isolated_user_self_sampling(self):
@@ -159,7 +175,7 @@ class TestIpmEmbed:
         f = params.node_features.values[0]
         w = params.ipm_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([f, f])))
-        got = forward(params, cfg, social, None, 0).ipm_vectors([0]).values[0]
+        got = social_rows(params, cfg, social, 0, [0]).values[0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -175,7 +191,7 @@ class TestMemberEmbedding:
         social = build_social_graph(ds)
         cfg = hm.ModelConfig(d=4, k_ipm=1, s_ipm=2, dropout=0.0)
         params = hm.initialize_params(cfg, 4, 2, np.random.default_rng(5))
-        z = forward(params, cfg, social, None, 9).ipm_vectors([2]).values[0]
+        z = social_rows(params, cfg, social, 9, [2]).values[0]
         emb = forward(params, cfg, social, None, 9).member_vectors([2]).values[0]
         np.testing.assert_allclose(emb, z + params.user_latent.values[2], atol=1e-12)
 
@@ -229,6 +245,28 @@ def six_group_cycle():
     return ds, build_hypergraph(ds)
 
 
+def six_group_cycle_straight_line(ds, params):
+    """``(x, z)`` of every group of :func:`six_group_cycle` by a plain loop:
+    the member-average initialization and the hyperedge encoder's output,
+    each group reading both neighbors with weight 1 (a NO_IPM model)."""
+    lat = params.user_latent.values
+    x = np.array([lat[m].mean(axis=0) for m in ds.memberships])
+    lrep = {}
+    for g in range(6):
+        nxt = (g + 1) % 6
+        lrep[(g, nxt)] = lrep[(nxt, g)] = lat[g]  # shared user w_g has id g
+    m_prev = x.copy()
+    for w in (t.values for t in params.hrl_layers):
+        m_new = np.zeros_like(m_prev)
+        for g in range(6):
+            agg = np.zeros(x.shape[1])
+            for nb in ((g - 1) % 6, (g + 1) % 6):
+                agg += 1.0 * (m_prev[nb] + lrep[(g, nb)])
+            m_new[g] = norm_np(relu_np(w @ np.concatenate([m_prev[g], agg])))
+        m_prev = m_new
+    return x, m_prev
+
+
 class TestHrlEmbed:
     def test_isolated_group_zero_aggregate(self):
         ds = make_ds(4, 2, [[0, 1], [2, 3]])
@@ -239,7 +277,7 @@ class TestHrlEmbed:
         x = 0.5 * (lat[0] + lat[1])
         w = params.hrl_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([x, np.zeros(3)])))
-        got = forward(params, cfg, None, hyper, 0).hrl_vectors([0])[1].values[0]
+        got = residual_rows(params, cfg, hyper, 0, [0], 1.0).values[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_single_neighbor_weight_two(self):
@@ -254,7 +292,7 @@ class TestHrlEmbed:
         l01 = 0.5 * (lat[0] + lat[1])
         w = params.hrl_layers[0].values
         expected = norm_np(relu_np(w @ np.concatenate([x0, 2.0 * (x1 + l01)])))
-        got = forward(params, cfg, None, hyper, 0).hrl_vectors([0])[1].values[0]
+        got = residual_rows(params, cfg, hyper, 0, [0], 1.0).values[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_six_group_cycle_matches_straight_line_k2(self):
@@ -262,26 +300,9 @@ class TestHrlEmbed:
         cfg = hm.ModelConfig(d=4, variant="NO_IPM", k_hrl=2, s_hrl=2,
                              residual_w=0.5, dropout=0.0)
         params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(7))
-        lat = params.user_latent.values
-        w1, w2 = (t.values for t in params.hrl_layers)
-
-        x = np.array([lat[m].mean(axis=0) for m in ds.memberships])
-        lrep = {}
+        x, m_prev = six_group_cycle_straight_line(ds, params)
         for g in range(6):
-            nxt = (g + 1) % 6
-            lrep[(g, nxt)] = lrep[(nxt, g)] = lat[g]  # shared user w_g has id g
-        m_prev = x.copy()
-        for w in (w1, w2):
-            m_new = np.zeros_like(m_prev)
-            for g in range(6):
-                agg = np.zeros(4)
-                for nb in ((g - 1) % 6, (g + 1) % 6):
-                    agg += 1.0 * (m_prev[nb] + lrep[(g, nb)])
-                m_new[g] = norm_np(relu_np(w @ np.concatenate([m_prev[g], agg])))
-            m_prev = m_new
-
-        for g in range(6):
-            z = forward(params, cfg, None, hyper, g).hrl_vectors([g])[1].values[0]
+            z = residual_rows(params, cfg, hyper, g, [g], 1.0).values[0]
             assert np.max(np.abs(z - m_prev[g])) < 1e-10
             emb = forward(params, cfg, None, hyper, g).group_vectors([g]).values[0]
             expected = 0.5 * m_prev[g] + 0.5 * x[g]
@@ -293,7 +314,7 @@ class TestHrlEmbed:
         rng = np.random.default_rng(8)
         for trial in range(100):
             params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(trial))
-            z = forward(params, cfg, None, hyper, rng).hrl_vectors([trial % 6])[1].values[0]
+            z = residual_rows(params, cfg, hyper, rng, [trial % 6], 1.0).values[0]
             n = np.linalg.norm(z)
             assert abs(n - 1.0) < 1e-12 or n < 1e-6
 
@@ -304,14 +325,18 @@ class TestGroupEmbedding:
         return ds, hyper
 
     def test_residual_extremes(self):
+        # the encoder output z and the initialization x, each checked against
+        # the straight line of the six-group cycle
         ds, hyper = self.setup()
         for w, seed in ((1.0, 0), (0.0, 1)):
             cfg = hm.ModelConfig(d=4, variant="NO_IPM", k_hrl=1, s_hrl=2,
                                  residual_w=w, dropout=0.0)
             params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(seed))
-            z = forward(params, cfg, None, hyper, 42).hrl_vectors([0])[1].values[0]
-            fp = forward(params, cfg, None, hyper, 42)
-            x = fp.hrl_vectors([0])[0].values[0]
+            z = residual_rows(params, cfg, hyper, 42, [0], 1.0).values[0]
+            x = residual_rows(params, cfg, hyper, 42, [0], 0.0).values[0]
+            want_x, want_z = six_group_cycle_straight_line(ds, params)
+            np.testing.assert_allclose(x, want_x[0], atol=1e-12)
+            np.testing.assert_allclose(z, want_z[0], atol=1e-10)
             emb = forward(params, cfg, None, hyper, 42).group_vectors([0]).values[0]
             expected = z if w == 1.0 else x
             np.testing.assert_allclose(emb, expected, atol=1e-15)
@@ -321,8 +346,9 @@ class TestGroupEmbedding:
         cfg = hm.ModelConfig(d=4, variant="NO_IPM", k_hrl=1, s_hrl=2,
                              residual_w=0.5, dropout=0.0)
         params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(2))
-        fp = forward(params, cfg, None, hyper, 7)
-        x, z = (t.values[0] for t in fp.hrl_vectors([0]))
+        x, z = (residual_rows(params, cfg, hyper, 7, [0], w).values[0] for w in (0.0, 1.0))
+        # x is the members' mean latent row, so the mix below is not z and x read back
+        np.testing.assert_allclose(x, params.user_latent.values[ds.memberships[0]].mean(axis=0), atol=1e-12)
         emb = forward(params, cfg, None, hyper, 7).group_vectors([0]).values[0]
         np.testing.assert_allclose(emb, 0.5 * z + 0.5 * x, atol=1e-15)
 
@@ -805,7 +831,8 @@ class TestTransientGroups:
         # the transient row lists the groups it overlaps, one shared member each
         ids = view.neighbor_ids(np.array([view.transient_index]), np.array([[0, 1]]))
         assert ids.tolist() == [[0, 1]]
-        _, pairs = common_members(view, ids[0], np.full(2, view.transient_index))
+        listing = view.members_of(np.arange(view.transient_index + 1))
+        _, pairs = shared_members(*listing, ids[0], np.full(2, view.transient_index))
         assert np.bincount(pairs, minlength=2).tolist() == [1, 1]
 
     def test_exact_group_is_the_lowest_id_with_the_same_members(self):
