@@ -87,7 +87,8 @@ class _Adjacency:
 
 @dataclass
 class SocialGraph(_Adjacency):
-    """Symmetric user adjacency: row ``u`` of ``indices`` lists u's friends."""
+    """Symmetric user adjacency: row ``u`` of ``indices`` lists u's
+    friends, as int32 ids whenever every user id fits."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -181,12 +182,14 @@ class TransientHypergraphView:
 
 
 def build_social_graph(ds: InteractionDataset) -> SocialGraph:
-    """Symmetric adjacency from the dataset's social edges."""
+    """Symmetric adjacency from the dataset's social edges; ``indices`` is
+    int32 whenever every user id fits, ``indptr`` int64."""
     n, span = ds.num_users, max(ds.num_users, 1)
     edges = np.fromiter(chain.from_iterable(ds.social_edges), dtype=np.int64,
                         count=2 * len(ds.social_edges)).reshape(-1, 2)
     keys = unique_ids(edges[:, 0] * span + edges[:, 1], edges[:, 1] * span + edges[:, 0])
-    return SocialGraph(indptr=_indptr(keys // span, n), indices=keys % span)
+    indices = (keys % span).astype(np.int32 if span <= 1 << 31 else np.int64)
+    return SocialGraph(indptr=_indptr(keys // span, n), indices=indices)
 
 
 def build_hypergraph(ds: InteractionDataset) -> Hypergraph:

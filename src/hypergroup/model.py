@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -364,10 +365,6 @@ class ForwardPass:
             needed[i - 1] = unique_ids(needed[i], nbrs[i])
         return needed, nbrs, live
 
-    def _encode(self, w: Tensor, x: Tensor) -> Tensor:
-        """One encoder layer: ``l2_normalize(relu(w x))`` of ``x = [own ‖ agg]``."""
-        return nm.l2_normalize(nm.relu(nm.linear(w, None, x, self.tape), self.tape), self.tape)
-
     # -- users ------------------------------------------------------------
 
     def _ipm_forward(self, users: np.ndarray) -> Tensor:
@@ -386,8 +383,13 @@ class ForwardPass:
             if i > 1:
                 own_ids = np.searchsorted(needed[i - 1], own_ids)
                 nbr_ids = np.searchsorted(needed[i - 1], nbr_ids)
-            x = nm.concat(nm.gather_rows(h, own_ids, tape), nm.gather_mean_rows(h, nbr_ids, S, tape), tape)
-            h = self._encode(params.ipm_layers[i - 1], x)
+            if h.trainable or h._cell is not None:
+                x = nm.concat(nm.gather_rows(h, own_ids, tape), nm.gather_mean_rows(h, nbr_ids, S, tape), tape)
+                h = nm.encode(params.ipm_layers[i - 1], x, tape)
+                continue
+            # a frozen input is built again for the weight rule, not held
+            rebuild = partial(nm.own_and_mean_rows, h.values, own_ids, nbr_ids, S)
+            h = nm.encode(params.ipm_layers[i - 1], Tensor(rebuild()), tape, rebuild)
         return h
 
     def _member_rows(self, users: np.ndarray) -> Tensor:
@@ -459,13 +461,10 @@ class ForwardPass:
             l_idx = np.where(live[i], np.searchsorted(pairs, keys[i]), 0)
             w = np.zeros(l_idx.shape)
             w[live[i]] = overlap[l_idx[live[i]]]
-            msg = nm.add(nm.gather_rows(m, np.searchsorted(prev, nbrs[i].ravel()), tape),
-                         nm.gather_rows(l_rows, l_idx.ravel(), tape), tape)
-            agg = nm.sum_rows_stride(nm.mul_rows(msg, w.ravel(), tape), S, tape)
-            del msg
+            agg = nm.gather_sum(m, np.searchsorted(prev, nbrs[i].ravel()), l_rows, l_idx, w, S, tape)
             x = nm.concat(nm.gather_rows(m, np.searchsorted(prev, needed[i]), tape), agg, tape)
             del agg
-            m = self._encode(params.hrl_layers[i - 1], x)
+            m = nm.encode(params.hrl_layers[i - 1], x, tape)
         return self._align(x0, base_groups, groups), m
 
     def group_vectors(self, groups) -> Tensor:

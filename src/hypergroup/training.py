@@ -8,11 +8,11 @@ per batch, updating only parameters the batch actually touched.
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .data import InteractionDataset, entity_name
 from .errors import ConfigError, ContractViolation, NumericError, SamplingError, bounded, check_fields
 from .graph import Hypergraph, SocialGraph
 from .model import ForwardPass, ModelConfig, ModelParams, mlp_forward
-from .numeric import Tape, Tensor
+from .numeric import Tape, Tensor, unique_ids
 
 log = logging.getLogger(__name__)
 
@@ -122,51 +122,88 @@ class TrainReport:
 # sampling
 
 
-def sample_negative(
-    positive_set: set[int], n_items: int, n_x: int, rng: np.random.Generator
-) -> list[int]:
+@dataclass(frozen=True)
+class Positives:
+    """Each entity's positive items as one CSR: row ``e`` is
+    ``items[indptr[e]:indptr[e + 1]]``, distinct and ascending.  ``items``
+    is int32 whenever every item id fits."""
+
+    indptr: np.ndarray
+    items: np.ndarray
+
+    def counts(self) -> np.ndarray:
+        """How many positives each entity has."""
+        return np.diff(self.indptr)
+
+    def contains(self, entities: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Whether ``items[k]`` is a positive of ``entities[k]``, for every
+        k at once: one bisection of each entity's row, all rows in step."""
+        lo, end = self.indptr[entities], self.indptr[entities + 1]
+        hi = end.copy()
+        open_ = lo < hi
+        while open_.any():
+            mid = (lo + hi) // 2
+            below = open_.copy()
+            below[open_] = self.items[mid[open_]] < items[open_]
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+            open_ = lo < hi
+        found = lo < end
+        found[found] = self.items[lo[found]] == items[found]
+        return found
+
+    def negatives(self, entities: np.ndarray, n_items: int, rng: np.random.Generator) -> np.ndarray:
+        """One item per entry of ``entities`` that is not among its
+        positives: for entry after entry, the first of a run of
+        ``rng.integers(n_items)`` draws that is not.
+
+        These are the draws of a loop that draws one item at a time, in
+        the same order: ``rng.integers(n_items, size=n)`` draws what ``n``
+        single draws would.  Each round draws one item for every entry
+        still open.  A rejected draw holds its entry, so the round's later
+        draws move down one entry; every draw up to the next rejection is
+        tested in one :meth:`contains`.
+        """
+        entities = np.asarray(entities, dtype=np.int64).reshape(-1)
+        out = np.empty(entities.size, dtype=np.int64)
+        done = 0
+        while done < entities.size:
+            draws = rng.integers(n_items, size=entities.size - done)
+            at = 0
+            while at < draws.size:
+                tried = draws[at:]
+                taken = self.contains(entities[done:done + tried.size], tried)
+                kept = int(taken.argmax()) if taken.any() else tried.size
+                out[done:done + kept] = tried[:kept]
+                done += kept
+                at += kept + 1
+        return out
+
+
+def sample_negative(positive_set, n_items: int, n_x: int, rng: np.random.Generator) -> list[int]:
     """Draw ``n_x`` items uniformly from the complement of ``positive_set``."""
     if len(positive_set) >= n_items:
         raise SamplingError("positive set covers all items; no negatives exist")
-    out = []
-    for _ in range(n_x):
-        while True:
-            v = int(rng.integers(n_items))
-            if v not in positive_set:
-                out.append(v)
-                break
-    return out
+    items = np.array(sorted(positive_set), dtype=np.int64)
+    return Positives(np.array([0, items.size]), items).negatives(np.zeros(n_x, dtype=np.int64), n_items, rng).tolist()
 
 
-def positives_by_entity(pairs) -> dict[int, set[int]]:
-    """Each entity's set of positive items.
-
-    The table is built with the cyclic collector paused: its one set per
-    entity forms no cycle, yet the allocations would run the collector
-    many times over the live heap.  Measured on 91k user-item train pairs
-    (one pinned CPU of a 2-vCPU Xeon): without the pause a four-batch
-    user-only ``train`` call ran 5-11 ms slower and a set-up-only call only
-    1.5-4.3 ms slower, so the deferred collections land in the batches.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        table: dict[int, set[int]] = {}
-        for e, v in pairs:
-            table.setdefault(e, set()).add(v)
-    finally:
-        if enabled:
-            gc.enable()
-    return table
+def positives_by_entity(pairs) -> Positives:
+    """Each entity's positive items, from ``(entity, item)`` pairs, as one
+    CSR over entities 0 up to the highest one named."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+    span = int(flat[:, 1].max(initial=0)) + 1
+    entities, items = np.divmod(unique_ids(flat[:, 0] * span + flat[:, 1]), span)
+    num = int(entities[-1]) + 1 if entities.size else 0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(entities, minlength=num))))
+    return Positives(indptr, items.astype(np.int32 if span <= 1 << 31 else np.int64))
 
 
-def build_triples(batch_pairs, positives, n_items, n_x, rng):
+def build_triples(batch_pairs, positives: Positives, n_items, n_x, rng):
     """Expand positive pairs into (entity, positive, negative) triples."""
-    triples = []
-    for e, v in batch_pairs:
-        for neg in sample_negative(positives[e], n_items, n_x, rng):
-            triples.append((e, v, neg))
-    return triples
+    entities = np.array([e for e, _ in batch_pairs], dtype=np.int64)
+    negatives = iter(positives.negatives(np.repeat(entities, n_x), n_items, rng).tolist())
+    return [(e, v, next(negatives)) for e, v in batch_pairs for _ in range(n_x)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +417,9 @@ class _Stream:
         self.pass_length = -(-(len(self.pairs) if budget is None else budget) // batch_size)
         n_items = train_ds.num_items
         if self.pass_length:
-            full = [e for e, items in self.positives.items() if len(items) >= n_items]
-            if full:
-                name = entity_name(train_ds.id_maps, f"{task}s", min(full))
+            full = np.flatnonzero(self.positives.counts() >= n_items)
+            if full.size:
+                name = entity_name(train_ds.id_maps, f"{task}s", int(full[0]))
                 raise SamplingError(f"{task} {name}'s training positives cover all {n_items} "
                                     "items; no negatives exist")
         self._order = ()  # the current pass

@@ -3,6 +3,7 @@
 import builtins
 import codecs
 import errno
+import gc
 import io
 import json
 import os
@@ -227,6 +228,33 @@ class TestLoadDataset:
         ds = hd.load_dataset(tmp_path)
         assert time.perf_counter() - start < 1.5
         assert len(ds.memberships[0]) == n
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_collector_paused_and_restored(self, tmp_path, monkeypatch, enabled, fails):
+        write_dataset_dir(tmp_path, social="a\tb\n", user_item="a\ti\nb\tj\n",
+                          group_members="g\ta\ng\tb\n", group_item="g\ti\n")
+        seen = []
+        read_pairs = hd._read_pairs
+
+        def recording(path):
+            seen.append(gc.isenabled())
+            if fails and path.name == hd.GROUP_ITEM_FILE:
+                raise ParseError("group_item.tsv:1: expected two tab-separated fields")
+            return read_pairs(path)
+
+        monkeypatch.setattr(hd, "_read_pairs", recording)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if fails:
+                with pytest.raises(ParseError):
+                    hd.load_dataset(tmp_path)
+            else:
+                assert hd.load_dataset(tmp_path).memberships == [[0, 1]]
+            assert gc.isenabled() == enabled and seen == [False] * 4
+        finally:
+            gc.enable() if was else gc.disable()
 
 
 def write_small_dataset(root):

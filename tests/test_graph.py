@@ -89,6 +89,17 @@ class TestSocialGraph:
         g = hg.build_social_graph(ds)
         assert g.neighbors(0).tolist() == [1, 2, 4]
 
+    def test_ids_are_int32_and_sampled_ids_int64(self):
+        ds = generate_synthetic(SynthConfig(num_users=300, num_items=20, num_groups=30, seed=4))
+        g = hg.build_social_graph(ds)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        wide = hg.SocialGraph(indptr=g.indptr, indices=g.indices.astype(np.int64))
+        nodes = np.arange(ds.num_users)
+        offsets = hg.sample_neighbors(g.degrees(nodes), 4, np.random.default_rng(0))
+        ids = g.neighbor_ids(nodes, offsets)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, wide.neighbor_ids(nodes, offsets))
+
 
 class TestHypergraph:
     def test_shared_single_member(self):

@@ -67,39 +67,69 @@ class TestSampleNegative:
             ht.sample_negative({0, 1, 2}, 3, 1, np.random.default_rng(0))
 
 
+def reference_triples(batch_pairs, table, n_items, n_x, rng):
+    """``build_triples`` over a dict of positive sets, one draw at a time:
+    the loop the CSR's rounds of draws replace."""
+    triples = []
+    for e, v in batch_pairs:
+        for _ in range(n_x):
+            while True:
+                neg = int(rng.integers(n_items))
+                if neg not in table[e]:
+                    break
+            triples.append((e, v, neg))
+    return triples
+
+
+def sets_of(pairs):
+    table = {}
+    for e, v in pairs:
+        table.setdefault(e, set()).add(v)
+    return table
+
+
 class TestPositivesByEntity:
     def test_table_equals_a_plain_build(self):
         ds = generate_synthetic(SynthConfig(num_users=200, num_items=80, num_groups=60, seed=3))
         for pairs in (ds.user_item, ds.group_item):
-            want = {}
-            for e, v in pairs:
-                want.setdefault(e, set()).add(v)
+            want = sets_of(pairs)
             got = ht.positives_by_entity(pairs)
-            assert got == want and list(got) == list(want)
+            assert got.items.dtype == np.int32 and got.indptr[0] == 0
+            assert len(got.indptr) == max(want) + 2
+            rows = [got.items[got.indptr[e]:got.indptr[e + 1]].tolist() for e in range(max(want) + 1)]
+            assert rows == [sorted(want.get(e, ())) for e in range(max(want) + 1)]
+            assert got.counts().tolist() == [len(want.get(e, ())) for e in range(max(want) + 1)]
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_collector_paused_and_restored(self, enabled, fails):
-        seen = []
+    def test_contains_matches_the_sets(self):
+        rng = np.random.default_rng(5)
+        pairs = [(int(e), int(v)) for e, v in zip(rng.integers(0, 30, 400), rng.integers(0, 50, 400))]
+        table, sets = ht.positives_by_entity(pairs), sets_of(pairs)
+        entities = rng.integers(0, 30, 5000)
+        items = rng.integers(0, 50, 5000)
+        want = [int(v) in sets.get(int(e), ()) for e, v in zip(entities, items)]
+        assert table.contains(entities, items).tolist() == want
 
-        def pairs():
-            seen.append(gc.isenabled())
-            yield 0, 1
-            if fails:
-                yield None  # cannot unpack
-            yield 0, 2
+    def test_negatives_draw_what_the_sets_draw(self):
+        # dense positives reject many draws, so rounds split often
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            n_items = int(rng.integers(2, 40))
+            n_entities = int(rng.integers(1, 12))
+            pairs = [(e, int(v)) for e in range(n_entities)
+                     for v in rng.choice(n_items, size=int(rng.integers(1, n_items)), replace=False)]
+            batch = [pairs[int(i)] for i in rng.integers(0, len(pairs), int(rng.integers(1, 40)))]
+            n_x = int(rng.integers(1, 4))
+            got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            got = ht.build_triples(batch, ht.positives_by_entity(pairs), n_items, n_x, got_rng)
+            want = reference_triples(batch, sets_of(pairs), n_items, n_x, want_rng)
+            assert got == want, seed
+            assert all(type(x) is int for t in got for x in t)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
 
-        was = gc.isenabled()
-        try:
-            gc.enable() if enabled else gc.disable()
-            if fails:
-                with pytest.raises(TypeError):
-                    ht.positives_by_entity(pairs())
-            else:
-                assert ht.positives_by_entity(pairs()) == {0: {1, 2}}
-            assert gc.isenabled() == enabled and seen == [False]
-        finally:
-            gc.enable() if was else gc.disable()
+    def test_no_pairs_give_an_empty_table(self):
+        table = ht.positives_by_entity([])
+        assert table.indptr.tolist() == [0] and table.items.size == 0
+        assert ht.build_triples([], table, 5, 2, np.random.default_rng(0)) == []
 
 
 class TestBatchLosses:
@@ -230,7 +260,7 @@ class TestOptimizers:
         opt = ht.AdamOptimizer(0.1)
         for weight in (1.0, 0.0):
             tape = Tape()
-            tape.backward(nm.mean_all(nm.mul_rows(p, [weight], tape), tape))
+            tape.backward(nm.mean_all(nm.scale(p, weight, tape), tape))
             touched = tape.touched_parameters()
             assert touched == [p]
             # a touched trainable keeps its buffer, zero gradient included
