@@ -365,6 +365,11 @@ class ForwardPass:
             needed[i - 1] = unique_ids(needed[i], nbrs[i])
         return needed, nbrs, live
 
+    def _encode(self, w: Tensor, x: Tensor, rebuild=None) -> Tensor:
+        """One encoder layer: ``l2_normalize(relu(w x))`` of ``x = [own ‖ agg]``,
+        with ``rebuild`` as in :func:`numeric.linear`."""
+        return nm.l2_normalize(nm.relu(nm.linear(w, None, x, self.tape, rebuild), self.tape), self.tape)
+
     # -- users ------------------------------------------------------------
 
     def _ipm_forward(self, users: np.ndarray) -> Tensor:
@@ -383,13 +388,10 @@ class ForwardPass:
             if i > 1:
                 own_ids = np.searchsorted(needed[i - 1], own_ids)
                 nbr_ids = np.searchsorted(needed[i - 1], nbr_ids)
-            if h.trainable or h._cell is not None:
-                x = nm.concat(nm.gather_rows(h, own_ids, tape), nm.gather_mean_rows(h, nbr_ids, S, tape), tape)
-                h = nm.encode(params.ipm_layers[i - 1], x, tape)
-                continue
-            # a frozen input is built again for the weight rule, not held
-            rebuild = partial(nm.own_and_mean_rows, h.values, own_ids, nbr_ids, S)
-            h = nm.encode(params.ipm_layers[i - 1], Tensor(rebuild()), tape, rebuild)
+            # the weight rule builds x again from h, whose values the tape
+            # holds anyway (layer 1 reads the features table)
+            x = _own_and_mean(h, own_ids, nbr_ids, S, tape)
+            h = self._encode(params.ipm_layers[i - 1], x, partial(_own_and_mean, h, own_ids, nbr_ids, S))
         return h
 
     def _member_rows(self, users: np.ndarray) -> Tensor:
@@ -461,10 +463,13 @@ class ForwardPass:
             l_idx = np.where(live[i], np.searchsorted(pairs, keys[i]), 0)
             w = np.zeros(l_idx.shape)
             w[live[i]] = overlap[l_idx[live[i]]]
-            agg = nm.gather_sum(m, np.searchsorted(prev, nbrs[i].ravel()), l_rows, l_idx, w, S, tape)
+            msg = nm.add(nm.gather_rows(m, np.searchsorted(prev, nbrs[i].ravel()), tape),
+                         nm.gather_rows(l_rows, l_idx.ravel(), tape), tape)
+            agg = nm.sum_rows_stride(nm.mul_rows(msg, w.ravel(), tape), S, tape)
+            del msg
             x = nm.concat(nm.gather_rows(m, np.searchsorted(prev, needed[i]), tape), agg, tape)
             del agg
-            m = nm.encode(params.hrl_layers[i - 1], x, tape)
+            m = self._encode(params.hrl_layers[i - 1], x)
         return self._align(x0, base_groups, groups), m
 
     def group_vectors(self, groups) -> Tensor:
@@ -477,6 +482,12 @@ class ForwardPass:
             w = self.cfg.residual_w
             emb = nm.add(nm.scale(z, w, self.tape), nm.scale(x, 1.0 - w, self.tape), self.tape)
         return self._align(emb, uniq, groups)
+
+
+def _own_and_mean(h: Tensor, own_ids, nbr_ids, S: int, tape: Tape | None = None) -> Tensor:
+    """A social layer's input: ``[h[own_ids] ‖ mean of h[nbr_ids] over each
+    run of S]``."""
+    return nm.concat(nm.gather_rows(h, own_ids, tape), nm.gather_mean_rows(h, nbr_ids, S, tape), tape)
 
 
 def _ids(ids) -> np.ndarray:

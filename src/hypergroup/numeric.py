@@ -11,8 +11,9 @@ reverse topological traversal because the forward pass builds the graph
 sequentially.
 
 Model math runs on rows: a 2-D array whose rows are independent
-vectors, one per entity of a mini-batch.  ``linear`` and :func:`encode`
-take rows only and raise :class:`DimensionError` on any other shape.
+vectors, one per entity of a mini-batch.  ``linear`` and
+``l2_normalize`` take rows only and raise :class:`DimensionError` on
+any other shape.
 
 Exact-order contract: a fast kernel may replace a plain numpy expression
 only if it performs the same float operations in the same order, so
@@ -24,9 +25,7 @@ does; a sort-then-sum or ``np.add.reduceat`` would reassociate the sums
 and is not allowed.  With a ``take`` index it reads entry k's row as
 ``vals[take[k]]``, so an entry list that repeats rows is never built.
 Strictly ascending indices take one fancy-indexed add, and the rest pay
-one stable argsort, unless ``np.add.at`` alone is cheaper; each level of
-distinct rows is then added ``SCATTER_BLOCK`` rows at a time, so no
-level's rows are gathered whole.  A heavy row,
+one stable argsort, unless ``np.add.at`` alone is cheaper.  A heavy row,
 one with at least ``_TAIL_MIN_RUN`` entries past the levels that
 ``SCATTER_MIN_ROWS`` rows share, is summed by one row reduce over its
 entries, also when no level forms: numpy adds a block's rows one at a
@@ -40,19 +39,7 @@ Gather-fused reductions.  :func:`gather_segment_mean` and
 pass scatter-adds ``0.0 + g/count`` through ``idx`` with ``take``.  These
 are the bits of :func:`gather_rows` followed by a segment mean (by
 ``np.add.at``) or by numpy's mean over runs, so neither the gathered
-block nor its gradient cell exists.  :func:`gather_sum` is the weighted
-sum over runs of two row gathers, with the bits of the gathers, ``add``,
-a row weighting and numpy's sum over runs.
-
-Fused encoder layer.  :func:`encode` is ``linear`` (no bias), ``relu``
-and a row normalisation as one op: the same expressions in the same
-order on one buffer, and in backward the same three rules in reverse
-order, with the ``0.0 +`` of each former cell boundary, so the bits are
-the chain's.  It works in its output's gradient buffer, which the tape
-frees after the step anyway, and lets its output and mask go once read.
-Given a ``rebuild`` callable for a frozen input, the step keeps that
-instead of the input, and the weight rule builds the input again
-(:func:`own_and_mean_rows` builds the social encoder's first input).
+block nor its gradient cell exists.
 
 Gradients exist on demand.  A trainable leaf gets a zero gradient when a
 recorded operation reads it, so the optimizer steps every touched
@@ -71,7 +58,7 @@ leaf stays dense from then on; ``zero_grad`` drops the rows.
 The graph keeps only what gradient rules read.  A recorded output holds
 its gradient in a small cell, and a backward step references that cell,
 the cells and trainable leaves it feeds, and the arrays its rules read
-(``linear``'s inputs, ``encode``'s output, masks, indices), never a
+(``linear``'s inputs, ``l2_normalize``'s output, masks, indices), never a
 tensor; so an intermediate is freed as soon as the forward code drops
 it.  A cell's first contribution ``s`` becomes ``0.0 + s``, the bits of
 adding ``s`` into zeros: in place when a rule returned ``s`` as a new
@@ -81,11 +68,12 @@ backward step whose output received no gradient is skipped.  Each step
 leaves the tape as it runs and then frees its output's gradient, so
 after backward the tape is empty, only trainable leaves hold gradients,
 and a recorded output's ``grad`` reads None, as a non-leaf tensor's does
-in PyTorch.
+in PyTorch.  Given a ``rebuild`` callable, ``linear`` keeps that
+instead of its input and calls it in the weight's gradient rule.
 
 Heap policy.  Every batch builds and frees tens of MB of gathered rows,
 gradient and scatter buffers (a sparse-train group batch peaks at about
-17 MiB of them in forward and in backward).  Under glibc's adaptive defaults the free
+21 MiB of them in backward).  Under glibc's adaptive defaults the free
 top of the heap goes back to the OS after a batch, and the next batch
 page-faults every page in again.  So on glibc, importing this module
 fixes the mmap threshold at 32 MiB (glibc's 64-bit ceiling; fixing it
@@ -467,10 +455,12 @@ def _op(tape: Tape | None, values, inputs: Sequence[Tensor], rules) -> Tensor:
 # linear algebra
 
 
-def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None) -> Tensor:
+def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None, rebuild=None) -> Tensor:
     """Affine map ``W x + b`` applied to each row x of a 2-D input.
 
-    ``b`` may be None for a pure linear layer.
+    ``b`` may be None for a pure linear layer.  ``rebuild``, when given,
+    returns a tensor with ``x``'s values again: the weight's gradient rule
+    calls it in backward, so the tape does not hold ``x``'s values.
     """
     wv, xv = w.values, x.values
     if wv.ndim != 2:
@@ -479,7 +469,8 @@ def linear(w: Tensor, b: Tensor | None, x: Tensor, tape: Tape | None = None) -> 
     if xv.ndim != 2 or xv.shape[1] != in_dim:
         raise DimensionError(f"linear: weight {wv.shape} does not accept input {xv.shape}")
     yv = xv @ wv.T
-    w_rule, x_rule = (lambda g: g.T @ xv), (lambda g: g @ wv)
+    w_rule = (lambda g: g.T @ xv) if rebuild is None else (lambda g: g.T @ rebuild().values)
+    x_rule = lambda g: g @ wv
     if b is None:
         return _op(tape, yv, (w, x), (w_rule, x_rule))
     if b.values.shape != (out_dim,):
@@ -506,8 +497,6 @@ def matvec(x: Tensor, w: Tensor, tape: Tape | None = None) -> Tensor:
 # ``scatter_add`` pays for, and an occurrence level with fewer rows costs
 # more as its own fancy-indexed add than inside the ``np.add.at`` tail.
 SCATTER_MIN_ROWS = 128
-# Rows of a level that ``scatter_add`` gathers and adds at once.
-SCATTER_BLOCK = 2048
 # A run with this many entries past the last level sums them by one
 # accumulate; a shorter one costs less inside the tail's ``np.add.at``.
 _TAIL_MIN_RUN = 32
@@ -530,13 +519,13 @@ def scatter_add(target: np.ndarray, idx, vals, take=None) -> None:
     ``target[idx] += vals``.  Otherwise one stable argsort groups the
     entries into one run per row, in index order within a run.  With the
     runs ordered longest first, level j (occurrence j of every row with more
-    than j entries) is a prefix of the runs, and it is added after level
-    j - 1, ``SCATTER_BLOCK`` rows at a time, into a compact buffer that is
-    gathered from ``target`` once and written back once.  Occurrences past
-    the last level of at least ``SCATTER_MIN_ROWS`` rows (every occurrence,
-    when no level is that wide) form the tail of a few heavy rows.  A row
-    with at least ``_TAIL_MIN_RUN`` of them sums its buffer row and then
-    those entries, in index order: by one ``np.add.reduce``
+    than j entries) is a prefix of the runs, and it is added by one
+    ``buf[:count] += vals`` after level j - 1, into a compact buffer that
+    is gathered from ``target`` once and written back once.  Occurrences
+    past the last level of at least ``SCATTER_MIN_ROWS`` rows (every
+    occurrence, when no level is that wide) form the tail of a few heavy
+    rows.  A row with at least ``_TAIL_MIN_RUN`` of them sums its buffer
+    row and then those entries, in index order: by one ``np.add.reduce``
     over axis 0 from ``initial=-0.0`` (so that a column of -0.0 sums to
     -0.0), which numpy runs one row at a time for rows of 2 or more
     elements, or by one ``np.add.accumulate`` for rows of one element,
@@ -597,11 +586,7 @@ def scatter_add(target: np.ndarray, idx, vals, take=None) -> None:
     buf = target[dst]
     done = 0
     for count in levels:
-        # a level adds one entry to each of its rows, a block of rows at a
-        # time, so its gathered rows are never built whole
-        for lo in range(0, count, SCATTER_BLOCK):
-            hi = min(lo + SCATTER_BLOCK, count)
-            buf[lo:hi] += rows(src[done + lo:done + hi])
+        buf[:count] += rows(src[done:done + count])
         done += count
     if done < n:
         # the tail: fewer than SCATTER_MIN_ROWS runs have entries left
@@ -678,40 +663,31 @@ def gather_rows(x: Tensor, idx, tape: Tape | None = None) -> Tensor:
     return _record(tape, x.values[idx], (x,), lambda g, sinks: _scatter_rows(sinks[0], idx, g))
 
 
-def _mean_rows(xv: np.ndarray, idx: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
-    """``xv[idx].reshape(B, stride, d).mean(axis=1)`` bit for bit, into ``out``.
+def gather_mean_rows(x: Tensor, idx, stride: int, tape: Tape | None = None) -> Tensor:
+    """Average each consecutive run of ``stride`` rows of ``x[idx]``:
+    ``x[idx].reshape(B, stride, d).mean(axis=1)`` bit for bit, without the
+    gathered ``[B*stride, d]`` block.
 
     numpy's mean adds the ``stride`` slices into zeros in order and divides
     by ``stride``, and so does this, one slice of ``B`` rows at a time; a
     single column numpy sums pairwise, so it is gathered and averaged as
-    numpy does.
-    """
-    groups = idx.size // stride
-    if xv.shape[1] == 1:
-        out[...] = xv[idx].reshape(groups, stride, 1).mean(axis=1)
-        return out
-    runs = idx.reshape(groups, stride)
-    out[...] = 0.0
-    for j in range(stride):
-        out += xv[runs[:, j]]
-    out /= stride
-    return out
-
-
-def gather_mean_rows(x: Tensor, idx, stride: int, tape: Tape | None = None) -> Tensor:
-    """Average each consecutive run of ``stride`` rows of ``x[idx]``:
-    ``x[idx].reshape(B, stride, d).mean(axis=1)`` bit for bit, without the
-    gathered ``[B*stride, d]`` block (see :func:`_mean_rows`).
-
-    The backward pass scatter-adds ``0.0 + g/stride``, the gradient the
-    gathered block would have received, through ``idx`` into ``x``'s
-    gradient, each run's row read once per entry.
+    numpy does.  The backward pass scatter-adds ``0.0 + g/stride``, the
+    gradient the gathered block would have received, through ``idx`` into
+    ``x``'s gradient, each run's row read once per entry.
     """
     xv = x.values
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     if xv.ndim != 2 or stride < 1 or idx.size % stride != 0:
         raise DimensionError(f"gather_mean_rows: {idx.size} rows of {xv.shape} not divisible by {stride}")
-    mean = _mean_rows(xv, idx, stride, np.empty((idx.size // stride, xv.shape[1])))
+    groups = idx.size // stride
+    if xv.shape[1] == 1:
+        mean = xv[idx].reshape(groups, stride, 1).mean(axis=1)
+    else:
+        runs = idx.reshape(groups, stride)
+        mean = np.zeros((groups, xv.shape[1]))
+        for j in range(stride):
+            mean += xv[runs[:, j]]
+        mean /= stride
 
     def backward(g, sinks):
         share = g / stride
@@ -721,77 +697,14 @@ def gather_mean_rows(x: Tensor, idx, stride: int, tape: Tape | None = None) -> T
     return _record(tape, mean, (x,), backward)
 
 
-# rows that :func:`own_and_mean_rows` builds and :func:`encode` takes norms
-# of at once: their temporaries stay small next to the arrays they fill
-_BUILD_ROWS = 1024
-
-
-def own_and_mean_rows(xv: np.ndarray, own, idx, stride: int) -> np.ndarray:
-    """``[xv[own] ‖ mean of each run of stride rows of xv[idx]]`` as one new
-    C-contiguous ``[B, 2d]`` array: the values of :func:`concat` over
-    :func:`gather_rows` and :func:`gather_mean_rows`, bit for bit.  Rows
-    are independent, so the array is filled ``_BUILD_ROWS`` rows at a
-    time, and neither half is built apart."""
-    own = np.asarray(own, dtype=np.int64).reshape(-1)
-    runs = np.asarray(idx, dtype=np.int64).reshape(own.size, stride)
-    d = xv.shape[1]
-    out = np.empty((own.size, 2 * d))
-    for r0 in range(0, own.size, _BUILD_ROWS):
-        r1 = min(r0 + _BUILD_ROWS, own.size)
-        out[r0:r1, :d] = xv[own[r0:r1]]
-        _mean_rows(xv, runs[r0:r1].reshape(-1), stride, out[r0:r1, d:])
-    return out
-
-
-def gather_sum(a: Tensor, a_idx, b: Tensor, b_idx, weights, stride: int, tape: Tape | None = None) -> Tensor:
-    """Weighted sums of row pairs over runs of ``stride`` entries:
-    ``((a[a_idx] + b[b_idx]) * weights[:, None]).reshape(B, stride, d).sum(axis=1)``
-    bit for bit, without the gathered ``[B*stride, d]`` blocks.  The
-    weights are constants.
-
-    numpy sums axis 1 of such a block by adding its ``stride`` slices into
-    zeros in order, and so does this, one slice of ``B`` rows at a time;
-    a single column numpy sums pairwise, so it is gathered and summed as
-    numpy does.  The backward pass builds one share per entry, ``0.0 +
-    (0.0 + g) * w``: the bits that the gradient cells of the gathers, the
-    sum, the weighting and the sum by runs it replaces received.  It
-    scatter-adds that share through ``b_idx`` into ``b``'s gradient and
-    then through ``a_idx`` into ``a``'s, the order of the two gathers'
-    steps.
-    """
-    av, bv = a.values, b.values
-    a_idx = np.asarray(a_idx, dtype=np.int64).reshape(-1)
-    b_idx = np.asarray(b_idx, dtype=np.int64).reshape(-1)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if (av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1] or stride < 1
-            or not a_idx.size == b_idx.size == w.size or a_idx.size % stride):
-        raise DimensionError(f"gather_sum: {a_idx.size} entries over {av.shape} and {bv.shape} "
-                             f"with {w.size} weights do not form runs of {stride}")
-    groups, d = a_idx.size // stride, av.shape[1]
-    if d == 1:
-        out = ((av[a_idx] + bv[b_idx]) * w[:, None]).reshape(groups, stride, 1).sum(axis=1)
-    else:
-        out = np.zeros((groups, d))
-        runs_a, runs_b, runs_w = (v.reshape(groups, stride) for v in (a_idx, b_idx, w))
-        for j in range(stride):
-            term = av[runs_a[:, j]]
-            term += bv[runs_b[:, j]]
-            term *= runs_w[:, j, None]
-            out += term
-    del av, bv
-
-    def backward(g, sinks):
-        share = np.repeat(g, stride, axis=0)
-        share += 0.0
-        share *= w[:, None]
-        share += 0.0
-        a_sink, b_sink = sinks
-        if b_sink is not None:
-            _scatter_rows(b_sink, b_idx, share)
-        if a_sink is not None:
-            _scatter_rows(a_sink, a_idx, share)
-
-    return _record(tape, out, (a, b), backward)
+def sum_rows_stride(x: Tensor, stride: int, tape: Tape | None = None) -> Tensor:
+    """Sum each consecutive run of ``stride`` rows: ``[B*S, d] -> [B, d]``."""
+    xv = x.values
+    if xv.ndim != 2 or xv.shape[0] % stride != 0:
+        raise DimensionError(f"sum_rows_stride: shape {xv.shape} not divisible by {stride}")
+    groups = xv.shape[0] // stride
+    return _op(tape, xv.reshape(groups, stride, xv.shape[1]).sum(axis=1), (x,),
+               (lambda g: np.repeat(g, stride, axis=0),))
 
 
 def gather_segment_mean(x: Tensor, idx, segment_ids, num_segments: int, tape: Tape | None = None) -> Tensor:
@@ -822,6 +735,15 @@ def gather_segment_mean(x: Tensor, idx, segment_ids, num_segments: int, tape: Ta
         _scatter_rows(sinks[0], idx, share, seg)
 
     return _record(tape, acc, (x,), backward)
+
+
+def mul_rows(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
+    """Scale each row of ``x`` by a plain-float weight (weights are constants)."""
+    w = np.asarray(weights, dtype=np.float64)
+    xv = x.values
+    if xv.ndim != 2 or w.shape != (xv.shape[0],):
+        raise DimensionError("mul_rows: need one weight per row")
+    return _op(tape, xv * w[:, None], (x,), (lambda g: g * w[:, None],))
 
 
 # ---------------------------------------------------------------------------
@@ -867,81 +789,27 @@ def dropout(x: Tensor, ratio: float, rng: np.random.Generator, tape: Tape | None
                (lambda g: np.where(keep, g * factor, 0.0),))
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v, axis=1)`` of rows ``v``, bit for bit: the root
-    of each row's ``np.add.reduce`` of squares, a block of ``_BUILD_ROWS``
-    rows at a time, so the squares are never built whole."""
-    norms = np.empty(len(v))
-    for r0 in range(0, len(v), _BUILD_ROWS):
-        block = v[r0:r0 + _BUILD_ROWS]
-        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[r0:r0 + _BUILD_ROWS])
-    return norms
-
-
-def encode(w: Tensor, x: Tensor, tape: Tape | None = None, rebuild=None) -> Tensor:
-    """One encoder layer on rows: ``x @ w.T``, then relu, then each row
-    scaled to unit L2 norm (a row whose norm is at most ``NORM_EPS``
-    passes through), as one operation on one buffer.
-
-    The forward pass runs the expressions of ``linear``, ``relu`` and a
-    row normalisation in that order, in place: the product, the mask
-    ``pre > 0``, ``np.fmax(pre, 0.0) + 0.0``, the row norms, and the
-    division by each norm (by 1.0 for a row that passes through, which
-    keeps its bits).  The backward pass runs their three gradient rules in
-    reverse order on one buffer, from the output gradient ``g``: ``(g - y
-    * sum(y * g)) / norm`` (``g`` itself on a row that passed through),
-    plus 0.0, times the mask, plus 0.0, then the weight's share ``s.T @
-    x`` and the input's ``s @ w``.  Each ``0.0 +`` is the first
-    contribution into a gradient cell of the three-operation chain, so the
-    bits are the chain's.  The step keeps the mask, the output, the row
-    divisors, ``w`` and, when ``w`` needs a gradient, ``x``.
-
-    ``rebuild``, if given, returns an array equal to ``x.values`` bit for
-    bit; the step keeps it instead of ``x.values`` and calls it in the
-    weight rule.  A frozen input that is cheaper to build again than to
-    hold passes it.
+def l2_normalize(x: Tensor, tape: Tape | None = None) -> Tensor:
+    """Scale each row of a 2-D input to unit L2 norm; rows with norm <= eps
+    pass through unchanged.
     """
-    wv, xv = w.values, x.values
-    if wv.ndim != 2 or xv.ndim != 2 or xv.shape[1] != wv.shape[1]:
-        raise DimensionError(f"encode: weight {wv.shape} does not accept input {xv.shape}")
-    y = xv @ wv.T
-    mask = y > 0
-    np.fmax(y, 0.0, out=y)
-    y += 0.0
-    norms = _row_norms(y)
+    xv = x.values
+    if xv.ndim != 2:
+        raise DimensionError(f"l2_normalize expects 2-D input, got {xv.shape}")
+    norms = np.linalg.norm(xv, axis=1)
     live = norms > NORM_EPS
-    safe = np.where(live, norms, 1.0)[:, None]
+    safe = np.where(live, norms, 1.0)
     # a dead row's divisor is 1.0, and x / 1.0 is x bit for bit
-    y /= safe
-    dead = None if live.all() else ~live
-    if rebuild is not None or not (w.trainable or w._cell is not None):
-        xv = None
+    yv = xv / safe[:, None]
+    dead = not live.all()
 
-    def backward(g, sinks):
-        # the step runs once, and the tape frees g after it: the step
-        # works in g, and lets the output and the mask go once read
-        nonlocal y, mask
-        w_sink, x_sink = sinks
-        passed = None if dead is None else g[dead]
-        t = y * g
-        inner = np.sum(t, axis=1, keepdims=True)
-        np.multiply(y, inner, out=t)
-        y = None
-        s = np.subtract(g, t, out=g)
-        del t
-        s /= safe
-        if dead is not None:
-            s[dead] = passed
-        s += 0.0
-        s *= mask
-        mask = None
-        s += 0.0
-        if w_sink is not None:
-            _accumulate(w_sink, s.T @ (rebuild() if xv is None else xv), s)
-        if x_sink is not None:
-            _accumulate(x_sink, s @ wv, s)
+    def rule(g):
+        inner = np.sum(yv * g, axis=1, keepdims=True)
+        share = (g - yv * inner) / safe[:, None]
+        # with every row live the mask would select every share
+        return np.where(live[:, None], share, g) if dead else share
 
-    return _record(tape, y, (w, x), backward)
+    return _op(tape, yv, (x,), (rule,))
 
 
 # ---------------------------------------------------------------------------

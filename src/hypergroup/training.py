@@ -124,32 +124,23 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class Positives:
-    """Each entity's positive items as one CSR: row ``e`` is
-    ``items[indptr[e]:indptr[e + 1]]``, distinct and ascending.  ``items``
-    is int32 whenever every item id fits."""
+    """Each entity's positive items as one sorted int64 array of distinct
+    keys ``entity * span + item``, where ``span`` exceeds every item id."""
 
-    indptr: np.ndarray
-    items: np.ndarray
+    keys: np.ndarray
+    span: int
 
     def counts(self) -> np.ndarray:
         """How many positives each entity has."""
-        return np.diff(self.indptr)
+        return np.bincount(self.keys // self.span)
 
     def contains(self, entities: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Whether ``items[k]`` is a positive of ``entities[k]``, for every
-        k at once: one bisection of each entity's row, all rows in step."""
-        lo, end = self.indptr[entities], self.indptr[entities + 1]
-        hi = end.copy()
-        open_ = lo < hi
-        while open_.any():
-            mid = (lo + hi) // 2
-            below = open_.copy()
-            below[open_] = self.items[mid[open_]] < items[open_]
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(open_ & ~below, mid, hi)
-            open_ = lo < hi
-        found = lo < end
-        found[found] = self.items[lo[found]] == items[found]
+        k at once."""
+        keys = entities * self.span + items
+        at = np.searchsorted(self.keys, keys)
+        found = (at < self.keys.size) & (items < self.span)
+        found[found] = self.keys[at[found]] == keys[found]
         return found
 
     def negatives(self, entities: np.ndarray, n_items: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,43 +151,50 @@ class Positives:
         These are the draws of a loop that draws one item at a time, in
         the same order: ``rng.integers(n_items, size=n)`` draws what ``n``
         single draws would.  Each round draws one item for every entry
-        still open.  A rejected draw holds its entry, so the round's later
-        draws move down one entry; every draw up to the next rejection is
-        tested in one :meth:`contains`.
+        still open and tests each draw against the entry it would fill.
+        A rejected draw holds its entry, so the round's later draws move
+        down one entry.  Past a rejection the round goes on in windows,
+        twice as long as the last accepted run and doubled after a window
+        without a rejection, and only a window's draws whose entity
+        changed are tested again: each draw is tested a bounded number of
+        times, and a run of one entity once a round.
         """
         entities = np.asarray(entities, dtype=np.int64).reshape(-1)
+        first, end = np.searchsorted(self.keys, np.stack((entities, entities + 1)) * self.span)
+        if entities.size and int((end - first).max()) >= n_items:
+            raise SamplingError("positive set covers all items; no negatives exist")
         out = np.empty(entities.size, dtype=np.int64)
         done = 0
         while done < entities.size:
-            draws = rng.integers(n_items, size=entities.size - done)
-            at = 0
+            owners = entities[done:]
+            draws = rng.integers(n_items, size=owners.size)
+            tested = owners.copy()  # the entity each draw was tested against
+            taken = self.contains(tested, draws)
+            at = held = 0  # next draw to place; rejections so far this round
+            width = draws.size
             while at < draws.size:
-                tried = draws[at:]
-                taken = self.contains(entities[done:done + tried.size], tried)
-                kept = int(taken.argmax()) if taken.any() else tried.size
-                out[done:done + kept] = tried[:kept]
-                done += kept
-                at += kept + 1
+                end = min(at + width, draws.size)
+                want = owners[at - held:end - held]
+                moved = np.flatnonzero(tested[at:end] != want)
+                if moved.size:
+                    tested[at + moved] = want[moved]
+                    taken[at + moved] = self.contains(want[moved], draws[at + moved])
+                rest = taken[at:end]
+                kept = int(rest.argmax()) if rest.any() else rest.size
+                out[done + at - held:done + at - held + kept] = draws[at:at + kept]
+                if kept < rest.size:
+                    held, at, width = held + 1, at + kept + 1, 2 * (kept + 1)
+                else:
+                    at, width = end, 2 * width
+            done += draws.size - held
         return out
 
 
-def sample_negative(positive_set, n_items: int, n_x: int, rng: np.random.Generator) -> list[int]:
-    """Draw ``n_x`` items uniformly from the complement of ``positive_set``."""
-    if len(positive_set) >= n_items:
-        raise SamplingError("positive set covers all items; no negatives exist")
-    items = np.array(sorted(positive_set), dtype=np.int64)
-    return Positives(np.array([0, items.size]), items).negatives(np.zeros(n_x, dtype=np.int64), n_items, rng).tolist()
-
-
 def positives_by_entity(pairs) -> Positives:
-    """Each entity's positive items, from ``(entity, item)`` pairs, as one
-    CSR over entities 0 up to the highest one named."""
+    """Each entity's positive items, from ``(entity, item)`` pairs."""
     flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
     span = int(flat[:, 1].max(initial=0)) + 1
-    entities, items = np.divmod(unique_ids(flat[:, 0] * span + flat[:, 1]), span)
-    num = int(entities[-1]) + 1 if entities.size else 0
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(entities, minlength=num))))
-    return Positives(indptr, items.astype(np.int32 if span <= 1 << 31 else np.int64))
+    return Positives(unique_ids(flat[:, 0] * span + flat[:, 1]), span)
 
 
 def build_triples(batch_pairs, positives: Positives, n_items, n_x, rng):

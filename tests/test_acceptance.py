@@ -28,8 +28,8 @@ from hypergroup.numeric import Tape, Tensor
 from hypergroup.training import (
     TrainConfig,
     group_batch_loss,
+    positives_by_entity,
     regularized_parameters,
-    sample_negative,
     train,
     user_batch_loss,
 )
@@ -466,7 +466,8 @@ def test_criterion_8_invariants():
         positives = set(
             rng.choice(n_items, size=int(rng.integers(1, n_items)), replace=False).tolist()
         )
-        for v in sample_negative(positives, n_items, int(rng.integers(1, 6)), rng):
+        table = positives_by_entity([(0, v) for v in positives])
+        for v in table.negatives(np.zeros(int(rng.integers(1, 6)), dtype=np.int64), n_items, rng).tolist():
             assert v not in positives
 
     # split partitions are disjoint and recompose the input multiset

@@ -179,9 +179,9 @@ class TestIpmEmbed:
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
-class TestFrozenFirstInput:
-    """The social encoder's first layer reads frozen features: its input is
-    built again for the weight rule instead of held on the tape."""
+class TestSocialInputRebuilt:
+    """The social encoder's layer inputs are built again for the weight
+    rule instead of held on the tape."""
 
     @staticmethod
     def batch_grads(monkeypatch, k, held, trainable_features=False):
@@ -193,33 +193,30 @@ class TestFrozenFirstInput:
         rng = np.random.default_rng(7)
         triples = ht.build_triples(ds.group_item[:40], ht.positives_by_entity(ds.group_item), ds.num_items, 1, rng)
         inputs = []
-        encode = nm.encode
+        linear = nm.linear
 
-        def recording(w, x, tape=None, rebuild=None):
+        def recording(w, b, x, tape=None, rebuild=None):
             if rebuild is not None:
                 inputs.append((w, x.values.copy(), rebuild))
-            return encode(w, x, tape, None if held else rebuild)
+            return linear(w, b, x, tape, None if held else rebuild)
 
-        monkeypatch.setattr(nm, "encode", recording)
+        monkeypatch.setattr(nm, "linear", recording)
         tape = nm.Tape()
         loss = ht.group_batch_loss(triples, params, cfg, social, hyper, 1e-5, rng, tape)
-        for w, values, rebuild in inputs:  # built again, it has the bits it had
-            assert w is params.ipm_layers[0]
-            assert rebuild().view(np.int64).tolist() == values.view(np.int64).tolist()
+        for i, (w, values, rebuild) in enumerate(inputs):  # built again, it has the bits it had
+            assert w is params.ipm_layers[i]
+            assert rebuild().values.view(np.int64).tolist() == values.view(np.int64).tolist()
         tape.backward(loss)
-        return inputs, [np.ascontiguousarray(t.grad).view(np.int64).tolist() for _, t in params.named_tensors()
-                        if t.grad is not None]
+        return len(inputs), [np.ascontiguousarray(t.grad).view(np.int64).tolist()
+                             for _, t in params.named_tensors() if t.grad is not None]
 
+    @pytest.mark.parametrize("trainable_features", [False, True])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_rebuilt_input_gives_the_held_inputs_gradients(self, monkeypatch, k):
-        rebuilt_inputs, rebuilt = self.batch_grads(monkeypatch, k, held=False)
-        held_inputs, held = self.batch_grads(monkeypatch, k, held=True)
-        assert len(rebuilt_inputs) == len(held_inputs) == 1
-        assert rebuilt == held
-
-    def test_trainable_features_are_recorded_instead(self, monkeypatch):
-        inputs, grads = self.batch_grads(monkeypatch, 1, held=False, trainable_features=True)
-        assert inputs == [] and len(grads) == len(self.batch_grads(monkeypatch, 1, held=False)[1]) + 1
+    def test_rebuilt_inputs_give_the_held_inputs_gradients(self, monkeypatch, k, trainable_features):
+        rebuilt_layers, rebuilt = self.batch_grads(monkeypatch, k, False, trainable_features)
+        held_layers, held = self.batch_grads(monkeypatch, k, True, trainable_features)
+        assert rebuilt_layers == held_layers == k
+        assert rebuilt == held and len(rebuilt) > k
 
 
 class TestMemberEmbedding:

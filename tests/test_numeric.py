@@ -1,6 +1,7 @@
 """Unit and gradient-oracle tests for the numeric kernel."""
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -171,89 +173,38 @@ def backward_share(op, xv, g):
     return out.values, x.grad
 
 
-def reference_l2_normalize(x, tape=None):
-    """The row normalisation that ``encode`` fuses, as the op it replaced:
-    each row scaled to unit L2 norm, a row with norm <= eps passed through."""
-    xv = x.values
-    if xv.ndim != 2:
-        raise DimensionError(f"l2_normalize expects 2-D input, got {xv.shape}")
-    norms = np.linalg.norm(xv, axis=1)
-    live = norms > nm.NORM_EPS
-    safe = np.where(live, norms, 1.0)
-    yv = xv / safe[:, None]
-    dead = not live.all()
-
-    def rule(g):
-        inner = np.sum(yv * g, axis=1, keepdims=True)
-        share = (g - yv * inner) / safe[:, None]
-        return np.where(live[:, None], share, g) if dead else share
-
-    return nm._op(tape, yv, (x,), (rule,))
-
-
-def reference_encode(w, x, tape=None):
-    """``linear``, ``relu`` and the row normalisation as three recorded
-    ops: the chain ``encode`` replaces."""
-    return reference_l2_normalize(nm.relu(nm.linear(w, None, x, tape), tape), tape)
-
-
-def reference_gather_sum(a, a_idx, b, b_idx, weights, stride, tape=None):
-    """Two row gathers, ``add``, a row weighting and a sum over runs of
-    ``stride`` rows as five recorded ops: the chain ``gather_sum`` replaces."""
-    w = np.asarray(weights, dtype=np.float64)[:, None]
-    msg = nm.add(nm.gather_rows(a, a_idx, tape), nm.gather_rows(b, b_idx, tape), tape)
-    weighted = nm._op(tape, msg.values * w, (msg,), ((lambda g: g * w),))
-    v = weighted.values
-    return nm._op(tape, v.reshape(-1, stride, v.shape[1]).sum(axis=1), (weighted,),
-                  ((lambda g: np.repeat(g, stride, axis=0)),))
-
-
 class TestL2Normalize:
-    """The row normalisation: values and pass-through through ``encode``
-    (identity weights on non-negative rows leave only the normalisation),
-    and the rule of ``reference_l2_normalize``, the op that ``encode`` is
-    checked against bit for bit."""
-
-    @staticmethod
-    def normalise(rows):
-        rows = np.asarray(rows, dtype=float)
-        return nm.encode(nm.Tensor(np.eye(rows.shape[-1])), nm.Tensor(rows))
-
     def test_three_four_five(self):
-        out = self.normalise([[3.0, 4.0]])
+        out = nm.l2_normalize(nm.Tensor([[3.0, 4.0]]))
         np.testing.assert_allclose(out.values, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_vector_passthrough(self):
-        out = self.normalise(np.zeros((1, 4)))
+        out = nm.l2_normalize(nm.Tensor(np.zeros((1, 4))))
         np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
 
     @pytest.mark.parametrize("shape", [(4,), (1, 1, 4)])
     def test_rows_only(self, shape):
         with pytest.raises(DimensionError):
-            nm.encode(nm.Tensor(np.eye(4)), nm.Tensor(np.ones(shape)))
-        with pytest.raises(DimensionError):
-            reference_l2_normalize(nm.Tensor(np.ones(shape)))
+            nm.l2_normalize(nm.Tensor(np.ones(shape)))
 
     def test_rowwise(self):
-        m = self.normalise([[3.0, 4.0], [0.0, 0.0]])
+        m = nm.l2_normalize(nm.Tensor([[3.0, 4.0], [0.0, 0.0]]))
         np.testing.assert_allclose(m.values[0], [0.6, 0.8], atol=1e-15)
         np.testing.assert_array_equal(m.values[1], [0.0, 0.0])
 
     def test_gradient(self):
         rng = np.random.default_rng(12)
-        w = nm.Tensor(np.eye(6), trainable=True)
-        x = nm.Tensor(rng.uniform(0.2, 1, (1, 6)), trainable=True)
+        x = nm.Tensor(rng.uniform(-1, 1, (1, 6)), trainable=True)
         probe = rng.uniform(-1, 1, (1, 6))
 
         def build(tape):
-            return probe_loss(nm.encode(w, x, tape), probe, tape)
+            return probe_loss(nm.l2_normalize(x, tape), probe, tape)
 
         tape = nm.Tape()
         loss = build(tape)
         tape.backward(loss)
-        for t in (w, x):
-            numeric = finite_diff(lambda: float(build(None).values), t)
-            assert rel_err(t.grad, numeric) < 1e-5
+        numeric = finite_diff(lambda: float(build(None).values), x)
+        assert rel_err(x.grad, numeric) < 1e-5
 
     def test_gradient_rowwise_with_degenerate_row(self):
         # zero rows are a non-differentiable point, so finite differences only
@@ -265,7 +216,7 @@ class TestL2Normalize:
         probe = rng.uniform(-1, 1, (3, 4))
 
         def build(tape):
-            return probe_loss(reference_l2_normalize(x, tape), probe, tape)
+            return probe_loss(nm.l2_normalize(x, tape), probe, tape)
 
         x.grad = None
         tape = nm.Tape()
@@ -299,7 +250,7 @@ class TestL2Normalize:
         live = np.linalg.norm(xv, axis=1) > nm.NORM_EPS
         assert live.all() != dead_rows
         with np.errstate(all="ignore"):
-            got, want = backward_share(reference_l2_normalize, xv, g), self.where_formulas(xv, g)
+            got, want = backward_share(nm.l2_normalize, xv, g), self.where_formulas(xv, g)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(bits(a), bits(b))
 
@@ -441,19 +392,25 @@ class TestStructuralOps:
 
         check_gradients(build_mean, [x])
 
+        probe2 = rng.uniform(-1, 1, (2, 3))
+
+        def build_sum(tape):
+            return probe_loss(nm.sum_rows_stride(x, 3, tape), probe2, tape)
+
+        check_gradients(build_sum, [x])
+
     def test_gather_segment_mean_rejects_empty_segment(self):
         with pytest.raises(ContractViolation):
             nm.gather_segment_mean(nm.Tensor(np.ones((2, 2))), [0, 1], [0, 0], 2)
 
-    def test_gather_sum_gradient_into_one_table_read_twice(self):
-        # both gathers read x: each entry's share reaches x twice
+    def test_mul_rows_gradient(self):
         rng = np.random.default_rng(21)
         x = nm.Tensor(rng.uniform(-1, 1, (4, 3)), trainable=True)
-        w = rng.uniform(0.5, 2.0, 6)
-        probe = rng.uniform(-1, 1, (3, 3))
+        w = rng.uniform(0.5, 2.0, 4)
+        probe = rng.uniform(-1, 1, (4, 3))
 
         def build(tape):
-            return probe_loss(nm.gather_sum(x, [0, 1, 1, 3, 2, 0], x, [3, 3, 0, 1, 2, 2], w, 2, tape), probe, tape)
+            return probe_loss(nm.mul_rows(x, w, tape), probe, tape)
 
         check_gradients(build, [x])
 
@@ -477,10 +434,12 @@ class TestStructuralOps:
 
 
 # every taped op, its input shapes and a call on those inputs; inputs are
-# drawn away from relu's kink and from rows that normalise to zero
+# drawn away from relu's kink and the zero rows of l2_normalize
 GRAD_OPS = {
     "linear": ([(4, 6), (4,), (3, 6)], lambda t, tape: nm.linear(t[0], t[1], t[2], tape)),
     "linear_no_bias": ([(4, 6), (3, 6)], lambda t, tape: nm.linear(t[0], None, t[1], tape)),
+    "linear_rebuilt": ([(4, 6), (4,), (3, 6)], lambda t, tape: nm.linear(
+        t[0], t[1], t[2], tape, lambda: nm.Tensor(t[2].values.copy()))),
     "matvec_2d": ([(5, 4), (4,)], lambda t, tape: nm.matvec(t[0], t[1], tape)),
     "matvec_1d": ([(4,), (4,)], lambda t, tape: nm.matvec(t[0], t[1], tape)),
     "concat": ([(3, 2), (3, 4)], lambda t, tape: nm.concat(t[0], t[1], tape)),
@@ -488,15 +447,13 @@ GRAD_OPS = {
     "scale": ([(3, 4)], lambda t, tape: nm.scale(t[0], -1.5, tape)),
     "gather_rows": ([(4, 3)], lambda t, tape: nm.gather_rows(t[0], [1, 1, 2, 0], tape)),
     "gather_mean_rows": ([(4, 3)], lambda t, tape: nm.gather_mean_rows(t[0], [1, 3, 1, 0, 2, 2], 2, tape)),
-    "gather_sum": ([(4, 3), (5, 3)], lambda t, tape: nm.gather_sum(
-        t[0], [1, 1, 2, 0, 3, 3], t[1], [4, 0, 0, 2, 1, 4], [0.5, 2.0, -1.0, 1.5, 0.0, 3.0], 2, tape)),
+    "sum_rows_stride": ([(6, 3)], lambda t, tape: nm.sum_rows_stride(t[0], 3, tape)),
     "gather_segment_mean": ([(4, 3)], lambda t, tape: nm.gather_segment_mean(
         t[0], [2, 0, 0, 1, 3, 1], [0, 0, 1, 1, 1, 2], 3, tape)),
+    "mul_rows": ([(4, 3)], lambda t, tape: nm.mul_rows(t[0], [0.5, 2.0, -1.0, 1.5], tape)),
     "relu": ([(3, 4)], lambda t, tape: nm.relu(t[0], tape)),
     "dropout": ([(3, 4)], lambda t, tape: nm.dropout(t[0], 0.4, np.random.default_rng(99), tape)),
-    "encode": ([(4, 6), (3, 6)], lambda t, tape: nm.encode(t[0], t[1], tape)),
-    "encode_rebuilt": ([(4, 6), (3, 6)], lambda t, tape: nm.encode(t[0], t[1], tape,
-                                                                   lambda: t[1].values.copy())),
+    "l2_normalize": ([(3, 4)], lambda t, tape: nm.l2_normalize(t[0], tape)),
     "bpr_pair_loss": ([(5,), (5,)], lambda t, tape: nm.bpr_pair_loss(t[0], t[1], tape)),
     "mean_all": ([(3, 4)], lambda t, tape: nm.mean_all(t[0], tape)),
     "sum_squares": ([(3, 4)], lambda t, tape: nm.sum_squares(t[0], tape)),
@@ -524,150 +481,33 @@ def test_gradient_rules_with_each_input_frozen(op, frozen):
         assert inputs[frozen].grad is None
 
 
+def test_linear_with_rebuild_holds_no_input():
+    """With ``rebuild``, the tape drops the input's values and the weight
+    rule reads the rebuilt ones: the gradient has the held input's bits."""
+    rng = np.random.default_rng(61)
+    wv, xv, g = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (5, 6)), rng.uniform(-1, 1, (5, 4))
+    grads = []
+    for rebuild in (None, lambda: nm.Tensor(xv.copy())):
+        w, x = nm.Tensor(wv.copy(), trainable=True), nm.Tensor(xv.copy())
+        held = weakref.ref(x.values)
+        tape = nm.Tape()
+        out = nm.linear(w, None, x, tape, rebuild)
+        del x
+        assert (held() is None) == (rebuild is not None)
+        tape.backward(nm.sum_squares(nm.add(out, nm.Tensor(g), tape), tape))
+        grads.append(w.grad.view(np.int64).tolist())
+    assert grads[0] == grads[1]
+
+
 def test_every_recording_op_has_a_gradient_check():
     """No public op that takes a tape ships without a GRAD_OPS entry
     (keyed by its name, or by its name and a variant suffix)."""
-    import inspect
     ops = [name for name, fn in vars(nm).items()
            if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == nm.__name__
            and "tape" in inspect.signature(fn).parameters]
-    assert "encode" in ops and "gather_sum" in ops
+    assert "linear" in ops and "gather_mean_rows" in ops
     missing = [op for op in ops if not any(k == op or k.startswith(op + "_") for k in GRAD_OPS)]
     assert missing == []
-
-
-class TestFusedOpsKeepTheChainsBits:
-    """``encode`` and ``gather_sum`` give the bits of the recorded chains
-    they replace, forward and backward, into cells, trainable leaves and
-    frozen inputs."""
-
-    @staticmethod
-    def values(rng, shape):
-        """Spread magnitudes with signed zeros."""
-        v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4, 4, shape)
-        v[rng.random(shape) < 0.15] = -0.0
-        v[rng.random(shape) < 0.1] = 0.0
-        return v
-
-    @staticmethod
-    def run(apply, arrays, kinds, g):
-        """Forward values of ``apply(inputs, tape)`` and the gradient that
-        reaches each input: ``kinds[k]`` is "cell" (a recorded output),
-        "leaf" (a trainable leaf) or "frozen"."""
-        tape = nm.Tape()
-        seen = {}
-        inputs = []
-        for k, (v, kind) in enumerate(zip(arrays, kinds)):
-            if kind == "cell":
-                anchor = nm.Tensor(np.zeros(1), trainable=True)
-                inputs.append(nm._record(tape, v.copy(), (anchor,),
-                                         lambda grad, sinks, k=k: seen.__setitem__(k, grad.copy())))
-            else:
-                inputs.append(nm.Tensor(v.copy(), trainable=kind == "leaf"))
-        out = apply(inputs, tape)
-        loss = nm._op(tape, np.float64(0.0), (out,), ((lambda _: g.copy()),))
-        tape.backward(loss)
-        grads = [seen.get(k) if kind == "cell" else t.grad for k, (t, kind) in enumerate(zip(inputs, kinds))]
-        return [out.values] + grads
-
-    @classmethod
-    def assert_same_bits(cls, fused, reference, arrays, kinds, g):
-        with np.errstate(all="ignore"):
-            got = cls.run(fused, arrays, kinds, g)
-            want = cls.run(reference, arrays, kinds, g)
-        for k, (a, b) in enumerate(zip(got, want)):
-            assert (a is None) == (b is None), k
-            if a is not None:
-                assert bits(a).tolist() == bits(b).tolist(), k
-
-    ENCODE_KINDS = [("leaf", "cell"), ("leaf", "frozen"), ("leaf", "rebuilt"), ("frozen", "cell"),
-                    ("cell", "leaf")]
-
-    @pytest.mark.parametrize("kinds", ENCODE_KINDS, ids="-".join)
-    @pytest.mark.parametrize("shape", [(8, 16), (1, 6), (5, 1), (1, 1)], ids=str)
-    @pytest.mark.parametrize("rows", ["live", "dead", "nan"])
-    def test_encode(self, rows, shape, kinds, monkeypatch):
-        out_dim, in_dim = shape
-        rng = np.random.default_rng([70, out_dim, in_dim, len(rows), sum(map(len, kinds))])
-        n = 40
-        wv, xv = self.values(rng, (out_dim, in_dim)), self.values(rng, (n, in_dim))
-        if rows == "dead":
-            xv[::3] = 0.0  # zero rows: pre-activations of zero
-            xv[1::7] = 5e-300  # rows whose norm falls below eps
-            xv[2] = -xv[2]  # and rows whose every pre-activation may be negative
-        elif rows == "nan":
-            xv[5] = np.nan
-            xv[6, 0] = np.inf
-        g = self.values(rng, (n, out_dim))
-        # the rebuilt input is built again from the frozen one, a block of
-        # rows at a time in the norms
-        monkeypatch.setattr(nm, "_BUILD_ROWS", 7)
-        x_kind = "frozen" if kinds[1] == "rebuilt" else kinds[1]
-
-        def fused(t, tape):
-            rebuild = (lambda: xv.copy()) if kinds[1] == "rebuilt" else None
-            return nm.encode(t[0], t[1], tape, rebuild)
-
-        self.assert_same_bits(fused, lambda t, tape: reference_encode(t[0], t[1], tape),
-                              [wv, xv], (kinds[0], x_kind), g)
-
-    def test_encode_output_gradient_is_consumed(self):
-        # the step works in its output's gradient, which the tape frees after it
-        rng = np.random.default_rng(71)
-        w = nm.Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
-        tape = nm.Tape()
-        out = nm.encode(w, nm.Tensor(rng.uniform(-1, 1, (5, 4))), tape)
-        tape.backward(nm.mean_all(out, tape))
-        assert out.grad is None and w.grad is not None
-
-    GATHER_KINDS = [("cell", "cell"), ("leaf", "cell"), ("cell", "frozen"), ("frozen", "leaf"), ("same", "same")]
-
-    @pytest.mark.parametrize("kinds", GATHER_KINDS, ids="-".join)
-    @pytest.mark.parametrize("stride", [1, 4, 9])
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_gather_sum(self, d, stride, kinds):
-        rng = np.random.default_rng([72, d, stride, sum(map(len, kinds))])
-        groups = 150
-        av, bv = self.values(rng, (300, d)), self.values(rng, (60, d))
-        av[5] = np.nan
-        # repeated ids, and a heavy row past scatter_add's levels
-        a_idx = rng.integers(0, 300, groups * stride)
-        a_idx[::5] = 7
-        b_idx = rng.integers(0, 60, groups * stride)
-        w = rng.integers(0, 4, groups * stride).astype(float)
-        w[::11] = -0.0
-        w[1::13] = 0.5
-        g = self.values(rng, (groups, d))
-        if kinds[0] == "same":  # one table read through both gathers
-            b_idx = rng.integers(0, 300, groups * stride)
-            self.assert_same_bits(lambda t, tape: nm.gather_sum(t[0], a_idx, t[0], b_idx, w, stride, tape),
-                                  lambda t, tape: reference_gather_sum(t[0], a_idx, t[0], b_idx, w, stride, tape),
-                                  [av], ("cell",), g)
-            return
-        self.assert_same_bits(lambda t, tape: nm.gather_sum(t[0], a_idx, t[1], b_idx, w, stride, tape),
-                              lambda t, tape: reference_gather_sum(t[0], a_idx, t[1], b_idx, w, stride, tape),
-                              [av, bv], kinds, g)
-
-    def test_gather_sum_rejects_entries_that_do_not_form_runs(self):
-        a = nm.Tensor(np.ones((3, 2)))
-        with pytest.raises(DimensionError):
-            nm.gather_sum(a, [0, 1, 2], a, [0, 1, 2], [1.0, 1.0, 1.0], 2)
-        with pytest.raises(DimensionError):
-            nm.gather_sum(a, [0, 1], a, [0, 1], [1.0], 2)
-
-    @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 4])
-    def test_own_and_mean_rows_equal_the_recorded_halves(self, d, stride, monkeypatch):
-        monkeypatch.setattr(nm, "_BUILD_ROWS", 7)
-        rng = np.random.default_rng([73, d, stride])
-        x = nm.Tensor(self.values(rng, (50, d)))
-        x.values[5] = np.nan
-        own = rng.integers(0, 50, 33)
-        idx = rng.integers(0, 50, 33 * stride)
-        want = nm.concat(nm.gather_rows(x, own), nm.gather_mean_rows(x, idx, stride)).values
-        got = nm.own_and_mean_rows(x.values, own, idx, stride)
-        assert got.flags.c_contiguous and got.shape == want.shape
-        assert bits(got).tolist() == bits(want).tolist()
 
 
 def copying_accumulate(sink, share, g):
@@ -905,7 +745,7 @@ class TestTapeContract:
         x.grad = np.full((1, 2), -0.0)  # -0.0 + s is s: x reads h's gradient bits
         tape = nm.Tape()
         h = nm.scale(x, 1.0, tape)
-        tape.backward(nm.mean_all(nm.scale(h, -0.0, tape), tape))
+        tape.backward(nm.mean_all(nm.mul_rows(h, [-0.0], tape), tape))
         # -0.0 * 0.5 reaches h; added into zeros it reads +0.0, and x gets
         # -0.0 + 1.0 * +0.0
         assert bits(x.grad).tolist() == bits(np.zeros((1, 2))).tolist()
@@ -976,7 +816,7 @@ class TestTapeContract:
             x = nm.Tensor(rng.uniform(-50, 50, 8))
             for out in (
                 nm.relu(x),
-                nm.encode(nm.Tensor(np.eye(8)), nm.Tensor(x.values[None])),
+                nm.l2_normalize(nm.Tensor(x.values[None])),
                 nm.bpr_pair_loss(x, nm.Tensor(rng.uniform(-50, 50, 8))),
             ):
                 assert np.all(np.isfinite(out.values))
@@ -1010,15 +850,14 @@ class TestTapeMemory:
 
     def test_dropped_intermediates_are_freed(self):
         # a 16 MiB gathered block passes through ops whose rules read no
-        # input values, so only relu's 2 MiB mask outlives the forward code;
-        # the mean's broadcast gradient fills relu's cell
+        # input values, so only relu's 2 MiB mask outlives the forward code
         n, d = 1 << 16, 32
         table = nm.Tensor(np.random.default_rng(33).uniform(-1, 1, (1024, d)), trainable=True)
         idx = np.random.default_rng(34).integers(0, 1024, n)
 
         def forward(tape):
             h = nm.relu(nm.scale(nm.gather_rows(table, idx, tape), 2.0, tape), tape)
-            return nm.mean_all(h, tape)
+            return nm.mean_all(nm.sum_rows_stride(h, 64, tape), tape)
 
         live, peak = traced_pass(forward)
         block = n * d * 8
@@ -1050,9 +889,9 @@ class TestTapeMemory:
         # the second 256-triple group batch on the data above, after an Adam
         # step: gathering the member, common-member and neighbor blocks and
         # their gradient cells peaked at 10.7 MiB in forward and 10.5 MiB in
-        # backward; fused gathers peaked at about 8.6 and 9.1, and the fused
-        # encoder layers and messages with the social encoder's frozen input
-        # built again instead of held peak at about 6.6 and 6.5
+        # backward; fused gathers peaked at about 8.6 and 9.1, and with the
+        # social encoder's input rebuilt for its weight rule instead of
+        # held, the batch peaks at about 6.8 and 7.2
         ds = generate_synthetic(SynthConfig(num_users=3000, num_items=1500, num_groups=1500,
                                             num_latent_topics=20, seed=7))
         cfg = ModelConfig(d=64)
@@ -1081,7 +920,7 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert forward_peak < 7.5 * self.MiB
-        assert backward_peak < 7.5 * self.MiB
+        assert backward_peak < 8 * self.MiB
 
 
 class TestCheckpointBlob:
@@ -1197,17 +1036,6 @@ class TestScatterAdd:
         target = self.spread_values(rng, (rows,) + tail)
         idx = rng.integers(0, rows, n)
         self.assert_matches_add_at(target, idx, self.spread_values(rng, (n,) + tail))
-
-    @pytest.mark.parametrize("block", [1, 7, 128])
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_levels_added_in_blocks_keep_the_bits(self, block, d, monkeypatch):
-        # levels of hundreds of rows, a block of rows at a time
-        monkeypatch.setattr(nm, "SCATTER_BLOCK", block)
-        rng = np.random.default_rng([52, block, d])
-        for idx in (rng.integers(0, 300, 3000), np.sort(rng.integers(0, 300, 3000)),
-                    rng.permutation(np.concatenate([np.full(400, 7), rng.integers(0, 300, 3000)]))):
-            target = self.spread_values(rng, (300, d))
-            self.assert_matches_add_at(target, idx, self.spread_values(rng, (idx.size, d)))
 
     def test_empty_index(self):
         target = np.arange(6.0).reshape(3, 2)

@@ -36,10 +36,15 @@ def toy_world(d=4, variant="FULL", dropout=0.1, seed=0, k_hrl=1):
     return ds, social, hyper, cfg, params
 
 
+def one_row(positives, span=100):
+    """A table whose entity 0 has ``positives``."""
+    return ht.Positives(np.array(sorted(positives), dtype=np.int64), span)
+
+
 class TestSampleNegative:
     def test_single_candidate_repeats(self):
-        out = ht.sample_negative({0, 1}, 3, 2, np.random.default_rng(0))
-        assert out == [2, 2]
+        out = one_row({0, 1}).negatives(np.zeros(2, dtype=np.int64), 3, np.random.default_rng(0))
+        assert out.tolist() == [2, 2]
 
     def test_never_collides_with_positives(self):
         rng = np.random.default_rng(1)
@@ -48,7 +53,7 @@ class TestSampleNegative:
             positives = set(
                 rng.choice(n_items, size=int(rng.integers(1, n_items)), replace=False).tolist()
             )
-            for v in ht.sample_negative(positives, n_items, 5, rng):
+            for v in one_row(positives).negatives(np.zeros(5, dtype=np.int64), n_items, rng).tolist():
                 assert v not in positives
 
     def test_uniform_over_all_items_when_unconstrained(self):
@@ -56,7 +61,7 @@ class TestSampleNegative:
         # chi2 with 19 degrees of freedom is 36.19
         rng = np.random.default_rng(2)
         n_items = 20
-        draws = ht.sample_negative(set(), n_items, 100_000, rng)
+        draws = one_row(set()).negatives(np.zeros(100_000, dtype=np.int64), n_items, rng)
         counts = np.bincount(draws, minlength=n_items)
         expected = len(draws) / n_items
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -64,7 +69,47 @@ class TestSampleNegative:
 
     def test_saturated_positives_rejected(self):
         with pytest.raises(SamplingError):
-            ht.sample_negative({0, 1, 2}, 3, 1, np.random.default_rng(0))
+            one_row({0, 1, 2}).negatives(np.zeros(1, dtype=np.int64), 3, np.random.default_rng(0))
+
+    @staticmethod
+    def counted_negatives(pairs, entities, n_items):
+        """``negatives`` over ``pairs``' table, checked against the per-draw
+        loop, with the sizes of its ``contains`` calls and of its rounds."""
+        calls, rounds = [], []
+        contains, integers = ht.Positives.contains, np.random.Generator.integers
+
+        class CountingRng:
+            def __init__(self):
+                self.rng = np.random.default_rng(4)
+
+            def integers(self, *args, **kw):
+                rounds.append(kw["size"])
+                return integers(self.rng, *args, **kw)
+
+        def counting(self, entities, items):
+            calls.append(len(items))
+            return contains(self, entities, items)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ht.Positives, "contains", counting)
+            got = ht.positives_by_entity(pairs).negatives(entities, n_items, CountingRng())
+        want = reference_triples([(int(e), 0) for e in entities], sets_of(pairs), n_items, 1,
+                                 np.random.default_rng(4))
+        assert got.tolist() == [t[2] for t in want]
+        return calls, rounds
+
+    def test_one_dense_entity_is_tested_once_a_round(self):
+        # 95 of 100 items are positive, so most draws are rejected; the
+        # entries all name one entity, so no rejection moves a draw onto
+        # another entity and each round's draws are tested once
+        calls, rounds = self.counted_negatives([(0, v) for v in range(95)], np.zeros(256, dtype=np.int64), 100)
+        assert len(rounds) > 50 and calls == rounds
+
+    def test_dense_entities_in_turn_test_each_draw_a_few_times(self):
+        # every rejection moves the round's later draws onto the other entity
+        pairs = [(0, v) for v in range(95)] + [(1, v) for v in range(0, 100, 2)]
+        calls, rounds = self.counted_negatives(pairs, np.tile([0, 1], 128), 100)
+        assert sum(rounds) > 2000 and sum(calls) <= 3 * sum(rounds)
 
 
 def reference_triples(batch_pairs, table, n_items, n_x, rng):
@@ -94,9 +139,9 @@ class TestPositivesByEntity:
         for pairs in (ds.user_item, ds.group_item):
             want = sets_of(pairs)
             got = ht.positives_by_entity(pairs)
-            assert got.items.dtype == np.int32 and got.indptr[0] == 0
-            assert len(got.indptr) == max(want) + 2
-            rows = [got.items[got.indptr[e]:got.indptr[e + 1]].tolist() for e in range(max(want) + 1)]
+            assert got.keys.dtype == np.int64 and got.span == max(v for _, v in pairs) + 1
+            entities, items = np.divmod(got.keys, got.span)
+            rows = [items[entities == e].tolist() for e in range(max(want) + 1)]
             assert rows == [sorted(want.get(e, ())) for e in range(max(want) + 1)]
             assert got.counts().tolist() == [len(want.get(e, ())) for e in range(max(want) + 1)]
 
@@ -104,8 +149,8 @@ class TestPositivesByEntity:
         rng = np.random.default_rng(5)
         pairs = [(int(e), int(v)) for e, v in zip(rng.integers(0, 30, 400), rng.integers(0, 50, 400))]
         table, sets = ht.positives_by_entity(pairs), sets_of(pairs)
-        entities = rng.integers(0, 30, 5000)
-        items = rng.integers(0, 50, 5000)
+        entities = rng.integers(0, 32, 5000)  # past the last entity and the last item too
+        items = rng.integers(0, 60, 5000)
         want = [int(v) in sets.get(int(e), ()) for e, v in zip(entities, items)]
         assert table.contains(entities, items).tolist() == want
 
@@ -128,7 +173,8 @@ class TestPositivesByEntity:
 
     def test_no_pairs_give_an_empty_table(self):
         table = ht.positives_by_entity([])
-        assert table.indptr.tolist() == [0] and table.items.size == 0
+        assert table.keys.size == 0 and table.counts().size == 0
+        assert not table.contains(np.zeros(3, dtype=np.int64), np.arange(3)).any()
         assert ht.build_triples([], table, 5, 2, np.random.default_rng(0)) == []
 
 
@@ -260,7 +306,7 @@ class TestOptimizers:
         opt = ht.AdamOptimizer(0.1)
         for weight in (1.0, 0.0):
             tape = Tape()
-            tape.backward(nm.mean_all(nm.scale(p, weight, tape), tape))
+            tape.backward(nm.mean_all(nm.mul_rows(p, [weight], tape), tape))
             touched = tape.touched_parameters()
             assert touched == [p]
             # a touched trainable keeps its buffer, zero gradient included
