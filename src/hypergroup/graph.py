@@ -8,16 +8,13 @@ Groups act as hyperedges over the user set.  Two hyperedges are adjacent
 when they share at least one member.  The hypergraph is three CSR
 structures and nothing more: the group -> members incidence, the user ->
 groups inverted index, and the hyperedge adjacency, which holds neighbor
-ids only.  The adjacency is built from every group pair sharing a
-member: by a ``G x G`` pair bitmap when its ``G ** 2`` bytes are no
-more than the 8 bytes per expanded pair of int64 pair keys (dense
-overlap), and by sorting those keys otherwise; both paths give the same
-arrays (see :func:`build_hypergraph`).  Neither the shared-member sets nor their sizes (the overlap
-weights) are stored; :func:`shared_members` computes the sets on demand,
-for the group pairs a forward pass actually sampled, from the one member
-listing of the groups the pass reaches, and a weight is the size of its
-set.  The hyperedge encoder asks a group graph three things,
-``degrees``, ``neighbor_ids`` and ``members_of``, which
+ids only and is built from the group pairs in each user's group list
+(see :func:`build_hypergraph`).  Neither the shared-member sets nor their
+sizes (the overlap weights) are stored; :func:`shared_members` computes
+the sets on demand, for the group pairs a forward pass actually sampled,
+from the one member listing of the groups the pass reaches, and a weight
+is the size of its set.  The hyperedge encoder asks a group graph three
+things, ``degrees``, ``neighbor_ids`` and ``members_of``, which
 :class:`TransientHypergraphView` answers too.
 
 Both encoders sample a fixed number of neighbors per node, in the style of
@@ -182,14 +179,12 @@ class TransientHypergraphView:
 
 
 def build_social_graph(ds: InteractionDataset) -> SocialGraph:
-    """Symmetric adjacency from the dataset's social edges; ``indices`` is
-    int32 whenever every user id fits, ``indptr`` int64."""
-    n, span = ds.num_users, max(ds.num_users, 1)
+    """Symmetric adjacency from the dataset's social edges, by
+    :func:`_symmetric_csr`."""
     edges = np.fromiter(chain.from_iterable(ds.social_edges), dtype=np.int64,
                         count=2 * len(ds.social_edges)).reshape(-1, 2)
-    keys = unique_ids(edges[:, 0] * span + edges[:, 1], edges[:, 1] * span + edges[:, 0])
-    indices = (keys % span).astype(np.int32 if span <= 1 << 31 else np.int64)
-    return SocialGraph(indptr=_indptr(keys // span, n), indices=indices)
+    indptr, indices = _symmetric_csr(edges[:, 0], edges[:, 1], ds.num_users)
+    return SocialGraph(indptr=indptr, indices=indices)
 
 
 def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
@@ -206,8 +201,8 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
       marked in a ``G x G`` boolean bitmap, whose rows read off as the
       ascending ids of each row.  The bitmap never takes more bytes than
       the int64 pair keys it replaces, and nothing is sorted.
-    - otherwise: the distinct int64 pair keys are sorted, and both
-      directions of each pair are laid out from them.
+    - otherwise: each block's pair keys are made distinct, which bounds
+      memory, and :func:`_symmetric_csr` sorts them with their mirrors.
 
     ``indices`` is int32 whenever every group id fits; ``indptr`` is int64.
     """
@@ -220,10 +215,9 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     by_user = np.argsort(member_ids, kind="stable")  # keeps groups ascending within a user
     group_ids = owner[by_user]
     group_indptr = _indptr(member_ids[by_user], ds.num_users)
-    member_indptr = _indptr(owner, num_groups)
-    indptr, indices = _adjacency(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
+    indptr, indices = _adjacency(group_indptr, group_ids, num_groups)
     return Hypergraph(
-        member_indptr=member_indptr,
+        member_indptr=_indptr(owner, num_groups),
         member_ids=member_ids,
         group_indptr=group_indptr,
         group_ids=group_ids,
@@ -232,22 +226,21 @@ def build_hypergraph(ds: InteractionDataset) -> Hypergraph:
     )
 
 
-def _adjacency(owner, member_ids, by_user, group_ids, group_indptr, member_indptr):
+def _adjacency(group_indptr, group_ids, num_groups):
     """Hyperedge adjacency ``(indptr, indices)`` of the groups sharing a
-    member, by :func:`_bitmap_csr` or by sorting the pair keys for
-    :func:`_symmetric_csr`, as :func:`_use_bitmap` chooses."""
-    num_groups = len(member_indptr) - 1
-    dtype = np.int32 if num_groups <= 1 << 31 else np.int64
-    expanded, blocks = _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr)
+    member, by :func:`_bitmap_csr` or :func:`_symmetric_csr` as
+    :func:`_use_bitmap` chooses.  The sort path keeps each block's
+    distinct keys only, so it holds at most the 8 bytes per expanded pair
+    that the rule budgets; the layout's sort drops repeats across blocks.
+    """
+    expanded, blocks = _group_pairs(group_indptr, group_ids)
     if _use_bitmap(num_groups, expanded):
-        return _bitmap_csr(blocks, num_groups, dtype)
-    # each block's distinct keys; no key repeats across blocks, which
-    # concatenate in key order
+        return _bitmap_csr(blocks, num_groups)
     keys = np.concatenate([np.zeros(0, dtype=np.int64)]
                           + [unique_ids(a * num_groups + b) for a, b in blocks])
     a, b = np.divmod(keys, num_groups)
-    del keys  # not held through the CSR assembly, the sort path's peak
-    return _symmetric_csr(a, b, num_groups, dtype)
+    del keys  # not held through the layout
+    return _symmetric_csr(a, b, num_groups)
 
 
 def _use_bitmap(num_groups: int, expanded: int) -> bool:
@@ -256,35 +249,34 @@ def _use_bitmap(num_groups: int, expanded: int) -> bool:
     return num_groups * num_groups <= 8 * expanded
 
 
-def _group_pairs(owner, member_ids, by_user, group_ids, group_indptr, member_indptr):
+def _group_pairs(group_indptr, group_ids):
     """Every group pair ``a < b`` sharing a member, as ``(count, blocks)``.
 
-    A membership ``(a, u)`` pairs ``a`` with every later group in u's
-    list, so a pair appears once per shared member and ``count`` counts
-    the pairs with these repeats.  ``blocks`` yields them as ``(a, b)``
-    arrays of about ``PAIR_BLOCK`` pairs at a time, expanding the
-    memberships of consecutive ``a``; so the repeats of a pair fall in
-    one block and ``a`` ascends from block to block.
+    Each entry of a user's ascending group list pairs with the later
+    entries of that list, so a pair appears once per shared member and
+    ``count`` counts the pairs with these repeats.  ``blocks`` yields them
+    as ``(a, b)`` arrays of about ``PAIR_BLOCK`` pairs at a time, expanding
+    consecutive entries of the inverted index; the repeats of a pair may
+    fall in different blocks.
     """
-    num_groups = len(member_indptr) - 1
-    rank = np.empty_like(by_user)
-    rank[by_user] = np.arange(by_user.size)  # position of each membership in the inverted index
-    later = group_indptr[member_ids + 1] - 1 - rank
-    expanded = np.concatenate(([0], np.cumsum(later)))[member_indptr]  # pairs before each group
+    # an entry pairs with the entries after it, up to its list's end
+    later = np.repeat(group_indptr[1:], np.diff(group_indptr)) - np.arange(1, group_ids.size + 1)
+    expanded = np.concatenate(([0], np.cumsum(later)))  # pairs before each entry
 
     def blocks():
-        a0 = 0
-        while a0 < num_groups:
-            a1 = max(a0 + 1, int(np.searchsorted(expanded, expanded[a0] + PAIR_BLOCK, side="right")) - 1)
-            e0, e1 = member_indptr[a0], member_indptr[a1]
-            reps = later[e0:e1]
-            yield np.repeat(owner[e0:e1], reps), group_ids[_ranges(rank[e0:e1] + 1, reps)]
-            a0 = a1
+        e0 = 0
+        while e0 < group_ids.size:
+            e1 = max(e0 + 1, int(np.searchsorted(expanded, expanded[e0] + PAIR_BLOCK, side="right")) - 1)
+            reps = np.diff(expanded[e0:e1 + 1])
+            pairs = np.repeat(group_ids[e0:e1], reps), group_ids[_ranges(np.arange(e0 + 1, e1 + 1), reps)]
+            del reps  # not held while the block is used: 22 MB of peak on a 10k hub-heavy build
+            yield pairs
+            e0 = e1
 
     return int(expanded[-1]), blocks()
 
 
-def _bitmap_csr(blocks, num_rows, dtype):
+def _bitmap_csr(blocks, num_rows):
     """CSR of both directions of the pairs in ``blocks``, from a bitmap.
 
     Each pair ``(a, b)`` marks cells ``a * num_rows + b`` and ``b *
@@ -301,7 +293,7 @@ def _bitmap_csr(blocks, num_rows, dtype):
     seen = seen.reshape(num_rows, num_rows)
     counts = np.count_nonzero(seen, axis=1)
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    indices = np.empty(int(indptr[-1]), dtype=dtype)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32 if num_rows <= 1 << 31 else np.int64)
     band = max(1, PAIR_BLOCK // max(num_rows, 1))
     for r0 in range(0, num_rows, band):
         r1 = min(r0 + band, num_rows)
@@ -311,21 +303,15 @@ def _bitmap_csr(blocks, num_rows, dtype):
     return indptr, indices
 
 
-def _symmetric_csr(a, b, num_rows, dtype):
-    """CSR of both directions of the pairs ``a < b``, given sorted by ``(a, b)``.
-
-    Row ``r`` holds its entries below ``r`` (from pairs ``(x, r)``) and then
-    those above it (from pairs ``(r, x)``), so every row comes out sorted
-    without sorting both directions together.
-    """
-    n_above = np.bincount(a, minlength=num_rows)
-    n_below = np.bincount(b, minlength=num_rows)
-    indptr = np.concatenate(([0], np.cumsum(n_above + n_below)))
-    indices = np.empty(2 * a.size, dtype=dtype)
-    below = np.argsort(b, kind="stable")  # the pairs by (b, a)
-    indices[np.arange(a.size) + (np.cumsum(n_above) - n_above)[b[below]]] = a[below]
-    indices[np.arange(a.size) + np.cumsum(n_below)[a]] = b
-    return indptr, indices
+def _symmetric_csr(a, b, num_rows):
+    """CSR ``(indptr, indices)`` of both directions of the id pairs
+    ``(a[k], b[k])``, repeats dropped: one sort of the pair keys and their
+    mirrors gives every row's ids ascending.  ``indices`` is int32
+    whenever every id fits, ``indptr`` int64."""
+    span = max(num_rows, 1)
+    keys = unique_ids(a * span + b, b * span + a)
+    indices = (keys % span).astype(np.int32 if span <= 1 << 31 else np.int64)
+    return _indptr(keys // span, num_rows), indices
 
 
 def shared_members(users: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray):

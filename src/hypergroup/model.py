@@ -2,9 +2,9 @@
 as hyperedge embeddings over the membership hypergraph, and the two MLP
 scoring towers.
 
-A :class:`ForwardPass` owns the neighbor samples of one forward
-evaluation: every (entity, layer) pair is sampled exactly once per pass,
-shared across all places the entity appears in that pass.  Both encoders
+A :class:`ForwardPass` call draws the neighbor samples of one forward
+evaluation: every (entity, layer) pair is sampled exactly once per call,
+shared across all places the entity appears in that call.  Both encoders
 draw their sample tree the same way, each layer's samples for all its
 nodes in one :func:`~hypergroup.graph.sample_neighbors` call, and the
 pass works on sorted id arrays: :func:`~hypergroup.numeric.unique_ids`
@@ -315,11 +315,11 @@ def load_params(path) -> tuple[ModelParams, ModelConfig, dict]:
 
 
 class ForwardPass:
-    """One forward evaluation over shared neighbor samples.
+    """Forward evaluations over the params, graphs and generator it holds.
 
-    An instance serves one call to one of its public methods, and a second
-    call raises :class:`ContractViolation`; build a new pass per mini-batch
-    or per evaluation sweep.
+    Each call to :meth:`member_vectors` or :meth:`group_vectors` draws its
+    own neighbor samples from the pass's generator, shared by every id of
+    that call; two calls draw as two passes on one generator would.
     """
 
     def __init__(
@@ -339,13 +339,9 @@ class ForwardPass:
         self.rng = rng
         self.tape = tape
         self.training = training
-        self._used = False
 
     def _request(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Claim the pass for its one request: ``ids`` flat as int64, and their sorted distinct ids."""
-        if self._used:
-            raise ContractViolation("a ForwardPass instance serves a single request")
-        self._used = True
+        """``ids`` flat as int64, and their sorted distinct ids."""
         ids = _ids(ids)
         return ids, unique_ids(ids)
 
@@ -354,15 +350,18 @@ class ForwardPass:
     def _sample_tree(self, graph, nodes: np.ndarray, K: int, S: int):
         """Sample the K layers below sorted unique ``nodes``, layer K first.
 
-        ``needed[i]``: sorted nodes whose layer-i output is used; ``nbrs[i]``:
-        their sampled neighbors, S per row (the node itself in an empty
-        slot); ``live[i]``: the slots that hold a real neighbor.
+        ``needed[i]``: sorted nodes whose layer-i output is used, for ``i >=
+        1``; ``nbrs[i]``: their sampled neighbors, S per row (the node itself
+        in an empty slot); ``live[i]``: the slots that hold a real neighbor.
+        The layer-0 nodes are left to the caller that reads them: the social
+        encoder reads layer 0 by user id.
         """
-        needed, nbrs, live = [nodes] * (K + 1), [nodes] * (K + 1), [nodes] * (K + 1)
+        needed, nbrs, live = [None] * K + [nodes], [None] * (K + 1), [None] * (K + 1)
         for i in range(K, 0, -1):
             offsets = sample_neighbors(graph.degrees(needed[i]), S, self.rng)
             nbrs[i], live[i] = graph.neighbor_ids(needed[i], offsets), offsets >= 0
-            needed[i - 1] = unique_ids(needed[i], nbrs[i])
+            if i > 1:
+                needed[i - 1] = unique_ids(needed[i], nbrs[i])
         return needed, nbrs, live
 
     def _encode(self, w: Tensor, x: Tensor, rebuild=None) -> Tensor:
@@ -433,7 +432,7 @@ class ForwardPass:
         cfg, params, tape, hyper = self.cfg, self.params, self.tape, self.hyper
         K, S = cfg.k_hrl, cfg.s_hrl
         needed, nbrs, live = self._sample_tree(hyper, groups, K, S)
-        base_groups = needed[0]
+        needed[0] = base_groups = unique_ids(needed[1], nbrs[1])
 
         # every live sampled pair once, as a (low id, high id) key; a
         # pair's overlap weight is the number of members it shares.  Both

@@ -257,7 +257,8 @@ def unique_ids(*arrays) -> np.ndarray:
     core it took 0.066 against 0.009 ms at 1,000 random ids, 2.26 against
     0.37 ms at 30,000 and 99.6 against 3.5 ms at 300,000.
     """
-    ids = np.sort(np.concatenate([np.ravel(a) for a in arrays]))
+    ids = np.concatenate([np.ravel(a) for a in arrays])
+    ids.sort()  # in place: the concatenation is already a copy
     keep = np.empty(ids.size, dtype=bool)
     keep[:1] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])

@@ -186,6 +186,31 @@ class TestHypergraph:
             assert np.array_equal(by_sort.indptr, by_bitmap.indptr)
             assert np.array_equal(by_sort.indices, by_bitmap.indices)
 
+    def test_pair_repeated_across_blocks_is_laid_out_once(self, monkeypatch):
+        # groups 0 and 1 share users 0, 4 and 8; with one pair per block the
+        # sort path meets the pair (0, 1) in three blocks
+        memberships = [[0, 4, 8], [0, 4, 8], [1, 2], [2, 3], [5, 6, 7], [6, 7]]
+        ds = make_ds(9, memberships)
+        monkeypatch.setattr(hg, "PAIR_BLOCK", 1)
+        h = build_by_path(monkeypatch, ds, False)
+        _, blocks = hg._group_pairs(h.group_indptr, h.group_ids)
+        assert sum(((a == 0) & (b == 1)).sum() > 0 for a, b in blocks) == 3
+        assert rows(h, 6) == [[1], [0], [3], [2], [5], [4]]
+
+    def test_records_without_pairs_build_both_graphs(self, monkeypatch):
+        # no users at all, then users without social edges or shared members
+        for num_users, memberships in ((0, []), (3, [[0], [1], [2]]), (4, [[3]])):
+            ds = make_ds(num_users, memberships)
+            social = hg.build_social_graph(ds)
+            assert social.indptr.tolist() == [0] * (num_users + 1)
+            assert social.indices.dtype == np.int32 and social.indices.size == 0
+            for bitmap in (False, True):
+                h = build_by_path(monkeypatch, ds, bitmap)
+                assert h.indptr.tolist() == [0] * (len(memberships) + 1)
+                assert h.indices.dtype == np.int32 and h.indices.size == 0
+                assert h.member_ids.tolist() == sum(memberships, [])
+                assert len(h.group_indptr) == num_users + 1
+
     def test_selection_on_the_benchmark_shapes(self, monkeypatch):
         # dense hub overlap takes the bitmap, 200 sparse topics the sort;
         # the bitmap's num_groups ** 2 bytes never exceed the 8 bytes per

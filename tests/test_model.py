@@ -884,14 +884,20 @@ class TestTransientGroups:
 
 
 class TestForwardPassContract:
-    def test_single_use(self):
+    def test_calls_draw_as_fresh_passes_on_one_generator(self):
+        # each call draws its own samples from the pass's generator, so a
+        # pass asked three times gives what three passes sharing it give
         ds, hyper = six_group_cycle()
-        cfg = hm.ModelConfig(d=2, variant="NO_IPM", k_hrl=1, s_hrl=2, dropout=0.0)
-        params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(0))
-        fp = forward(params, cfg, None, hyper, 0)
-        fp.group_vectors([0])
-        with pytest.raises(ContractViolation):
-            fp.group_vectors([1])
+        social = build_social_graph(make_ds(12, 2, ds.memberships, social_edges={(0, 1), (2, 3), (4, 5)}))
+        cfg = hm.ModelConfig(d=4, k_ipm=1, s_ipm=1, k_hrl=2, s_hrl=1, dropout=0.0)
+        params = hm.initialize_params(cfg, 12, 2, np.random.default_rng(2))
+        calls = (("group_vectors", [0, 3]), ("member_vectors", [1, 2, 1]), ("group_vectors", [3, 0]))
+        fp = forward(params, cfg, social, hyper, 9)
+        got = [getattr(fp, name)(ids).values for name, ids in calls]
+        rng = np.random.default_rng(9)
+        want = [getattr(forward(params, cfg, social, hyper, rng), name)(ids).values for name, ids in calls]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_reproducible_for_fixed_seed(self):
         ds, hyper = six_group_cycle()
