@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import ConfigError, ContractViolation
 from .graph import Hypergraph, SocialGraph
 from .model import ForwardPass, ModelConfig, ModelParams
 
-GROUP_SIZE_BINS = (("l<3", lambda l: l < 3), ("3<=l<=7", lambda l: 3 <= l <= 7), ("l>7", lambda l: l > 7))
+GROUP_SIZE_BINS = (("l<3", lambda l: l < 3), ("3<=l<=7", lambda l: (3 <= l) & (l <= 7)), ("l>7", lambda l: l > 7))
 ITEM_ACTIVITY_BINS = (("tau<=3", lambda t: t <= 3), ("tau>3", lambda t: t > 3))
 
 
@@ -98,9 +99,9 @@ def _metrics_dict(metrics: dict[int, MetricPair]) -> dict:
     return {str(n): {"hr": pair.hr, "ndcg": pair.ndcg} for n, pair in metrics.items()}
 
 
-def _item_ids(pairs) -> np.ndarray:
-    """The item of every pair, as int64 even when there are none."""
-    return np.array([v for _, v in pairs], dtype=np.int64)
+def _pair_array(pairs) -> np.ndarray:
+    """``(entity, item)`` pairs as one ``[n, 2]`` int64 array, even when empty."""
+    return np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
 
 
 def _metrics_from_ranks(ranks: np.ndarray, cutoffs) -> dict[int, MetricPair]:
@@ -128,10 +129,14 @@ def evaluate(
 ):
     """Rank all items for every test interaction and aggregate the metrics.
 
-    Embeddings are computed once per entity under ``eval_seed``; the
-    report is a pure function of (params, test split, cutoffs, seed).
-    Excluding training positives raises ``ConfigError`` when a test case
-    is one of them: it would rank last.
+    Embeddings are computed once per entity, in ascending order, under
+    ``eval_seed``; the report is a pure function of (params, test split,
+    cutoffs, seed).  A stable sort of the ``[n, 2]`` case array by entity
+    gives each entity its cases as one slice, and their ranks go back to
+    the cases' own places.  Excluding training positives masks the entity's
+    key range in the training split's ``training.positives_by_entity``
+    table, and raises ``ConfigError`` when a test case is one of them: it
+    would rank last.
     """
     if target not in ("groups", "users"):
         raise ConfigError(f"target must be 'groups' or 'users', got {target!r}")
@@ -144,70 +149,60 @@ def evaluate(
     if exclude_train_positives and train_ds is None:
         raise ConfigError("excluding training positives requires the training split")
 
-    rng = np.random.default_rng(eval_seed)
-    entities = sorted({e for e, _ in cases})
-    fp = ForwardPass(params, model_cfg, social, hyper, rng)
-    if target == "groups":
-        rows = fp.group_vectors(entities).values
-        tower = params.group_mlp
-    else:
-        rows = fp.member_vectors(entities).values
-        tower = params.user_mlp
+    pairs = _pair_array(cases)
+    order = np.argsort(pairs[:, 0], kind="stable")
+    by_entity = pairs[order]
+    bounds = np.append(np.flatnonzero(np.diff(by_entity[:, 0], prepend=-1)), len(order))
+    entities = by_entity[bounds[:-1], 0]
 
-    excluded: dict[int, set[int]] = {}
+    fp = ForwardPass(params, model_cfg, social, hyper, np.random.default_rng(eval_seed))
+    if target == "groups":
+        rows, tower = fp.group_vectors(entities).values, params.group_mlp
+    else:
+        rows, tower = fp.member_vectors(entities).values, params.user_mlp
+
     if exclude_train_positives:
-        train_pairs = train_ds.group_item if target == "groups" else train_ds.user_item
-        for e, v in train_pairs:
-            excluded.setdefault(e, set()).add(v)
-    truths: dict[int, list[int]] = {}
-    for e, v in cases:
-        truths.setdefault(e, []).append(v)
+        from . import training  # training imports this module for early stopping
+        table = training.positives_by_entity(train_ds.group_item if target == "groups" else train_ds.user_item)
+        clash = table.contains(by_entity[:, 0], by_entity[:, 1])
+        key_lo, key_hi = np.searchsorted(table.keys, np.stack((entities, entities + 1)) * table.span)
 
     # one entity at a time: its scores are exactly those recommend computes
-    rank_of: dict[tuple[int, int], int] = {}
-    for row, entity in zip(rows, entities):
-        scores = tower.item_scores(row, params.item_embeddings)
+    ranks = np.empty(len(order), dtype=np.int64)
+    for k, (entity, lo, hi) in enumerate(zip(entities.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())):
+        scores = tower.item_scores(rows[k], params.item_embeddings)
         if not np.all(np.isfinite(scores)):
             raise ContractViolation("scores must be finite")
-        drop = excluded.get(entity)
-        if drop:
-            clash = drop.intersection(truths[entity])
-            if clash:
-                maps = test_ds.id_maps
+        items = by_entity[lo:hi, 1]
+        if exclude_train_positives:
+            if clash[lo:hi].any():
+                maps, item = test_ds.id_maps, int(items[clash[lo:hi]].min())
                 raise ConfigError(f"{target[:-1]} {entity_name(maps, target, entity)} has item "
-                                  f"{entity_name(maps, 'items', min(clash))} both as a test case and "
-                                  "as an excluded training positive")
-            scores[sorted(drop)] = -np.inf
-        for v, rank in zip(truths[entity], count_ranks(scores, truths[entity]).tolist()):
-            rank_of[entity, v] = rank
+                                  f"{entity_name(maps, 'items', item)} both as a test case and as an excluded "
+                                  "training positive")
+            scores[table.keys[key_lo[k]:key_hi[k]] - entity * table.span] = -np.inf
+        ranks[order[lo:hi]] = count_ranks(scores, items)
 
-    ranks = np.array([rank_of[c] for c in cases], dtype=np.int64)
-    report = EvalReport(
-        target=target,
-        metrics=_metrics_from_ranks(ranks, cutoffs),
-        num_test_cases=len(cases),
-    )
+    report = EvalReport(target=target, metrics=_metrics_from_ranks(ranks, cutoffs), num_test_cases=len(cases))
 
     if strata:
         report.strata = {}
         if target == "groups":
-            sizes = np.array([len(test_ds.memberships[g]) for g, _ in cases])
-            report.strata["group_size"] = _stratify(ranks, sizes, GROUP_SIZE_BINS, cutoffs)
+            sizes = np.array([len(members) for members in test_ds.memberships])
+            report.strata["group_size"] = _stratify(ranks, sizes[pairs[:, 0]], GROUP_SIZE_BINS, cutoffs)
         activity_source = train_ds if train_ds is not None else test_ds
-        counts = np.bincount(_item_ids(activity_source.group_item), minlength=params.num_items)
-        activity = counts[_item_ids(cases)]
-        report.strata["item_activity"] = _stratify(ranks, activity, ITEM_ACTIVITY_BINS, cutoffs)
+        counts = np.bincount(_pair_array(activity_source.group_item)[:, 1], minlength=params.num_items)
+        report.strata["item_activity"] = _stratify(ranks, counts[pairs[:, 1]], ITEM_ACTIVITY_BINS, cutoffs)
 
     if detail:
-        details = [(e, v, rank_of[e, v]) for e, v in cases]
-        return report, details
+        return report, [(e, v, r) for (e, v), r in zip(pairs.tolist(), ranks.tolist())]
     return report
 
 
 def _stratify(ranks, keys, bins, cutoffs) -> dict:
     out = {}
     for label, pred in bins:
-        mask = np.array([pred(k) for k in keys], dtype=bool)
+        mask = pred(keys)
         if not mask.any():
             out[label] = {"num_test_cases": 0, "metrics": None}
             continue
@@ -223,5 +218,6 @@ def pop_baseline(train_ds: InteractionDataset) -> np.ndarray:
     user interactions), ties by ascending index."""
     if not train_ds.group_item and not train_ds.user_item:
         raise ContractViolation("training split holds no interactions")
-    counts = np.bincount(_item_ids(train_ds.group_item + train_ds.user_item), minlength=train_ds.num_items)
+    counts = np.bincount(_pair_array(train_ds.group_item + train_ds.user_item)[:, 1],
+                         minlength=train_ds.num_items)
     return np.argsort(-counts, kind="stable")

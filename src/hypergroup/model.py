@@ -234,7 +234,7 @@ def param_layout(cfg: ModelConfig, num_users: int, num_items: int) -> list[tuple
     return layout
 
 
-def _params(cfg: ModelConfig, num_users: int, num_items: int, values: dict[str, np.ndarray]) -> ModelParams:
+def _params(num_users: int, num_items: int, values: dict[str, np.ndarray]) -> ModelParams:
     tensors = {name: Tensor(v, name=name, trainable=name != "node_features") for name, v in values.items()}
     return ModelParams(num_users, num_items, tensors)
 
@@ -269,7 +269,7 @@ def initialize_params(
             values[name] = np.zeros(shape)
         else:
             values[name] = _glorot(rng, shape)
-    return _params(cfg, num_users, num_items, values)
+    return _params(num_users, num_items, values)
 
 
 def save_params(path, params: ModelParams, cfg: ModelConfig, seed: int, extra_meta: dict | None = None) -> None:
@@ -307,7 +307,7 @@ def load_params(path) -> tuple[ModelParams, ModelConfig, dict]:
             raise CheckpointError(f"tensor {name!r} has shape {values[name].shape}, config implies {shape}")
     if tensors:
         raise CheckpointError(f"checkpoint holds unexpected tensors: {sorted(tensors)}")
-    return _params(cfg, num_users, num_items, values), cfg, meta
+    return _params(num_users, num_items, values), cfg, meta
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +320,7 @@ class ForwardPass:
     Each call to :meth:`member_vectors` or :meth:`group_vectors` draws its
     own neighbor samples from the pass's generator, shared by every id of
     that call; two calls draw as two passes on one generator would.
+    ``training`` is accepted and ignored.
     """
 
     def __init__(
@@ -338,7 +339,6 @@ class ForwardPass:
         self.hyper = hyper
         self.rng = rng
         self.tape = tape
-        self.training = training
 
     def _request(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """``ids`` flat as int64, and their sorted distinct ids."""

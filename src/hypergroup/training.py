@@ -125,7 +125,8 @@ class TrainReport:
 @dataclass(frozen=True)
 class Positives:
     """Each entity's positive items as one sorted int64 array of distinct
-    keys ``entity * span + item``, where ``span`` exceeds every item id."""
+    keys ``entity * span + item``, where ``span`` exceeds every item id:
+    one key range per entity, which ``evaluation.evaluate`` masks."""
 
     keys: np.ndarray
     span: int
@@ -208,7 +209,7 @@ def build_triples(batch_pairs, positives: Positives, n_items, n_x, rng):
 # batch objectives
 
 
-def regularized_parameters(params: ModelParams, cfg: ModelConfig, task: str):
+def regularized_parameters(params: ModelParams, task: str):
     """Trainable tensors a batch of the given task touches, in checkpoint
     order: all but the other task's tower and, for the user task, the
     hyperedge encoder."""
@@ -243,7 +244,7 @@ def _batch_loss(
     loss = nm.mean_all(nm.bpr_pair_loss(s_pos, s_neg, tape), tape)
     if l2_reg > 0.0:
         reg = None
-        for _, p in regularized_parameters(params, cfg, task):
+        for _, p in regularized_parameters(params, task):
             sq = nm.sum_squares(p, tape)
             reg = sq if reg is None else nm.add(reg, sq, tape)
         loss = nm.add(loss, nm.scale(reg, l2_reg, tape), tape)

@@ -257,7 +257,7 @@ def test_criterion_4_overfit():
     assert abs(loss_u0 - math.log(2.0)) < 1e-12
     lam = 1e-5
     reg = sum(float(np.sum(p.values ** 2))
-              for _, p in regularized_parameters(params0, cfg, "group"))
+              for _, p in regularized_parameters(params0, "group"))
     loss_g_reg = float(group_batch_loss(g_triples, params0, cfg, social, hyper, lam,
                                         np.random.default_rng(0)).values)
     assert abs(loss_g_reg - (math.log(2.0) + lam * reg)) < 1e-10

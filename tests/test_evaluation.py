@@ -7,7 +7,7 @@ import pytest
 
 from hypergroup import evaluation as he
 from hypergroup import model as hm
-from hypergroup.data import InteractionDataset, SynthConfig, generate_synthetic
+from hypergroup.data import InteractionDataset, SplitSpec, SynthConfig, generate_synthetic, split_interactions
 from hypergroup.errors import ConfigError, ContractViolation
 from hypergroup.graph import build_hypergraph, build_social_graph
 
@@ -301,6 +301,41 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="excluded training positive"):
             he.evaluate(params, cfg, None, hyper, ds, cutoffs=(5,), eval_seed=0, target=target,
                         train_ds=ds, exclude_train_positives=True)
+
+    @pytest.mark.parametrize("target", ["groups", "users"])
+    def test_excluded_ranks_match_a_straight_recount(self, target):
+        ds = generate_synthetic(SynthConfig(num_users=60, num_items=80, num_groups=30, avg_group_size=3.0,
+                                            interactions_per_group=6.0, seed=11))
+        train, _, test = split_interactions(ds, SplitSpec(train_ratio=0.6, val_ratio=0.1, test_ratio=0.3, seed=2))
+        social, hyper = build_social_graph(train), build_hypergraph(train)
+        cfg = hm.ModelConfig(d=8, k_ipm=1, s_ipm=2, k_hrl=1, s_hrl=2)
+        params = hm.initialize_params(cfg, ds.num_users, ds.num_items, np.random.default_rng(3))
+        field, tower = ("group_item", params.group_mlp) if target == "groups" else ("user_item", params.user_mlp)
+        cases = [getattr(test, field)[i] for i in np.random.default_rng(4).permutation(len(getattr(test, field)))]
+        entities = sorted({e for e, _ in cases})
+        assert len(entities) < len(cases)  # several cases per entity
+        test = replace(test, **{field: cases})
+        report, detail = he.evaluate(params, cfg, social, hyper, test, cutoffs=(5,), eval_seed=6, target=target,
+                                     train_ds=train, exclude_train_positives=True, detail=True)
+        assert [(e, v) for e, v, _ in detail] == cases
+        fp = hm.ForwardPass(params, cfg, social, hyper, np.random.default_rng(6))
+        rows = (fp.group_vectors if target == "groups" else fp.member_vectors)(entities).values
+        scores = {e: tower.item_scores(row, params.item_embeddings) for e, row in zip(entities, rows)}
+        for e, v in getattr(train, field):
+            if e in scores:
+                scores[e][v] = -np.inf
+        for e, v, rank in detail:
+            s = scores[e]
+            assert np.isfinite(s[v]) and rank == 1 + np.sum(s > s[v]) + np.sum(s[:v] == s[v])
+        assert report.metrics[5].hr == np.mean([rank <= 5 for _, _, rank in detail])
+
+        # a clash names the entity's lowest clashing item, whatever the case order
+        pairs = sorted(getattr(train, field))
+        (e, lo), (_, hi) = next((p, q) for p, q in zip(pairs, pairs[1:]) if p[0] == q[0])
+        clashing = replace(test, **{field: cases + [(e, hi), (e, lo)]})
+        with pytest.raises(ConfigError, match=f"{target[:-1]} {e} has item {lo} both"):
+            he.evaluate(params, cfg, social, hyper, clashing, cutoffs=(5,), eval_seed=6, target=target,
+                        train_ds=train, exclude_train_positives=True)
 
     def test_exclusion_requires_train_split(self):
         ds, hyper, cfg, params = make_eval_world()

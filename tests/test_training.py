@@ -204,7 +204,7 @@ class TestBatchLosses:
                                    np.random.default_rng(0))
         manual = sum(
             float(np.sum(p.values ** 2))
-            for _, p in ht.regularized_parameters(params, cfg, "group")
+            for _, p in ht.regularized_parameters(params, "group")
         )
         assert abs(float(loss.values) - (math.log(2.0) + lam * manual)) < 1e-10
 
@@ -238,7 +238,7 @@ class TestBatchLosses:
             ht.user_batch_loss([(1, 1, 4)], params, cfg, social, 0.0,
                                np.random.default_rng(0), tape)
         touched = {id(t) for t in tape.touched_parameters()}
-        declared = {id(t) for _, t in ht.regularized_parameters(params, cfg, task)}
+        declared = {id(t) for _, t in ht.regularized_parameters(params, task)}
         assert touched == declared
 
     def test_user_loss_touches_no_group_tower(self):
